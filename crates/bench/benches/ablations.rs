@@ -45,8 +45,8 @@ fn ablation_static_matcher(c: &mut Criterion) {
 }
 
 /// Ablation 2 — policy memoization: the engine precomputes the inherited
-/// policy per frame (one map) vs recomputing the frame policy for every
-/// feature query, as a naive implementation would.
+/// policy per frame (one feature set) vs recomputing the frame policy for
+/// every feature query, as a naive implementation would.
 fn ablation_policy_memo(c: &mut Criterion) {
     use policy::engine::{FramingContext, PolicyEngine};
     use policy::header::{parse_permissions_policy, DeclaredPolicy};

@@ -49,9 +49,7 @@ impl<'a> BrowserHooks<'a> {
     /// (non-policy-controlled features are always "allowed" here; their
     /// extra rules live in the answer logic).
     fn policy_allows(&self, permissions: &[Permission]) -> bool {
-        permissions
-            .iter()
-            .all(|p| self.policy.is_enabled_for(*p, self.policy.origin()))
+        permissions.iter().all(|p| self.policy.allowed_to_use(*p))
     }
 }
 
@@ -114,13 +112,9 @@ impl BrowserHooks<'_> {
         match (kind, call.path.as_str()) {
             (InvocationKind::StatusQuery, _) => {
                 // navigator.permissions.query: state reflects policy.
+                // Features policy does not control are always allowed.
                 let state = match permissions.first() {
-                    Some(p)
-                        if p.info().policy_controlled
-                            && !self.policy.is_enabled_for(*p, self.policy.origin()) =>
-                    {
-                        "denied"
-                    }
+                    Some(p) if !self.policy.allowed_to_use(*p) => "denied",
                     _ => "prompt",
                 };
                 Value::promise(Value::object(vec![("state", Value::Str(state.into()))]))
@@ -143,7 +137,7 @@ impl BrowserHooks<'_> {
             ) => Value::Bool(
                 permissions
                     .first()
-                    .map(|p| self.policy.is_enabled_for(*p, self.policy.origin()))
+                    .map(|p| self.policy.allowed_to_use(*p))
                     .unwrap_or(false),
             ),
             (InvocationKind::Invocation, _) if policy_blocked => {

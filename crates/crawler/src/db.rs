@@ -591,7 +591,17 @@ impl AnyRecordStream {
         mode: StreamMode,
         columns: crate::colsh::ColumnSet,
     ) -> std::io::Result<AnyRecordStream> {
-        match detect_db_format(path)? {
+        AnyRecordStream::open_as(path, detect_db_format(path)?, mode, columns)
+    }
+
+    /// Opens a database file as `format`, without sniffing its magic.
+    pub(crate) fn open_as(
+        path: &Path,
+        format: DbFormat,
+        mode: StreamMode,
+        columns: crate::colsh::ColumnSet,
+    ) -> std::io::Result<AnyRecordStream> {
+        match format {
             DbFormat::Jsonl => RecordStream::open(path, mode).map(AnyRecordStream::Jsonl),
             DbFormat::Colsh => crate::colsh::ColshStream::open_projected(path, mode, columns)
                 .map(AnyRecordStream::Colsh),

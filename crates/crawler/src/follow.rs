@@ -105,7 +105,10 @@ impl ShardFollower {
             Ok(format) if format != self.format => return Ok(None),
             Ok(_) => {}
         }
-        match AnyRecordStream::open_projected(&self.path, StreamMode::Resume, self.columns) {
+        // Open as the declared format: sniffing again could see the
+        // header of a shard truncated or rewritten since the check above
+        // and cache a JSONL reader over a `.colsh` file.
+        match AnyRecordStream::open_as(&self.path, self.format, StreamMode::Resume, self.columns) {
             Ok(stream) => Ok(Some(stream)),
             Err(e)
                 if matches!(

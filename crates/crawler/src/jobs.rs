@@ -875,7 +875,18 @@ fn run_job(
     // Writer-side state, mutated only by the scope's own thread.
     let mut pending: BTreeMap<u64, SiteRecord> = BTreeMap::new();
     let mut peak_pending = 0u64;
+    // The writer's cursor is published for the workers' reorder window:
+    // a lease starts only when every rank it holds lies below
+    // `cursor + reorder_window`, which bounds the reorder map by the
+    // window even while one worker stalls and the others run ahead. The
+    // lease holding the cursor always qualifies, so the cursor starts
+    // past the ranks a resume finds done.
     let mut cursor = 1u64;
+    while cursor <= manifest.size && high_water.is_done(cursor) {
+        cursor += 1;
+    }
+    let written_to = AtomicU64::new(cursor);
+    let reorder_window = workers as u64 * lease_records + opts.channel_capacity.max(1) as u64;
     let mut funnel = CrawlFunnel {
         attempted: planned,
         ..CrawlFunnel::default()
@@ -929,6 +940,7 @@ fn run_job(
         let leases_retried = &leases_retried;
         let leases_quarantined = &leases_quarantined;
         let lease_backoff_ms = &lease_backoff_ms;
+        let written_to = &written_to;
 
         for worker in 0..workers {
             let sender = sender.clone();
@@ -992,6 +1004,11 @@ fn run_job(
                         }
                     }
                     let Some(mut lease) = pop_lease() else { break };
+                    while lease.hi >= written_to.load(Ordering::Relaxed) + reorder_window
+                        && !stop.load(Ordering::Relaxed)
+                    {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    }
                     match process(&mut lease, &sender) {
                         LeaseRun::Done => {}
                         LeaseRun::Stopped | LeaseRun::WriterGone => break,
@@ -1107,6 +1124,7 @@ fn run_job(
                     }
                 }
             }
+            written_to.store(cursor, Ordering::Relaxed);
         }
         // Disconnect the channel so any still-blocked sender unblocks
         // and its worker exits, then let the scope join them.

@@ -646,6 +646,31 @@ fn quarantined_ranks_record_synthesized_bundles_that_replay() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The reorder map never holds more than `workers × lease_records +
+/// channel_capacity` records, however unevenly the workers progress:
+/// with one-rank leases and many workers, any visit slower than its
+/// neighbours would otherwise let the others run arbitrarily far ahead.
+#[test]
+fn reorder_buffer_stays_within_its_window() {
+    let manifest = JobManifest::new(SEED, 1_500, SHARDS, DbFormat::Jsonl);
+    let dir = temp_dir("window");
+    let opts = JobOptions {
+        workers: 8,
+        channel_capacity: 1,
+        lease_records: 1,
+        ..JobOptions::default()
+    };
+    let report = with_quiet_panics(|| job_start(&dir, &manifest, &opts).unwrap());
+    assert_eq!(report.state, JobState::Complete);
+    let window = opts.workers as u64 * opts.lease_records + opts.channel_capacity as u64;
+    assert!(
+        report.peak_writer_pending <= window,
+        "reorder map peaked at {} records, window {window}",
+        report.peak_writer_pending
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn status_surface_tracks_a_completed_run() {
     let manifest = manifest(DbFormat::Jsonl);

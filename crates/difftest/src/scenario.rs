@@ -86,6 +86,9 @@ pub const FP_POOL: &[&str] = &[
     "camera 'none' 'self'",
     "Bad_Feature! x; camera 'self'",
     "camera 'src'",
+    // Feature-Policy keeps duplicate directives; the first one counts.
+    "camera 'none'; camera *",
+    "camera *; camera 'none'",
 ];
 
 /// `<iframe allow>` attribute pool.
@@ -103,6 +106,7 @@ pub const ALLOW_POOL: &[&str] = &[
     "CAMERA *",
     "camera; microphone *; geolocation 'self'",
     "camera *; camera 'none'",
+    "camera 'none'; camera *",
     "gamepad 'none'",
     "hovercraft *",
 ];

@@ -138,6 +138,18 @@ pub struct Interpreter {
     current_source: ScriptSource,
 }
 
+impl Drop for Interpreter {
+    /// A script function keeps the scope it was declared in alive, so a
+    /// global function and the global scope hold each other; clearing
+    /// the globals breaks that cycle, or every document's globals would
+    /// outlive the engine.
+    fn drop(&mut self) {
+        if let Ok(mut globals) = self.globals.0.try_borrow_mut() {
+            globals.vars.clear();
+        }
+    }
+}
+
 impl Default for Interpreter {
     fn default() -> Self {
         Self::new()
@@ -1067,6 +1079,21 @@ pub(crate) fn data_property(path: &str) -> Option<Value> {
 mod tests {
     use super::*;
     use crate::host::RecordingHooks;
+
+    #[test]
+    fn dropping_the_interpreter_frees_its_globals() {
+        let mut interp = Interpreter::new();
+        interp
+            .run(
+                "function f() { return f; } var o = { g: function () {} };",
+                ScriptSource::inline(),
+                &mut RecordingHooks::default(),
+            )
+            .unwrap();
+        let globals = Rc::downgrade(&interp.globals.0);
+        drop(interp);
+        assert!(globals.upgrade().is_none(), "global scope leaked");
+    }
 
     fn run(src: &str) -> RecordingHooks {
         let mut hooks = RecordingHooks::default();

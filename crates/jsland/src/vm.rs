@@ -91,6 +91,18 @@ pub struct Vm {
     ic_misses: u64,
 }
 
+impl Drop for Vm {
+    /// A script function keeps the scope it was declared in alive, so a
+    /// global function and the global scope hold each other; clearing
+    /// the globals breaks that cycle, or every document's globals would
+    /// outlive the engine.
+    fn drop(&mut self) {
+        if let Ok(mut globals) = self.globals.0.try_borrow_mut() {
+            globals.vars.clear();
+        }
+    }
+}
+
 impl Default for Vm {
     fn default() -> Self {
         Self::new()
@@ -1129,6 +1141,20 @@ mod tests {
     use super::*;
     use crate::host::RecordingHooks;
     use crate::interp::Interpreter;
+
+    #[test]
+    fn dropping_the_vm_frees_its_globals() {
+        let mut vm = Vm::new();
+        vm.run(
+            "function f() { return f; } var o = { g: function () {} };",
+            ScriptSource::inline(),
+            &mut RecordingHooks::default(),
+        )
+        .unwrap();
+        let globals = Rc::downgrade(&vm.globals.0);
+        drop(vm);
+        assert!(globals.upgrade().is_none(), "global scope leaked");
+    }
 
     /// Runs `src` on both engines (fresh instances, default budget) and
     /// asserts identical observables: run result, recorded API calls

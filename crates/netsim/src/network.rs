@@ -28,6 +28,11 @@ pub enum ProviderResult {
 /// population).
 pub trait ContentProvider {
     /// Resolves one URL.
+    ///
+    /// Must be a pure function of `url`: the same URL always resolves to
+    /// the same result. [`SimNetwork`] relies on this to answer
+    /// [`Network::post_fetch_failure`] for the URL its last fetch served
+    /// without resolving that URL again.
     fn resolve(&self, url: &Url) -> ProviderResult;
 }
 
@@ -54,6 +59,9 @@ pub struct SimNetwork<P> {
     max_redirects: u32,
     /// Fixed per-request overhead (DNS + TCP + TLS handshakes).
     connect_overhead_ms: u64,
+    /// The final URL of the last fetch, if it served content, with the
+    /// post-fetch failure its resolve scheduled.
+    last_served: Option<(Url, Option<FetchError>)>,
 }
 
 impl<P: ContentProvider> SimNetwork<P> {
@@ -63,6 +71,7 @@ impl<P: ContentProvider> SimNetwork<P> {
             provider,
             max_redirects: 5,
             connect_overhead_ms: 35,
+            last_served: None,
         }
     }
 
@@ -74,6 +83,7 @@ impl<P: ContentProvider> SimNetwork<P> {
 
 impl<P: ContentProvider> Network for SimNetwork<P> {
     fn fetch(&mut self, url: &Url, clock: &mut SimClock) -> Result<Response, FetchError> {
+        self.last_served = None;
         let mut current = url.clone();
         let mut redirects = 0;
         loop {
@@ -84,6 +94,7 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
                     behavior,
                 } => {
                     clock.advance(behavior.latency_ms);
+                    self.last_served = Some((current.clone(), behavior.post_fetch_failure));
                     response.final_url = current;
                     response.redirects = redirects;
                     return Ok(response);
@@ -102,6 +113,13 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
     }
 
     fn post_fetch_failure(&self, url: &Url) -> Option<FetchError> {
+        // The browser probes the document it just fetched; resolving is a
+        // pure function of the URL, so that resolve's answer still holds.
+        if let Some((served, failure)) = &self.last_served {
+            if served == url {
+                return *failure;
+            }
+        }
         match self.provider.resolve(url) {
             ProviderResult::Content { behavior, .. } => behavior.post_fetch_failure,
             _ => None,
@@ -112,6 +130,7 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::response::SiteBehavior;
 
     struct Loop;
 
@@ -143,6 +162,57 @@ mod tests {
         fn resolve(&self, _url: &Url) -> ProviderResult {
             ProviderResult::ConnectionFailure
         }
+    }
+
+    /// Serves `https://ok.example/` after a redirect from
+    /// `https://hop.example/`, and counts every resolve.
+    #[derive(Default)]
+    struct Counting {
+        resolves: std::cell::Cell<u32>,
+    }
+
+    impl ContentProvider for Counting {
+        fn resolve(&self, url: &Url) -> ProviderResult {
+            self.resolves.set(self.resolves.get() + 1);
+            match url.host() {
+                Some("hop.example") => {
+                    ProviderResult::Redirect(Url::parse("https://ok.example/").unwrap())
+                }
+                _ => ProviderResult::Content {
+                    response: Response::html(url.clone(), "<p>ok</p>"),
+                    behavior: SiteBehavior {
+                        post_fetch_failure: Some(FetchError::EphemeralContext),
+                        ..SiteBehavior::default()
+                    },
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn post_fetch_probe_of_the_served_url_reuses_the_fetch() {
+        let hop = Url::parse("https://hop.example/").unwrap();
+        let ok = Url::parse("https://ok.example/").unwrap();
+        let fresh = |url: &Url| match Counting::default().resolve(url) {
+            ProviderResult::Content { behavior, .. } => behavior.post_fetch_failure,
+            _ => None,
+        };
+        let mut net = SimNetwork::new(Counting::default());
+        let resolves = |net: &SimNetwork<Counting>| net.provider().resolves.get();
+
+        // Before any fetch, a probe resolves once.
+        assert_eq!(net.post_fetch_failure(&ok), fresh(&ok));
+        assert_eq!(resolves(&net), 1);
+
+        let response = net.fetch(&hop, &mut SimClock::new()).unwrap();
+        assert_eq!(response.final_url, ok);
+        assert_eq!(resolves(&net), 3, "the redirect hop and the final URL");
+        // The fetch's final URL is answered without resolving.
+        assert_eq!(net.post_fetch_failure(&ok), fresh(&ok));
+        assert_eq!(resolves(&net), 3);
+        // Any other URL, the pre-redirect one included, resolves once.
+        assert_eq!(net.post_fetch_failure(&hop), fresh(&hop));
+        assert_eq!(resolves(&net), 4);
     }
 
     #[test]

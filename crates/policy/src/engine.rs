@@ -8,6 +8,13 @@
 //!   applied when constructing a child [`DocumentPolicy`] via
 //!   [`PolicyEngine::document_for_frame`].
 //!
+//! Both run for every feature at once: a document policy keeps its
+//! inherited policy and the features its own origin may use as 128-bit
+//! feature sets, fixed when the policy is built, so every per-feature
+//! query the browser makes is a bit read. The step-by-step, one feature
+//! at a time transcription of the spec lives in `difftest::oracle::process`
+//! and is the reference this engine is checked against.
+//!
 //! The engine has one switch, [`LocalSchemeBehavior`], selecting between
 //! the behaviour the paper *expected* (local-scheme documents inherit the
 //! parent's declared policy) and the behaviour the spec actually produces
@@ -15,13 +22,80 @@
 //! §6.2 specification issue that enables permission hijacking via
 //! `data:`-URI documents (Table 11).
 
-use std::collections::BTreeMap;
-
 use registry::{DefaultAllowlist, Permission};
 use weburl::Origin;
 
 use crate::allow_attr::AllowAttribute;
+use crate::allowlist::Allowlist;
 use crate::header::DeclaredPolicy;
+
+/// A set of features: bit `i` stands for `registry::all_permissions()[i]`,
+/// the permission whose discriminant is `i`.
+type FeatureSet = u128;
+
+// Every discriminant must fit the set and index its own registry entry.
+const _: () = {
+    let all = registry::all_permissions();
+    let mut i = 0;
+    while i < all.len() {
+        assert!((all[i] as usize) < FeatureSet::BITS as usize);
+        assert!(all[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// The set of registry features whose [`registry::PermissionInfo`]
+/// satisfies a predicate, built at compile time.
+macro_rules! registry_set {
+    (|$info:ident| $pred:expr) => {{
+        let all = registry::all_permissions();
+        let mut set: FeatureSet = 0;
+        let mut i = 0;
+        while i < all.len() {
+            let $info = all[i].info();
+            if $pred {
+                set |= 1 << i;
+            }
+            i += 1;
+        }
+        set
+    }};
+}
+
+/// Every policy-controlled feature.
+const POLICY_CONTROLLED: FeatureSet = registry_set!(|info| info.policy_controlled);
+/// The features whose default allowlist is `*`.
+const STAR_DEFAULT: FeatureSet =
+    registry_set!(|info| matches!(info.default_allowlist, Some(DefaultAllowlist::Star)));
+/// The features whose default allowlist is `self`.
+const SELF_DEFAULT: FeatureSet =
+    registry_set!(|info| matches!(info.default_allowlist, Some(DefaultAllowlist::SelfOrigin)));
+
+/// The one-member set of `feature`.
+fn bit(feature: Permission) -> FeatureSet {
+    1 << feature as u32
+}
+
+/// Matches the first allowlist given for each feature, in declaration
+/// order. Returns the features named at all and those whose first
+/// allowlist matched; later entries for a feature are ignored, as
+/// [`DeclaredPolicy::get`] and [`AllowAttribute::get`] ignore them.
+fn first_matches<'a>(
+    entries: impl Iterator<Item = (Option<Permission>, &'a Allowlist)>,
+    matches: impl Fn(&Allowlist) -> bool,
+) -> (FeatureSet, FeatureSet) {
+    let (mut named, mut matched) = (0, 0);
+    for (feature, allowlist) in entries {
+        let Some(feature) = feature else { continue };
+        if named & bit(feature) == 0 {
+            named |= bit(feature);
+            if matches(allowlist) {
+                matched |= bit(feature);
+            }
+        }
+    }
+    (named, matched)
+}
 
 /// How local-scheme (`data:`, `about:srcdoc`, `blob:`) documents treat the
 /// parent's *declared* (header) policy.
@@ -59,20 +133,40 @@ pub struct FramingContext<'a> {
 /// The permissions policy of one document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DocumentPolicy {
-    /// The document's own origin.
+    /// The document's own origin, which `self` in the declared policy
+    /// refers to.
     origin: Origin,
-    /// The origin `self` refers to in the declared policy. Differs from
-    /// `origin` only for local-scheme documents inheriting the parent's
-    /// declared policy under [`LocalSchemeBehavior::InheritParent`].
-    policy_origin: Origin,
     /// The declared (header) policy.
     declared: DeclaredPolicy,
-    /// Inherited policy: for each policy-controlled feature, whether it was
-    /// enabled at document creation.
-    inherited: BTreeMap<Permission, bool>,
+    /// Inherited policy: the policy-controlled features enabled at
+    /// document creation.
+    inherited: FeatureSet,
+    /// The features enabled for the document's own origin: the answer of
+    /// [`DocumentPolicy::is_enabled_for`] at `origin`, for every feature.
+    allowed: FeatureSet,
 }
 
 impl DocumentPolicy {
+    fn new(origin: Origin, declared: DeclaredPolicy, inherited: FeatureSet) -> DocumentPolicy {
+        // Both default allowlists (`self` and `*`) match the document's
+        // own origin, so only a declared directive can withhold an
+        // inherited feature from it.
+        let (named, matched) = first_matches(
+            declared
+                .directives()
+                .iter()
+                .map(|d| (d.permission, &d.allowlist)),
+            |allowlist| allowlist.matches(&origin, &origin, None),
+        );
+        let allowed = (inherited & (matched | !named)) | !POLICY_CONTROLLED;
+        DocumentPolicy {
+            origin,
+            declared,
+            inherited,
+            allowed,
+        }
+    }
+
     /// The document's origin.
     pub fn origin(&self) -> &Origin {
         &self.origin
@@ -89,36 +183,36 @@ impl DocumentPolicy {
     /// Policy at all; the engine reports them as enabled and leaves their
     /// semantics (e.g. notifications being top-level-only) to the browser.
     pub fn is_enabled_for(&self, feature: Permission, origin: &Origin) -> bool {
-        let info = feature.info();
-        if !info.policy_controlled {
+        if POLICY_CONTROLLED & bit(feature) == 0 {
             return true;
         }
-        if !self.inherited.get(&feature).copied().unwrap_or(true) {
+        if self.inherited & bit(feature) == 0 {
             return false;
         }
         if let Some(allowlist) = self.declared.get(feature) {
-            return allowlist.matches(origin, &self.policy_origin, None);
+            return allowlist.matches(origin, &self.origin, None);
         }
-        match info.default_allowlist {
-            Some(DefaultAllowlist::Star) => true,
-            Some(DefaultAllowlist::SelfOrigin) => origin.same_origin(&self.origin),
-            None => unreachable!("policy-controlled features have a default allowlist"),
-        }
+        STAR_DEFAULT & bit(feature) != 0 || origin.same_origin(&self.origin)
     }
 
     /// Whether the document itself may use the feature (and therefore
     /// prompt the user / delegate it onward). This is the paper's
     /// "Prompt and Delegation Capability" column.
     pub fn allowed_to_use(&self, feature: Permission) -> bool {
-        self.is_enabled_for(feature, &self.origin)
+        self.allowed & bit(feature) != 0
     }
 
     /// Features reported by `document.featurePolicy.allowedFeatures()`:
-    /// every policy-controlled feature enabled for the document's origin.
+    /// every policy-controlled feature enabled for the document's origin,
+    /// in registry order.
     pub fn allowed_features(&self) -> Vec<Permission> {
-        registry::policy_controlled_permissions()
-            .filter(|f| self.allowed_to_use(*f))
-            .collect()
+        let mut set = self.allowed & POLICY_CONTROLLED;
+        let mut features = Vec::with_capacity(set.count_ones() as usize);
+        while set != 0 {
+            features.push(registry::all_permissions()[set.trailing_zeros() as usize]);
+            set &= set - 1;
+        }
+        features
     }
 }
 
@@ -135,53 +229,50 @@ impl PolicyEngine {
         origin: Origin,
         declared: DeclaredPolicy,
     ) -> DocumentPolicy {
-        let inherited = registry::policy_controlled_permissions()
-            .map(|f| (f, true))
-            .collect();
-        DocumentPolicy {
-            policy_origin: origin.clone(),
-            origin,
-            declared,
-            inherited,
-        }
+        DocumentPolicy::new(origin, declared, POLICY_CONTROLLED)
     }
 
     /// The spec's *define an inherited policy for feature in container at
-    /// origin*, evaluated against the parent document's policy.
-    fn inherited_for(
+    /// origin*, evaluated for every feature at once against the parent
+    /// document's policy.
+    fn inherited_policy(
         &self,
-        feature: Permission,
         parent: &DocumentPolicy,
         framing: &FramingContext<'_>,
         child_origin: &Origin,
-    ) -> bool {
+    ) -> FeatureSet {
         // Step: feature must be enabled in the parent for the parent itself.
-        if !parent.is_enabled_for(feature, &parent.origin) {
-            return false;
-        }
+        let enabled_in_parent = parent.allowed & POLICY_CONTROLLED;
         // Step: a declared directive in the parent that does not cover the
         // child's origin blocks inheritance (Table 1 case #4).
-        if let Some(allowlist) = parent.declared.get(feature) {
-            if !allowlist.matches(child_origin, &parent.policy_origin, None) {
-                return false;
-            }
-        }
+        let (declared, covered) = first_matches(
+            parent
+                .declared
+                .directives()
+                .iter()
+                .map(|d| (d.permission, &d.allowlist)),
+            |allowlist| allowlist.matches(child_origin, &parent.origin, None),
+        );
         // Step: the container policy (allow attribute) decides if present.
-        if let Some(allow) = framing.allow {
-            if let Some(delegation) = allow.get(feature) {
-                return delegation.allowlist.matches(
-                    child_origin,
-                    &parent.origin,
-                    framing.src_origin.as_ref(),
-                );
-            }
-        }
+        let (delegated, granted) = match framing.allow {
+            Some(allow) => first_matches(
+                allow
+                    .delegations()
+                    .iter()
+                    .map(|d| (d.permission, &d.allowlist)),
+                |allowlist| {
+                    allowlist.matches(child_origin, &parent.origin, framing.src_origin.as_ref())
+                },
+            ),
+            None => (0, 0),
+        };
         // Steps: fall back to the default allowlist.
-        match feature.info().default_allowlist {
-            Some(DefaultAllowlist::Star) => true,
-            Some(DefaultAllowlist::SelfOrigin) => child_origin.same_origin(&parent.origin),
-            None => true,
-        }
+        let defaults = if child_origin.same_origin(&parent.origin) {
+            STAR_DEFAULT | SELF_DEFAULT
+        } else {
+            STAR_DEFAULT
+        };
+        enabled_in_parent & (covered | !declared) & (granted | (defaults & !delegated))
     }
 
     /// Policy for a framed document.
@@ -209,25 +300,13 @@ impl PolicyEngine {
                 // The bug: the local document gets a completely fresh
                 // policy, as if it were a new top-level page — the
                 // parent's header no longer constrains anything it does.
-                LocalSchemeBehavior::FreshPolicy => DocumentPolicy {
-                    policy_origin: child_origin.clone(),
-                    origin: child_origin,
-                    declared: DeclaredPolicy::default(),
-                    inherited: registry::policy_controlled_permissions()
-                        .map(|f| (f, true))
-                        .collect(),
-                },
+                LocalSchemeBehavior::FreshPolicy => {
+                    self.document_for_top_level(child_origin, DeclaredPolicy::default())
+                }
             };
         }
-        let inherited: BTreeMap<Permission, bool> = registry::policy_controlled_permissions()
-            .map(|f| (f, self.inherited_for(f, parent, framing, &child_origin)))
-            .collect();
-        DocumentPolicy {
-            policy_origin: child_origin.clone(),
-            origin: child_origin,
-            declared: child_declared,
-            inherited,
-        }
+        let inherited = self.inherited_policy(parent, framing, &child_origin);
+        DocumentPolicy::new(child_origin, child_declared, inherited)
     }
 }
 
@@ -461,6 +540,17 @@ mod tests {
         assert_eq!(full.len(), less.len() + 3);
         assert!(!less.contains(&Permission::Camera));
         assert!(full.contains(&Permission::Camera));
+    }
+
+    /// `allowed_features` is written into every `FrameRecord` and every
+    /// JS `allowedFeatures()` array, so its order is the registry's.
+    #[test]
+    fn unrestricted_allowed_features_are_the_registry_in_order() {
+        let engine = PolicyEngine::default();
+        assert_eq!(
+            top(&engine, None).allowed_features(),
+            registry::policy_controlled_permissions().collect::<Vec<_>>()
+        );
     }
 
     /// Wildcard delegation keeps working after a redirect to another origin

@@ -60,7 +60,7 @@ pub struct PermissionInfo {
 impl Permission {
     /// Characteristics of this permission (snapshot consistent with the
     /// paper's July-2024 measurement).
-    pub fn info(&self) -> PermissionInfo {
+    pub const fn info(&self) -> PermissionInfo {
         use Category as C;
         use DefaultAllowlist::{SelfOrigin, Star};
         use Permission as P;

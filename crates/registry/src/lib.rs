@@ -42,8 +42,9 @@ pub mod support;
 pub use info::{Category, DefaultAllowlist, PermissionInfo};
 pub use permission::{FeatureToken, Permission};
 
-/// All permissions known to the registry, in token order.
-pub fn all_permissions() -> &'static [Permission] {
+/// All permissions known to the registry, in declaration order: entry
+/// `i` is the permission whose discriminant is `i`.
+pub const fn all_permissions() -> &'static [Permission] {
     permission::ALL
 }
 

@@ -7,6 +7,11 @@
 # (see vendor/README.md); no network access is required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Digests of the seed-7 20k-site outputs, committed so a change that
+# alters the output of every path at once still fails CI (every cmp gate
+# below compares two paths of the same build). Regenerate them only for
+# a deliberate output change, and say so in CHANGES.md.
+GOLDEN="$PWD/scripts/golden"
 
 echo "==> cargo build --release"
 cargo build --release
@@ -36,8 +41,10 @@ target/release/examples/reencode \
     --db "$IDENT/crawl.jsonl" --out "$IDENT/value-tree.jsonl" --codec value-tree
 cmp "$IDENT/crawl.jsonl" "$IDENT/streaming.jsonl"
 cmp "$IDENT/streaming.jsonl" "$IDENT/value-tree.jsonl"
+(cd "$IDENT" && sha256sum --quiet -c "$GOLDEN/crawl-seed7-20k.sha256")
 rm -rf "$IDENT"
 echo "    crawl, streaming re-encode, and value-tree re-encode are byte-identical"
+echo "    crawl matches the golden digest"
 
 echo "==> js-engine byte-identity gate (20k sites, interp vs vm)"
 BIN=target/release/permissions-odyssey
@@ -113,6 +120,8 @@ cmp "$REC/live.jsonl" "$REC/replayed.jsonl"
 "$BIN" crawl --replay "$REC/bundle" --format columnar --out "$REC/replayed.colsh" 2>/dev/null
 cmp "$REC/live.colsh" "$REC/replayed.colsh"
 echo "    recorded 20k crawl replays byte-identically in JSONL and .colsh"
+(cd "$REC" && sha256sum --quiet -c "$GOLDEN/bundle-seed7-20k.sha256")
+echo "    bundle store matches the golden digests"
 # The content-addressed store must actually dedup: ratio >= 1.5 (2.11
 # measured, see EXPERIMENTS.md) and a store strictly smaller than the
 # JSONL dataset it reproduces.
