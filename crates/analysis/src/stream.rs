@@ -645,7 +645,7 @@ mod tests {
     fn shard_dataset(dataset: &CrawlDataset, shards: usize) -> Vec<CrawlDataset> {
         let mut parts: Vec<CrawlDataset> = (0..shards).map(|_| CrawlDataset::default()).collect();
         for record in &dataset.records {
-            parts[crawler::shard_index(record.rank, shards)]
+            parts[(record.rank - 1) as usize % shards]
                 .records
                 .push(record.clone());
         }

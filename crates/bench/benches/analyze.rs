@@ -33,9 +33,7 @@ use std::time::Instant;
 
 use analysis::stream::{analyze_shards, Accumulator, TableSelection, TableSet};
 use crawler::CrawlConfig;
-use crawler::{
-    shard_path, write_colsh, write_jsonl, CrawlDataset, Crawler, SiteRecord, StreamMode,
-};
+use crawler::{shard_paths, Crawler, DbFormat, ShardWriter, SiteRecord, StreamMode};
 use webgen::{PopulationConfig, WebPopulation};
 
 /// Sized so one full `--table all` pass takes hundreds of milliseconds
@@ -60,25 +58,20 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("po-bench-analyze-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create shard dir");
-        let base = dir.join("crawl.jsonl");
-        let colsh_base = dir.join("crawl.colsh");
-        let paths: Vec<PathBuf> = (0..SHARDS).map(|i| shard_path(&base, i)).collect();
-        let colsh_paths: Vec<PathBuf> = (0..SHARDS).map(|i| shard_path(&colsh_base, i)).collect();
+        let paths = shard_paths(&dir.join("crawl.jsonl"), SHARDS);
+        let colsh_paths = shard_paths(&dir.join("crawl.colsh"), SHARDS);
         let start = Instant::now();
         let population = WebPopulation::new(PopulationConfig {
             seed: 7,
             size: ANALYZE_POPULATION,
         });
         let ds = Crawler::new(CrawlConfig::default()).crawl(&population);
-        let mut parts: Vec<CrawlDataset> = (0..SHARDS).map(|_| CrawlDataset::default()).collect();
-        for record in &ds.records {
-            parts[crawler::shard_index(record.rank, SHARDS)]
-                .records
-                .push(record.clone());
-        }
-        for (i, part) in parts.iter().enumerate() {
-            write_jsonl(part, &paths[i]).expect("write shard");
-            write_colsh(part, &colsh_paths[i]).expect("write columnar shard");
+        for (shards, format) in [(&paths, DbFormat::Jsonl), (&colsh_paths, DbFormat::Colsh)] {
+            let mut writer = ShardWriter::create(shards, format).expect("create shards");
+            for record in &ds.records {
+                writer.push(record).expect("write shard");
+            }
+            writer.finish().expect("finish shards");
         }
         Fixture {
             paths,

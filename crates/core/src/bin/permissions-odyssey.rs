@@ -8,82 +8,308 @@
 //! permissions-odyssey matrix
 //! permissions-odyssey poc
 //! ```
+//!
+//! Every command parses its arguments against one flag table
+//! ([`COMMANDS`]), which also renders the synopsis part of the usage
+//! text: an unknown, repeated or valueless flag is an error, never
+//! silently ignored.
 
+use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use crawler::{DbFormat, JobManifest, ShardWriter};
 use permissions_odyssey::prelude::*;
 use permissions_odyssey::tools;
 
+/// `eprintln!` that ignores write errors: a closed stderr must not stop
+/// a crawl halfway (an `eprintln!` panic would).
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match command.as_str() {
-        "crawl" => cmd_crawl(&args[1..]),
-        "crawl-job" => cmd_crawl_job(&args[1..]),
-        "bundle" => cmd_bundle(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "matrix" => cmd_matrix(),
-        "poc" => cmd_poc(),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
+    let result = match args.first().map(String::as_str) {
+        None => {
+            note!("{}", usage());
+            return ExitCode::FAILURE;
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some("help" | "--help" | "-h") => print_out(&format!("{}\n", usage())),
+        Some(_) => find_command(&args).and_then(|(command, rest)| {
+            let args = Args::parse(command, rest)?;
+            (command.run)(&args)
+        }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
-            eprintln!("error: {message}");
+            note!("error: {message}");
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
-permissions-odyssey — browser permission ecosystem measurement
+/// Writes `text` to stdout — the tool's only stdout path. A reader that
+/// closed the pipe early (`… | head`) ends the program quietly with exit
+/// 0; any other write error is an error.
+fn print_out(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        result => result.map_err(|e| format!("writing to stdout: {e}")),
+    }
+}
 
-USAGE:
-  permissions-odyssey crawl    [--size N] [--seed S] [--workers W] [--out FILE]
-                               [--shards N] [--resume] [--retries R]
-                               [--format jsonl|columnar] [--adversarial]
-                               [--fault-panics PM] [--fault-transients PM]
-                               [--js-engine vm|interp]
-                               [--record DIR | --replay DIR]
-  permissions-odyssey bundle stat DIR [--lenient]
-  permissions-odyssey crawl-job start  --dir DIR [--size N] [--seed S]
-                               [--shards N] [--format jsonl|columnar]
-                               [--workers W] [--lease N] [--retries R]
-                               [--adversarial] [--fault-panics PM]
-                               [--fault-transients PM] [--stop-file FILE]
-                               [--status-every N] [--max-rss-mb M]
-                               [--js-engine vm|interp] [--record]
-  permissions-odyssey crawl-job resume --dir DIR [--workers W] [--lease N]
-                               [--stop-file FILE] [--status-every N]
-                               [--max-rss-mb M]
-  permissions-odyssey crawl-job status --dir DIR
-  permissions-odyssey crawl-job analyze --dir DIR [--follow] [--table NAME]
-                               [--top N] [--interval-ms MS]
-  permissions-odyssey analyze  --db FILE|DIR|GLOB [--table NAME] [--top N]
-                               [--lenient] [--workers W] [--follow]
-  permissions-odyssey convert  --in FILE --out FILE [--format jsonl|columnar]
-                               [--group N] [--dict-epoch N]
-  permissions-odyssey lint     <Permissions-Policy header value>
-  permissions-odyssey generate [--preset disable-all|disable-powerful]
-  permissions-odyssey matrix
-  permissions-odyssey poc
+/// One flag a command accepts: its spec, `--name PLACEHOLDER` for a
+/// flag that takes a value or a bare `--name` for a switch, and a help
+/// line. The usage text prints both as they are.
+type Flag = (&'static str, &'static str);
 
+/// One command (or `crawl-job` / `bundle` sub-command).
+struct Command {
+    /// `crawl`, `crawl-job start`, …
+    name: &'static str,
+    /// Positional operand shown in the usage text; a command without
+    /// one rejects positional arguments.
+    operand: Option<&'static str>,
+    /// The flag groups the command accepts.
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// The flag called `name`, as (name, value placeholder — `None` for
+    /// a switch).
+    fn flag(&self, name: &str) -> Option<(&'static str, Option<&'static str>)> {
+        self.flags().find_map(|(spec, _)| {
+            let (flag, placeholder) = match spec.split_once(' ') {
+                Some((flag, placeholder)) => (flag, Some(placeholder)),
+                None => (*spec, None),
+            };
+            (flag == name).then_some((flag, placeholder))
+        })
+    }
+}
+
+// The flag tables stay one entry per line, like the usage text they
+// render.
+#[rustfmt::skip]
+mod table {
+    use super::*;
+
+    /// The flags that determine a crawl's dataset bytes, read by
+    /// [`job_manifest`] for `crawl` and `crawl-job start` alike.
+    const DATASET: &[Flag] = &[
+        ("--size N", "origins to crawl, ranks 1..=N (default 20000)"),
+        ("--seed S", "population seed (default 7)"),
+        ("--shards N", "rank-striped shard files (default 1)"),
+        ("--format jsonl|columnar", "database format (crawl: default from --out)"),
+        ("--retries R", "per-visit transient-failure retries (default 2)"),
+        ("--adversarial", "enable hostile origins"),
+        ("--fault-panics PM", "injected visit panics per mille (default 0)"),
+        ("--fault-transients PM", "injected transient failures per mille (default 0)"),
+        ("--js-engine vm|interp", "script engine (default vm)"),
+    ];
+    const CRAWL: &[Flag] = &[
+        ("--out FILE", "database file or shard base (default crawl.jsonl)"),
+        ("--workers W", "parallel visit workers (default 8)"),
+        ("--record DIR", "also record every exchange into a bundle store"),
+        ("--replay DIR", "re-drive a recorded store; dataset flags come from it"),
+    ];
+    const JOB_DIR: &[Flag] = &[("--dir DIR", "the job directory (required)")];
+    const JOB_RECORD: &[Flag] = &[("--record", "record a bundle store at DIR/bundle")];
+    /// Run-time knobs of a job run; none of them changes the dataset bytes.
+    const JOB_RUN: &[Flag] = &[
+        ("--workers W", "parallel visit workers (default 8)"),
+        ("--lease N", "ranks per lease batch (default 256)"),
+        ("--stop-file FILE", "stop gracefully once FILE exists"),
+        ("--status-every N", "records between status.json rewrites (default 1000)"),
+        ("--max-rss-mb M", "fail if peak RSS exceeds M MiB"),
+        ("--chaos-abort N", "test hook: abort unflushed after N records"),
+        ("--dict-epoch N", ".colsh dictionary epoch in row groups (0 = none)"),
+    ];
+    const TABLES: &[Flag] = &[
+        ("--table NAME", "table to render (default all; see TABLES)"),
+        ("--top N", "rows per ranked table (default 10)"),
+        ("--follow", "keep folding appended records until the job ends"),
+        ("--interval-ms MS", "--follow poll interval (default 500)"),
+    ];
+    const ANALYZE: &[Flag] = &[
+        ("--db FILE|DIR|GLOB", "database file, shard or job directory (required)"),
+        ("--lenient", "skip and count corrupt records instead of failing"),
+        ("--workers W", "shards folded in parallel (default: up to 8)"),
+    ];
+    const CONVERT: &[Flag] = &[
+        ("--in FILE", "source database, either format (required)"),
+        ("--out FILE", "target database (required)"),
+        ("--format jsonl|columnar", "target format (default from --out)"),
+        ("--group N", ".colsh records per row group (default 1024)"),
+        ("--dict-epoch N", ".colsh dictionary epoch in row groups (0 = none)"),
+    ];
+    const BUNDLE_STAT: &[Flag] = &[
+        ("--dir DIR", "the store directory, instead of the DIR operand"),
+        ("--lenient", "skip and count corrupt store records"),
+    ];
+    const GENERATE: &[Flag] = &[("--preset NAME", "disable-powerful (default) or disable-all")];
+
+    const fn command(
+        name: &'static str, operand: Option<&'static str>,
+        flags: &'static [&'static [Flag]], run: fn(&Args) -> Result<(), String>,
+    ) -> Command {
+        Command { name, operand, flags, run }
+    }
+
+    /// Every command, in usage order: name, positional operand, flag
+    /// groups, and the function that runs it.
+    pub(super) const COMMANDS: &[Command] = &[
+        command("crawl", None, &[CRAWL, DATASET], cmd_crawl),
+        command("crawl-job start", None, &[JOB_DIR, DATASET, JOB_RECORD, JOB_RUN], cmd_job_start),
+        command("crawl-job resume", None, &[JOB_DIR, JOB_RUN], cmd_job_resume),
+        command("crawl-job status", None, &[JOB_DIR], cmd_job_status),
+        command("crawl-job analyze", None, &[JOB_DIR, TABLES], cmd_job_analyze),
+        command("bundle stat", Some("DIR"), &[BUNDLE_STAT], cmd_bundle_stat),
+        command("analyze", None, &[ANALYZE, TABLES], cmd_analyze),
+        command("convert", None, &[CONVERT], cmd_convert),
+        command("lint", Some("<Permissions-Policy header value>"), &[], cmd_lint),
+        command("generate", None, &[GENERATE], cmd_generate),
+        command("matrix", None, &[], cmd_matrix),
+        command("poc", None, &[], cmd_poc),
+    ];
+}
+use table::COMMANDS;
+
+/// Finds the command `args` names and the arguments after it. Verbs are
+/// resolved before any flag is looked at.
+fn find_command(args: &[String]) -> Result<(&'static Command, &[String]), String> {
+    let verb = args[0].as_str();
+    let named = |name: &str| COMMANDS.iter().find(|c| c.name == name);
+    if let Some(command) = args.get(1).and_then(|sub| named(&format!("{verb} {sub}"))) {
+        return Ok((command, &args[2..]));
+    }
+    if let Some(command) = named(verb) {
+        return Ok((command, &args[1..]));
+    }
+    let subs: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(verb)?.strip_prefix(' '))
+        .collect();
+    match args.get(1) {
+        _ if subs.is_empty() => Err(format!(
+            "unknown command `{verb}` (run `permissions-odyssey help` for usage)"
+        )),
+        None => Err(format!("{verb} requires a verb: {}", subs.join("|"))),
+        Some(sub) => Err(format!("unknown {verb} verb `{sub}` ({})", subs.join("|"))),
+    }
+}
+
+/// A command line parsed against its command's flag table.
+struct Args {
+    command: &'static Command,
+    /// The flags given, with their values (`None` for switches).
+    flags: BTreeMap<&'static str, Option<String>>,
+    /// Positional operands, in order.
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Parses `args`, rejecting an unknown flag, a repeated flag, a value
+    /// flag without a value (at the end, or followed by another flag),
+    /// and a positional argument the command takes none of.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Args, String> {
+        let name = command.name;
+        let (mut flags, mut operands) = (BTreeMap::new(), Vec::new());
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                if command.operand.is_none() {
+                    return Err(format!("{name}: unexpected argument `{arg}`"));
+                }
+                operands.push(arg.clone());
+                continue;
+            }
+            let Some((flag, placeholder)) = command.flag(arg) else {
+                return Err(format!(
+                    "{name}: unknown flag {arg} (run `permissions-odyssey help` for usage)"
+                ));
+            };
+            let value = match placeholder {
+                None => None,
+                Some(placeholder) => match rest.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("{name}: {arg} needs a value ({placeholder})")),
+                },
+            };
+            if flags.insert(flag, value).is_some() {
+                return Err(format!("{name}: {arg} given more than once"));
+            }
+        }
+        Ok(Args {
+            command,
+            flags,
+            operands,
+        })
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags.get(name).and_then(Option::as_deref)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.flags.contains_key(name)
+    }
+
+    fn required(&self, name: &str) -> Result<&str, String> {
+        let missing = || format!("{} requires {name}", self.command.name);
+        self.value(name).ok_or_else(missing)
+    }
+
+    /// The parsed value of `name`, if given.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let invalid =
+            |value: &str| format!("{}: invalid value for {name}: {value}", self.command.name);
+        let parse = |value: &str| value.parse().map_err(|_| invalid(value));
+        self.value(name).map(parse).transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+}
+
+/// The usage text: a synopsis rendered from [`COMMANDS`], then prose.
+fn usage() -> String {
+    let mut text =
+        "permissions-odyssey — browser permission ecosystem measurement\n\nUSAGE:\n".to_string();
+    for command in COMMANDS {
+        let operand = command.operand.map(|o| format!(" {o}")).unwrap_or_default();
+        text.push_str(&format!(
+            "  permissions-odyssey {}{operand}\n",
+            command.name
+        ));
+        for (spec, help) in command.flags() {
+            text.push_str(&format!("      {spec:<24} {help}\n"));
+        }
+    }
+    text + "  permissions-odyssey help\n\n" + USAGE_PROSE
+}
+
+const USAGE_PROSE: &str = "\
 FORMATS: databases are JSONL (interchange) or columnar `.colsh` (fast
   selective analysis). `analyze` sniffs each shard's format; `crawl` and
-  `convert` infer the format from the output extension unless --format
-  is given.
+  `convert` take the format from the output extension unless --format
+  is given, and a --format that contradicts a .jsonl or .colsh
+  extension is an error.
 
 TABLES (analyze --table): funnel census completeness t3 t4 t5 t6 summary
   t7 t8 directives f2 t9 misconfig t10 groups exposure all (default)
@@ -92,8 +318,9 @@ JOBS: `crawl-job` runs a crawl as a resumable job — a directory holding
   a checksummed manifest, rank-striped shards, and a live status.json.
   Kill it at any point and `crawl-job resume` reproduces the
   uninterrupted dataset byte for byte; touch the --stop-file for a
-  graceful checkpointed shutdown (exit 0). Prefer it over the older
-  `crawl --resume` flow for anything long-running.
+  graceful checkpointed shutdown (exit 0). `crawl` writes the same
+  shard files in one run and cannot be resumed: use `crawl-job` for
+  anything that may be interrupted.
 
 BUNDLES: `crawl --record DIR` captures every network exchange of the
   crawl into a content-addressed bundle store (bodies and header
@@ -110,303 +337,158 @@ LIVE ANALYSIS: `crawl-job analyze` folds the analysis tables over a
   finishes, writing each snapshot under DIR/tables/. `analyze --follow
   --db DIR` is the same thing spelled from the analyze side.";
 
-/// The on-disk format a write-side command targets.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OutFormat {
-    Jsonl,
-    Columnar,
-}
-
-/// Resolves `--format`, falling back to the output file's extension
-/// (`.colsh` → columnar, anything else → JSONL).
-fn out_format(args: &[String], out: &std::path::Path) -> Result<OutFormat, String> {
-    match flag(args, "--format").as_deref() {
-        Some("jsonl") => Ok(OutFormat::Jsonl),
-        Some("columnar") | Some("colsh") => Ok(OutFormat::Columnar),
-        Some(other) => Err(format!("unknown format `{other}` (jsonl|columnar)")),
-        None => Ok(
-            if out.extension().and_then(|e| e.to_str()) == Some("colsh") {
-                OutFormat::Columnar
-            } else {
-                OutFormat::Jsonl
-            },
-        ),
+/// Parses a `--format` value.
+fn parse_format(value: &str) -> Result<DbFormat, String> {
+    match value {
+        "jsonl" => Ok(DbFormat::Jsonl),
+        "columnar" | "colsh" => Ok(DbFormat::Colsh),
+        other => Err(format!("unknown format `{other}` (jsonl|columnar)")),
     }
 }
 
-/// One shard's record sink, in either database format.
-// One sink exists per shard, so the size gap between variants is moot.
-#[allow(clippy::large_enum_variant)]
-enum ShardSink {
-    Jsonl(std::io::BufWriter<std::fs::File>),
-    Colsh(crawler::ColshWriter),
-}
-
-impl ShardSink {
-    /// Appends one record. `line` is a caller-owned scratch buffer so
-    /// the JSONL hot path reuses one allocation across records.
-    fn push(&mut self, record: &crawler::SiteRecord, line: &mut String) -> std::io::Result<()> {
-        match self {
-            ShardSink::Jsonl(writer) => {
-                line.clear();
-                serde_json::to_string_into(record, line);
-                line.push('\n');
-                writer.write_all(line.as_bytes())
-            }
-            ShardSink::Colsh(writer) => writer.push(record),
-        }
-    }
-
-    /// Flushes buffers and (columnar) writes the END marker.
-    fn finish(self) -> std::io::Result<()> {
-        match self {
-            ShardSink::Jsonl(mut writer) => writer.flush(),
-            ShardSink::Colsh(writer) => writer.finish(),
-        }
+/// The database format a command writes: `--format` if given, else the
+/// extension of `out` (`.colsh` → columnar, anything else → JSONL). A
+/// `--format` that contradicts a `.jsonl` or `.colsh` extension is an
+/// error.
+fn output_format(args: &Args, out: Option<&Path>) -> Result<DbFormat, String> {
+    let flag = args.value("--format").map(parse_format).transpose()?;
+    let formats = [DbFormat::Jsonl, DbFormat::Colsh].into_iter();
+    let by_extension = out
+        .and_then(Path::extension)
+        .and_then(|ext| formats.clone().find(|f| ext == f.extension()));
+    match (flag, by_extension, out) {
+        (Some(flag), Some(ext), Some(out)) if flag != ext => Err(format!(
+            "{}: --format contradicts the extension of {}",
+            args.command.name,
+            out.display()
+        )),
+        (flag, ext, _) => Ok(flag.or(ext).unwrap_or(DbFormat::Jsonl)),
     }
 }
 
-/// Extracts `--name value` from an argument list.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The `DATASET` flags as a job manifest: `crawl` and `crawl-job start`
+/// build the same crawl from the same flags.
+fn job_manifest(args: &Args, format: DbFormat) -> Result<JobManifest, String> {
+    let size: u64 = args.num("--size", 20_000)?;
+    let shards: usize = args.num("--shards", 1)?;
+    if shards == 0 || size == 0 {
+        return Err("--shards and --size must be at least 1".to_string());
+    }
+    let mut manifest = JobManifest::new(args.num("--seed", 7)?, size, shards, format);
+    manifest.adversarial = args.switch("--adversarial");
+    manifest.max_retries = args.num("--retries", manifest.max_retries)?;
+    manifest.fault_panics_per_mille = args.num("--fault-panics", 0)?;
+    manifest.fault_transients_per_mille = args.num("--fault-transients", 0)?;
+    manifest.js_engine = args.num("--js-engine", manifest.js_engine)?;
+    Ok(manifest)
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {value}")),
-        None => Ok(default),
-    }
-}
-
-fn cmd_crawl(args: &[String]) -> Result<(), String> {
-    let record_dir = flag(args, "--record").map(PathBuf::from);
-    let replay_dir = flag(args, "--replay").map(PathBuf::from);
-    if record_dir.is_some() && replay_dir.is_some() {
-        return Err("--record and --replay are mutually exclusive".to_string());
-    }
-    let workers: usize = parse_flag(args, "--workers", 8)?;
-    let shards: usize = parse_flag(args, "--shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    let resume = args.iter().any(|a| a == "--resume");
-    if resume && record_dir.is_some() {
-        return Err("--record needs a fresh crawl \
-                    (use `crawl-job start --record` for a resumable recording)"
-            .to_string());
-    }
-    let adversarial = args.iter().any(|a| a == "--adversarial");
+fn cmd_crawl(args: &Args) -> Result<(), String> {
+    let out_flag = args.value("--out").map(PathBuf::from);
+    let format = output_format(args, out_flag.as_deref())?;
+    let out = out_flag.unwrap_or_else(|| format!("crawl.{}", format.extension()).into());
+    let mut manifest = job_manifest(args, format)?;
+    let workers: usize = args.num("--workers", 8)?;
+    let record_dir = args.value("--record").map(Path::new);
 
     // A replay takes every dataset-determining parameter from the
-    // bundle store's metadata; a live crawl parses them from flags.
-    let replay = match &replay_dir {
-        Some(dir) => Some(crawler::ReplayBundle::load(dir).map_err(|e| e.to_string())?),
+    // bundle store's metadata, and never invokes the generator.
+    let replay = match args.value("--replay") {
+        Some(_) if record_dir.is_some() => {
+            return Err("--record and --replay are mutually exclusive".to_string())
+        }
+        Some(dir) => Some(crawler::ReplayBundle::load(Path::new(dir)).map_err(|e| e.to_string())?),
         None => None,
     };
-    let (size, seed, fault_panics) = match &replay {
+    let config = match &replay {
         Some(bundle) => {
             let meta = bundle.meta();
-            (meta.size, meta.seed, meta.fault_panics_per_mille)
+            (manifest.seed, manifest.size) = (meta.seed, meta.size);
+            manifest.fault_panics_per_mille = meta.fault_panics_per_mille;
+            meta.replay_config(workers)
         }
-        None => (
-            parse_flag(args, "--size", 20_000)?,
-            parse_flag(args, "--seed", 7)?,
-            parse_flag(args, "--fault-panics", 0)?,
-        ),
+        None => manifest.crawl_config(workers),
     };
-    let out: PathBuf = match flag(args, "--out") {
-        Some(out) => out.into(),
-        // Default file name follows the requested format.
-        None => match flag(args, "--format").as_deref() {
-            Some("columnar") | Some("colsh") => "crawl.colsh".into(),
-            _ => "crawl.jsonl".into(),
-        },
-    };
-    let format = out_format(args, &out)?;
-
-    // The generator is never invoked on the replay path.
-    let population = replay
-        .is_none()
-        .then(|| WebPopulation::new(PopulationConfig { seed, size }).with_adversarial(adversarial));
-    if adversarial && replay.is_none() {
-        eprintln!("adversarial-site mode: hostile origins enabled");
+    let (seed, size) = (manifest.seed, manifest.size);
+    if manifest.adversarial && replay.is_none() {
+        note!("adversarial-site mode: hostile origins enabled");
     }
 
-    // Rank-striped shard files: rank r lands in shard (r - 1) % shards.
-    // With one shard the database is the plain --out file.
-    let shard_files: Vec<PathBuf> = if shards == 1 {
-        vec![out.clone()]
-    } else {
-        (0..shards).map(|i| crawler::shard_path(&out, i)).collect()
-    };
-
-    // With --resume, recover the ranks an interrupted run already
-    // persisted (per shard), drop any torn tail, and append.
-    let mut completed = std::collections::BTreeSet::new();
-    let mut writers: Vec<ShardSink> = Vec::with_capacity(shard_files.len());
-    for path in &shard_files {
-        let sink = match (format, resume && path.exists()) {
-            (OutFormat::Jsonl, true) => {
-                let state = crawler::resume_jsonl(path)
-                    .map_err(|e| format!("resuming from {}: {e}", path.display()))?;
-                completed.extend(state.completed);
-                let file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                file.set_len(state.valid_len)
-                    .map_err(|e| format!("truncating {}: {e}", path.display()))?;
-                ShardSink::Jsonl(std::io::BufWriter::new(file))
-            }
-            (OutFormat::Jsonl, false) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                ShardSink::Jsonl(std::io::BufWriter::new(file))
-            }
-            (OutFormat::Columnar, true) => {
-                let (state, append) = crawler::resume_colsh(path)
-                    .map_err(|e| format!("resuming from {}: {e}", path.display()))?;
-                completed.extend(state.completed);
-                let writer = crawler::ColshWriter::append(path, state.valid_len, append)
-                    .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                ShardSink::Colsh(writer)
-            }
-            (OutFormat::Columnar, false) => {
-                let writer = crawler::ColshWriter::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                ShardSink::Colsh(writer)
-            }
-        };
-        writers.push(sink);
-    }
-    if resume && !completed.is_empty() {
-        eprintln!(
-            "resuming: {} of {size} origins already on disk",
-            completed.len()
-        );
-    }
-    let remaining = (1..=size).filter(|r| !completed.contains(r)).count() as u64;
+    let shard_files = crawler::shard_paths(&out, manifest.shards);
+    let mut writer = ShardWriter::create(&shard_files, format).map_err(|e| e.to_string())?;
 
     // Injected panics — live-injected or replayed from tape — are
     // caught and classified by the crawler; don't let the default hook
     // print a backtrace for each simulated crash. (Without fault
     // injection the hook stays untouched, so real bugs still report
     // loudly.)
-    if fault_panics > 0 {
+    if manifest.fault_panics_per_mille > 0 {
         quiet_injected_panics();
     }
 
-    let config = match &replay {
-        Some(bundle) => bundle.meta().replay_config(workers),
-        None => {
-            let retries: u32 = parse_flag(args, "--retries", CrawlConfig::default().max_retries)?;
-            let fault_transients: u32 = parse_flag(args, "--fault-transients", 0)?;
-            let js_engine: browser::ExecEngine =
-                parse_flag(args, "--js-engine", browser::ExecEngine::default())?;
-            CrawlConfig {
-                workers,
-                max_retries: retries,
-                browser: BrowserConfig {
-                    js_engine,
-                    ..BrowserConfig::default()
-                },
-                faults: netsim::FaultSpec {
-                    seed,
-                    panic_per_mille: fault_panics,
-                    transient_per_mille: fault_transients,
-                    transient_failures: 2,
-                },
-                ..CrawlConfig::default()
-            }
-        }
-    };
-    let mut crawler = Crawler::new(config.clone());
-    let recorder = match &record_dir {
-        Some(dir) => {
-            let meta = crawler::BundleMeta::for_crawl(&config, seed, size, adversarial);
-            let recorder = std::sync::Arc::new(
-                crawler::BundleRecorder::create(dir, &meta)
-                    .map_err(|e| format!("creating bundle store: {e}"))?,
-            );
-            crawler = crawler.with_recorder(std::sync::Arc::clone(&recorder));
-            Some(recorder)
-        }
-        None => None,
-    };
+    let meta = crawler::BundleMeta::for_crawl(&config, seed, size, manifest.adversarial);
+    let mut crawler = Crawler::new(config);
+    let recorder = record_dir
+        .map(|dir| crawler::BundleRecorder::create(dir, &meta))
+        .transpose()
+        .map_err(|e| format!("creating bundle store: {e}"))?
+        .map(std::sync::Arc::new);
+    if let Some(recorder) = &recorder {
+        crawler = crawler.with_recorder(std::sync::Arc::clone(recorder));
+    }
 
-    let doing = if replay.is_some() {
-        "replaying"
-    } else {
-        "crawling"
-    };
-    eprintln!("{doing} {remaining} origins (seed {seed}, {workers} workers)…");
+    let doing = replay.as_ref().map_or("crawling", |_| "replaying");
+    note!("{doing} {size} origins (seed {seed}, {workers} workers)…");
     let started = std::time::Instant::now();
     let telemetry = crawler::CrawlTelemetry::new(workers);
-    let progress_every = (remaining / 10).max(1);
+    let progress_every = (size / 10).max(1);
     let mut last_milestone = 0;
     // Stream records to disk as they complete (the paper's per-site
     // persistence, Appendix A.2 C14).
     let mut write_error: Option<String> = None;
-    let mut line = String::new();
     let sink = |record: crawler::SiteRecord| {
         if write_error.is_some() {
             return;
         }
-        let shard = crawler::shard_index(record.rank, writers.len());
-        if let Err(e) = writers[shard].push(&record, &mut line) {
-            write_error = Some(format!("{}: {e}", shard_files[shard].display()));
+        if let Err(e) = writer.push(&record) {
+            write_error = Some(e.to_string());
         }
         let snapshot = telemetry.snapshot();
         let milestone = snapshot.completed() / progress_every;
         if milestone > last_milestone {
             last_milestone = milestone;
-            eprintln!("{}", snapshot.progress_line(remaining));
+            note!("{}", snapshot.progress_line(size));
         }
     };
-    let funnel = match (&replay, &population) {
-        (Some(bundle), _) => {
-            crawler.replay_streaming_observed(bundle, &completed, &telemetry, sink)
+    let funnel = match &replay {
+        Some(bundle) => {
+            let skip = std::collections::BTreeSet::new();
+            crawler.replay_streaming_observed(bundle, &skip, &telemetry, sink)
         }
-        (None, Some(population)) => {
-            crawler.crawl_streaming_observed(population, &completed, &telemetry, sink)
-        }
-        (None, None) => unreachable!("a live crawl always has a population"),
+        None => crawler.crawl_streaming_observed(&manifest.population(), &telemetry, sink),
     };
-    for writer in writers {
-        writer.finish().map_err(|e| e.to_string())?;
-    }
+    writer.finish().map_err(|e| e.to_string())?;
     if let Some(e) = write_error {
-        return Err(format!("writing {e}"));
+        return Err(e);
     }
     if let Some(recorder) = &recorder {
         let sites = recorder
             .finish()
             .map_err(|e| format!("finishing bundle store: {e}"))?;
-        eprintln!(
-            "bundle store recorded to {} ({sites} sites)",
-            recorder.dir().display()
-        );
+        let dir = recorder.dir().display();
+        note!("bundle store recorded to {dir} ({sites} sites)");
     }
-    eprintln!(
-        "{} in {:.1}s",
-        funnel.report(),
-        started.elapsed().as_secs_f64()
-    );
-    eprintln!("{}", telemetry.snapshot().report());
-    if shards == 1 {
-        eprintln!("database written to {}", out.display());
-    } else {
-        eprintln!(
+    let secs = started.elapsed().as_secs_f64();
+    note!("{} in {secs:.1}s", funnel.report());
+    note!("{}", telemetry.snapshot().report());
+    match shard_files.as_slice() {
+        [first, .., last] => note!(
             "database written to {} shards: {} … {}",
-            shards,
-            shard_files[0].display(),
-            shard_files[shards - 1].display()
-        );
+            shard_files.len(),
+            first.display(),
+            last.display()
+        ),
+        _ => note!("database written to {}", out.display()),
     }
     Ok(())
 }
@@ -414,6 +496,7 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
 /// Silences the default panic hook while injected visit faults are
 /// active — the crawler catches and classifies those panics on purpose,
 /// and a backtrace per simulated crash would drown the progress output.
+/// The hook ignores write errors: a panic inside a panic hook aborts.
 fn quiet_injected_panics() {
     std::panic::set_hook(Box::new(|info| {
         let detail = info
@@ -422,7 +505,7 @@ fn quiet_injected_panics() {
             .map(String::as_str)
             .or_else(|| info.payload().downcast_ref::<&str>().copied())
             .unwrap_or("visit panicked");
-        eprintln!("caught: {detail}");
+        note!("caught: {detail}");
     }));
 }
 
@@ -435,43 +518,57 @@ fn peak_rss_mb() -> Option<u64> {
     Some(kb / 1024)
 }
 
-/// Run-time job options shared by `crawl-job start` and `resume`.
-fn job_options(args: &[String]) -> Result<crawler::JobOptions, String> {
-    let defaults = crawler::JobOptions::default();
-    Ok(crawler::JobOptions {
-        workers: parse_flag(args, "--workers", defaults.workers)?,
-        lease_records: parse_flag(args, "--lease", defaults.lease_records)?,
-        status_every: parse_flag(args, "--status-every", defaults.status_every)?,
-        stop_file: flag(args, "--stop-file").map(PathBuf::from),
-        colsh_dict_epoch_groups: match flag(args, "--dict-epoch") {
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| format!("invalid value for --dict-epoch: {n}"))?,
-            ),
-            None => None,
-        },
-        abort_after_records: match flag(args, "--chaos-abort") {
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| format!("invalid value for --chaos-abort: {n}"))?,
-            ),
-            None => None,
-        },
-        progress: true,
-        ..defaults
-    })
+fn cmd_job_start(args: &Args) -> Result<(), String> {
+    let mut manifest = job_manifest(args, output_format(args, None)?)?;
+    manifest.record_bundle = args.switch("--record");
+    run_job(args, Some(manifest))
 }
 
-/// Renders a finished job run and enforces the optional RSS ceiling.
-fn finish_job_run(
-    args: &[String],
-    dir: &std::path::Path,
-    report: crawler::JobReport,
-) -> Result<(), String> {
-    eprintln!("{}", report.render());
+fn cmd_job_resume(args: &Args) -> Result<(), String> {
+    run_job(args, None)
+}
+
+/// Starts a job from `manifest`, or resumes the one in `--dir` when
+/// there is none; then renders the report and enforces `--max-rss-mb`.
+fn run_job(args: &Args, manifest: Option<JobManifest>) -> Result<(), String> {
+    let dir = PathBuf::from(args.required("--dir")?);
+    let start = manifest.is_some();
+    let manifest = match manifest {
+        Some(manifest) => manifest,
+        None => JobManifest::load(&dir).map_err(|e| e.to_string())?,
+    };
+    if manifest.fault_panics_per_mille > 0 {
+        quiet_injected_panics();
+    }
+    let defaults = crawler::JobOptions::default();
+    let opts = crawler::JobOptions {
+        workers: args.num("--workers", defaults.workers)?,
+        lease_records: args.num("--lease", defaults.lease_records)?,
+        status_every: args.num("--status-every", defaults.status_every)?,
+        stop_file: args.value("--stop-file").map(PathBuf::from),
+        colsh_dict_epoch_groups: args.parsed("--dict-epoch")?,
+        abort_after_records: args.parsed("--chaos-abort")?,
+        progress: true,
+        ..defaults
+    };
+    note!(
+        "{} job in {}: {} origins, {} shard(s), {} worker(s)…",
+        if start { "starting" } else { "resuming" },
+        dir.display(),
+        manifest.size,
+        manifest.shards,
+        opts.workers
+    );
+    let report = if start {
+        crawler::job_start(&dir, &manifest, &opts)
+    } else {
+        crawler::job_resume(&dir, &opts)
+    }
+    .map_err(|e| e.to_string())?;
+    note!("{}", report.render());
     if let Some(peak) = peak_rss_mb() {
-        eprintln!("peak rss: {peak} MiB");
-        let cap: u64 = parse_flag(args, "--max-rss-mb", 0)?;
+        note!("peak rss: {peak} MiB");
+        let cap: u64 = args.num("--max-rss-mb", 0)?;
         if cap > 0 && peak > cap {
             return Err(format!(
                 "peak rss {peak} MiB exceeded the --max-rss-mb {cap} ceiling"
@@ -479,7 +576,7 @@ fn finish_job_run(
         }
     }
     if report.state == crawler::JobState::Stopped {
-        eprintln!(
+        note!(
             "stopped gracefully; continue with: permissions-odyssey crawl-job resume --dir {}",
             dir.display()
         );
@@ -487,180 +584,117 @@ fn finish_job_run(
     Ok(())
 }
 
-fn cmd_crawl_job(args: &[String]) -> Result<(), String> {
-    let Some(verb) = args.first() else {
-        return Err(format!("crawl-job requires start|resume|status\n{USAGE}"));
-    };
-    let rest = &args[1..];
-    let dir: PathBuf = flag(rest, "--dir")
-        .ok_or("crawl-job requires --dir DIR")?
-        .into();
-    match verb.as_str() {
-        "start" => {
-            let size: u64 = parse_flag(rest, "--size", 20_000)?;
-            let seed: u64 = parse_flag(rest, "--seed", 7)?;
-            let shards: usize = parse_flag(rest, "--shards", 1)?;
-            if shards == 0 || size == 0 {
-                return Err("--shards and --size must be at least 1".to_string());
-            }
-            let format = match flag(rest, "--format").as_deref() {
-                None | Some("jsonl") => crawler::DbFormat::Jsonl,
-                Some("columnar") | Some("colsh") => crawler::DbFormat::Colsh,
-                Some(other) => return Err(format!("unknown format `{other}` (jsonl|columnar)")),
-            };
-            let mut manifest = crawler::JobManifest::new(seed, size, shards, format);
-            manifest.record_bundle = rest.iter().any(|a| a == "--record");
-            manifest.adversarial = rest.iter().any(|a| a == "--adversarial");
-            manifest.max_retries = parse_flag(rest, "--retries", manifest.max_retries)?;
-            manifest.fault_panics_per_mille = parse_flag(rest, "--fault-panics", 0)?;
-            manifest.fault_transients_per_mille = parse_flag(rest, "--fault-transients", 0)?;
-            manifest.js_engine = parse_flag(rest, "--js-engine", manifest.js_engine)?;
-            if manifest.fault_panics_per_mille > 0 {
-                quiet_injected_panics();
-            }
-            let opts = job_options(rest)?;
-            eprintln!(
-                "starting job in {}: {size} origins, {} shard(s), {} worker(s)…",
-                dir.display(),
-                shards,
-                opts.workers
-            );
-            let report = crawler::job_start(&dir, &manifest, &opts).map_err(|e| e.to_string())?;
-            finish_job_run(rest, &dir, report)
-        }
-        "resume" => {
-            let manifest = crawler::JobManifest::load(&dir).map_err(|e| e.to_string())?;
-            if manifest.fault_panics_per_mille > 0 {
-                quiet_injected_panics();
-            }
-            let opts = job_options(rest)?;
-            eprintln!(
-                "resuming job in {}: {} origins, {} worker(s)…",
-                dir.display(),
-                manifest.size,
-                opts.workers
-            );
-            let report = crawler::job_resume(&dir, &opts).map_err(|e| e.to_string())?;
-            finish_job_run(rest, &dir, report)
-        }
-        "status" => {
-            let status = crawler::read_status(&dir)
-                .map_err(|e| format!("no readable status for the job in {}: {e}", dir.display()))?;
-            println!(
-                "state:     {}\nprogress:  {}/{} written this run \
-                 ({} resumed, {} remaining)\nrate:      {:.0} records/sec, eta {:.0}s\n\
-                 queues:    {} leases pending, writer buffer {} (peak {})\n\
-                 leases:    {} retried, {} quarantined\n\
-                 visits:    {} retries, {} panics caught, {} degraded",
-                status.state,
-                status.written,
-                status.planned,
-                status.resumed_from,
-                status.remaining,
-                status.rate_per_sec,
-                status.eta_secs.min(86_400_000.0),
-                status.lease_queue_depth,
-                status.writer_pending,
-                status.writer_peak_pending,
-                status.leases_retried,
-                status.leases_quarantined,
-                status.retries,
-                status.panics_caught,
-                status.degraded_visits,
-            );
-            Ok(())
-        }
-        "analyze" => {
-            let table = flag(rest, "--table").unwrap_or_else(|| "all".to_string());
-            let top: usize = parse_flag(rest, "--top", 10)?;
-            let follow = rest.iter().any(|a| a == "--follow");
-            let interval_ms: u64 = parse_flag(rest, "--interval-ms", 500)?;
-            run_live_analyze(&dir, &table, top, follow, interval_ms)
-        }
-        other => Err(format!("unknown crawl-job verb `{other}`\n{USAGE}")),
-    }
+fn cmd_job_status(args: &Args) -> Result<(), String> {
+    let dir = PathBuf::from(args.required("--dir")?);
+    let status = crawler::read_status(&dir)
+        .map_err(|e| format!("no readable status for the job in {}: {e}", dir.display()))?;
+    print_out(&format!(
+        "state:     {}\nprogress:  {}/{} written this run \
+         ({} resumed, {} remaining)\nrate:      {:.0} records/sec, eta {:.0}s\n\
+         queues:    {} leases pending, writer buffer {} (peak {})\n\
+         leases:    {} retried, {} quarantined\n\
+         visits:    {} retries, {} panics caught, {} degraded\n",
+        status.state,
+        status.written,
+        status.planned,
+        status.resumed_from,
+        status.remaining,
+        status.rate_per_sec,
+        status.eta_secs.min(86_400_000.0),
+        status.lease_queue_depth,
+        status.writer_pending,
+        status.writer_peak_pending,
+        status.leases_retried,
+        status.leases_quarantined,
+        status.retries,
+        status.panics_caught,
+        status.degraded_visits,
+    ))
+}
+
+fn cmd_job_analyze(args: &Args) -> Result<(), String> {
+    let dir = PathBuf::from(args.required("--dir")?);
+    let table = args.value("--table").unwrap_or("all");
+    let top: usize = args.num("--top", 10)?;
+    let interval_ms: u64 = args.num("--interval-ms", 500)?;
+    run_live_analyze(&dir, table, top, args.switch("--follow"), interval_ms)
 }
 
 /// `bundle stat DIR`: accounting for a record/replay bundle store —
 /// site/attempt/exchange counts, blob dedup, and on-disk size.
-fn cmd_bundle(args: &[String]) -> Result<(), String> {
-    let Some(verb) = args.first() else {
-        return Err(format!("bundle requires stat\n{USAGE}"));
+fn cmd_bundle_stat(args: &Args) -> Result<(), String> {
+    let dirs: Vec<&str> = args
+        .operands
+        .iter()
+        .map(String::as_str)
+        .chain(args.value("--dir"))
+        .collect();
+    let [dir] = dirs.as_slice() else {
+        return Err("bundle stat requires one store directory (DIR or --dir DIR)".to_string());
     };
-    let rest = &args[1..];
-    match verb.as_str() {
-        "stat" => {
-            let dir: PathBuf = match flag(rest, "--dir") {
-                Some(dir) => dir.into(),
-                None => rest
-                    .iter()
-                    .find(|a| !a.starts_with("--"))
-                    .cloned()
-                    .ok_or("bundle stat requires a store directory")?
-                    .into(),
-            };
-            if !crawler::is_bundle_store(&dir) {
-                return Err(format!("{} is not a bundle store", dir.display()));
-            }
-            let mode = if rest.iter().any(|a| a == "--lenient") {
-                crawler::StreamMode::Lenient
-            } else {
-                crawler::StreamMode::Strict
-            };
-            let stat = crawler::BundleStat::scan(&dir, mode).map_err(|e| e.to_string())?;
-            // Ignore write errors: piping into `head` must not panic.
-            let _ = writeln!(
-                std::io::stdout(),
-                "sites:       {} ({} synthesized)\n\
-                 attempts:    {}\n\
-                 exchanges:   {}\n\
-                 blobs:       {} unique, {} bytes stored\n\
-                 referenced:  {} bytes before dedup\n\
-                 dedup ratio: {:.2}\n\
-                 store size:  {} bytes on disk",
-                stat.sites,
-                stat.synthesized,
-                stat.attempts,
-                stat.exchanges,
-                stat.unique_blobs,
-                stat.stored_bytes,
-                stat.referenced_bytes,
-                stat.dedup_ratio(),
-                stat.store_file_bytes,
-            );
-            let _ = std::io::stdout().flush();
-            if stat.blob_skips.skipped > 0 || stat.manifest_skips.skipped > 0 {
-                eprintln!(
-                    "lenient: skipped {} blob record(s), {} manifest record(s)",
-                    stat.blob_skips.skipped, stat.manifest_skips.skipped
-                );
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown bundle verb `{other}`\n{USAGE}")),
+    let dir = Path::new(dir);
+    if !crawler::is_bundle_store(dir) {
+        return Err(format!("{} is not a bundle store", dir.display()));
     }
+    let mode = if args.switch("--lenient") {
+        crawler::StreamMode::Lenient
+    } else {
+        crawler::StreamMode::Strict
+    };
+    let stat = crawler::BundleStat::scan(dir, mode).map_err(|e| e.to_string())?;
+    print_out(&format!(
+        "sites:       {} ({} synthesized)\n\
+         attempts:    {}\n\
+         exchanges:   {}\n\
+         blobs:       {} unique, {} bytes stored\n\
+         referenced:  {} bytes before dedup\n\
+         dedup ratio: {:.2}\n\
+         store size:  {} bytes on disk\n",
+        stat.sites,
+        stat.synthesized,
+        stat.attempts,
+        stat.exchanges,
+        stat.unique_blobs,
+        stat.stored_bytes,
+        stat.referenced_bytes,
+        stat.dedup_ratio(),
+        stat.store_file_bytes,
+    ))?;
+    if stat.blob_skips.skipped > 0 || stat.manifest_skips.skipped > 0 {
+        note!(
+            "lenient: skipped {} blob record(s), {} manifest record(s)",
+            stat.blob_skips.skipped,
+            stat.manifest_skips.skipped
+        );
+    }
+    Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let db = flag(args, "--db").ok_or("analyze requires --db FILE|DIR|GLOB")?;
-    let table = flag(args, "--table").unwrap_or_else(|| "all".to_string());
-    let top: usize = parse_flag(args, "--top", 10)?;
-    let lenient = args.iter().any(|a| a == "--lenient");
+/// Resolves `--table`, naming the valid tables on a typo.
+fn table_selection(table: &str) -> Result<analysis::stream::TableSelection, String> {
+    analysis::stream::TableSelection::named(table).ok_or_else(|| {
+        format!("unknown table `{table}` (see TABLES in `permissions-odyssey help`)")
+    })
+}
+
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let db = args.required("--db")?;
+    let table = args.value("--table").unwrap_or("all");
+    let top: usize = args.num("--top", 10)?;
 
     // `--follow` reads --db as a job directory and hands off to the
     // live frontier loop (the same thing as `crawl-job analyze`).
-    if args.iter().any(|a| a == "--follow") {
-        let interval_ms: u64 = parse_flag(args, "--interval-ms", 500)?;
-        return run_live_analyze(std::path::Path::new(&db), &table, top, true, interval_ms);
+    if args.switch("--follow") {
+        let interval_ms: u64 = args.num("--interval-ms", 500)?;
+        return run_live_analyze(Path::new(db), table, top, true, interval_ms);
     }
 
     // One streaming pass per shard: the selected tables fold record by
     // record, so peak memory never depends on the dataset size.
-    let paths = crawler::expand_db_paths(&db).map_err(|e| format!("resolving {db}: {e}"))?;
-    let workers: usize = parse_flag(args, "--workers", paths.len().min(8))?;
-    let selection = analysis::stream::TableSelection::named(&table)
-        .ok_or_else(|| format!("unknown table `{table}`\n{USAGE}"))?;
-    let mode = if lenient {
+    let paths = crawler::expand_db_paths(db).map_err(|e| format!("resolving {db}: {e}"))?;
+    let workers: usize = args.num("--workers", paths.len().min(8))?;
+    let selection = table_selection(table)?;
+    let mode = if args.switch("--lenient") {
         crawler::StreamMode::Lenient
     } else {
         crawler::StreamMode::Strict
@@ -670,7 +704,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("reading {e}"))?;
     for (path, skip) in &telemetry.skipped {
         if skip.skipped > 0 {
-            eprintln!(
+            note!(
                 "lenient: skipped {} corrupt line(s) in {} ({})",
                 skip.skipped,
                 path.display(),
@@ -678,24 +712,20 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             );
         }
         if skip.torn_tail {
-            eprintln!(
+            note!(
                 "lenient: {} ends mid-record (torn live tail, treated as end of data)",
                 path.display()
             );
         }
     }
-    eprintln!(
+    note!(
         "analyzed {} records from {} shard(s) in {:.1}s ({} worker(s))",
         telemetry.records,
         telemetry.shards,
         started.elapsed().as_secs_f64(),
         workers.clamp(1, telemetry.shards.max(1)),
     );
-
-    // Ignore write errors: piping into `head` must not panic the tool.
-    let rendered = analysis::report::render_tables(&tables, &table, top);
-    let _ = write!(std::io::stdout(), "{rendered}");
-    Ok(())
+    print_out(&analysis::report::render_tables(&tables, table, top))
 }
 
 /// The live analysis loop behind `crawl-job analyze` and
@@ -710,7 +740,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// snapshot — byte-identical to what a batch `analyze` at the same
 /// frontier prints, which is what the ci.sh gate `diff`s.
 fn run_live_analyze(
-    dir: &std::path::Path,
+    dir: &Path,
     table: &str,
     top: usize,
     follow: bool,
@@ -721,7 +751,7 @@ fn run_live_analyze(
     let manifest = {
         let mut attempt = 0;
         loop {
-            match crawler::JobManifest::load(dir) {
+            match JobManifest::load(dir) {
                 Ok(manifest) => break manifest,
                 Err(_) if follow && attempt < 100 => {
                     attempt += 1;
@@ -731,8 +761,7 @@ fn run_live_analyze(
             }
         }
     };
-    let selection = analysis::stream::TableSelection::named(table)
-        .ok_or_else(|| format!("unknown table `{table}`\n{USAGE}"))?;
+    let selection = table_selection(table)?;
     let shard_files = manifest.shard_files(dir);
     let mut live = analysis::stream::LiveAnalysis::new(&shard_files, manifest.format, selection);
     let tables_dir = dir.join("tables");
@@ -758,7 +787,7 @@ fn run_live_analyze(
             let rendered = analysis::report::render_tables(&tables, table, top);
             write_snapshot(&tables_dir, &frontier, &rendered, table, top)
                 .map_err(|e| format!("writing snapshot under {}: {e}", tables_dir.display()))?;
-            eprintln!(
+            note!(
                 "[{:7.1}s] frontier: {} records, {} bytes, job {}",
                 started.elapsed().as_secs_f64(),
                 records,
@@ -766,14 +795,15 @@ fn run_live_analyze(
                 state
             );
             if !follow {
-                let _ = write!(std::io::stdout(), "{rendered}");
-                return Ok(());
+                return print_out(&rendered);
             }
         }
         if !follow || terminal || records >= manifest.size {
-            eprintln!(
+            note!(
                 "final frontier: {} of {} records ({})",
-                records, manifest.size, state
+                records,
+                manifest.size,
+                state
             );
             return Ok(());
         }
@@ -785,7 +815,7 @@ fn run_live_analyze(
 /// rendered tables and a frontier tag, plus `latest.txt` swapped in via
 /// a temp file + rename so concurrent readers never see a torn file.
 fn write_snapshot(
-    tables_dir: &std::path::Path,
+    tables_dir: &Path,
     frontier: &analysis::stream::JobFrontier,
     rendered: &str,
     table: &str,
@@ -827,44 +857,31 @@ fn write_snapshot(
 /// sniffed; the target format follows `--format` or the output
 /// extension. A JSONL → columnar → JSONL round trip is byte-identical
 /// (the ci.sh gate `cmp`s it).
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let input: PathBuf = flag(args, "--in")
-        .ok_or("convert requires --in FILE")?
-        .into();
-    let out: PathBuf = flag(args, "--out")
-        .ok_or("convert requires --out FILE")?
-        .into();
-    let format = out_format(args, &out)?;
+fn cmd_convert(args: &Args) -> Result<(), String> {
+    let input = PathBuf::from(args.required("--in")?);
+    let out = PathBuf::from(args.required("--out")?);
+    let format = output_format(args, Some(&out))?;
     // A directory mixing a bundle store with record shards is refused
     // loudly rather than silently re-encoding only the shard half.
     crawler::refuse_mixed_bundle_dir(&input).map_err(|e| e.to_string())?;
-    let group: usize = parse_flag(args, "--group", crawler::DEFAULT_GROUP_RECORDS)?;
-    let epoch: u64 = parse_flag(args, "--dict-epoch", crawler::DEFAULT_DICT_EPOCH_GROUPS)?;
+    let group: usize = args.num("--group", crawler::DEFAULT_GROUP_RECORDS)?;
+    if group == 0 {
+        return Err("--group must be at least 1".to_string());
+    }
+    let epoch: u64 = args.num("--dict-epoch", crawler::DEFAULT_DICT_EPOCH_GROUPS)?;
     let stream = crawler::AnyRecordStream::open(&input, crawler::StreamMode::Strict)
         .map_err(|e| format!("opening {}: {e}", input.display()))?;
-    let mut sink = match format {
-        OutFormat::Jsonl => {
-            let file = std::fs::File::create(&out)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?;
-            ShardSink::Jsonl(std::io::BufWriter::new(file))
-        }
-        OutFormat::Columnar => ShardSink::Colsh(
-            crawler::ColshWriter::create_grouped(&out, group)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?
-                .with_dict_epoch_groups(epoch),
-        ),
-    };
-    let mut line = String::new();
+    let mut sink = ShardWriter::create(std::slice::from_ref(&out), format)
+        .map_err(|e| e.to_string())?
+        .with_colsh_layout(group, epoch);
     let mut records = 0u64;
     for record in stream {
         let record = record.map_err(|e| format!("reading {}: {e}", input.display()))?;
-        sink.push(&record, &mut line)
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
+        sink.push(&record).map_err(|e| e.to_string())?;
         records += 1;
     }
-    sink.finish()
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    eprintln!(
+    sink.finish().map_err(|e| e.to_string())?;
+    note!(
         "converted {records} records: {} -> {}",
         input.display(),
         out.display()
@@ -872,47 +889,46 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let header = args.join(" ");
+fn cmd_lint(args: &Args) -> Result<(), String> {
+    let header = args.operands.join(" ");
     if header.trim().is_empty() {
         return Err("lint requires a header value".to_string());
     }
     let findings = tools::linter::lint(&header);
     if findings.is_empty() {
-        println!("✓ header is well-formed");
-        return Ok(());
+        return print_out("✓ header is well-formed\n");
     }
+    let mut text = String::new();
     for finding in findings {
-        println!("✗ {}", finding.problem);
-        println!("  fix: {}", finding.suggestion);
+        text.push_str(&format!(
+            "✗ {}\n  fix: {}\n",
+            finding.problem, finding.suggestion
+        ));
     }
-    Ok(())
+    print_out(&text)
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let preset = match flag(args, "--preset").as_deref() {
+fn cmd_generate(args: &Args) -> Result<(), String> {
+    let preset = match args.value("--preset") {
         None | Some("disable-powerful") => tools::generator::Preset::DisablePowerful,
         Some("disable-all") => tools::generator::Preset::DisableAll,
         Some(other) => return Err(format!("unknown preset `{other}`")),
     };
-    println!(
-        "Permissions-Policy: {}",
-        tools::generator::permissions_policy_value(&preset)
-    );
-    println!(
-        "Feature-Policy:     {}",
+    print_out(&format!(
+        "Permissions-Policy: {}\nFeature-Policy:     {}\n",
+        tools::generator::permissions_policy_value(&preset),
         tools::generator::feature_policy_value(&preset)
-    );
-    Ok(())
+    ))
 }
 
-fn cmd_matrix() -> Result<(), String> {
-    let _ = write!(std::io::stdout(), "{}", tools::support_matrix::render());
-    Ok(())
+fn cmd_matrix(_: &Args) -> Result<(), String> {
+    print_out(&tools::support_matrix::render())
 }
 
-fn cmd_poc() -> Result<(), String> {
-    println!("{}", tools::poc::render_delegation_matrix());
-    println!("{}", tools::poc::render_local_scheme_issue());
-    Ok(())
+fn cmd_poc(_: &Args) -> Result<(), String> {
+    print_out(&format!(
+        "{}\n{}\n",
+        tools::poc::render_delegation_matrix(),
+        tools::poc::render_local_scheme_issue()
+    ))
 }

@@ -160,14 +160,7 @@ impl BundleMeta {
     /// Atomically writes the metadata into `dir` (temp file + rename),
     /// with the same checksum-trailer idiom as `job.json`.
     pub fn store(&self, dir: &Path) -> std::io::Result<()> {
-        let mut text = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::other(format!("encoding bundle metadata: {e}")))?;
-        text.push('\n');
-        let crc = crc32(text.as_bytes());
-        text.push_str(&format!("crc32:{crc:08x}\n"));
-        let tmp = dir.join(format!("{BUNDLE_META_FILE}.tmp"));
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, dir.join(BUNDLE_META_FILE))
+        crate::jobs::store_checksummed(self, dir, BUNDLE_META_FILE)
     }
 
     /// Loads and verifies the metadata from `dir`; a torn or corrupt
@@ -193,20 +186,8 @@ impl BundleMeta {
                 ),
             )
         };
-        let Some((body, trailer)) = text.split_once('\n').and_then(|(body, rest)| {
-            let trailer = rest.strip_suffix('\n').unwrap_or(rest);
-            trailer.strip_prefix("crc32:").map(|t| (body, t))
-        }) else {
-            return Err(torn("missing checksum trailer"));
-        };
-        let mut line = body.to_string();
-        line.push('\n');
-        let expected = u32::from_str_radix(trailer, 16).map_err(|_| torn("bad checksum"))?;
-        if crc32(line.as_bytes()) != expected {
-            return Err(torn("checksum mismatch"));
-        }
         let meta: BundleMeta =
-            serde_json::from_str(body).map_err(|e| torn(&format!("unparseable: {e}")))?;
+            crate::jobs::parse_checksummed(&text).map_err(|detail| torn(&detail))?;
         if meta.version != BUNDLE_VERSION {
             return Err(torn(&format!(
                 "unsupported bundle version {}",

@@ -43,7 +43,7 @@
 //!
 //! [`RecordStream`]: crate::RecordStream
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -917,11 +917,7 @@ impl ColshWriter {
 
 /// Writes a whole dataset as a `.colsh` database.
 pub fn write_colsh(dataset: &CrawlDataset, path: &Path) -> std::io::Result<()> {
-    let mut writer = ColshWriter::create(path)?;
-    for record in &dataset.records {
-        writer.push(record)?;
-    }
-    writer.finish()
+    crate::db::write_db(dataset, path, crate::db::DbFormat::Colsh)
 }
 
 // --- reader ---------------------------------------------------------------
@@ -1657,15 +1653,21 @@ impl Iterator for ColshStream {
     }
 }
 
-/// Scans a possibly-interrupted `.colsh` database for resumption.
+/// Scans a possibly-interrupted `.colsh` database for resumption,
+/// calling `check_rank` on every valid record's rank in file order; its
+/// first error aborts the scan (pass `|_| Ok(())` to accept any ranks).
 ///
 /// Tolerates exactly one kind of damage — a torn tail, the signature of
-/// a crawl killed mid-append. Returns the completed ranks + valid byte
-/// prefix, and the [`ColshAppendState`] (dictionary + record count) an
-/// appending [`ColshWriter`] needs so the resumed file is byte-identical
-/// to an uninterrupted crawl. Errors if the file's feature dictionary
-/// does not match the current registry (append would mis-index).
-pub fn resume_colsh(path: &Path) -> std::io::Result<(ResumeState, ColshAppendState)> {
+/// a writer killed mid-append. Decodes only the META column. Returns the
+/// record count + valid byte prefix, and the [`ColshAppendState`]
+/// (dictionary + record count) an appending [`ColshWriter`] needs so
+/// the resumed file is byte-identical to an uninterrupted write. Errors
+/// if the file's feature dictionary does not match the current registry
+/// (append would mis-index).
+pub fn resume_colsh(
+    path: &Path,
+    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+) -> std::io::Result<(ResumeState, ColshAppendState)> {
     let mut stream =
         match ColshStream::open_projected(path, StreamMode::Resume, ColumnSet::META_ONLY) {
             Ok(stream) => stream,
@@ -1674,17 +1676,11 @@ pub fn resume_colsh(path: &Path) -> std::io::Result<(ResumeState, ColshAppendSta
             // the file from scratch (mirrors JSONL resume on a torn first
             // line).
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Ok((
-                    ResumeState {
-                        completed: BTreeSet::new(),
-                        valid_len: 0,
-                    },
-                    ColshAppendState {
-                        dict: Vec::new(),
-                        records: 0,
-                        groups_in_epoch: 0,
-                    },
-                ));
+                let empty = ResumeState {
+                    records: 0,
+                    valid_len: 0,
+                };
+                return Ok((empty, ColshAppendState::default()));
             }
             Err(e) => return Err(e),
         };
@@ -1694,17 +1690,13 @@ pub fn resume_colsh(path: &Path) -> std::io::Result<(ResumeState, ColshAppendSta
              re-encode the database with `convert` before resuming",
         ));
     }
-    let mut completed = BTreeSet::new();
     for record in &mut stream {
-        completed.insert(record?.rank);
+        check_rank(record?.rank)?;
     }
     let records = stream.file_records;
     let valid_len = stream.valid_len();
     Ok((
-        ResumeState {
-            completed,
-            valid_len,
-        },
+        ResumeState { records, valid_len },
         ColshAppendState {
             dict: stream.dict.materialize()?,
             records,
@@ -1852,18 +1844,22 @@ mod tests {
         let torn_at = bytes.len() * 3 / 4;
         std::fs::write(&path, &bytes[..torn_at]).unwrap();
 
-        let (state, append) = resume_colsh(&path).unwrap();
+        let mut ranks = Vec::new();
+        let (state, append) = resume_colsh(&path, |rank| {
+            ranks.push(rank);
+            Ok(())
+        })
+        .unwrap();
         assert!(state.valid_len <= torn_at as u64);
-        assert_eq!(append.records, state.completed.len() as u64);
+        assert_eq!(append.records, state.records);
+        assert_eq!(ranks, (1..=state.records).collect::<Vec<u64>>());
 
         // Append the missing records; the result must be byte-identical
         // to the uninterrupted file.
         let mut w = ColshWriter::append(&path, state.valid_len, append).unwrap();
         w.group_records = 10;
-        for r in &ds.records {
-            if !state.completed.contains(&r.rank) {
-                w.push(r).unwrap();
-            }
+        for r in &ds.records[state.records as usize..] {
+            w.push(r).unwrap();
         }
         w.finish().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&full).unwrap());
@@ -1991,15 +1987,13 @@ mod tests {
         let path = scratch("epoch-torn.colsh");
         for cut in marker.saturating_sub(4)..(marker + 40).min(bytes.len()) {
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            let (state, append) = resume_colsh(&path).unwrap();
+            let (state, append) = resume_colsh(&path, |_| Ok(())).unwrap();
             let mut w = ColshWriter::append(&path, state.valid_len, append)
                 .unwrap()
                 .with_group_records(5)
                 .with_dict_epoch_groups(2);
-            for r in &ds.records {
-                if !state.completed.contains(&r.rank) {
-                    w.push(r).unwrap();
-                }
+            for r in &ds.records[state.records as usize..] {
+                w.push(r).unwrap();
             }
             w.finish().unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "cut at {cut}");

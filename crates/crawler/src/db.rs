@@ -15,12 +15,13 @@
 //!   first few 1-based line numbers retained so `analyze --lenient`
 //!   damage is localizable.
 //! * **Resume** — tolerates exactly one kind of damage, a torn *final*
-//!   line (the signature of a crawl killed mid-append), and tracks the
+//!   line (the signature of a job killed mid-append), and tracks the
 //!   byte length of the valid prefix for truncate-and-append.
 //!
-//! Large crawls shard the database (`crawl --shards N` writes
-//! `crawl-000.jsonl` … rank-striped); [`shard_path`] names the pieces
-//! and [`expand_db_paths`] turns an `analyze --db` argument (file,
+//! [`ShardWriter`] is the single writer, in either format: large crawls
+//! shard the database (`crawl --shards N` writes `crawl-000.jsonl` …
+//! rank-striped), [`shard_paths`] names the pieces, and
+//! [`expand_db_paths`] turns an `analyze --db` argument (file,
 //! directory, or glob) back into the ordered shard list.
 
 use std::collections::BTreeSet;
@@ -28,6 +29,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::colsh::ColshWriter;
 use crate::run::{CrawlDataset, SiteRecord};
 
 /// How a [`RecordStream`] treats lines that fail to parse.
@@ -271,15 +273,20 @@ impl Iterator for RecordStream {
 
 /// Writes a dataset as JSONL.
 pub fn write_jsonl(dataset: &CrawlDataset, path: &Path) -> std::io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    let mut line = String::new();
+    write_db(dataset, path, DbFormat::Jsonl)
+}
+
+/// Writes a whole dataset as one database file in `format`.
+pub(crate) fn write_db(
+    dataset: &CrawlDataset,
+    path: &Path,
+    format: DbFormat,
+) -> std::io::Result<()> {
+    let mut writer = ShardWriter::create(&[path.into()], format)?;
     for record in &dataset.records {
-        line.clear();
-        serde_json::to_string_into(record, &mut line);
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
+        writer.push(record)?;
     }
-    out.flush()
+    writer.finish()
 }
 
 /// Reads a dataset back from JSONL. Malformed lines are reported as
@@ -292,47 +299,40 @@ pub fn read_jsonl(path: &Path) -> std::io::Result<CrawlDataset> {
     Ok(CrawlDataset { records })
 }
 
-/// Reads a dataset from JSONL, skipping (and counting) corrupt lines
-/// anywhere in the file — the `analyze --lenient` salvage path for
-/// databases damaged beyond a torn final line. Returns the dataset and
-/// a report of the skipped lines.
-pub fn read_jsonl_lenient(path: &Path) -> std::io::Result<(CrawlDataset, SkipReport)> {
-    let mut stream = RecordStream::open(path, StreamMode::Lenient)?;
-    let mut records: Vec<SiteRecord> = Vec::new();
-    for record in &mut stream {
-        records.push(record?);
-    }
-    Ok((CrawlDataset { records }, stream.into_skip_report()))
-}
-
-/// What an interrupted crawl left behind, recovered by
-/// [`resume_jsonl`].
+/// What an interrupted write left behind, recovered by [`resume_jsonl`]
+/// (or [`crate::resume_colsh`]) in one streaming pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumeState {
-    /// Ranks with a complete, valid record on disk.
-    pub completed: BTreeSet<u64>,
+    /// Complete, valid records on disk.
+    pub records: u64,
     /// Byte length of the valid prefix of the file. A torn final line
-    /// (the crawl was killed mid-write) lies beyond this offset; truncate
-    /// to it before appending.
+    /// (the writer was killed mid-append) lies beyond this offset;
+    /// truncate to it before appending.
     pub valid_len: u64,
 }
 
-/// Scans a possibly-interrupted JSONL database for resumption.
+/// Scans a possibly-interrupted JSONL database for resumption, calling
+/// `check_rank` on every valid record's rank in file order; its first
+/// error aborts the scan (pass `|_| Ok(())` to accept any ranks).
 ///
 /// Unlike [`read_jsonl`] — which stays strict, for finished datasets —
 /// this tolerates exactly one kind of damage: a torn *final* line, the
-/// signature of a crawl killed mid-append. The torn line is excluded
+/// signature of a writer killed mid-append. The torn line is excluded
 /// from [`ResumeState::valid_len`]; corruption anywhere earlier is still
-/// a loud error. Streams line by line — the database is never held in
-/// memory.
-pub fn resume_jsonl(path: &Path) -> std::io::Result<ResumeState> {
+/// a loud error, which is why every record is fully decoded. Streams
+/// line by line — the database is never held in memory.
+pub fn resume_jsonl(
+    path: &Path,
+    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+) -> std::io::Result<ResumeState> {
     let mut stream = RecordStream::open(path, StreamMode::Resume)?;
-    let mut completed = BTreeSet::new();
+    let mut records = 0u64;
     for record in &mut stream {
-        completed.insert(record?.rank);
+        check_rank(record?.rank)?;
+        records += 1;
     }
     Ok(ResumeState {
-        completed,
+        records,
         valid_len: stream.valid_len(),
     })
 }
@@ -344,8 +344,181 @@ pub fn resume_jsonl(path: &Path) -> std::io::Result<ResumeState> {
 /// hand-crafted; real crawls never emit one) goes to shard 0 instead of
 /// underflowing, which used to panic in debug builds and stripe to an
 /// arbitrary shard in release.
-pub fn shard_index(rank: u64, shards: usize) -> usize {
+pub(crate) fn shard_index(rank: u64, shards: usize) -> usize {
     (rank.saturating_sub(1) % shards.max(1) as u64) as usize
+}
+
+/// One shard file's record sink, in either database format.
+// One sink exists per shard, so the size gap between variants is moot.
+#[allow(clippy::large_enum_variant)]
+enum Sink {
+    Jsonl { out: BufWriter<File>, records: u64 },
+    Colsh(ColshWriter),
+}
+
+impl Sink {
+    /// Creates `path`, or with `resume` reopens an existing file after
+    /// its valid prefix (torn tail dropped), passing each rank on disk to
+    /// `check_rank`. Returns the sink and its record count.
+    fn open(
+        path: &Path,
+        format: DbFormat,
+        resume: bool,
+        check_rank: impl FnMut(u64) -> std::io::Result<()>,
+    ) -> std::io::Result<(Sink, u64)> {
+        Ok(match (format, resume && path.exists()) {
+            (DbFormat::Jsonl, false) => {
+                let out = BufWriter::new(File::create(path)?);
+                (Sink::Jsonl { out, records: 0 }, 0)
+            }
+            (DbFormat::Colsh, false) => (Sink::Colsh(ColshWriter::create(path)?), 0),
+            (DbFormat::Jsonl, true) => {
+                let ResumeState { records, valid_len } = resume_jsonl(path, check_rank)?;
+                let file = std::fs::OpenOptions::new().append(true).open(path)?;
+                file.set_len(valid_len)?;
+                let out = BufWriter::new(file);
+                (Sink::Jsonl { out, records }, records)
+            }
+            (DbFormat::Colsh, true) => {
+                let (state, append) = crate::colsh::resume_colsh(path, check_rank)?;
+                let writer = ColshWriter::append(path, state.valid_len, append)?;
+                (Sink::Colsh(writer), state.records)
+            }
+        })
+    }
+
+    /// Appends one record. `line` is the writer's scratch buffer, so the
+    /// JSONL path reuses one allocation across records.
+    fn push(&mut self, record: &SiteRecord, line: &mut String) -> std::io::Result<()> {
+        match self {
+            Sink::Jsonl { out, records } => {
+                line.clear();
+                serde_json::to_string_into(record, line);
+                line.push('\n');
+                out.write_all(line.as_bytes())?;
+                *records += 1;
+                Ok(())
+            }
+            Sink::Colsh(writer) => writer.push(record),
+        }
+    }
+}
+
+/// The one writer of record databases: a set of rank-striped shard
+/// files in either format, where rank *r* lands in shard
+/// `(r - 1) % shards` and a single shard is a plain database file. The
+/// job engine, `crawl`, `convert`, [`write_jsonl`] and
+/// [`crate::write_colsh`] all write through it. Every I/O error names
+/// the file it happened to.
+pub struct ShardWriter {
+    shards: Vec<(PathBuf, Sink)>,
+    /// JSONL encoding scratch, reused across records.
+    line: String,
+}
+
+/// Prefixes an I/O error with what was being done to which file.
+fn at(what: &str, path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
+}
+
+impl ShardWriter {
+    /// Creates (or truncates) one shard file per path, in shard order.
+    pub fn create(paths: &[PathBuf], format: DbFormat) -> std::io::Result<ShardWriter> {
+        ShardWriter::open(paths, format, false).map(|(writer, _)| writer)
+    }
+
+    /// Opens one shard file per path, in shard order, returning the
+    /// writer and each shard's durable record count. Without `resume`
+    /// every file is created empty. With it, an existing file keeps its
+    /// valid prefix (a torn tail is dropped) and is appended to: shard
+    /// `s` of `S` holds ranks `s+1, s+1+S, …` in order, so the file must
+    /// hold exactly the first `k` of those, which is checked rank by rank
+    /// in the same streaming pass that measures the prefix — recovery
+    /// keeps one integer per shard and nothing per record.
+    pub fn open(
+        paths: &[PathBuf],
+        format: DbFormat,
+        resume: bool,
+    ) -> std::io::Result<(ShardWriter, Vec<u64>)> {
+        let stride = paths.len() as u64;
+        let mut shards = Vec::with_capacity(paths.len());
+        let mut counts = Vec::with_capacity(paths.len());
+        for (shard, path) in paths.iter().enumerate() {
+            let mut expected = shard as u64 + 1;
+            let stripe = |rank: u64| {
+                if rank != expected {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "not a rank-ordered stripe prefix (found rank {rank} where \
+                             {expected} belongs); it was not written by this job"
+                        ),
+                    ));
+                }
+                expected += stride;
+                Ok(())
+            };
+            let (sink, records) =
+                Sink::open(path, format, resume, stripe).map_err(|e| at("opening", path, e))?;
+            shards.push((path.clone(), sink));
+            counts.push(records);
+        }
+        let line = String::new();
+        Ok((ShardWriter { shards, line }, counts))
+    }
+
+    /// Sets the `.colsh` row-group size and dictionary-epoch length
+    /// (`0` disables epochs); JSONL shards ignore both.
+    pub fn with_colsh_layout(self, group_records: usize, dict_epoch_groups: u64) -> ShardWriter {
+        let layout = |sink| match sink {
+            Sink::Colsh(writer) => Sink::Colsh(
+                writer
+                    .with_group_records(group_records)
+                    .with_dict_epoch_groups(dict_epoch_groups),
+            ),
+            jsonl => jsonl,
+        };
+        let shards = self.shards.into_iter();
+        let shards = shards.map(|(path, sink)| (path, layout(sink))).collect();
+        ShardWriter { shards, ..self }
+    }
+
+    /// Appends `record` to the shard its rank stripes to.
+    pub fn push(&mut self, record: &SiteRecord) -> std::io::Result<()> {
+        let shard = shard_index(record.rank, self.shards.len());
+        let (path, sink) = &mut self.shards[shard];
+        sink.push(record, &mut self.line)
+            .map_err(|e| at("writing", path, e))
+    }
+
+    /// Completes every shard: flushes, and columnar shards write END.
+    pub fn finish(self) -> std::io::Result<()> {
+        for (path, sink) in self.shards {
+            match sink {
+                Sink::Jsonl { mut out, .. } => out.flush(),
+                Sink::Colsh(writer) => writer.finish(),
+            }
+            .map_err(|e| at("finishing", &path, e))?;
+        }
+        Ok(())
+    }
+
+    /// Graceful-shutdown checkpoint: flushes every shard to a clean
+    /// resume point and returns how many records are durable across
+    /// them. JSONL loses nothing; columnar drops each partial tail row
+    /// group so a resumed file stays byte-identical to an uninterrupted
+    /// one.
+    pub(crate) fn finish_checkpoint(self) -> std::io::Result<u64> {
+        let mut durable = 0;
+        for (path, sink) in self.shards {
+            durable += match sink {
+                Sink::Jsonl { mut out, records } => out.flush().map(|()| records),
+                Sink::Colsh(writer) => writer.finish_checkpoint(),
+            }
+            .map_err(|e| at("finishing", &path, e))?;
+        }
+        Ok(durable)
+    }
 }
 
 /// The path of shard `index` for a database rooted at `base`:
@@ -354,6 +527,16 @@ pub fn shard_path(base: &Path, index: usize) -> PathBuf {
     let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("crawl");
     let ext = base.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
     base.with_file_name(format!("{stem}-{index:03}.{ext}"))
+}
+
+/// The shard files of a `shards`-way database rooted at `base`, in
+/// shard order: `base` itself when there is one shard.
+pub fn shard_paths(base: &Path, shards: usize) -> Vec<PathBuf> {
+    if shards <= 1 {
+        vec![base.to_path_buf()]
+    } else {
+        (0..shards).map(|i| shard_path(base, i)).collect()
+    }
 }
 
 /// Splits a file name of the shard shape `{prefix}-{digits}.{ext}` into
@@ -543,6 +726,16 @@ pub enum DbFormat {
     Jsonl,
     /// Binary columnar row groups (`.colsh`) — the analysis-scale format.
     Colsh,
+}
+
+impl DbFormat {
+    /// The file extension of the format (`jsonl` / `colsh`).
+    pub fn extension(self) -> &'static str {
+        match self {
+            DbFormat::Jsonl => "jsonl",
+            DbFormat::Colsh => "colsh",
+        }
+    }
 }
 
 /// Sniffs a database file's format from its magic bytes. Anything that
@@ -764,6 +957,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every record a lenient stream salvages, plus what it skipped.
+    fn read_lenient(path: &Path) -> (Vec<SiteRecord>, SkipReport) {
+        let mut stream = RecordStream::open(path, StreamMode::Lenient).unwrap();
+        let records = (&mut stream).map(|r| r.unwrap()).collect();
+        (records, stream.into_skip_report())
+    }
+
     #[test]
     fn lenient_reader_skips_and_reports_corrupt_line_numbers() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 6 });
@@ -784,12 +984,12 @@ mod tests {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
 
         assert!(read_jsonl(&path).is_err());
-        let (salvaged, report) = read_jsonl_lenient(&path).unwrap();
+        let (salvaged, report) = read_lenient(&path);
         assert_eq!(report.skipped, 2);
         // 1-based numbering, matching the strict reader's errors.
         assert_eq!(report.lines, vec![2, 4]);
         assert_eq!(report.describe(), "lines 2, 4");
-        assert_eq!(salvaged.records.len(), dataset.records.len() - 2);
+        assert_eq!(salvaged.len(), dataset.records.len() - 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -842,15 +1042,21 @@ mod tests {
 
         // Strict reader refuses; resume recovers the intact prefix.
         assert!(read_jsonl(&path).is_err());
-        let state = resume_jsonl(&path).unwrap();
+        let mut ranks = Vec::new();
+        let state = resume_jsonl(&path, |rank| {
+            ranks.push(rank);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(state.valid_len, intact_len as u64);
-        assert_eq!(state.completed, (1..=9).collect::<BTreeSet<u64>>());
+        assert_eq!(state.records, 9);
+        assert_eq!(ranks, (1..=9).collect::<Vec<u64>>());
 
         // Corruption before the final line stays loud.
         let mut early = b"{oops}\n".to_vec();
         early.extend_from_slice(&bytes[..intact_len]);
         std::fs::write(&path, early).unwrap();
-        assert!(resume_jsonl(&path).is_err());
+        assert!(resume_jsonl(&path, |_| Ok(())).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -872,9 +1078,9 @@ mod tests {
         let mut torn = bytes[..intact_len + (bytes.len() - intact_len) / 2].to_vec();
         torn.push(b'\n');
         std::fs::write(&path, torn).unwrap();
-        let state = resume_jsonl(&path).unwrap();
+        let state = resume_jsonl(&path, |_| Ok(())).unwrap();
         assert_eq!(state.valid_len, intact_len as u64);
-        assert_eq!(state.completed, (1..=7).collect::<BTreeSet<u64>>());
+        assert_eq!(state.records, 7);
         std::fs::remove_file(&path).ok();
     }
 
@@ -910,13 +1116,9 @@ mod tests {
         assert!(err.to_string().contains("line 2"), "{err}");
 
         // Lenient: salvages records 1 and 3, reports exactly line 2.
-        let (salvaged, report) = read_jsonl_lenient(&path).unwrap();
+        let (salvaged, report) = read_lenient(&path);
         assert_eq!(
-            salvaged
-                .records
-                .iter()
-                .map(|r| r.rank)
-                .collect::<Vec<u64>>(),
+            salvaged.iter().map(|r| r.rank).collect::<Vec<u64>>(),
             vec![dataset.records[0].rank, dataset.records[2].rank]
         );
         assert_eq!(report.skipped, 1);
@@ -934,9 +1136,9 @@ mod tests {
         let mut torn = full[..intact_len + (full.len() - intact_len) / 2].to_vec();
         torn.push(0xC3);
         std::fs::write(&path, &torn).unwrap();
-        let state = resume_jsonl(&path).unwrap();
+        let state = resume_jsonl(&path, |_| Ok(())).unwrap();
         assert_eq!(state.valid_len, intact_len as u64);
-        assert_eq!(state.completed.len(), dataset.records.len() - 1);
+        assert_eq!(state.records, dataset.records.len() as u64 - 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -948,8 +1150,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("clean.jsonl");
         write_jsonl(&dataset, &path).unwrap();
-        let state = resume_jsonl(&path).unwrap();
-        assert_eq!(state.completed.len(), 12);
+        let state = resume_jsonl(&path, |_| Ok(())).unwrap();
+        assert_eq!(state.records, 12);
         assert_eq!(
             state.valid_len,
             std::fs::metadata(&path).unwrap().len(),
@@ -983,20 +1185,14 @@ mod tests {
         dataset.records[0].rank = 0;
         let dir = std::env::temp_dir().join("permodyssey-test-rank0");
         std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("crawl.jsonl");
-        let shards = 3usize;
-        let mut parts: Vec<CrawlDataset> = (0..shards).map(|_| CrawlDataset::default()).collect();
+        let paths = shard_paths(&dir.join("crawl.jsonl"), 3);
+        let mut writer = ShardWriter::create(&paths, DbFormat::Jsonl).unwrap();
         for record in &dataset.records {
-            parts[shard_index(record.rank, shards)]
-                .records
-                .push(record.clone());
+            writer.push(record).unwrap();
         }
-        let mut total = 0;
-        for (i, part) in parts.iter().enumerate() {
-            let path = shard_path(&base, i);
-            write_jsonl(part, &path).unwrap();
-            total += read_jsonl(&path).unwrap().records.len();
-        }
+        writer.finish().unwrap();
+        let parts: Vec<CrawlDataset> = paths.iter().map(|p| read_jsonl(p).unwrap()).collect();
+        let total: usize = parts.iter().map(|part| part.records.len()).sum();
         assert_eq!(total, dataset.records.len());
         assert_eq!(parts[0].records[0].rank, 0, "rank 0 policy: shard 0");
         std::fs::remove_dir_all(&dir).ok();

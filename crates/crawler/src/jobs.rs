@@ -1,11 +1,10 @@
 //! The resumable crawl job engine.
 //!
-//! Everything before this module ran a crawl as one batch CLI
-//! invocation; a 1M-origin measurement (the paper's real substrate)
-//! needs a *job*: a crawl that survives kills, reports its health, and
-//! never holds more than a bounded window of work in memory. The
-//! engine layers four pieces over the existing [`Crawler`] /
-//! [`CrawlTelemetry`] / shard-writer machinery:
+//! A 1M-origin measurement (the paper's real substrate) needs a *job*:
+//! a crawl that survives kills, reports its health, and never holds
+//! more than a bounded window of work in memory. The engine layers four
+//! pieces over [`Crawler`], [`CrawlTelemetry`] and the one shard writer
+//! ([`ShardWriter`]):
 //!
 //! * **A persistent work queue.** A job directory holds a write-once
 //!   [`JobManifest`] (every parameter that determines the dataset
@@ -14,9 +13,9 @@
 //!   never separately journaled: because records are persisted in rank
 //!   order, each shard's completed ranks are always a prefix of its
 //!   stripe, so a killed process recomputes exactly which ranks remain
-//!   from per-shard high-water marks measured by the existing
-//!   JSONL/.colsh resume machinery ([`crate::resume_jsonl`] /
-//!   [`crate::resume_colsh`]). There is no checkpoint file to corrupt.
+//!   from per-shard high-water marks, which [`ShardWriter::open`]
+//!   measures and stripe-checks in one streaming pass per shard. There
+//!   is no checkpoint file to corrupt.
 //! * **Leases with bounded in-flight work.** Remaining ranks are
 //!   chopped into contiguous lease batches; workers pull leases from a
 //!   shared queue and push finished records into a *bounded* channel.
@@ -51,8 +50,7 @@
 //! uninterrupted shard files byte for byte.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -63,8 +61,8 @@ use serde::{Deserialize, Serialize};
 use webgen::{PopulationConfig, WebPopulation};
 
 use crate::bundle::{BundleMeta, BundleRecorder, SiteBundle};
-use crate::colsh::{crc32, ColshWriter};
-use crate::db::{shard_index, shard_path, DbFormat, StreamMode};
+use crate::colsh::crc32;
+use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter, StreamMode};
 use crate::funnel::CrawlFunnel;
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
 use crate::telemetry::{CrawlTelemetry, TelemetrySnapshot};
@@ -161,14 +159,7 @@ impl JobManifest {
 
     /// Atomically writes the manifest into `dir` (temp file + rename).
     pub fn store(&self, dir: &Path) -> std::io::Result<()> {
-        let mut text = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::other(format!("encoding job manifest: {e}")))?;
-        text.push('\n');
-        let crc = crc32(text.as_bytes());
-        text.push_str(&format!("crc32:{crc:08x}\n"));
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, JobManifest::path(dir))
+        store_checksummed(self, dir, MANIFEST_FILE)
     }
 
     /// Loads and verifies the manifest from `dir`. A torn or corrupt
@@ -198,20 +189,7 @@ impl JobManifest {
                 ),
             )
         };
-        let Some((body, trailer)) = text.split_once('\n').and_then(|(body, rest)| {
-            let trailer = rest.strip_suffix('\n').unwrap_or(rest);
-            trailer.strip_prefix("crc32:").map(|t| (body, t))
-        }) else {
-            return Err(torn("missing checksum trailer"));
-        };
-        let mut line = body.to_string();
-        line.push('\n');
-        let expected = u32::from_str_radix(trailer, 16).map_err(|_| torn("bad checksum"))?;
-        if crc32(line.as_bytes()) != expected {
-            return Err(torn("checksum mismatch"));
-        }
-        let manifest: JobManifest =
-            serde_json::from_str(body).map_err(|e| torn(&format!("unparseable: {e}")))?;
+        let manifest: JobManifest = parse_checksummed(&text).map_err(|detail| torn(&detail))?;
         if manifest.version != MANIFEST_VERSION {
             return Err(torn(&format!(
                 "unsupported manifest version {}",
@@ -255,17 +233,44 @@ impl JobManifest {
 
     /// The job's shard file paths inside `dir`, in shard order.
     pub fn shard_files(&self, dir: &Path) -> Vec<PathBuf> {
-        let ext = match self.format {
-            DbFormat::Jsonl => "jsonl",
-            DbFormat::Colsh => "colsh",
-        };
-        let base = dir.join(format!("crawl.{ext}"));
-        if self.shards == 1 {
-            vec![base]
-        } else {
-            (0..self.shards).map(|i| shard_path(&base, i)).collect()
-        }
+        let base = dir.join(format!("crawl.{}", self.format.extension()));
+        shard_paths(&base, self.shards)
     }
+}
+
+/// Atomically writes `value` into `dir/name` as one JSON line plus a
+/// `crc32:` trailer (temp file + rename, so a kill never leaves a torn
+/// file behind) — the format of `job.json` and a bundle store's
+/// `bundle.json`.
+pub(crate) fn store_checksummed<T: Serialize>(
+    value: &T,
+    dir: &Path,
+    name: &str,
+) -> std::io::Result<()> {
+    let mut text = serde_json::to_string(value)
+        .map_err(|e| std::io::Error::other(format!("encoding {name}: {e}")))?;
+    text.push('\n');
+    let crc = crc32(text.as_bytes());
+    text.push_str(&format!("crc32:{crc:08x}\n"));
+    let tmp = dir.join(format!("{name}.tmp"));
+    std::fs::write(&tmp, &text)?;
+    std::fs::rename(&tmp, dir.join(name))
+}
+
+/// Verifies and decodes what [`store_checksummed`] wrote; the error says
+/// what is torn (missing trailer, bad checksum, unparseable JSON).
+pub(crate) fn parse_checksummed<T: Deserialize>(text: &str) -> Result<T, String> {
+    let Some((body, trailer)) = text.split_once('\n').and_then(|(body, rest)| {
+        let trailer = rest.strip_suffix('\n').unwrap_or(rest);
+        trailer.strip_prefix("crc32:").map(|t| (body, t))
+    }) else {
+        return Err("missing checksum trailer".to_string());
+    };
+    let expected = u32::from_str_radix(trailer, 16).map_err(|_| "bad checksum".to_string())?;
+    if crc32(format!("{body}\n").as_bytes()) != expected {
+        return Err("checksum mismatch".to_string());
+    }
+    serde_json::from_str(body).map_err(|e| format!("unparseable: {e}"))
 }
 
 /// Run-time knobs (never persisted — changing them between resumes
@@ -563,133 +568,6 @@ pub fn job_resume(dir: &Path, opts: &JobOptions) -> Result<JobReport, JobError> 
     run_job(dir, &manifest, opts, true)
 }
 
-/// One shard's record sink, in either database format, with a durable
-/// record count.
-// One sink exists per shard, so the size gap between variants is moot.
-#[allow(clippy::large_enum_variant)]
-enum Sink {
-    Jsonl { out: BufWriter<File>, records: u64 },
-    Colsh(ColshWriter),
-}
-
-impl Sink {
-    fn push(&mut self, record: &SiteRecord, line: &mut String) -> std::io::Result<()> {
-        match self {
-            Sink::Jsonl { out, records } => {
-                line.clear();
-                serde_json::to_string_into(record, line);
-                line.push('\n');
-                out.write_all(line.as_bytes())?;
-                *records += 1;
-                Ok(())
-            }
-            Sink::Colsh(writer) => writer.push(record),
-        }
-    }
-
-    /// Completes the shard (flushes everything; columnar writes END).
-    fn finish(self) -> std::io::Result<()> {
-        match self {
-            Sink::Jsonl { mut out, .. } => out.flush(),
-            Sink::Colsh(writer) => writer.finish(),
-        }
-    }
-
-    /// Graceful-shutdown checkpoint: flushes to a clean resume point
-    /// and returns how many records are durable in the file. JSONL
-    /// loses nothing; columnar drops a partial tail row group so the
-    /// resumed file stays byte-identical to an uninterrupted one.
-    fn finish_checkpoint(self) -> std::io::Result<u64> {
-        match self {
-            Sink::Jsonl { mut out, records } => {
-                out.flush()?;
-                Ok(records)
-            }
-            Sink::Colsh(writer) => writer.finish_checkpoint(),
-        }
-    }
-}
-
-/// Scan result for one shard: an open, appendable sink plus the number
-/// of this shard's leading ranks already durable.
-struct ShardScan {
-    sink: Sink,
-    completed: u64,
-}
-
-/// Opens (or resumes) one shard file, validating that whatever is on
-/// disk is a rank-ordered prefix of the shard's stripe — the invariant
-/// that lets the whole job checkpoint reduce to one integer per shard.
-fn scan_shard(
-    manifest: &JobManifest,
-    opts: &JobOptions,
-    path: &Path,
-    shard: usize,
-    resume: bool,
-) -> std::io::Result<ShardScan> {
-    let fresh = !(resume && path.exists());
-    let group = opts
-        .colsh_group_records
-        .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS);
-    let epoch = opts
-        .colsh_dict_epoch_groups
-        .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS);
-    if fresh {
-        let sink = match manifest.format {
-            DbFormat::Jsonl => Sink::Jsonl {
-                out: BufWriter::new(File::create(path)?),
-                records: 0,
-            },
-            DbFormat::Colsh => {
-                Sink::Colsh(ColshWriter::create_grouped(path, group)?.with_dict_epoch_groups(epoch))
-            }
-        };
-        return Ok(ShardScan { sink, completed: 0 });
-    }
-    let (state, sink) = match manifest.format {
-        DbFormat::Jsonl => {
-            let state = crate::db::resume_jsonl(path)?;
-            let file = std::fs::OpenOptions::new().append(true).open(path)?;
-            file.set_len(state.valid_len)?;
-            let records = state.completed.len() as u64;
-            (
-                state,
-                Sink::Jsonl {
-                    out: BufWriter::new(file),
-                    records,
-                },
-            )
-        }
-        DbFormat::Colsh => {
-            let (state, append) = crate::colsh::resume_colsh(path)?;
-            let writer = ColshWriter::append(path, state.valid_len, append)?
-                .with_group_records(group)
-                .with_dict_epoch_groups(epoch);
-            (state, Sink::Colsh(writer))
-        }
-    };
-    // The stripe prefix check: shard `s` holds ranks s+1, s+1+S, … in
-    // order, so its completed set must be exactly the first k of those.
-    let stride = manifest.shards as u64;
-    for (position, &rank) in state.completed.iter().enumerate() {
-        let expected = shard as u64 + 1 + position as u64 * stride;
-        if rank != expected {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{} is not a rank-ordered stripe prefix (found rank {rank} where \
-                     {expected} belongs); it was not written by this job",
-                    path.display()
-                ),
-            ));
-        }
-    }
-    Ok(ShardScan {
-        completed: state.completed.len() as u64,
-        sink,
-    })
-}
-
 /// One contiguous batch of ranks a worker leases.
 #[derive(Debug)]
 struct Lease {
@@ -745,7 +623,7 @@ fn lease_fault_fires(per_mille: u32, seed: u64, rank: u64, attempt: u32) -> bool
 /// Re-captures bundle tapes for dataset-durable ranks the store lost to
 /// a kill (see the resume comment in [`run_job`]). Streams the shard
 /// files — already truncated to their durable prefixes by
-/// [`scan_shard`] — and submits, in rank order, a synthesized bundle
+/// [`ShardWriter::open`] — and submits, in rank order, a synthesized bundle
 /// for quarantine records (`attempts == 0`: no visit ever ran) or a
 /// deterministic re-visit's tape for everything else.
 fn backfill_bundle(
@@ -815,16 +693,13 @@ fn run_job(
     } else {
         None
     };
-    let shard_files = manifest.shard_files(dir);
-
-    let mut sinks = Vec::with_capacity(shard_files.len());
-    let mut marks = Vec::with_capacity(shard_files.len());
-    for (shard, path) in shard_files.iter().enumerate() {
-        let scan = scan_shard(manifest, opts, path, shard, resume)
-            .map_err(|e| JobError::Io(std::io::Error::new(e.kind(), format!("{e}"))))?;
-        sinks.push(scan.sink);
-        marks.push(scan.completed);
-    }
+    let (sinks, marks) = ShardWriter::open(&manifest.shard_files(dir), manifest.format, resume)?;
+    let mut sinks = sinks.with_colsh_layout(
+        opts.colsh_group_records
+            .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS),
+        opts.colsh_dict_epoch_groups
+            .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS),
+    );
     let high_water = HighWater {
         marks,
         shards: manifest.shards as u64,
@@ -892,7 +767,6 @@ fn run_job(
         ..CrawlFunnel::default()
     };
     let mut written = 0u64;
-    let mut line = String::new();
     let mut writer_error: Option<JobError> = None;
 
     let make_status = |state: &str,
@@ -1086,12 +960,8 @@ fn run_job(
                     break;
                 };
                 funnel.count_record(&next);
-                let shard = shard_index(cursor, sinks.len());
-                if let Err(e) = sinks[shard].push(&next, &mut line) {
-                    writer_error = Some(JobError::Io(std::io::Error::new(
-                        e.kind(),
-                        format!("writing {}: {e}", shard_files[shard].display()),
-                    )));
+                if let Err(e) = sinks.push(&next) {
+                    writer_error = Some(JobError::Io(e));
                     stop.store(true, Ordering::Relaxed);
                     break 'writer;
                 }
@@ -1108,7 +978,8 @@ fn run_job(
                 if written.is_multiple_of(opts.status_every.max(1)) {
                     let snapshot = telemetry.snapshot();
                     if opts.progress {
-                        eprintln!("{}", snapshot.progress_line(planned));
+                        // A closed stderr must not stop the crawl.
+                        let _ = writeln!(std::io::stderr(), "{}", snapshot.progress_line(planned));
                     }
                     let status = make_status(
                         "running",
@@ -1150,24 +1021,12 @@ fn run_job(
     }
 
     let stopped = stop.load(Ordering::Relaxed);
-    let mut durable = 0u64;
-    for (sink, path) in sinks.into_iter().zip(&shard_files) {
-        let in_file = if stopped {
-            sink.finish_checkpoint()
-        } else {
-            sink.finish().map(|()| 0)
-        }
-        .map_err(|e| {
-            JobError::Io(std::io::Error::new(
-                e.kind(),
-                format!("finishing {}: {e}", path.display()),
-            ))
-        })?;
-        durable += in_file;
-    }
-    if !stopped {
-        durable = resumed_from + written;
-    }
+    let durable = if stopped {
+        sinks.finish_checkpoint()?
+    } else {
+        sinks.finish()?;
+        resumed_from + written
+    };
     if let Some(recorder) = &recorder {
         // Complete runs must have captured every rank (a gap is a bug);
         // graceful stops checkpoint whatever prefix is committed and
@@ -1405,18 +1264,34 @@ mod tests {
 
     #[test]
     fn foreign_shard_content_fails_the_stripe_check() {
-        let dir = temp_job_dir("stripe-check");
-        let manifest = JobManifest::new(7, 40, 2, DbFormat::Jsonl);
-        manifest.store(&dir).unwrap();
-        // Shard 0 of a 2-way stripe must start with rank 1, not rank 2.
-        let population = manifest.population();
-        let record = Crawler::new(manifest.crawl_config(1)).visit_one(&population, 2);
-        let mut line = String::new();
-        serde_json::to_string_into(&record, &mut line);
-        line.push('\n');
-        std::fs::write(&manifest.shard_files(&dir)[0], line).unwrap();
-        let err = job_resume(&dir, &JobOptions::default()).unwrap_err();
-        assert!(err.to_string().contains("stripe prefix"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        // Shard 0 of a 3-way stripe holds ranks 1, 4, 7, … in order. Each
+        // case breaks that somewhere else, so a check that looked only at
+        // the first rank, or only at the record count, misses one of them.
+        let cases: [(&str, &[u64]); 3] = [
+            ("wrong-first", &[2]),
+            ("gap", &[1, 7]),
+            ("duplicate", &[1, 4, 4]),
+        ];
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            for (name, ranks) in cases {
+                let dir = temp_job_dir(&format!("stripe-{name}-{}", format.extension()));
+                let manifest = JobManifest::new(7, 40, 3, format);
+                manifest.store(&dir).unwrap();
+                let population = manifest.population();
+                let crawler = Crawler::new(manifest.crawl_config(1));
+                let records = ranks
+                    .iter()
+                    .map(|&rank| crawler.visit_one(&population, rank))
+                    .collect();
+                let dataset = crate::run::CrawlDataset { records };
+                crate::db::write_db(&dataset, &manifest.shard_files(&dir)[0], format).unwrap();
+                let err = job_resume(&dir, &JobOptions::default()).unwrap_err();
+                assert!(
+                    err.to_string().contains("stripe prefix"),
+                    "{format:?} {name}: {err}"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 }

@@ -58,9 +58,9 @@ pub use colsh::{
     COLSH_MAGIC, COLSH_VERSION, DEFAULT_DICT_EPOCH_GROUPS, DEFAULT_GROUP_RECORDS,
 };
 pub use db::{
-    detect_db_format, expand_db_paths, read_jsonl, read_jsonl_lenient, refuse_mixed_bundle_dir,
-    resume_jsonl, shard_index, shard_path, write_jsonl, AnyRecordStream, DbFormat, RecordStream,
-    ResumeState, SkipReport, StreamMode, SKIP_REPORT_LINES,
+    detect_db_format, expand_db_paths, read_jsonl, refuse_mixed_bundle_dir, resume_jsonl,
+    shard_path, shard_paths, write_jsonl, AnyRecordStream, DbFormat, RecordStream, ResumeState,
+    ShardWriter, SkipReport, StreamMode, SKIP_REPORT_LINES,
 };
 pub use follow::{ShardFollower, ShardFrontier};
 pub use funnel::CrawlFunnel;

@@ -14,16 +14,12 @@
 //!   times with exponential backoff *on the simulated clock*, so
 //!   retries cost simulated time, never wall-clock sleeps, and results
 //!   stay deterministic.
-//! * **Checkpoint/resume** — the streaming/range crawls can skip ranks
-//!   already persisted by an earlier interrupted run (see
-//!   [`crate::resume_jsonl`]); re-crawling the remainder reproduces the
-//!   uninterrupted dataset byte for byte.
 //! * **Telemetry** — workers update a lock-free [`CrawlTelemetry`]
 //!   (outcome counters, latency histogram, retry totals, per-worker
 //!   utilization, cache hit rates) that can be polled mid-crawl.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use browser::{Browser, BrowserConfig, PageVisit, VisitError, VisitOutcome};
@@ -408,9 +404,12 @@ impl Crawler {
         })
     }
 
-    /// Crawls the whole population with the configured worker pool.
+    /// Crawls the whole population with the configured worker pool,
+    /// collecting the streamed records in rank order.
     pub fn crawl(&self, population: &WebPopulation) -> CrawlDataset {
-        self.crawl_range(population, 1, population.config().size)
+        let mut records = Vec::with_capacity(population.config().size as usize);
+        self.crawl_streaming(population, |record| records.push(record));
+        CrawlDataset { records }
     }
 
     /// Crawls the population, invoking `sink` for every completed record
@@ -422,18 +421,14 @@ impl Crawler {
         F: FnMut(SiteRecord) + Send,
     {
         let telemetry = CrawlTelemetry::new(self.config.workers);
-        self.crawl_streaming_observed(population, &BTreeSet::new(), &telemetry, sink)
+        self.crawl_streaming_observed(population, &telemetry, sink)
     }
 
-    /// [`crawl_streaming`](Crawler::crawl_streaming) with resume and
-    /// observability: ranks in `completed` (persisted by an earlier,
-    /// interrupted run) are skipped — never re-visited, never passed to
-    /// `sink` — and workers report to `telemetry`. The returned funnel
-    /// covers only the ranks visited by *this* run.
+    /// [`crawl_streaming`](Crawler::crawl_streaming) with workers
+    /// reporting to `telemetry`.
     pub fn crawl_streaming_observed<F>(
         &self,
         population: &WebPopulation,
-        completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
         sink: F,
     ) -> CrawlFunnel
@@ -442,16 +437,18 @@ impl Crawler {
     {
         self.stream_observed(
             population.config().size,
-            completed,
+            &BTreeSet::new(),
             sink,
             &|rank, worker| self.visit_observed(population, rank, Some((telemetry, worker))),
         )
     }
 
     /// Streams a recorded crawl back out of a bundle store: the same
-    /// worker pool, in-order delivery, and resume semantics as
+    /// worker pool and in-order delivery as
     /// [`crawl_streaming_observed`](Crawler::crawl_streaming_observed),
-    /// with every record replayed from tape instead of generated.
+    /// with every record replayed from tape instead of generated. Ranks
+    /// in `completed` are skipped — never replayed, never passed to
+    /// `sink` — and the returned funnel covers only the replayed ranks.
     pub fn replay_streaming_observed<F>(
         &self,
         bundle: &ReplayBundle,
@@ -467,8 +464,9 @@ impl Crawler {
         })
     }
 
-    /// The shared streaming pool: visits ranks `1..=to` via `visit`,
-    /// delivering records to `sink` in rank order.
+    /// The shared streaming pool: visits ranks `1..=to` not in
+    /// `completed` via `visit`, delivering records to `sink` in rank
+    /// order.
     fn stream_observed<F>(
         &self,
         to: u64,
@@ -504,8 +502,8 @@ impl Crawler {
                     let record = visit(rank, worker);
                     let mut buffer = pending.lock().expect("pending lock");
                     buffer.insert(rank, record);
-                    // Drain the in-order prefix (checkpointed ranks count
-                    // as already delivered).
+                    // Drain the in-order prefix (skipped ranks count as
+                    // already delivered).
                     let mut out = sink_cell.lock().expect("sink lock");
                     let (sink, cursor, funnel) = &mut *out;
                     while *cursor <= to {
@@ -524,56 +522,6 @@ impl Crawler {
             }
         });
         funnel
-    }
-
-    /// Crawls ranks `from..=to` (1-based, inclusive).
-    pub fn crawl_range(&self, population: &WebPopulation, from: u64, to: u64) -> CrawlDataset {
-        let telemetry = CrawlTelemetry::new(self.config.workers);
-        self.crawl_range_observed(population, from, to, &BTreeSet::new(), &telemetry)
-    }
-
-    /// [`crawl_range`](Crawler::crawl_range) with resume and
-    /// observability: ranks in `skip` are omitted from the visit plan
-    /// and from the returned dataset (which stays in rank order).
-    pub fn crawl_range_observed(
-        &self,
-        population: &WebPopulation,
-        from: u64,
-        to: u64,
-        skip: &BTreeSet<u64>,
-        telemetry: &CrawlTelemetry,
-    ) -> CrawlDataset {
-        let workers = self.config.workers.max(1);
-        let ranks: Vec<u64> = (from..=to).filter(|r| !skip.contains(r)).collect();
-        let mut records: Vec<Option<SiteRecord>> = Vec::new();
-        records.resize_with(ranks.len(), || None);
-        let results = Mutex::new(records);
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let ranks = &ranks;
-            let results = &results;
-            let next = &next;
-            for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&rank) = ranks.get(idx) else {
-                        break;
-                    };
-                    let record = self.visit_observed(population, rank, Some((telemetry, worker)));
-                    results.lock().expect("results lock")[idx] = Some(record);
-                });
-            }
-        });
-
-        CrawlDataset {
-            records: results
-                .into_inner()
-                .expect("results lock")
-                .into_iter()
-                .map(|r| r.expect("every rank visited"))
-                .collect(),
-        }
     }
 }
 
@@ -903,19 +851,35 @@ mod streaming_tests {
 
     #[test]
     fn streaming_skips_completed_ranks() {
+        // Replay is the one stream with a skip set: record a small crawl,
+        // then replay it with ranks 1..=25 already done.
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 40 });
-        let crawler = Crawler::new(CrawlConfig {
+        let config = CrawlConfig {
             workers: 3,
             ..CrawlConfig::default()
-        });
+        };
+        let dir =
+            std::env::temp_dir().join(format!("permodyssey-replay-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = crate::bundle::BundleMeta::for_crawl(&config, 7, 40, false);
+        let recorder = Arc::new(BundleRecorder::create(&dir, &meta).unwrap());
+        Crawler::new(config)
+            .with_recorder(Arc::clone(&recorder))
+            .crawl(&pop);
+        recorder.finish().unwrap();
+        let bundle = ReplayBundle::load(&dir).unwrap();
         let completed: BTreeSet<u64> = (1..=25).collect();
         let telemetry = CrawlTelemetry::new(3);
         let mut streamed: Vec<u64> = Vec::new();
-        let funnel = crawler.crawl_streaming_observed(&pop, &completed, &telemetry, |record| {
-            streamed.push(record.rank)
-        });
+        let funnel = Crawler::new(bundle.meta().replay_config(3)).replay_streaming_observed(
+            &bundle,
+            &completed,
+            &telemetry,
+            |record| streamed.push(record.rank),
+        );
         assert_eq!(streamed, (26..=40).collect::<Vec<u64>>());
         assert_eq!(funnel.attempted, 15);
         assert_eq!(telemetry.completed(), 15);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,11 +1,10 @@
 //! End-to-end fault-tolerance tests: injected faults, panic isolation,
 //! retry accounting, and checkpoint/resume byte-fidelity.
 
-use std::collections::BTreeSet;
 use std::io::Write as _;
 
 use crawler::{
-    resume_jsonl, CrawlConfig, CrawlTelemetry, Crawler, FaultSpec, SiteOutcome, SiteRecord,
+    resume_jsonl, CrawlConfig, Crawler, DbFormat, FaultSpec, ShardWriter, SiteOutcome, SiteRecord,
 };
 use webgen::{PopulationConfig, WebPopulation};
 
@@ -143,8 +142,8 @@ fn records_to_jsonl(records: &[SiteRecord]) -> Vec<u8> {
     out
 }
 
-/// Kill a crawl mid-write (torn final line), resume, and get a database
-/// byte-identical to an uninterrupted run.
+/// Kill a crawl mid-write (torn final line), resume through the shard
+/// writer, and get a database byte-identical to an uninterrupted run.
 #[test]
 fn resumed_crawl_is_byte_identical() {
     let pop = population();
@@ -170,23 +169,18 @@ fn resumed_crawl_is_byte_identical() {
     file.write_all(&torn[..torn.len() / 2]).unwrap();
     drop(file);
 
-    // Resume: recover state, truncate the torn tail, append the rest.
-    let state = resume_jsonl(&path).unwrap();
+    // Resume: recover the intact prefix, truncate the torn tail, and
+    // append the remaining ranks in order.
+    let state = resume_jsonl(&path, |_| Ok(())).unwrap();
     assert_eq!(state.valid_len, intact.len() as u64);
-    assert_eq!(state.completed, (1..=33).collect::<BTreeSet<u64>>());
-    let file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&path)
-        .unwrap();
-    file.set_len(state.valid_len).unwrap();
-    let mut writer = std::io::BufWriter::new(file);
-    let telemetry = CrawlTelemetry::new(3);
-    crawler.crawl_streaming_observed(&pop, &state.completed, &telemetry, |record| {
-        serde_json::to_writer(&mut writer, &record).unwrap();
-        writer.write_all(b"\n").unwrap();
-    });
-    writer.flush().unwrap();
-    assert_eq!(telemetry.completed(), SIZE - 33);
+    assert_eq!(state.records, 33);
+    let (mut writer, durable) =
+        ShardWriter::open(std::slice::from_ref(&path), DbFormat::Jsonl, true).unwrap();
+    assert_eq!(durable, vec![33]);
+    for rank in 34..=SIZE {
+        writer.push(&crawler.visit_one(&pop, rank)).unwrap();
+    }
+    writer.finish().unwrap();
 
     let resumed = std::fs::read(&path).unwrap();
     assert_eq!(

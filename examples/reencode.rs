@@ -20,7 +20,7 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crawler::{ColshStream, ColshWriter, RecordStream, SiteRecord, StreamMode};
+use crawler::{ColshStream, DbFormat, RecordStream, ShardWriter, SiteRecord, StreamMode};
 
 fn usage() -> ExitCode {
     eprintln!("usage: reencode --db FILE --out FILE --codec streaming|value-tree|columnar");
@@ -75,21 +75,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Streaming path: strict `RecordStream` in, reused line buffer out.
+/// Streaming path: strict `RecordStream` in, the crawler's shard writer
+/// (the streaming serializer, one reused line buffer) out.
 fn reencode_streaming(db: &Path, out: &Path) -> std::io::Result<u64> {
-    let mut writer = std::io::BufWriter::new(std::fs::File::create(out)?);
-    let mut line = String::new();
-    let mut records = 0u64;
-    for record in RecordStream::open(db, StreamMode::Strict)? {
-        let record = record?;
-        line.clear();
-        serde_json::to_string_into(&record, &mut line);
-        line.push('\n');
-        writer.write_all(line.as_bytes())?;
-        records += 1;
-    }
-    writer.flush()?;
-    Ok(records)
+    let records = RecordStream::open(db, StreamMode::Strict)?;
+    copy(records, out, DbFormat::Jsonl)
 }
 
 /// Columnar path: stream the JSONL into a `.colsh` sibling of the
@@ -97,24 +87,28 @@ fn reencode_streaming(db: &Path, out: &Path) -> std::io::Result<u64> {
 /// binary codec loses nothing the byte-identity gate can see.
 fn reencode_columnar(db: &Path, out: &Path) -> std::io::Result<u64> {
     let colsh = out.with_extension("colsh");
-    let mut writer = ColshWriter::create(&colsh)?;
-    for record in RecordStream::open(db, StreamMode::Strict)? {
-        writer.push(&record?)?;
-    }
-    writer.finish()?;
-    let mut out_writer = std::io::BufWriter::new(std::fs::File::create(out)?);
-    let mut line = String::new();
+    let records = RecordStream::open(db, StreamMode::Strict)?;
+    copy(records, &colsh, DbFormat::Colsh)?;
+    let records = ColshStream::open(&colsh, StreamMode::Strict)?;
+    let count = copy(records, out, DbFormat::Jsonl)?;
+    std::fs::remove_file(&colsh)?;
+    Ok(count)
+}
+
+/// Writes every record of `stream` to `out` in `format`; returns the
+/// record count.
+fn copy(
+    stream: impl Iterator<Item = std::io::Result<SiteRecord>>,
+    out: &Path,
+    format: DbFormat,
+) -> std::io::Result<u64> {
+    let mut writer = ShardWriter::create(&[out.to_path_buf()], format)?;
     let mut records = 0u64;
-    for record in ColshStream::open(&colsh, StreamMode::Strict)? {
-        let record = record?;
-        line.clear();
-        serde_json::to_string_into(&record, &mut line);
-        line.push('\n');
-        out_writer.write_all(line.as_bytes())?;
+    for record in stream {
+        writer.push(&record?)?;
         records += 1;
     }
-    out_writer.flush()?;
-    std::fs::remove_file(&colsh)?;
+    writer.finish()?;
     Ok(records)
 }
 

@@ -16,6 +16,11 @@ GOLDEN="$PWD/scripts/golden"
 echo "==> cargo build --release"
 cargo build --release
 
+# perfbench (the repository's benchmark) builds against the crates'
+# public API; a change to an item it calls fails here, not in the bench.
+echo "==> perfbench builds and passes its unit tests"
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

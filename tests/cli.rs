@@ -1,0 +1,290 @@
+//! The command-line front end, driven as a user drives it: flag-table
+//! errors, output-format resolution, closed stdout/stderr, and `crawl`
+//! writing the same shard bytes as `crawl-job start`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+
+const BIN: &str = env!("CARGO_BIN_EXE_permissions-odyssey");
+
+fn run(args: &[&str]) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .output()
+        .expect("spawn the CLI")
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("permodyssey-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn path(p: &Path) -> &str {
+    p.to_str().expect("UTF-8 temp path")
+}
+
+fn assert_success(output: &Output) {
+    assert!(
+        output.status.success(),
+        "{:?}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+/// Asserts exit 1 with exactly one stderr line, an `error:` naming every
+/// one of `needles`.
+fn assert_one_error(output: &Output, needles: &[&str]) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].starts_with("error: "), "{stderr}");
+    for needle in needles {
+        assert!(lines[0].contains(needle), "missing {needle:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_repeated_and_valueless_flags_are_loud() {
+    let dir = scratch("flags");
+    let db = dir.join("crawl.jsonl");
+    let out = path(&db);
+    let cases: [(&[&str], &str); 5] = [
+        // Misspelled `--shards`: ignored, the crawl would write one shard.
+        (
+            &["crawl", "--size", "50", "--shard", "4", "--out", out],
+            "--shard",
+        ),
+        // The deleted resume flag: ignored, the crawl would truncate the
+        // database it was meant to resume.
+        (
+            &["crawl", "--size", "50", "--resume", "--out", out],
+            "--resume",
+        ),
+        // A trailing value flag: ignored, the crawl would visit the default
+        // 20,000 origins.
+        (&["crawl", "--out", out, "--size"], "--size"),
+        (
+            &[
+                "crawl", "--size", "50", "--seed", "1", "--seed", "2", "--out", out,
+            ],
+            "--seed",
+        ),
+        // `--out` swallowing the next flag as its file name.
+        (
+            &["crawl", "--size", "50", "--out", "--format", "columnar"],
+            "--out",
+        ),
+    ];
+    for (args, flag) in cases {
+        assert_one_error(&run(args), &["crawl", flag]);
+    }
+    assert!(!db.exists(), "a rejected command line writes nothing");
+    assert_one_error(
+        &run(&["analyze", "--tabel", "t10"]),
+        &["analyze", "--tabel"],
+    );
+    assert_one_error(&run(&["crawl", "500"]), &["crawl", "500"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verbs_dispatch_before_flags() {
+    assert_one_error(
+        &run(&["crawl-job", "bogus", "--dir", "x"]),
+        &["bogus", "start|resume|status|analyze"],
+    );
+    assert_one_error(&run(&["crawl-job"]), &["start|resume|status|analyze"]);
+    assert_one_error(&run(&["crawl-job", "start"]), &["crawl-job start", "--dir"]);
+    assert_one_error(&run(&["frobnicate"]), &["frobnicate"]);
+}
+
+#[test]
+fn format_must_agree_with_the_output_extension() {
+    let dir = scratch("format");
+    for (format, file) in [("columnar", "x.jsonl"), ("jsonl", "x.colsh")] {
+        let out = dir.join(file);
+        let output = run(&[
+            "crawl",
+            "--size",
+            "20",
+            "--format",
+            format,
+            "--out",
+            path(&out),
+        ]);
+        assert_one_error(&output, &["--format", file]);
+        assert!(!out.exists(), "{file}: nothing written");
+    }
+    let db = dir.join("db.jsonl");
+    assert_success(&run(&["crawl", "--size", "20", "--out", path(&db)]));
+    let out = dir.join("y.jsonl");
+    let output = run(&[
+        "convert",
+        "--in",
+        path(&db),
+        "--out",
+        path(&out),
+        "--format",
+        "columnar",
+    ]);
+    assert_one_error(&output, &["convert", "--format", "y.jsonl"]);
+    assert!(!out.exists());
+
+    // An agreeing --format, or one on an extension that names no format,
+    // still decides the format.
+    let colsh = dir.join("z.colsh");
+    let output = run(&[
+        "crawl",
+        "--size",
+        "20",
+        "--format",
+        "columnar",
+        "--out",
+        path(&colsh),
+    ]);
+    assert_success(&output);
+    let plain = dir.join("plain.db");
+    let output = run(&[
+        "convert",
+        "--in",
+        path(&db),
+        "--out",
+        path(&plain),
+        "--format",
+        "columnar",
+    ]);
+    assert_success(&output);
+    for file in [&colsh, &plain] {
+        let bytes = std::fs::read(file).unwrap();
+        assert!(
+            bytes.starts_with(&crawler::COLSH_MAGIC),
+            "{}",
+            file.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crawl_writes_the_same_shards_as_crawl_job_start() {
+    for (format, ext) in [("jsonl", "jsonl"), ("columnar", "colsh")] {
+        let dir = scratch(&format!("same-shards-{ext}"));
+        let dataset = [
+            "--size",
+            "240",
+            "--seed",
+            "7",
+            "--shards",
+            "3",
+            "--format",
+            format,
+            "--fault-transients",
+            "40",
+        ];
+        let base = dir.join(format!("crawl.{ext}"));
+        let mut crawl = vec!["crawl", "--workers", "3", "--out", path(&base)];
+        crawl.extend(dataset);
+        assert_success(&run(&crawl));
+        let job = dir.join("job");
+        let mut start = vec!["crawl-job", "start", "--dir", path(&job), "--workers", "2"];
+        start.extend(dataset);
+        assert_success(&run(&start));
+        for shard in 0..3 {
+            let name = format!("crawl-{shard:03}.{ext}");
+            let crawled = std::fs::read(dir.join(&name)).unwrap();
+            assert!(!crawled.is_empty(), "{name}");
+            assert_eq!(
+                crawled,
+                std::fs::read(job.join(&name)).unwrap(),
+                "{format}: {name} differs between crawl and crawl-job start"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Runs the CLI with stdout (or, with `stderr`, stderr) connected to a
+/// pipe whose read end is already closed, so the first write to it fails
+/// with EPIPE no matter how fast the child is.
+fn run_with_closed(stderr: bool, args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut command = Command::new(BIN);
+    command.args(args);
+    if stderr {
+        command.stderr(writer).stdout(Stdio::piped());
+    } else {
+        command.stdout(writer).stderr(Stdio::piped());
+    }
+    command.output().expect("spawn the CLI")
+}
+
+#[test]
+fn closed_stdout_ends_output_with_exit_zero() {
+    let dir = scratch("closed-stdout");
+    let job = dir.join("job");
+    let db = dir.join("db.jsonl");
+    assert_success(&run(&[
+        "crawl-job",
+        "start",
+        "--dir",
+        path(&job),
+        "--size",
+        "30",
+    ]));
+    assert_success(&run(&["crawl", "--size", "30", "--out", path(&db)]));
+    let cases: [&[&str]; 7] = [
+        &["help"],
+        &["crawl-job", "status", "--dir", path(&job)],
+        &["lint", "camera 'none'"],
+        &["generate"],
+        &["poc"],
+        &["matrix"],
+        // A switch leaves the flag after it alone.
+        &["analyze", "--lenient", "--db", path(&db)],
+    ];
+    for args in cases {
+        let output = run_with_closed(false, args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stderr_does_not_stop_a_crawl() {
+    let dir = scratch("closed-stderr");
+    let db = dir.join("crawl.jsonl");
+    let crawl = ["crawl", "--adversarial", "--size", "30", "--out", path(&db)];
+    let output = run_with_closed(true, &crawl);
+    assert_eq!(output.status.code(), Some(0));
+    let text = std::fs::read_to_string(&db).unwrap();
+    assert_eq!(text.lines().count(), 30, "the whole database is written");
+
+    let job = dir.join("job");
+    let start = [
+        "crawl-job",
+        "start",
+        "--dir",
+        path(&job),
+        "--size",
+        "30",
+        "--status-every",
+        "5",
+    ];
+    assert_eq!(run_with_closed(true, &start).status.code(), Some(0));
+    let status = std::fs::read_to_string(job.join("status.json")).unwrap();
+    assert!(status.contains("\"state\":\"complete\""), "{status}");
+
+    // Errors still exit 1 when they cannot be printed.
+    assert_eq!(
+        run_with_closed(true, &["crawl", "--bogus"]).status.code(),
+        Some(1)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

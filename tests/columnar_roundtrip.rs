@@ -103,7 +103,7 @@ proptest! {
 
         // (c) Resume: truncate to the valid prefix, append the rest,
         // and the file matches the uninterrupted encoding exactly.
-        let (state, append) = resume_colsh(&torn).expect("resume");
+        let (state, append) = resume_colsh(&torn, |_| Ok(())).expect("resume");
         prop_assert!(append.records <= records.len() as u64);
         let done = append.records as usize;
         let mut w = ColshWriter::append(&torn, state.valid_len, append)

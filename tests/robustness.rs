@@ -111,7 +111,6 @@ fn adversarial_crawl_degrades_gracefully_and_deterministically() {
         let mut records = Vec::new();
         let funnel = Crawler::new(CrawlConfig::default()).crawl_streaming_observed(
             &population,
-            &BTreeSet::new(),
             &telemetry,
             |record| records.push(record),
         );

@@ -11,9 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use analysis::stream::{analyze_shards, TableSelection, Tables};
-use crawler::{
-    shard_path, write_colsh, write_jsonl, CrawlConfig, CrawlDataset, Crawler, StreamMode,
-};
+use crawler::{shard_paths, CrawlConfig, CrawlDataset, Crawler, DbFormat, ShardWriter, StreamMode};
 use webgen::{PopulationConfig, WebPopulation};
 
 #[cfg(debug_assertions)]
@@ -146,54 +144,24 @@ fn analyze(paths: &[PathBuf], workers: usize) -> String {
 }
 
 fn write_shards(dir: &Path, shards: usize) -> Vec<PathBuf> {
-    let ds = dataset();
-    if shards == 1 {
-        let path = dir.join("crawl.jsonl");
-        write_jsonl(ds, &path).expect("write single shard");
-        return vec![path];
-    }
-    let base = dir.join("crawl.jsonl");
-    let mut parts: Vec<CrawlDataset> = (0..shards).map(|_| CrawlDataset::default()).collect();
-    for record in &ds.records {
-        parts[crawler::shard_index(record.rank, shards)]
-            .records
-            .push(record.clone());
-    }
-    parts
-        .iter()
-        .enumerate()
-        .map(|(i, part)| {
-            let path = shard_path(&base, i);
-            write_jsonl(part, &path).expect("write shard");
-            path
-        })
-        .collect()
+    write_striped(dir, shards, DbFormat::Jsonl)
 }
 
 /// Rank-stripes the dataset into binary columnar (`.colsh`) shards.
 fn write_colsh_shards(dir: &Path, shards: usize) -> Vec<PathBuf> {
-    let ds = dataset();
-    if shards == 1 {
-        let path = dir.join("crawl.colsh");
-        write_colsh(ds, &path).expect("write single columnar shard");
-        return vec![path];
+    write_striped(dir, shards, DbFormat::Colsh)
+}
+
+/// Rank-stripes the dataset into `shards` files of `format` through the
+/// shard writer the crawl paths use.
+fn write_striped(dir: &Path, shards: usize, format: DbFormat) -> Vec<PathBuf> {
+    let paths = shard_paths(&dir.join(format!("crawl.{}", format.extension())), shards);
+    let mut writer = ShardWriter::create(&paths, format).expect("create shards");
+    for record in &dataset().records {
+        writer.push(record).expect("write shard");
     }
-    let base = dir.join("crawl.colsh");
-    let mut parts: Vec<CrawlDataset> = (0..shards).map(|_| CrawlDataset::default()).collect();
-    for record in &ds.records {
-        parts[crawler::shard_index(record.rank, shards)]
-            .records
-            .push(record.clone());
-    }
-    parts
-        .iter()
-        .enumerate()
-        .map(|(i, part)| {
-            let path = shard_path(&base, i);
-            write_colsh(part, &path).expect("write columnar shard");
-            path
-        })
-        .collect()
+    writer.finish().expect("finish shards");
+    paths
 }
 
 #[test]
