@@ -12,8 +12,9 @@
 //!
 //! [`tokenizer`] is a small state machine covering tags, attributes with
 //! all three quoting styles, comments, and raw-text elements
-//! (`<script>`/`<style>`); [`scan`] folds the token stream into a
-//! [`Document`].
+//! (`<script>`/`<style>`). Its tokens borrow from the input and come one
+//! step at a time; [`scan`] folds them into a [`Document`] in the same
+//! pass, copying only the strings the document keeps.
 //!
 //! # Example
 //!
@@ -48,4 +49,4 @@ pub mod scanner;
 pub mod tokenizer;
 
 pub use scanner::{scan, Document, EventHandler, IframeElement, LinkElement, ScriptElement};
-pub use tokenizer::{tokenize, Attribute, Token};
+pub use tokenizer::{tokenize, Attribute, Token, Tokenizer};

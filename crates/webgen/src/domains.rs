@@ -37,6 +37,17 @@ const TLDS: &[(&str, f64)] = &[
     ("xyz", 0.5),
 ];
 
+/// The TLD weights, in `TLDS` order, for `pick_weighted`.
+const TLD_WEIGHTS: [f64; TLDS.len()] = {
+    let mut weights = [0.0; TLDS.len()];
+    let mut i = 0;
+    while i < TLDS.len() {
+        weights[i] = TLDS[i].1;
+        i += 1;
+    }
+    weights
+};
+
 const NAME_STEMS: &[&str] = &[
     "news", "shop", "blog", "tech", "media", "cloud", "data", "web", "live", "play", "home",
     "store", "world", "daily", "city", "sport", "game", "travel", "food", "health", "auto",
@@ -54,8 +65,7 @@ fn scheme(seed: u64, rank: u64) -> &'static str {
 
 /// The host for `rank` (1-based).
 pub fn host_for_rank(seed: u64, rank: u64) -> String {
-    let weights: Vec<f64> = TLDS.iter().map(|(_, w)| *w).collect();
-    let tld = TLDS[hashing::pick_weighted(seed, rank, "tld", &weights)].0;
+    let tld = TLDS[hashing::pick_weighted(seed, rank, "tld", &TLD_WEIGHTS)].0;
     let stem = NAME_STEMS[hashing::pick(seed, rank, "stem", NAME_STEMS.len())];
     let www = if hashing::chance(seed, rank, "www", 0.3) {
         "www."

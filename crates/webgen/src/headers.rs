@@ -14,6 +14,8 @@
 //!   (unrecognized tokens, unquoted URLs, contradictory members, origin
 //!   lists without `self`).
 
+use std::fmt::Write;
+
 use crate::hashing::{chance, pick, pick_weighted, unit};
 
 /// P(top-level site sends a Permissions-Policy header).
@@ -91,36 +93,47 @@ fn broken_header(seed: u64, rank: u64) -> String {
     }
 }
 
-/// Allowlist value for one directive in a custom header, following the
-/// Table 9 least-restrictive mix. May inject a semantic misconfiguration.
+/// Appends the allowlist value for one directive in a custom header to
+/// `out`, following the Table 9 least-restrictive mix. May inject a
+/// semantic misconfiguration.
 fn directive_value(
+    out: &mut String,
     seed: u64,
     rank: u64,
     feature: &str,
     misconfigure: bool,
     origin_host: &str,
-) -> String {
+) {
     if misconfigure {
-        return match pick(seed, rank, &format!("pp-miscfg-kind-{feature}"), 5) {
-            0 => "(none)".to_string(),                    // unrecognized token
-            1 => "(0)".to_string(),                       // numeric junk
-            2 => format!("(self https://{origin_host})"), // unquoted URL
-            3 => "(self *)".to_string(),                  // contradictory
-            _ => format!("(\"https://{origin_host}\")"),  // origins w/o self
-        };
+        match pick(seed, rank, ("pp-miscfg-kind-", feature), 5) {
+            0 => out.push_str("(none)"), // unrecognized token
+            1 => out.push_str("(0)"),    // numeric junk
+            2 => {
+                // unquoted URL
+                let _ = write!(out, "(self https://{origin_host})");
+            }
+            3 => out.push_str("(self *)"), // contradictory
+            _ => {
+                // origins w/o self
+                let _ = write!(out, "(\"https://{origin_host}\")");
+            }
+        }
+        return;
     }
     match pick_weighted(
         seed,
         rank,
-        &format!("pp-dir-{feature}"),
+        ("pp-dir-", feature),
         // disable / self / star / origin-with-self — tuned so the
         // template+custom aggregate lands at Table 9's 83.5/9.7/6.0 mix.
         &[0.55, 0.30, 0.13, 0.02],
     ) {
-        0 => "()".to_string(),
-        1 => "(self)".to_string(),
-        2 => "*".to_string(),
-        _ => format!("(self \"https://{origin_host}\")"),
+        0 => out.push_str("()"),
+        1 => out.push_str("(self)"),
+        2 => out.push('*'),
+        _ => {
+            let _ = write!(out, "(self \"https://{origin_host}\")");
+        }
     }
 }
 
@@ -143,23 +156,22 @@ pub fn permissions_policy_header(seed: u64, rank: u64, widget_host: &str) -> Str
             let offset = pick(seed, rank, "pp-off", POOL.len());
             let misconfigured = chance(seed, rank, "pp-semantic-bad", 0.134);
             let bad_index = pick(seed, rank, "pp-semantic-idx", count);
-            let mut directives = Vec::with_capacity(count);
+            let mut header = String::new();
             for i in 0..count {
                 let feature = POOL[(offset + i) % POOL.len()];
-                let value = directive_value(
-                    seed,
-                    rank,
-                    feature,
-                    misconfigured && i == bad_index,
-                    widget_host,
-                );
-                directives.push(format!("{feature}={value}"));
+                if i > 0 {
+                    header.push_str(", ");
+                }
+                header.push_str(feature);
+                header.push('=');
+                let misconfigure = misconfigured && i == bad_index;
+                directive_value(&mut header, seed, rank, feature, misconfigure, widget_host);
             }
             // A sliver of custom headers also use an unknown feature name.
             if chance(seed, rank, "pp-unknown-feature", 0.01) {
-                directives.push("vibrate=()".to_string());
+                header.push_str(", vibrate=()");
             }
-            directives.join(", ")
+            header
         }
     }
 }

@@ -4,6 +4,8 @@
 //! headers, tracker includes, first-party permission behaviours, widget
 //! iframes with their delegation attributes, and local-document frames.
 
+use std::fmt::Write;
+
 use netsim::FetchError;
 
 use crate::hashing::{chance, pick, pick_weighted, unit};
@@ -73,14 +75,14 @@ pub fn latency_ms(seed: u64, rank: u64) -> u64 {
     }
 }
 
-/// The widgets a site embeds, with per-site frame counts.
-pub fn embedded_widgets(seed: u64, rank: u64) -> Vec<(&'static Widget, u8)> {
-    let mut out = Vec::new();
+/// The widgets a site embeds, with per-site frame counts, in catalog
+/// order.
+pub fn embedded_widgets(seed: u64, rank: u64) -> impl Iterator<Item = (&'static Widget, u8)> {
     // Ad networks co-occur: DoubleClick mostly rides along on sites that
     // already run Google Syndication (the paper's union of delegating
     // sites is well below the sum of the per-network counts).
     let has_gsynd = chance(seed, rank, "incl-googlesyndication", 0.0309);
-    for w in widgets::CATALOG {
+    widgets::CATALOG.iter().filter_map(move |w| {
         let included = match w.key {
             "googlesyndication" => has_gsynd,
             "doubleclick" => {
@@ -90,101 +92,93 @@ pub fn embedded_widgets(seed: u64, rank: u64) -> Vec<(&'static Widget, u8)> {
                     chance(seed, rank, "incl-doubleclick-solo", 0.0175)
                 }
             }
-            _ => chance(seed, rank, &format!("incl-{}", w.key), w.inclusion),
+            _ => chance(seed, rank, ("incl-", w.key), w.inclusion),
         };
-        if included {
+        included.then(|| {
             let (lo, hi) = w.count_range;
-            let count = lo
-                + pick(
-                    seed,
-                    rank,
-                    &format!("count-{}", w.key),
-                    (hi - lo + 1) as usize,
-                ) as u8;
-            out.push((w, count));
-        }
-    }
-    out
+            let span = (hi - lo + 1) as usize;
+            (w, lo + pick(seed, rank, ("count-", w.key), span) as u8)
+        })
+    })
 }
 
-/// Builds one widget iframe tag, applying the delegation decision and the
-/// §4.2.2 directive-mutation tail (`'none'`, explicit `'src'`, specific
-/// origins). Delegation is decided per *site* (embed code is a template
-/// pasted once), so every frame of a widget on a page agrees.
-fn widget_iframe(seed: u64, rank: u64, w: &Widget, idx: u8) -> String {
-    let salt = format!("iframe-{}-{idx}", w.key);
-    let delegates = chance(seed, rank, &format!("deleg-{}", w.key), w.delegation_rate);
-    let src = format!("https://{}/embed?s={rank}&i={idx}", w.frame_host);
-    let lazy = if chance(seed, rank, &format!("lazy-{salt}"), w.lazy_rate) {
-        " loading=\"lazy\""
-    } else {
-        ""
-    };
-    if !delegates {
-        return format!(
-            "<iframe id=\"{}-{idx}\" src=\"{src}\"{lazy}></iframe>\n",
-            w.key
-        );
-    }
-    // Directive tail mutations (rare, matching §4.2.2's 0.40% explicit
-    // src / 0.16% specific / 0.15% none).
-    let allow = match pick_weighted(
-        seed,
-        rank,
-        &format!("dirmut-{salt}"),
-        &[0.9915, 0.0040, 0.0016, 0.0015, 0.0014],
-    ) {
-        0 => w.allow_template.to_string(),
-        1 => {
-            // Explicit 'src' on the first feature.
-            let mut parts: Vec<String> = w
-                .allow_template
-                .split(';')
-                .map(|s| s.trim().to_string())
-                .collect();
-            if let Some(first) = parts.first_mut() {
-                if !first.contains(' ') {
-                    first.push_str(" 'src'");
+/// Appends one widget iframe tag to `out`, applying the delegation
+/// decision and the §4.2.2 directive-mutation tail (`'none'`, explicit
+/// `'src'`, specific origins). Delegation is decided per *site* (embed
+/// code is a template pasted once), so every frame of a widget on a page
+/// agrees.
+fn widget_iframe(out: &mut String, seed: u64, rank: u64, w: &Widget, idx: u8) {
+    let _ = write!(
+        out,
+        "<iframe id=\"{key}-{idx}\" src=\"https://{host}/embed?s={rank}&i={idx}\"",
+        key = w.key,
+        host = w.frame_host
+    );
+    if chance(seed, rank, ("deleg-", w.key), w.delegation_rate) {
+        out.push_str(" allow=\"");
+        // Directive tail mutations (rare, matching §4.2.2's 0.40% explicit
+        // src / 0.16% specific / 0.15% none).
+        let template = w.allow_template;
+        match pick_weighted(
+            seed,
+            rank,
+            ("dirmut-iframe-", w.key, "-", usize::from(idx)),
+            &[0.9915, 0.0040, 0.0016, 0.0015, 0.0014],
+        ) {
+            1 => {
+                // Explicit 'src' on the first feature.
+                for (i, part) in template.split(';').enumerate() {
+                    let part = part.trim();
+                    if i > 0 {
+                        out.push_str("; ");
+                    }
+                    out.push_str(part);
+                    if i == 0 && !part.contains(' ') {
+                        out.push_str(" 'src'");
+                    }
                 }
             }
-            parts.join("; ")
+            2 => {
+                // Specific origin instead of the default.
+                let _ = write!(
+                    out,
+                    "{} https://{}",
+                    template.trim_end_matches(';'),
+                    w.frame_host
+                );
+            }
+            3 => {
+                let trimmed = template.trim_end();
+                out.push_str(trimmed);
+                if !trimmed.ends_with(';') {
+                    out.push(';');
+                }
+                out.push_str(" gamepad 'none';");
+            }
+            _ => out.push_str(template),
         }
-        2 => {
-            // Specific origin instead of the default.
-            format!(
-                "{} https://{}",
-                w.allow_template.trim_end_matches(';'),
-                w.frame_host
-            )
-        }
-        3 => format!(
-            "{} gamepad 'none';",
-            ensure_trailing_semicolon(w.allow_template)
-        ),
-        _ => w.allow_template.to_string(),
-    };
-    format!(
-        "<iframe id=\"{}-{idx}\" src=\"{src}\" allow=\"{allow}\"{lazy}></iframe>\n",
-        w.key
-    )
-}
-
-fn ensure_trailing_semicolon(s: &str) -> String {
-    let trimmed = s.trim_end();
-    if trimmed.ends_with(';') {
-        trimmed.to_string()
-    } else {
-        format!("{trimmed};")
+        out.push('"');
     }
+    if chance(
+        seed,
+        rank,
+        ("lazy-iframe-", w.key, "-", usize::from(idx)),
+        w.lazy_rate,
+    ) {
+        out.push_str(" loading=\"lazy\"");
+    }
+    out.push_str("></iframe>\n");
 }
 
-/// First-party inline behaviours (calibrated to Tables 4–6's first-party
-/// shares and the static-vs-dynamic gaps).
-fn first_party_scripts(seed: u64, rank: u64) -> Vec<String> {
-    let mut out = Vec::new();
+/// Appends the first-party inline behaviours to `out`, one `<script>`
+/// each (calibrated to Tables 4–6's first-party shares and the
+/// static-vs-dynamic gaps).
+fn first_party_scripts(out: &mut String, seed: u64, rank: u64) {
     let mut add = |salt: &str, p: f64, make: &dyn Fn() -> String| {
         if chance(seed, rank, salt, p) {
-            out.push(make());
+            out.push_str("<script>");
+            out.push_str(&make());
+            out.push_str("</script>\n");
         }
     };
     // Interaction-gated (static-only under the no-interaction crawl).
@@ -240,43 +234,44 @@ fn first_party_scripts(seed: u64, rank: u64) -> Vec<String> {
     });
     add("fp-closure-probe", 0.003, &|| scripts::closure_probe());
     add("fp-async-gum", 0.004, &|| scripts::async_gum_flow());
-    out
 }
 
-/// Local-document iframes on the landing page (consent frames, blank
-/// placeholders) — a large share of the paper's 54.1% local embedded
-/// documents. A sliver of sites delegate permissions to them (the
-/// 135,341 − 121,043 gap between any-delegation and external-delegation).
-fn local_iframes(seed: u64, rank: u64) -> String {
-    let mut out = String::new();
+/// Appends the landing page's local-document iframes to `out` (consent
+/// frames, blank placeholders) — a large share of the paper's 54.1%
+/// local embedded documents. A sliver of sites delegate permissions to
+/// them (the 135,341 − 121,043 gap between any-delegation and
+/// external-delegation).
+fn local_iframes(out: &mut String, seed: u64, rank: u64) {
     if !chance(seed, rank, "locals-any", 0.42) {
-        return out;
+        return;
     }
     let count = 1 + pick(seed, rank, "locals-count", 2);
     for i in 0..count {
-        let allow = if chance(seed, rank, &format!("local-allow-{i}"), 0.022) {
+        let allow = if chance(seed, rank, ("local-allow-", i), 0.022) {
             " allow=\"autoplay; fullscreen\""
         } else {
             ""
         };
-        let sandbox = if chance(seed, rank, &format!("local-sandbox-{i}"), 0.3) {
+        let sandbox = if chance(seed, rank, ("local-sandbox-", i), 0.3) {
             " sandbox=\"allow-scripts allow-same-origin\""
         } else {
             ""
         };
-        match pick(seed, rank, &format!("local-kind-{i}"), 3) {
-            0 => out.push_str(&format!(
-                "<iframe id=\"local{i}\" srcdoc=\"<p>consent {i}</p>\"{allow}{sandbox}></iframe>\n"
-            )),
-            1 => out.push_str(&format!(
-                "<iframe id=\"local{i}\" src=\"about:blank\"{allow}></iframe>\n"
-            )),
-            _ => out.push_str(&format!(
-                "<iframe id=\"local{i}\" src=\"javascript:void(0)\"{allow}></iframe>\n"
-            )),
-        }
+        let _ = match pick(seed, rank, ("local-kind-", i), 3) {
+            0 => writeln!(
+                out,
+                "<iframe id=\"local{i}\" srcdoc=\"<p>consent {i}</p>\"{allow}{sandbox}></iframe>"
+            ),
+            1 => writeln!(
+                out,
+                "<iframe id=\"local{i}\" src=\"about:blank\"{allow}></iframe>"
+            ),
+            _ => writeln!(
+                out,
+                "<iframe id=\"local{i}\" src=\"javascript:void(0)\"{allow}></iframe>"
+            ),
+        };
     }
-    out
 }
 
 /// The top-level Permissions-Policy header for this site, if deployed.
@@ -313,62 +308,64 @@ pub fn page_csp_header(seed: u64, rank: u64) -> Option<String> {
     )
 }
 
-/// Builds the landing-page HTML for a site.
+/// Room for the landing page: 98% of generated pages fit, so most are
+/// written without growing the buffer.
+const PAGE_CAPACITY: usize = 1024;
+
+/// Builds the landing-page HTML for a site, written into one buffer.
 pub fn page_html(seed: u64, rank: u64) -> String {
-    let mut body = String::new();
+    let mut page = String::with_capacity(PAGE_CAPACITY);
+    let _ = write!(
+        page,
+        "<!DOCTYPE html>\n<html><head><title>site {rank}</title></head><body>\n"
+    );
 
     // Shared third-party scripts.
     for t in trackers::CATALOG {
-        if chance(seed, rank, &format!("trk-{}", t.key), t.inclusion) {
-            body.push_str(&format!(
-                "<script src=\"https://{}{}?s={rank}\"></script>\n",
+        if chance(seed, rank, ("trk-", t.key), t.inclusion) {
+            let _ = writeln!(
+                page,
+                "<script src=\"https://{}{}?s={rank}\"></script>",
                 t.host, t.path
-            ));
+            );
         }
     }
 
     // First-party inline behaviour.
-    for script in first_party_scripts(seed, rank) {
-        body.push_str("<script>");
-        body.push_str(&script);
-        body.push_str("</script>\n");
-    }
+    first_party_scripts(&mut page, seed, rank);
 
     // Widgets.
     for (w, count) in embedded_widgets(seed, rank) {
         for idx in 0..count {
-            body.push_str(&widget_iframe(seed, rank, w, idx));
+            widget_iframe(&mut page, seed, rank, w, idx);
         }
     }
 
     // Local frames.
-    body.push_str(&local_iframes(seed, rank));
+    local_iframes(&mut page, seed, rank);
 
     // Heavy sites: first-party frames slow enough to trip the 90 s page
     // budget (the excluded-site mechanism).
     if failure_class(seed, rank) == FailureClass::Heavy {
         for i in 0..12 {
-            body.push_str(&format!("<iframe src=\"/slow{i}\"></iframe>\n"));
+            let _ = writeln!(page, "<iframe src=\"/slow{i}\"></iframe>");
         }
     }
 
     // Same-origin navigation targets for interaction mode.
-    body.push_str("<a href=\"/about\">about</a>\n<a href=\"/contact\">contact</a>\n");
-    body.push_str("<button id=\"cta\">start</button>\n");
-
-    format!("<!DOCTYPE html>\n<html><head><title>site {rank}</title></head><body>\n{body}</body></html>\n")
+    page.push_str("<a href=\"/about\">about</a>\n<a href=\"/contact\">contact</a>\n");
+    page.push_str("<button id=\"cta\">start</button>\n");
+    page.push_str("</body></html>\n");
+    page
 }
 
 /// A secondary same-origin page (interaction-mode navigation target):
 /// keeps the first-party behaviour, drops the widgets.
 pub fn secondary_page_html(seed: u64, rank: u64) -> String {
-    let mut body = String::new();
-    for script in first_party_scripts(seed, rank) {
-        body.push_str("<script>");
-        body.push_str(&script);
-        body.push_str("</script>\n");
-    }
-    format!("<!DOCTYPE html>\n<html><body>\n{body}<a href=\"/\">home</a>\n</body></html>\n")
+    let mut page = String::from("<!DOCTYPE html>\n<html><body>\n");
+    first_party_scripts(&mut page, seed, rank);
+    page.push_str("<a href=\"/\">home</a>\n</body></html>\n");
+    page
 }
 
 #[cfg(test)]

@@ -221,68 +221,63 @@ pub fn widget_by_key(key: &str) -> Option<&'static Widget> {
 /// rank)`: the `usage_rate` split decides whether this embed's frame
 /// exhibits functionality for the delegated permissions.
 pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
-    let uses = chance(
-        seed,
-        rank,
-        &format!("use-{}", widget.key),
-        widget.usage_rate,
-    );
-    let mut body = String::new();
+    let uses = chance(seed, rank, ("use-", widget.key), widget.usage_rate);
+    let mut page = String::from("<!DOCTYPE html><html><body>\n");
     let mut push_script = |code: &str| {
-        body.push_str("<script>");
-        body.push_str(code);
-        body.push_str("</script>\n");
+        page.push_str("<script>");
+        page.push_str(code);
+        page.push_str("</script>\n");
     };
     match widget.category {
         WidgetCategory::Ads => {
             // A share of ad creatives is rendered entirely by a script
             // from another ad network (third-party *to the frame*) — the
             // source of the paper's 26% third-party embedded activity.
-            let third_party_only = chance(seed, rank, &format!("ad3ponly-{}", widget.key), 0.35);
+            let third_party_only = chance(seed, rank, ("ad3ponly-", widget.key), 0.35);
             if third_party_only {
-                body.push_str(
+                page.push_str(
                     "<script src=\"https://ad.doubleclick.net/static/render.js\"></script>\n",
                 );
             } else {
-                if chance(seed, rank, &format!("adgen-{}", widget.key), 0.12) {
+                if chance(seed, rank, ("adgen-", widget.key), 0.12) {
                     push_script(&scripts::general_check_feature_policy(
                         "attribution-reporting",
                     ));
                 }
-                if chance(seed, rank, &format!("adtopics-{}", widget.key), 0.12) {
+                if chance(seed, rank, ("adtopics-", widget.key), 0.12) {
                     push_script(&scripts::browsing_topics());
                 }
-                if uses && chance(seed, rank, &format!("adauction-{}", widget.key), 0.03) {
+                if uses && chance(seed, rank, ("adauction-", widget.key), 0.03) {
                     push_script(
                         "var auctionOk = document.featurePolicy.allowsFeature('run-ad-auction');\n",
                     );
                 }
-                if chance(seed, rank, &format!("adbattery-{}", widget.key), 0.25) {
+                if chance(seed, rank, ("adbattery-", widget.key), 0.25) {
                     push_script(&scripts::battery(false));
                 }
-                if chance(seed, rank, &format!("adsa-{}", widget.key), 0.5) {
+                if chance(seed, rank, ("adsa-", widget.key), 0.5) {
                     push_script(&scripts::dead_code(&scripts::storage_access()));
                 }
-                if chance(seed, rank, &format!("nested3p-{}", widget.key), 0.15) {
-                    body.push_str(
+                if chance(seed, rank, ("nested3p-", widget.key), 0.15) {
+                    page.push_str(
                         "<script src=\"https://ad.doubleclick.net/static/render.js\"></script>\n",
                     );
                 }
             }
             // Ads render into one local-scheme child each (a big share of
             // the paper's 54.1% local embedded documents).
-            body.push_str("<iframe id=\"ph0\" srcdoc=\"<p>creative</p>\"></iframe>\n");
+            page.push_str("<iframe id=\"ph0\" srcdoc=\"<p>creative</p>\"></iframe>\n");
         }
         WidgetCategory::Social => {
             // Players: the bundle always carries share/clipboard/DRM code
             // (static); DRM initializes dynamically on a fraction of
             // embeds, the rest idles until playback.
-            if chance(seed, rank, &format!("socgen-{}", widget.key), 0.30) {
+            if chance(seed, rank, ("socgen-", widget.key), 0.30) {
                 push_script(&scripts::general_check_feature_policy("autoplay"));
             }
             if uses {
                 push_script(&scripts::click_gated(&scripts::clipboard_share_handler()));
-                if chance(seed, rank, &format!("shr-{}", widget.key), 0.55)
+                if chance(seed, rank, ("shr-", widget.key), 0.55)
                     && widget.allow_template.contains("web-share")
                 {
                     push_script(&scripts::click_gated(&scripts::web_share_handler()));
@@ -291,7 +286,7 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
                 }
                 // DRM code ships only in players that delegate it.
                 if widget.allow_template.contains("encrypted-media") {
-                    if chance(seed, rank, &format!("drm-{}", widget.key), 0.28) {
+                    if chance(seed, rank, ("drm-", widget.key), 0.28) {
                         push_script(&scripts::encrypted_media());
                     } else {
                         push_script(&scripts::dead_code(&scripts::encrypted_media()));
@@ -404,7 +399,8 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
             }
         }
     }
-    format!("<!DOCTYPE html><html><body>\n{body}</body></html>\n")
+    page.push_str("</body></html>\n");
+    page
 }
 
 #[cfg(test)]
