@@ -133,8 +133,8 @@ fn ablation_dynamic_vs_static(c: &mut Criterion) {
     group.bench_function("dynamic_execution_catches_it", |b| {
         b.iter(|| {
             let mut hooks = jsland::RecordingHooks::default();
-            let mut interp = jsland::Interpreter::new();
-            interp
+            let mut engine = jsland::ScriptEngine::default();
+            engine
                 .run(
                     black_box(script),
                     jsland::ScriptSource::inline(),

@@ -1,5 +1,5 @@
-//! Script-engine throughput: the tree-walking interpreter vs the
-//! bytecode VM on the workloads crawls actually run.
+//! Script-engine throughput: the tree-walking referee vs the bytecode
+//! VM (`ScriptEngine`) on the workloads crawls actually run.
 //!
 //! Both engines charge identical step counts (the lockstep differential
 //! pins that down), so steps/sec is a fair cross-engine unit: it is the
@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Instant;
 
-use jsland::{ExecEngine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
+use jsland::reference::Interpreter;
+use jsland::{Engine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
 
 /// Per-run step budget — high enough that no workload trips it.
 const BUDGET: u64 = 2_000_000;
@@ -55,44 +56,50 @@ fn page_mix() -> String {
 
 /// Runs one fresh engine over `src` (timers drained, like a page visit)
 /// and returns the exact steps charged.
-fn run_once(engine: ExecEngine, src: &str) -> u64 {
+fn run_once<E: Engine>(mut engine: E, src: &str) -> u64 {
     let mut pool = StepPool::limited(BUDGET);
     let mut hooks = RecordingHooks::default();
-    let mut eng = ScriptEngine::with_budget(engine, BUDGET);
-    let _ = eng.run_pooled(src, ScriptSource::inline(), &mut hooks, &mut pool);
-    eng.drain_timers_pooled(&mut hooks, &mut pool);
+    let _ = engine.run_pooled(src, ScriptSource::inline(), &mut hooks, &mut pool);
+    engine.drain_timers_pooled(&mut hooks, &mut pool);
     BUDGET - pool.remaining()
+}
+
+fn interp_once(src: &str) -> u64 {
+    run_once(Interpreter::with_budget(BUDGET), src)
+}
+
+fn vm_once(src: &str) -> u64 {
+    run_once(ScriptEngine::with_budget(BUDGET), src)
 }
 
 fn engines(c: &mut Criterion) {
     for (name, src) in [("hot_loop", hot_loop()), ("page_mix", page_mix())] {
-        let steps = run_once(ExecEngine::Interp, &src);
+        let steps = interp_once(&src);
         assert_eq!(
             steps,
-            run_once(ExecEngine::Vm, &src),
+            vm_once(&src),
             "{name}: engines disagree on step charges"
         );
         let group_name = format!("jsland_{name}");
         let mut group = c.benchmark_group(group_name.as_str());
         group.throughput(Throughput::Elements(steps));
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(engine.as_str()),
-                &engine,
-                |b, &e| b.iter(|| black_box(run_once(e, &src))),
-            );
+        for (engine, once) in [("interp", interp_once as fn(&str) -> u64), ("vm", vm_once)] {
+            group.bench_with_input(BenchmarkId::from_parameter(engine), &once, |b, once| {
+                b.iter(|| black_box(once(&src)))
+            });
         }
         group.finish();
     }
 }
 
-/// Times `iters` fresh runs and returns steps/sec (compile included for
-/// the VM — a crawl compiles every script it meets exactly once).
-fn steps_per_sec(engine: ExecEngine, src: &str, iters: u32) -> f64 {
-    let steps = run_once(engine, src);
+/// Times `iters` fresh runs of `once` and returns steps/sec (compile
+/// included for the VM — a crawl compiles every script it meets exactly
+/// once).
+fn steps_per_sec(once: fn(&str) -> u64, src: &str, iters: u32) -> f64 {
+    let steps = once(src);
     let start = Instant::now();
     for _ in 0..iters {
-        black_box(run_once(engine, src));
+        black_box(once(src));
     }
     steps as f64 * iters as f64 / start.elapsed().as_secs_f64()
 }
@@ -105,17 +112,17 @@ fn record_engines(_c: &mut Criterion) {
         ("hot_loop", hot_loop(), 400u32),
         ("page_mix", page_mix(), 2000),
     ] {
-        let steps = run_once(ExecEngine::Interp, &src);
+        let steps = interp_once(&src);
         let interp = (0..3)
-            .map(|_| steps_per_sec(ExecEngine::Interp, &src, iters))
+            .map(|_| steps_per_sec(interp_once, &src, iters))
             .fold(0.0f64, f64::max);
         let vm = (0..3)
-            .map(|_| steps_per_sec(ExecEngine::Vm, &src, iters))
+            .map(|_| steps_per_sec(vm_once, &src, iters))
             .fold(0.0f64, f64::max);
         let (hits, misses) = {
             let mut pool = StepPool::limited(BUDGET);
             let mut hooks = RecordingHooks::default();
-            let mut eng = ScriptEngine::with_budget(ExecEngine::Vm, BUDGET);
+            let mut eng = ScriptEngine::with_budget(BUDGET);
             let _ = eng.run_pooled(&src, ScriptSource::inline(), &mut hooks, &mut pool);
             eng.drain_timers_pooled(&mut hooks, &mut pool);
             eng.ic_stats()

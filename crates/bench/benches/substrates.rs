@@ -97,15 +97,15 @@ fn js_interpretation(c: &mut Criterion) {
     c.bench_function("jsland_tracker_script", |b| {
         b.iter(|| {
             let mut hooks = jsland::RecordingHooks::default();
-            let mut interp = jsland::Interpreter::new();
-            interp
+            let mut engine = jsland::ScriptEngine::default();
+            engine
                 .run(
                     black_box(script),
                     jsland::ScriptSource::inline(),
                     &mut hooks,
                 )
                 .unwrap();
-            interp.drain_timers(&mut hooks);
+            engine.drain_timers(&mut hooks);
             black_box(hooks.calls.len())
         })
     });

@@ -1,6 +1,8 @@
 //! The engine: navigation, frame tree construction, script execution.
 
-use jsland::{ExecEngine, RunError, ScriptEngine, ScriptSource, StepPool};
+use std::marker::PhantomData;
+
+use jsland::{Engine, RunError, ScriptEngine, ScriptSource, StepPool};
 use netsim::{FetchError, Network, Response, SimClock};
 use policy::engine::{DocumentPolicy, FramingContext, LocalSchemeBehavior, PolicyEngine};
 use policy::header::{parse_permissions_policy, DeclaredPolicy};
@@ -35,9 +37,6 @@ pub struct BrowserConfig {
     pub interaction: bool,
     /// Local-scheme policy inheritance behaviour (the Table 11 switch).
     pub local_scheme_behavior: LocalSchemeBehavior,
-    /// Which script engine runs page JavaScript (`--js-engine`). Both
-    /// engines produce byte-identical crawl output; the VM is faster.
-    pub js_engine: ExecEngine,
     /// Per-visit resource caps (the governor).
     pub budget: VisitBudget,
 }
@@ -53,7 +52,6 @@ impl Default for BrowserConfig {
             scroll_lazy_iframes: true,
             interaction: false,
             local_scheme_behavior: LocalSchemeBehavior::FreshPolicy,
-            js_engine: ExecEngine::default(),
             budget: VisitBudget::default(),
         }
     }
@@ -96,11 +94,13 @@ impl Default for VisitBudget {
     }
 }
 
-/// The simulated browser.
-pub struct Browser<N> {
+/// The simulated browser. Each document runs its scripts on a fresh
+/// `E`; every production path uses the default, [`ScriptEngine`].
+pub struct Browser<N, E = ScriptEngine> {
     network: N,
     engine: PolicyEngine,
     config: BrowserConfig,
+    script_engine: PhantomData<fn() -> E>,
 }
 
 struct LoadCtx {
@@ -202,10 +202,19 @@ fn truncate_to_boundary(text: &mut String, max_bytes: usize) {
 impl<N: Network> Browser<N> {
     /// A browser over `network` with `config`.
     pub fn new(network: N, config: BrowserConfig) -> Browser<N> {
+        Browser::with_engine(network, config)
+    }
+}
+
+impl<N: Network, E: Engine> Browser<N, E> {
+    /// A browser whose documents run scripts on `E`; tests use it to run
+    /// the whole browser on `jsland`'s differential referee.
+    pub fn with_engine(network: N, config: BrowserConfig) -> Browser<N, E> {
         Browser {
             engine: PolicyEngine::new(config.local_scheme_behavior),
             network,
             config,
+            script_engine: PhantomData,
         }
     }
 
@@ -458,7 +467,7 @@ impl<N: Network> Browser<N> {
         // nothing). Each run draws on the page-wide step pool; failures
         // are per-script, like a real page, but recorded.
         let mut hooks = BrowserHooks::new(&doc.policy);
-        let mut interp = ScriptEngine::new(self.config.js_engine);
+        let mut interp = E::default();
         if doc.scripts_enabled {
             for (index, url, source) in &executable {
                 let script_source = match url {
@@ -491,15 +500,19 @@ impl<N: Network> Browser<N> {
         // hovers and submits — fire every registered listener event and
         // every inline handler attribute, whatever its event name.
         if self.config.interaction && doc.scripts_enabled {
-            let events: Vec<String> = interp
-                .handlers()
+            let events: std::collections::BTreeSet<String> =
+                interp.handlers().iter().map(|h| h.event.clone()).collect();
+            // Handlers draw on the page pool like scripts; once it is dry
+            // the remaining events are dropped and recorded once.
+            if !events
                 .iter()
-                .map(|h| h.event.clone())
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            for event in events {
-                interp.fire_event(&event, &mut hooks);
+                .all(|event| interp.fire_event(event, &mut hooks, &mut ctx.pool))
+            {
+                ctx.degrade(
+                    frame_id,
+                    DegradationKind::ScriptPoolExhausted,
+                    Some("pending handlers dropped".to_string()),
+                );
             }
             for (offset, handler) in scanned.handlers.iter().enumerate() {
                 if let Err(error) = interp.run_pooled(

@@ -180,7 +180,7 @@ fn effective_permissions(call: &ApiCall, declared: &[Permission]) -> Vec<Permiss
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jsland::{Interpreter, ScriptSource};
+    use jsland::{ScriptEngine, ScriptSource};
     use policy::header::parse_permissions_policy;
     use policy::PolicyEngine;
     use weburl::Url;
@@ -200,8 +200,8 @@ mod tests {
     fn records_first_occurrence_only() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "navigator.getBattery(); navigator.getBattery(); navigator.getBattery();",
                 ScriptSource::inline(),
@@ -216,15 +216,15 @@ mod tests {
     fn same_api_from_different_scripts_counts_twice() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "navigator.getBattery();",
                 ScriptSource::external("https://tracker.example/a.js"),
                 &mut hooks,
             )
             .unwrap();
-        interp
+        engine
             .run(
                 "navigator.getBattery();",
                 ScriptSource::inline(),
@@ -238,8 +238,8 @@ mod tests {
     fn query_state_reflects_policy() {
         let policy = doc(Some("camera=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "navigator.permissions.query({name: 'camera'}).then(function (st) {\
                     if (st.state === 'denied') { navigator.getBattery(); }\
@@ -262,8 +262,8 @@ mod tests {
     fn allowed_features_reflect_policy() {
         let policy = doc(Some("camera=(), microphone=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "var feats = document.featurePolicy.allowedFeatures();\
                  if (feats.includes('camera')) { navigator.getBattery(); }\
@@ -286,8 +286,8 @@ mod tests {
     fn blocked_invocations_are_flagged() {
         let policy = doc(Some("camera=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "navigator.mediaDevices.getUserMedia({video: true});",
                 ScriptSource::inline(),
@@ -301,8 +301,8 @@ mod tests {
     fn general_api_with_specific_feature_resolves_permission() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(
                 "document.featurePolicy.allowsFeature('geolocation');",
                 ScriptSource::inline(),

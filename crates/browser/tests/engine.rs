@@ -361,19 +361,61 @@ fn interp_and_vm_visits_are_byte_identical() {
         "https://attack.example/",
         "https://ads.example/slot",
     ] {
-        let interp_cfg = BrowserConfig {
+        let config = BrowserConfig {
             interaction: true,
-            js_engine: browser::ExecEngine::Interp,
             ..Default::default()
         };
-        let mut vm_cfg = interp_cfg.clone();
-        vm_cfg.js_engine = browser::ExecEngine::Vm;
-        let a = visit_with(interp_cfg, url).unwrap();
-        let b = visit_with(vm_cfg, url).unwrap();
+        let mut referee = Browser::<_, jsland::reference::Interpreter>::with_engine(
+            SimNetwork::new(TinyWeb),
+            config.clone(),
+        );
+        let a = referee
+            .visit(&Url::parse(url).unwrap(), &mut SimClock::new())
+            .unwrap();
+        let b = visit_with(config, url).unwrap();
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
             "engines diverged on {url}"
         );
     }
+}
+
+/// A page whose script registers 1,000 click handlers that each spin
+/// forever.
+struct ClickFlood;
+
+impl ContentProvider for ClickFlood {
+    fn resolve(&self, url: &Url) -> ProviderResult {
+        ProviderResult::Content {
+            response: Response::html(
+                url.clone(),
+                "<script>for (var i = 0; i < 1000; i++) {\
+                 button.addEventListener('click', function () { while (true) { } });\
+                 }</script>",
+            ),
+            behavior: SiteBehavior::default(),
+        }
+    }
+}
+
+#[test]
+fn fired_handlers_draw_from_the_page_pool() {
+    // Each handler may use the per-run budget, but all of them together
+    // draw on the page pool: about five run, the rest are dropped, and
+    // the drop is recorded once.
+    let config = BrowserConfig {
+        interaction: true,
+        ..Default::default()
+    };
+    let mut b = Browser::new(SimNetwork::new(ClickFlood), config);
+    let v = b
+        .visit(
+            &Url::parse("https://flood.example/").unwrap(),
+            &mut SimClock::new(),
+        )
+        .unwrap();
+    assert_eq!(v.outcome, VisitOutcome::Success);
+    let labels: Vec<_> = v.degradations.iter().map(|d| d.kind.label()).collect();
+    assert_eq!(labels, vec!["script-pool-exhausted"]);
 }

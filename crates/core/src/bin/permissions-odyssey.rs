@@ -119,7 +119,6 @@ mod table {
         ("--adversarial", "enable hostile origins"),
         ("--fault-panics PM", "injected visit panics per mille (default 0)"),
         ("--fault-transients PM", "injected transient failures per mille (default 0)"),
-        ("--js-engine vm|interp", "script engine (default vm)"),
     ];
     const CRAWL: &[Flag] = &[
         ("--out FILE", "database file or shard base (default crawl.jsonl)"),
@@ -379,7 +378,6 @@ fn job_manifest(args: &Args, format: DbFormat) -> Result<JobManifest, String> {
     manifest.max_retries = args.num("--retries", manifest.max_retries)?;
     manifest.fault_panics_per_mille = args.num("--fault-panics", 0)?;
     manifest.fault_transients_per_mille = args.num("--fault-transients", 0)?;
-    manifest.js_engine = args.num("--js-engine", manifest.js_engine)?;
     Ok(manifest)
 }
 

@@ -117,7 +117,10 @@ pub struct BundleMeta {
     pub cache_capacity: usize,
     /// Interaction-mode link budget.
     pub navigate_links: usize,
-    /// Script engine of the recording crawl.
+    /// Script engine of the recording crawl: always written as `Vm`.
+    /// Stores recorded with the retired tree-walker say `Interp`; they
+    /// load and replay the same, since both engines produced identical
+    /// records.
     pub js_engine: browser::ExecEngine,
 }
 
@@ -136,7 +139,7 @@ impl BundleMeta {
             fault_transients_per_mille: config.faults.transient_per_mille,
             cache_capacity: config.cache_capacity,
             navigate_links: config.navigate_links,
-            js_engine: config.browser.js_engine,
+            js_engine: browser::ExecEngine::Vm,
         }
     }
 
@@ -145,10 +148,7 @@ impl BundleMeta {
     pub fn replay_config(&self, workers: usize) -> CrawlConfig {
         CrawlConfig {
             workers,
-            browser: browser::BrowserConfig {
-                js_engine: self.js_engine,
-                ..browser::BrowserConfig::default()
-            },
+            browser: browser::BrowserConfig::default(),
             navigate_links: self.navigate_links,
             cache_capacity: self.cache_capacity,
             max_retries: self.max_retries,

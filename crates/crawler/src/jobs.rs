@@ -86,7 +86,10 @@ pub const DEFAULT_LEASE_RECORDS: u64 = 256;
 ///
 /// Deliberately absent: worker count, lease size, channel capacity and
 /// every other knob that affects only wall-clock — those live in
-/// [`JobOptions`] and may change freely between resumes.
+/// [`JobOptions`] and may change freely between resumes. Manifests
+/// written when the script engine was selectable carry a `js_engine`
+/// field; it is ignored on load, since both engines wrote identical
+/// datasets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobManifest {
     /// Manifest schema version ([`MANIFEST_VERSION`]).
@@ -109,12 +112,6 @@ pub struct JobManifest {
     pub fault_panics_per_mille: u32,
     /// Injected transient-failure rate, per mille.
     pub fault_transients_per_mille: u32,
-    /// Script engine the job's browsers run. Both engines produce
-    /// byte-identical datasets (ci.sh gates on it), so this is a speed
-    /// knob that still lives in the manifest for provenance. Defaults
-    /// (also for pre-field manifests) to the VM.
-    #[serde(default)]
-    pub js_engine: browser::ExecEngine,
     /// Record every network exchange into a content-addressed bundle
     /// store (`bundle/` inside the job directory) alongside the
     /// dataset, so the whole crawl can later be replayed byte-for-byte
@@ -141,7 +138,6 @@ impl JobManifest {
             retry_backoff_ms: defaults.retry_backoff_ms,
             fault_panics_per_mille: 0,
             fault_transients_per_mille: 0,
-            js_engine: browser::ExecEngine::default(),
             record_bundle: false,
         }
     }
@@ -217,10 +213,6 @@ impl JobManifest {
             workers,
             max_retries: self.max_retries,
             retry_backoff_ms: self.retry_backoff_ms,
-            browser: browser::BrowserConfig {
-                js_engine: self.js_engine,
-                ..browser::BrowserConfig::default()
-            },
             faults: netsim::FaultSpec {
                 seed: self.seed,
                 panic_per_mille: self.fault_panics_per_mille,

@@ -88,6 +88,15 @@ fn reference_bytes(manifest: &JobManifest, tag: &str) -> Vec<Vec<u8>> {
     bytes
 }
 
+/// CRC-32 (IEEE), the checksum in the job manifest's trailer.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &byte| {
+        (0..8).fold(crc ^ u32::from(byte), |c, _| {
+            (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1))
+        })
+    })
+}
+
 /// Tiny deterministic generator for truncation offsets.
 fn next_rand(state: &mut u64) -> u64 {
     *state = state
@@ -353,8 +362,21 @@ fn torn_manifest_is_loud_then_recoverable() {
     assert_eq!(shard_bytes(&manifest, &dir), before);
 
     // Rewriting the manifest from the original parameters recovers the
-    // job; the resumed dataset still matches the uninterrupted run.
-    manifest.store(&dir).unwrap();
+    // job; the resumed dataset still matches the uninterrupted run. The
+    // rewrite is what a job started with the retired `--js-engine interp`
+    // wrote: the manifest loads, and the unknown field changes nothing.
+    let body = serde_json::to_string(&manifest).unwrap().replace(
+        r#","record_bundle":"#,
+        r#","js_engine":"Interp","record_bundle":"#,
+    );
+    assert!(body.contains(r#""js_engine":"Interp""#), "{body}");
+    let text = format!("{body}\n");
+    std::fs::write(
+        &manifest_path,
+        format!("{text}crc32:{:08x}\n", crc32(text.as_bytes())),
+    )
+    .unwrap();
+    assert_eq!(JobManifest::load(&dir).unwrap(), manifest);
     let report = with_quiet_panics(|| job_resume(&dir, &options()).unwrap());
     assert_eq!(report.state, JobState::Complete);
     assert_eq!(shard_bytes(&manifest, &dir), reference);

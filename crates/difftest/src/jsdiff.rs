@@ -1,19 +1,22 @@
-//! Lockstep interp-vs-VM differential testing for `jsland`.
+//! Lockstep referee-vs-VM differential testing for `jsland`.
 //!
-//! The bytecode VM must be observably indistinguishable from the
-//! tree-walking interpreter: same run result, same host-call trace, same
-//! pending handlers, same step-pool accounting — down to the exact
-//! number of steps charged, because crawl byte-identity between
-//! `--js-engine interp` and `--js-engine vm` rides on it. This module
-//! generates seeded well-formed scripts over the whole accepted subset
-//! (closures, classes, `async`/`await`, timers, host chains, runaway
-//! loops that exhaust the budget) and executes each on both engines,
-//! comparing full traces. Counterexamples shrink greedily by dropping
-//! statements until the divergence becomes minimal.
+//! [`jsland::ScriptEngine`], the bytecode VM every crawl runs, must be
+//! observably indistinguishable from the tree-walking referee
+//! ([`jsland::reference::Interpreter`]): same run result, same host-call
+//! trace, same pending handlers, same step-pool accounting — down to
+//! the exact number of steps charged, scripts, timers and fired
+//! handlers alike. This module generates seeded well-formed scripts
+//! over the whole accepted subset (closures, classes, `async`/`await`,
+//! timers, host chains, runaway loops that exhaust the budget) and
+//! executes each on both engines, comparing full traces.
+//! Counterexamples shrink greedily by dropping statements until the
+//! divergence becomes minimal. [`crate::browser_diff`] runs the same
+//! comparison end to end, through the browser over crawled origins.
 
 use std::collections::BTreeSet;
 
-use jsland::{ExecEngine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
+use jsland::reference::Interpreter;
+use jsland::{Engine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
 
 use crate::rng::Rng;
 
@@ -56,20 +59,20 @@ impl JsScenario {
 
 /// Everything observable about one engine's execution of a script:
 /// run result, host-call trace, handler registrations, timer drain
-/// result, fired-handler counts, and exact pool accounting.
+/// result, whether each fired event ran to completion, and exact pool
+/// accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Trace {
     result: Result<(), String>,
     calls: Vec<(String, Option<String>, bool)>,
     handler_events: Vec<String>,
     timers_drained: bool,
-    fired: Vec<(String, usize)>,
+    fired: Vec<(String, bool)>,
     pool_remaining: u64,
 }
 
-fn trace(engine: ExecEngine, source: &str) -> Trace {
+fn trace(mut eng: impl Engine, source: &str) -> Trace {
     let mut hooks = RecordingHooks::default();
-    let mut eng = ScriptEngine::with_budget(engine, BUDGET);
     let mut pool = StepPool::limited(POOL);
     let result = eng
         .run_pooled(source, ScriptSource::inline(), &mut hooks, &mut pool)
@@ -82,7 +85,7 @@ fn trace(engine: ExecEngine, source: &str) -> Trace {
     let fired = events
         .into_iter()
         .map(|event| {
-            let ran = eng.fire_event(&event, &mut hooks);
+            let ran = eng.fire_event(&event, &mut hooks, &mut pool);
             (event, ran)
         })
         .collect();
@@ -103,8 +106,8 @@ fn trace(engine: ExecEngine, source: &str) -> Trace {
 /// Runs `source` on both engines and describes the first disagreement,
 /// if any.
 pub fn divergence(source: &str) -> Option<String> {
-    let interp = trace(ExecEngine::Interp, source);
-    let vm = trace(ExecEngine::Vm, source);
+    let interp = trace(Interpreter::with_budget(BUDGET), source);
+    let vm = trace(ScriptEngine::with_budget(BUDGET), source);
     if interp == vm {
         return None;
     }

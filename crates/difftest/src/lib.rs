@@ -1,16 +1,19 @@
 //! Differential spec-oracle and coverage-guided fuzzing for the policy
 //! pipeline.
 //!
-//! Three layers:
+//! Layers:
 //!
 //! * [`oracle`] — a clean-room transcription of the Permissions Policy
 //!   processing model and RFC 8941 structured-field parsing, written
 //!   against the specs rather than against `policy`'s code;
 //! * [`scenario`] — deterministic frame-tree scenario generation, the
 //!   lockstep engine-vs-oracle executor, and a counterexample shrinker;
-//! * [`jsdiff`] — seeded script generation and lockstep interp-vs-VM
-//!   execution for `jsland`'s two engines, with statement-level
-//!   shrinking (the `--js-engine` byte-identity guarantee's test rig);
+//! * [`jsdiff`] — seeded script generation and lockstep execution on
+//!   `jsland`'s shipping engine and its tree-walking referee, with
+//!   statement-level shrinking;
+//! * [`browser_diff`] — the same two engines compared end to end: every
+//!   origin of a seeded population visited by the browser on each, with
+//!   and without interaction mode, serialized visits equal;
 //! * [`replay`] — record/replay determinism: every scenario loaded
 //!   through a recording network into a content-addressed bundle store
 //!   must replay from the store with an identical visit record;
@@ -21,6 +24,7 @@
 //! The crate is test infrastructure: it depends on the production
 //! crates but nothing in production depends on it.
 
+pub mod browser_diff;
 pub mod browser_exec;
 pub mod jsdiff;
 pub mod oracle;

@@ -47,7 +47,7 @@ pub struct ReplayReport {
 
 /// A visit result flattened to a comparable string: the full serialized
 /// record on success, the structured error otherwise.
-fn encode_visit(visit: Result<browser::PageVisit, browser::VisitError>) -> String {
+pub(crate) fn encode_visit(visit: Result<browser::PageVisit, browser::VisitError>) -> String {
     match visit {
         Ok(visit) => serde_json::to_string(&visit).expect("visit serializes"),
         Err(e) => format!("visit error: {e:?}"),

@@ -1,9 +1,10 @@
-//! AST → bytecode compiler for the [`crate::vm`] engine.
+//! AST → bytecode compiler for [`crate::ScriptEngine`].
 //!
 //! The compiler flattens the tree into one instruction array per
 //! function, with two properties the differential gates depend on:
 //!
-//! 1. **Charge fidelity.** The tree-walker charges one step on entry to
+//! 1. **Charge fidelity.** The tree-walking referee
+//!    ([`crate::reference`]) charges one step on entry to
 //!    every statement and expression (plus one per loop iteration). The
 //!    *order* of those charges is observable: a script that exhausts its
 //!    [`crate::StepPool`] grant mid-expression aborts at a precise point,
@@ -15,7 +16,7 @@
 //!    or aborts with the same observable prefix as `n` single steps.
 //! 2. **Eager compilation.** Nested function literals are compiled up
 //!    front via a worklist, so compilation failures always surface at
-//!    [`crate::vm::Vm::run_pooled`]'s compile stage (recorded as
+//!    [`crate::ScriptEngine::run_pooled`]'s compile stage (recorded as
 //!    [`crate::RunError::Compile`]) and never mid-execution.
 //!
 //! The only compile failures in the accepted subset are structural
@@ -269,8 +270,8 @@ impl BinOp {
         }
     }
 
-    /// The source spelling, for delegation to the tree-walker's operator
-    /// table; `None` for [`BinOp::Other`].
+    /// The source spelling, for delegation to the shared operator table
+    /// (`semantics::binary_op`); `None` for [`BinOp::Other`].
     pub(crate) fn as_str(self) -> Option<&'static str> {
         Some(match self {
             BinOp::Add => "+",

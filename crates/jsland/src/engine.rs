@@ -1,174 +1,55 @@
-//! Execution-engine selection.
-//!
-//! Both engines implement identical observable semantics (the crawl
-//! byte-identity gate in `scripts/ci.sh` holds them to it); the VM is
-//! the faster default, the tree-walker remains selectable as the
-//! reference implementation and for differential testing.
-
-use std::fmt;
-use std::str::FromStr;
+//! The engine interface and the on-disk engine tag.
 
 use serde::{Deserialize, Serialize};
 
 use crate::host::{HostHooks, ScriptSource};
-use crate::interp::{Interpreter, PendingHandler, RunError, StepPool};
-use crate::vm::Vm;
+use crate::semantics::{PendingHandler, RunError, StepPool};
 
-/// Which script engine a browser instance runs.
+/// The script-engine tag stored in bundle metadata. Every store is
+/// written `Vm`; `Interp` still parses, so stores recorded on the
+/// tree-walker load (the two engines produce byte-identical records).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecEngine {
-    /// The tree-walking reference interpreter.
+    /// The tree-walker, [`crate::reference::Interpreter`]: read, never
+    /// written.
     Interp,
-    /// The bytecode VM with inline caches (default).
+    /// [`crate::ScriptEngine`], the bytecode VM every crawl runs.
     #[default]
     Vm,
 }
 
-impl ExecEngine {
-    /// The CLI spelling (`--js-engine` value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecEngine::Interp => "interp",
-            ExecEngine::Vm => "vm",
-        }
-    }
-}
-
-impl fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for ExecEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" => Ok(ExecEngine::Interp),
-            "vm" | "bytecode" => Ok(ExecEngine::Vm),
-            other => Err(format!(
-                "unknown js engine {other:?} (expected \"interp\" or \"vm\")"
-            )),
-        }
-    }
-}
-
-/// An engine-erased script executor: the browser talks to this, the
-/// variant is picked once per document from [`ExecEngine`].
-pub enum ScriptEngine {
-    /// Tree-walking interpreter.
-    Interp(Interpreter),
-    /// Bytecode VM.
-    Vm(Vm),
-}
-
-impl ScriptEngine {
-    /// An engine with the default per-run step budget.
-    pub fn new(engine: ExecEngine) -> ScriptEngine {
-        match engine {
-            ExecEngine::Interp => ScriptEngine::Interp(Interpreter::new()),
-            ExecEngine::Vm => ScriptEngine::Vm(Vm::new()),
-        }
-    }
-
-    /// An engine with a custom per-run step budget.
-    pub fn with_budget(engine: ExecEngine, budget: u64) -> ScriptEngine {
-        match engine {
-            ExecEngine::Interp => ScriptEngine::Interp(Interpreter::with_budget(budget)),
-            ExecEngine::Vm => ScriptEngine::Vm(Vm::with_budget(budget)),
-        }
-    }
-
-    /// Which engine this is.
-    pub fn engine(&self) -> ExecEngine {
-        match self {
-            ScriptEngine::Interp(_) => ExecEngine::Interp,
-            ScriptEngine::Vm(_) => ExecEngine::Vm,
-        }
-    }
-
-    /// Runs a script with an unlimited pool.
-    pub fn run(
-        &mut self,
-        source: &str,
-        script: ScriptSource,
-        hooks: &mut dyn HostHooks,
-    ) -> Result<(), RunError> {
-        match self {
-            ScriptEngine::Interp(i) => i.run(source, script, hooks),
-            ScriptEngine::Vm(v) => v.run(source, script, hooks),
-        }
-    }
-
-    /// Runs a script against a shared page-wide [`StepPool`].
-    pub fn run_pooled(
+/// What a document asks of its script engine. [`crate::ScriptEngine`]
+/// is the implementation that ships; [`crate::reference::Interpreter`]
+/// implements it so a test can run the whole browser on the referee.
+pub trait Engine: Default {
+    /// Runs a script against a shared page-wide [`StepPool`]. The run's
+    /// effective budget is `min(per-run budget, pool remaining)`; used
+    /// steps are charged back to the pool. Errors are hard failures
+    /// (syntax, compile, budget, pool); thrown values that escape to the
+    /// top level are swallowed like a browser's uncaught-exception
+    /// console message. Static failures are reported before an empty
+    /// pool is: an empty pool fails fast with [`RunError::PoolExhausted`]
+    /// only once the script parsed.
+    fn run_pooled(
         &mut self,
         source: &str,
         script: ScriptSource,
         hooks: &mut dyn HostHooks,
         pool: &mut StepPool,
-    ) -> Result<(), RunError> {
-        match self {
-            ScriptEngine::Interp(i) => i.run_pooled(source, script, hooks, pool),
-            ScriptEngine::Vm(v) => v.run_pooled(source, script, hooks, pool),
-        }
-    }
+    ) -> Result<(), RunError>;
 
-    /// Runs queued timers with an unlimited pool.
-    pub fn drain_timers(&mut self, hooks: &mut dyn HostHooks) {
-        match self {
-            ScriptEngine::Interp(i) => i.drain_timers(hooks),
-            ScriptEngine::Vm(v) => v.drain_timers(hooks),
-        }
-    }
+    /// Runs queued `setTimeout` callbacks (the crawler's 20-second settle
+    /// window lets short timers fire), each on a grant from `pool`.
+    /// Timers may queue more timers; the cascade is bounded. Returns
+    /// `false` if the pool ran dry and pending timers were dropped.
+    fn drain_timers_pooled(&mut self, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool;
 
-    /// Runs queued timers against a shared pool; `false` when the pool
-    /// ran dry and pending timers were dropped.
-    pub fn drain_timers_pooled(&mut self, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool {
-        match self {
-            ScriptEngine::Interp(i) => i.drain_timers_pooled(hooks, pool),
-            ScriptEngine::Vm(v) => v.drain_timers_pooled(hooks, pool),
-        }
-    }
-
-    /// Fires registered handlers for `event`; returns how many ran.
-    pub fn fire_event(&mut self, event: &str, hooks: &mut dyn HostHooks) -> usize {
-        match self {
-            ScriptEngine::Interp(i) => i.fire_event(event, hooks),
-            ScriptEngine::Vm(v) => v.fire_event(event, hooks),
-        }
-    }
+    /// Fires every registered handler for `event` (interaction mode),
+    /// then drains the timers they queued. Handlers and timers draw
+    /// their grants from `pool` like scripts do. Returns `false` if the
+    /// pool ran dry and pending handlers or timers were dropped.
+    fn fire_event(&mut self, event: &str, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool;
 
     /// Handlers registered and not yet fired.
-    pub fn handlers(&self) -> &[PendingHandler] {
-        match self {
-            ScriptEngine::Interp(i) => &i.handlers,
-            ScriptEngine::Vm(v) => &v.handlers,
-        }
-    }
-
-    /// Inline-cache `(hits, misses)` — `(0, 0)` for the tree-walker,
-    /// which has no caches.
-    pub fn ic_stats(&self) -> (u64, u64) {
-        match self {
-            ScriptEngine::Interp(_) => (0, 0),
-            ScriptEngine::Vm(v) => v.ic_stats(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_round_trips_through_strings() {
-        assert_eq!("vm".parse::<ExecEngine>().unwrap(), ExecEngine::Vm);
-        assert_eq!("interp".parse::<ExecEngine>().unwrap(), ExecEngine::Interp);
-        assert_eq!(ExecEngine::Vm.to_string(), "vm");
-        assert_eq!(ExecEngine::Interp.to_string(), "interp");
-        assert!("v8".parse::<ExecEngine>().is_err());
-        assert_eq!(ExecEngine::default(), ExecEngine::Vm);
-    }
+    fn handlers(&self) -> &[PendingHandler];
 }

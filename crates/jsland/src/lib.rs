@@ -25,14 +25,18 @@
 //! `browser` crate records invocations there). Execution is bounded by a
 //! step budget, so hostile or runaway scripts cannot wedge the crawler.
 //!
+//! [`ScriptEngine`], a bytecode VM, is the one engine the crawler runs.
+//! [`reference::Interpreter`] is a tree-walking referee that only tests,
+//! `difftest` and the benches run beside it.
+//!
 //! # Example
 //!
 //! ```
-//! use jsland::{Interpreter, RecordingHooks, ScriptSource};
+//! use jsland::{RecordingHooks, ScriptEngine, ScriptSource};
 //!
 //! let mut hooks = RecordingHooks::default();
-//! let mut interp = Interpreter::new();
-//! interp
+//! let mut engine = ScriptEngine::default();
+//! engine
 //!     .run(
 //!         r#"
 //!         var q = navigator.permissions.query;     // alias
@@ -66,17 +70,20 @@ mod ast;
 mod bytecode;
 mod engine;
 pub mod host;
+#[cfg(test)]
 mod interp;
 mod lexer;
 mod parser;
+pub mod reference;
+mod semantics;
 mod value;
 mod vm;
 
-pub use engine::{ExecEngine, ScriptEngine};
+pub use engine::{Engine, ExecEngine};
 pub use host::{ApiCall, HostHooks, RecordingHooks, ScriptSource};
-pub use interp::{Interpreter, PendingHandler, RunError, StepPool};
+pub use semantics::{PendingHandler, RunError, StepPool};
 pub use value::Value;
-pub use vm::{reset_frontend_cache, Vm};
+pub use vm::{reset_frontend_cache, ScriptEngine};
 
 /// Parses a script and reports the first syntax error, if any. Used by the
 /// crawler to tell "script failed to parse" apart from "script ran".

@@ -1,15 +1,14 @@
-//! The bytecode VM: a flat-dispatch execution engine that is
-//! observationally identical to the tree-walking [`Interpreter`].
+//! The bytecode VM, [`ScriptEngine`]: the engine every crawl runs.
 //!
-//! "Observationally identical" is load-bearing: the crawler's serde
-//! byte-identity gates diff whole 20k-record crawls between engines, so
-//! the VM must reproduce the tree-walker's host-call sequence, handler
-//! registrations, timer cascades, *and* step accounting — including
-//! where exactly a run aborts when a [`StepPool`] runs dry mid-script.
-//! The compiler ([`crate::bytecode`]) emits explicit `Tick` charges at
-//! the tree-walker's charge points; everything else here mirrors the
-//! corresponding `Interpreter` code path arm for arm (shared helpers
-//! like [`interp::binary_op`] keep the leaf semantics in one place).
+//! The compiler ([`crate::bytecode`]) lowers each script to a flat op
+//! list with explicit `Tick` charges, so step accounting — including
+//! where exactly a run aborts when a [`StepPool`] runs dry mid-script —
+//! is part of the observable behaviour. The differential referee
+//! ([`crate::reference::Interpreter`]) states the same semantics as a
+//! tree-walker; the lockstep tests below, `difftest`'s script and
+//! browser differentials, and the proptests hold the two to identical
+//! host-call sequences, handler registrations, timer cascades and
+//! step charges. Leaf semantics both share live in [`crate::semantics`].
 //!
 //! On top of the flat dispatch loop the VM adds monomorphic inline
 //! caches on fixed-name member reads and method lookups. Crawled pages
@@ -25,24 +24,24 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::bytecode::{self, CompileError, FuncProto, IcSlot, Op};
+use crate::engine::{Engine, ExecEngine};
 use crate::host::{self, ApiCall, HostHooks, ScriptSource};
-use crate::interp::{self, PendingHandler, RunError, StepPool, MAX_CALL_DEPTH};
 use crate::lexer;
 use crate::parser;
+use crate::semantics::{self, PendingHandler, RunError, StepPool, MAX_CALL_DEPTH};
 use crate::value::{Env, Value};
 
 /// Non-local exits from the dispatch loop. Only `Thrown` is catchable
-/// by `try`; `Budget` aborts the whole run like the tree-walker's
-/// budget signal.
+/// by `try`; `Budget` aborts the whole run.
 enum Flow {
     Thrown(Value),
     Budget,
 }
 
-/// A method-call plan resolved before argument evaluation (the
-/// tree-walker reads plain-object properties and generic host members
-/// *before* evaluating arguments, which is observable when an argument
-/// expression mutates the receiver).
+/// A method-call plan resolved before argument evaluation (plain-object
+/// properties and generic host members are read *before* the arguments
+/// are evaluated, which is observable when an argument expression
+/// mutates the receiver).
 struct MethodPlan {
     key: Rc<str>,
     kind: PlanKind,
@@ -73,12 +72,12 @@ struct TryCtx {
     plan_len: usize,
 }
 
-/// The bytecode engine. Drop-in behavioural replacement for
-/// [`Interpreter`]: one instance per document, scripts share globals.
-pub struct Vm {
+/// The script engine: one instance per document, so scripts share
+/// globals (aliases defined by one script are visible to later scripts,
+/// as in a real page).
+pub struct ScriptEngine {
     globals: Env,
-    /// Handlers registered and not yet fired.
-    pub handlers: Vec<PendingHandler>,
+    handlers: Vec<PendingHandler>,
     timers: Vec<Value>,
     steps_left: u64,
     budget_per_run: u64,
@@ -91,7 +90,7 @@ pub struct Vm {
     ic_misses: u64,
 }
 
-impl Drop for Vm {
+impl Drop for ScriptEngine {
     /// A script function keeps the scope it was declared in alive, so a
     /// global function and the global scope hold each other; clearing
     /// the globals breaks that cycle, or every document's globals would
@@ -103,23 +102,70 @@ impl Drop for Vm {
     }
 }
 
-impl Default for Vm {
+impl Default for ScriptEngine {
     fn default() -> Self {
-        Self::new()
+        Self::with_budget(200_000)
     }
 }
 
-impl Vm {
-    /// Creates a VM with the default per-run step budget.
-    pub fn new() -> Vm {
-        Vm::with_budget(200_000)
+impl Engine for ScriptEngine {
+    fn run_pooled(
+        &mut self,
+        source: &str,
+        script: ScriptSource,
+        hooks: &mut dyn HostHooks,
+        pool: &mut StepPool,
+    ) -> Result<(), RunError> {
+        ScriptEngine::run_pooled(self, source, script, hooks, pool)
     }
 
-    /// Creates a VM with a custom per-run step budget.
-    pub fn with_budget(budget: u64) -> Vm {
+    fn drain_timers_pooled(&mut self, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool {
+        for _round in 0..4 {
+            let timers = std::mem::take(&mut self.timers);
+            if timers.is_empty() {
+                break;
+            }
+            for func in timers {
+                if !self.call_pooled(&func, hooks, pool) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    fn fire_event(&mut self, event: &str, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool {
+        let matching: Vec<Value> = self
+            .handlers
+            .iter()
+            .filter(|h| h.event == event)
+            .map(|h| h.func.clone())
+            .collect();
+        for func in &matching {
+            if !self.call_pooled(func, hooks, pool) {
+                return false;
+            }
+        }
+        self.drain_timers_pooled(hooks, pool)
+    }
+
+    fn handlers(&self) -> &[PendingHandler] {
+        &self.handlers
+    }
+}
+
+impl ScriptEngine {
+    /// An engine with the default per-run step budget. The argument is
+    /// ignored: there is one engine, and the tag only names it on disk.
+    pub fn new(_engine: ExecEngine) -> ScriptEngine {
+        ScriptEngine::default()
+    }
+
+    /// An engine with a custom per-run step budget.
+    pub fn with_budget(budget: u64) -> ScriptEngine {
         let globals = Env::root();
         globals.declare("undefined", Value::Undefined);
-        Vm {
+        ScriptEngine {
             globals,
             handlers: Vec::new(),
             timers: Vec::new(),
@@ -138,7 +184,7 @@ impl Vm {
         (self.ic_hits, self.ic_misses)
     }
 
-    /// Runs a script (unlimited pool) — see [`Interpreter::run`].
+    /// Runs a script with an unlimited pool.
     pub fn run(
         &mut self,
         source: &str,
@@ -148,12 +194,11 @@ impl Vm {
         self.run_pooled(source, script, hooks, &mut StepPool::unlimited())
     }
 
-    /// Runs a script against a shared page-wide [`StepPool`] — see
-    /// [`Interpreter::run_pooled`]. The extra stage over the
-    /// tree-walker is bytecode compilation, whose failures surface as
+    /// Runs a script against a shared page-wide pool — see
+    /// [`Engine::run_pooled`]. Bytecode compilation failures surface as
     /// [`RunError::Compile`] *before* any execution (nested functions
-    /// compile eagerly) — static failures still win over pool
-    /// exhaustion, like syntax errors.
+    /// compile eagerly), so they win over pool exhaustion like syntax
+    /// errors do.
     pub fn run_pooled(
         &mut self,
         source: &str,
@@ -184,48 +229,27 @@ impl Vm {
         }
     }
 
-    /// Runs queued `setTimeout` callbacks — see
-    /// [`Interpreter::drain_timers`].
+    /// Runs queued timers with an unlimited pool.
     pub fn drain_timers(&mut self, hooks: &mut dyn HostHooks) {
         self.drain_timers_pooled(hooks, &mut StepPool::unlimited());
     }
 
-    /// [`Self::drain_timers`] drawing each timer's budget from a shared
-    /// pool — see [`Interpreter::drain_timers_pooled`].
-    pub fn drain_timers_pooled(&mut self, hooks: &mut dyn HostHooks, pool: &mut StepPool) -> bool {
-        for _round in 0..4 {
-            let timers = std::mem::take(&mut self.timers);
-            if timers.is_empty() {
-                break;
-            }
-            for func in timers {
-                if pool.is_exhausted() {
-                    return false;
-                }
-                let grant = pool.grant(self.budget_per_run);
-                self.steps_left = grant;
-                let _ = self.call_function(&func, vec![], None, hooks);
-                pool.charge(grant - self.steps_left);
-            }
+    /// Calls a timer or handler on a grant drawn from `pool`, charging
+    /// back what it used; `false` (and no call) once the pool is dry.
+    fn call_pooled(
+        &mut self,
+        func: &Value,
+        hooks: &mut dyn HostHooks,
+        pool: &mut StepPool,
+    ) -> bool {
+        if pool.is_exhausted() {
+            return false;
         }
+        let grant = pool.grant(self.budget_per_run);
+        self.steps_left = grant;
+        let _ = self.call_function(func, vec![], None, hooks);
+        pool.charge(grant - self.steps_left);
         true
-    }
-
-    /// Fires all registered handlers for `event` — see
-    /// [`Interpreter::fire_event`].
-    pub fn fire_event(&mut self, event: &str, hooks: &mut dyn HostHooks) -> usize {
-        let matching: Vec<Value> = self
-            .handlers
-            .iter()
-            .filter(|h| h.event == event)
-            .map(|h| h.func.clone())
-            .collect();
-        for func in &matching {
-            self.steps_left = self.budget_per_run;
-            let _ = self.call_function(func, vec![], None, hooks);
-        }
-        self.drain_timers(hooks);
-        matching.len()
     }
 
     /// Looks up (or, defensively, compiles) the proto for a function
@@ -708,7 +732,7 @@ impl Vm {
                 (Value::Array(items), _) => {
                     self.array_method(items.clone(), &plan.key, args, hooks)
                 }
-                (Value::Str(s), _) => Ok(interp::string_method(s, &plan.key, &args)),
+                (Value::Str(s), _) => Ok(semantics::string_method(s, &plan.key, &args)),
                 (Value::Func { .. }, "call") => {
                     let rest = args.into_iter().skip(1).collect();
                     self.call_function(&receiver, rest, None, hooks)
@@ -1022,25 +1046,25 @@ type FrontendMemo = HashMap<Rc<str>, Result<Rc<bytecode::CompiledProgram>, RunEr
 
 thread_local! {
     /// Per-thread lex+parse+compile memo. Crawl workers see the same
-    /// script sources thousands of times (sites share snippet builders);
-    /// the tree-walker re-parses every visit, the VM front-ends each
-    /// distinct source once. Keyed by the exact source text and caching
-    /// errors too, so behaviour — including which `RunError` surfaces —
-    /// is byte-identical to an uncached run. Safe to share across
-    /// documents: compiled programs are immutable except the inline
-    /// caches, whose entries are pure in their key.
+    /// script sources thousands of times (sites share snippet builders),
+    /// so each distinct source is front-ended once per thread. Keyed by
+    /// the exact source text and caching errors too, so behaviour —
+    /// including which `RunError` surfaces — is byte-identical to an
+    /// uncached run. Safe to share across documents: compiled programs
+    /// are immutable except the inline caches, whose entries are pure
+    /// in their key.
     static FRONTEND_CACHE: std::cell::RefCell<FrontendMemo> =
         std::cell::RefCell::new(HashMap::new());
 }
 
 /// Evaluates a pre-resolved binary operator. Number-number pairs take a
-/// direct `f64` path whose results match [`interp::binary_op`] by
+/// direct `f64` path whose results match [`semantics::binary_op`] by
 /// inspection: `+` adds (no concat branch applies), `-`/`*`/`/` and the
 /// ordered compares go through `to_number`, which is the identity on
 /// numbers, and all four equality spellings reduce to `f64` equality
 /// for two numbers. Every other type pairing — and any unknown
-/// operator — delegates to the tree-walker's table, so the engines
-/// cannot drift.
+/// operator — delegates to the shared table, so the engines cannot
+/// drift.
 fn apply_bin(op: bytecode::BinOp, l: Value, r: Value) -> Value {
     use bytecode::BinOp;
     if let (Value::Num(a), Value::Num(b)) = (&l, &r) {
@@ -1060,7 +1084,7 @@ fn apply_bin(op: bytecode::BinOp, l: Value, r: Value) -> Value {
         };
     }
     match op.as_str() {
-        Some(s) => interp::binary_op(s, &l, &r),
+        Some(s) => semantics::binary_op(s, &l, &r),
         None => Value::Undefined,
     }
 }
@@ -1102,7 +1126,7 @@ fn frontend(source: &str) -> Result<Rc<bytecode::CompiledProgram>, RunError> {
 /// rely on.
 fn host_member(path: &Rc<str>, key: &str) -> Value {
     let full = format!("{path}.{key}");
-    match interp::data_property(&full) {
+    match semantics::data_property(&full) {
         Some(v) => v,
         None => Value::host(full),
     }
@@ -1140,11 +1164,11 @@ fn split_args(stack: &mut Vec<Value>, argc: u32) -> Vec<Value> {
 mod tests {
     use super::*;
     use crate::host::RecordingHooks;
-    use crate::interp::Interpreter;
+    use crate::reference::Interpreter;
 
     #[test]
     fn dropping_the_vm_frees_its_globals() {
-        let mut vm = Vm::new();
+        let mut vm = ScriptEngine::default();
         vm.run(
             "function f() { return f; } var o = { g: function () {} };",
             ScriptSource::inline(),
@@ -1162,20 +1186,20 @@ mod tests {
     /// including after draining timers.
     fn assert_same(src: &str) -> RecordingHooks {
         let mut ih = RecordingHooks::default();
-        let mut interp = Interpreter::new();
+        let mut interp = Interpreter::default();
         let ir = interp.run(src, ScriptSource::inline(), &mut ih);
         interp.drain_timers(&mut ih);
 
         let mut vh = RecordingHooks::default();
-        let mut vm = Vm::new();
+        let mut vm = ScriptEngine::default();
         let vr = vm.run(src, ScriptSource::inline(), &mut vh);
         vm.drain_timers(&mut vh);
 
         assert_eq!(ir, vr, "run result diverged for {src:?}");
         assert_eq!(sig(&ih), sig(&vh), "api calls diverged for {src:?}");
         assert_eq!(
-            interp.handlers.len(),
-            vm.handlers.len(),
+            interp.handlers().len(),
+            vm.handlers().len(),
             "handler count diverged for {src:?}"
         );
         vh
@@ -1345,7 +1369,7 @@ mod tests {
             let ir = interp.run_pooled(src, ScriptSource::inline(), &mut ih, &mut ipool);
 
             let mut vh = RecordingHooks::default();
-            let mut vm = Vm::with_budget(budget);
+            let mut vm = ScriptEngine::with_budget(budget);
             let mut vpool = StepPool::limited(pool_size);
             let vr = vm.run_pooled(src, ScriptSource::inline(), &mut vh, &mut vpool);
 
@@ -1362,7 +1386,7 @@ mod tests {
     #[test]
     fn runaway_script_charges_exactly_its_grant() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::with_budget(5_000);
+        let mut vm = ScriptEngine::with_budget(5_000);
         let mut pool = StepPool::limited(100_000);
         let err = vm
             .run_pooled(
@@ -1379,7 +1403,7 @@ mod tests {
     #[test]
     fn dry_pool_reports_pool_exhaustion() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::with_budget(5_000);
+        let mut vm = ScriptEngine::with_budget(5_000);
         let mut pool = StepPool::limited(7_000);
         let runaway = "while (true) { var x = 1; }";
         assert_eq!(
@@ -1403,7 +1427,7 @@ mod tests {
     #[test]
     fn budget_stops_infinite_recursion() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::with_budget(5_000);
+        let mut vm = ScriptEngine::with_budget(5_000);
         let err = vm
             .run(
                 "function loop() { loop(); } loop();",
@@ -1427,7 +1451,7 @@ mod tests {
             let ir = interp.run("navigator.getBattery();", ScriptSource::inline(), &mut ih);
 
             let mut vh = RecordingHooks::default();
-            let mut vm = Vm::with_budget(budget);
+            let mut vm = ScriptEngine::with_budget(budget);
             let vr = vm.run("navigator.getBattery();", ScriptSource::inline(), &mut vh);
 
             assert_eq!(ir, vr);
@@ -1453,23 +1477,51 @@ mod tests {
          });\
          element.onclick = function () { navigator.getBattery(); };";
         let mut ih = RecordingHooks::default();
-        let mut interp = Interpreter::new();
+        let mut interp = Interpreter::default();
         interp.run(src, ScriptSource::inline(), &mut ih).unwrap();
-        let ifired = interp.fire_event("click", &mut ih);
+        let mut ipool = StepPool::limited(10_000);
+        let ifired = interp.fire_event("click", &mut ih, &mut ipool);
 
         let mut vh = RecordingHooks::default();
-        let mut vm = Vm::new();
+        let mut vm = ScriptEngine::default();
         vm.run(src, ScriptSource::inline(), &mut vh).unwrap();
-        let vfired = vm.fire_event("click", &mut vh);
+        let mut vpool = StepPool::limited(10_000);
+        let vfired = vm.fire_event("click", &mut vh, &mut vpool);
 
         assert_eq!(ifired, vfired);
         assert_eq!(sig(&ih), sig(&vh));
+        assert_eq!(ipool.remaining(), vpool.remaining());
+    }
+
+    #[test]
+    fn fired_handlers_draw_from_the_pool() {
+        // Four runaway click handlers, then a probing one, on a 5k
+        // per-run budget and a 12k pool: two full grants, one short
+        // grant, and nothing after the pool runs dry — on both engines.
+        let src = "for (var i = 0; i < 4; i++) {\
+                button.addEventListener('click', function () { while (true) { var x = 1; } });\
+             }\
+             button.addEventListener('click', function () { navigator.getBattery(); });";
+        let mut ih = RecordingHooks::default();
+        let mut interp = Interpreter::with_budget(5_000);
+        interp.run(src, ScriptSource::inline(), &mut ih).unwrap();
+        let mut ipool = StepPool::limited(12_000);
+        assert!(!interp.fire_event("click", &mut ih, &mut ipool));
+
+        let mut vh = RecordingHooks::default();
+        let mut vm = ScriptEngine::with_budget(5_000);
+        vm.run(src, ScriptSource::inline(), &mut vh).unwrap();
+        let mut vpool = StepPool::limited(12_000);
+        assert!(!vm.fire_event("click", &mut vh, &mut vpool));
+
+        assert!(ipool.is_exhausted() && vpool.is_exhausted());
+        assert!(ih.calls.is_empty() && vh.calls.is_empty());
     }
 
     #[test]
     fn pooled_timers_stop_when_pool_runs_dry() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::with_budget(5_000);
+        let mut vm = ScriptEngine::with_budget(5_000);
         let mut pool = StepPool::limited(20_000);
         vm.run_pooled(
             "setTimeout(function () { while (true) { var a = 1; } }, 0);\
@@ -1480,10 +1532,13 @@ mod tests {
             &mut pool,
         )
         .unwrap();
+        let budget_left = pool.remaining();
+        // Two runaway timers burn 5k each; the third still runs.
         assert!(vm.drain_timers_pooled(&mut hooks, &mut pool));
+        assert!(pool.remaining() < budget_left);
         assert_eq!(hooks.calls.len(), 1);
 
-        let mut vm = Vm::with_budget(5_000);
+        let mut vm = ScriptEngine::with_budget(5_000);
         let mut dry = StepPool::limited(0);
         vm.run(
             "setTimeout(function () { navigator.canShare(); }, 0);",
@@ -1497,7 +1552,7 @@ mod tests {
     #[test]
     fn globals_and_protos_persist_across_scripts() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::new();
+        let mut vm = ScriptEngine::default();
         vm.run(
             "function probe(n) { navigator.permissions.query({name: n}); }",
             ScriptSource::external("https://cdn.example/a.js"),
@@ -1517,7 +1572,7 @@ mod tests {
     #[test]
     fn inline_caches_hit_on_repeated_host_chains() {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::new();
+        let mut vm = ScriptEngine::default();
         vm.run(
             "for (var i = 0; i < 50; i++) {\
                 navigator.permissions.query({name: 'camera'});\
@@ -1565,7 +1620,7 @@ mod tests {
                 }
                 src.push_str("1;");
                 let mut hooks = RecordingHooks::default();
-                let mut vm = Vm::new();
+                let mut vm = ScriptEngine::default();
                 let err = vm
                     .run(&src, ScriptSource::inline(), &mut hooks)
                     .unwrap_err();
@@ -1582,24 +1637,5 @@ mod tests {
             .expect("spawn")
             .join()
             .expect("deep-nesting compile check");
-    }
-
-    #[test]
-    fn script_engine_dispatches_both_variants() {
-        use crate::engine::{ExecEngine, ScriptEngine};
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            let mut hooks = RecordingHooks::default();
-            let mut eng = ScriptEngine::new(engine);
-            eng.run(
-                "element.onclick = function () { navigator.getBattery(); };",
-                ScriptSource::inline(),
-                &mut hooks,
-            )
-            .unwrap();
-            assert_eq!(eng.engine(), engine);
-            assert_eq!(eng.handlers().len(), 1);
-            assert_eq!(eng.fire_event("click", &mut hooks), 1);
-            assert_eq!(paths(&hooks), vec!["navigator.getBattery"]);
-        }
     }
 }

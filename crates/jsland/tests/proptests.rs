@@ -1,6 +1,8 @@
-//! Property-based tests for the micro-JS interpreter and bytecode VM.
+//! Property-based tests for the script engine, and its lockstep with the
+//! tree-walking referee.
 
-use jsland::{Interpreter, RecordingHooks, ScriptSource, StepPool, Vm};
+use jsland::reference::Interpreter;
+use jsland::{Engine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
 use proptest::prelude::*;
 
 /// Arbitrary bytes lossily decoded to text — the hostile-input shape the
@@ -37,8 +39,8 @@ proptest! {
              if ({name} > 0) {{ {name} = {name} - 1; }} else {{ {name} = 0 - {name}; }}\n"
         );
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        prop_assert!(interp.run(&program, ScriptSource::inline(), &mut hooks).is_ok());
+        let mut engine = ScriptEngine::default();
+        prop_assert!(engine.run(&program, ScriptSource::inline(), &mut hooks).is_ok());
         prop_assert!(hooks.calls.is_empty());
     }
 
@@ -54,8 +56,8 @@ proptest! {
 
         let run = |src: &str| {
             let mut hooks = RecordingHooks::default();
-            let mut interp = Interpreter::new();
-            interp.run(src, ScriptSource::inline(), &mut hooks).unwrap();
+            let mut engine = ScriptEngine::default();
+            engine.run(src, ScriptSource::inline(), &mut hooks).unwrap();
             hooks.calls.iter().map(|c| c.path.clone()).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(direct), run(&obfuscated));
@@ -73,8 +75,8 @@ proptest! {
             sum = a + b,
         );
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        interp.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
+        let mut engine = ScriptEngine::default();
+        engine.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
         let paths: Vec<&str> = hooks.calls.iter().map(|c| c.path.as_str()).collect();
         prop_assert!(paths.contains(&"navigator.getBattery"), "{paths:?}");
         prop_assert!(paths.contains(&"navigator.canShare"), "{paths:?}");
@@ -85,8 +87,8 @@ proptest! {
     fn dead_code_is_silent(name in "(getBattery|share|canShare|getGamepads)") {
         let program = format!("if (false) {{ navigator.{name}(); }}");
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        interp.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
+        let mut engine = ScriptEngine::default();
+        engine.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
         prop_assert!(hooks.calls.is_empty());
     }
 
@@ -97,11 +99,11 @@ proptest! {
             "button.addEventListener('{event}', function () {{ navigator.getBattery(); }});"
         );
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        interp.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
-        interp.fire_event("other", &mut hooks);
+        let mut engine = ScriptEngine::default();
+        engine.run(&program, ScriptSource::inline(), &mut hooks).unwrap();
+        engine.fire_event("other", &mut hooks, &mut StepPool::unlimited());
         prop_assert!(hooks.calls.is_empty());
-        interp.fire_event(&event, &mut hooks);
+        engine.fire_event(&event, &mut hooks, &mut StepPool::unlimited());
         prop_assert_eq!(hooks.calls.len(), 1);
     }
 }
@@ -114,19 +116,25 @@ proptest! {
         let _ = jsland::check_syntax(&input);
     }
 
-    /// Running arbitrary byte soup under a bounded budget always
-    /// terminates: it parses and runs, errors out, or trips the budget —
-    /// never panics, never wedges.
+    /// Running arbitrary byte soup through a page's script lifecycle —
+    /// run, drain timers, fire every registered event — on a bounded
+    /// pool always terminates: it parses and runs, errors out, or trips
+    /// the budget or the pool; never panics, never wedges.
     #[test]
     fn bounded_interpreter_always_terminates(input in arb_bytes_as_text(300)) {
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::with_budget(2_000);
-        let _ = interp.run(&input, ScriptSource::inline(), &mut hooks);
-        interp.drain_timers(&mut hooks);
+        let mut engine = ScriptEngine::with_budget(2_000);
+        let mut pool = StepPool::limited(10_000);
+        let _ = engine.run_pooled(&input, ScriptSource::inline(), &mut hooks, &mut pool);
+        engine.drain_timers_pooled(&mut hooks, &mut pool);
+        let events: Vec<String> = engine.handlers().iter().map(|h| h.event.clone()).collect();
+        for event in events {
+            engine.fire_event(&event, &mut hooks, &mut pool);
+        }
     }
 
     /// Byte soup seeded with statement fragments (almost-valid programs,
-    /// torn mid-token) never panics the bounded interpreter.
+    /// torn mid-token) never panics the bounded engine.
     #[test]
     fn torn_programs_never_panic(
         prefix in prop_oneof![
@@ -141,8 +149,8 @@ proptest! {
     ) {
         let program = format!("{prefix}{soup}");
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::with_budget(2_000);
-        let _ = interp.run(&program, ScriptSource::inline(), &mut hooks);
+        let mut engine = ScriptEngine::with_budget(2_000);
+        let _ = engine.run(&program, ScriptSource::inline(), &mut hooks);
     }
 
     /// `run_pooled` never overdraws the shared pool: whatever the script
@@ -155,13 +163,13 @@ proptest! {
     ) {
         let mut pool = StepPool::limited(pool_steps);
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::with_budget(2_000);
+        let mut engine = ScriptEngine::with_budget(2_000);
         let before = pool.remaining();
-        let _ = interp.run_pooled(&input, ScriptSource::inline(), &mut hooks, &mut pool);
+        let _ = engine.run_pooled(&input, ScriptSource::inline(), &mut hooks, &mut pool);
         prop_assert!(pool.remaining() <= before);
         // A second run can only shrink it further.
         let mid = pool.remaining();
-        let _ = interp.run_pooled(&input, ScriptSource::inline(), &mut hooks, &mut pool);
+        let _ = engine.run_pooled(&input, ScriptSource::inline(), &mut hooks, &mut pool);
         prop_assert!(pool.remaining() <= mid);
     }
 }
@@ -206,7 +214,7 @@ proptest! {
         );
         let vm = observe(
             |src, hooks, pool| {
-                Vm::with_budget(2_000).run_pooled(src, ScriptSource::inline(), hooks, pool)
+                ScriptEngine::with_budget(2_000).run_pooled(src, ScriptSource::inline(), hooks, pool)
             },
             &input,
             pool_steps,
@@ -238,7 +246,7 @@ proptest! {
         );
         let vm = observe(
             |src, hooks, pool| {
-                Vm::with_budget(2_000).run_pooled(src, ScriptSource::inline(), hooks, pool)
+                ScriptEngine::with_budget(2_000).run_pooled(src, ScriptSource::inline(), hooks, pool)
             },
             &program,
             3_000,
@@ -250,7 +258,7 @@ proptest! {
     #[test]
     fn bounded_vm_always_terminates(input in arb_bytes_as_text(300)) {
         let mut hooks = RecordingHooks::default();
-        let mut vm = Vm::with_budget(2_000);
+        let mut vm = ScriptEngine::with_budget(2_000);
         let _ = vm.run(&input, ScriptSource::inline(), &mut hooks);
         vm.drain_timers(&mut hooks);
     }

@@ -269,11 +269,11 @@ mod tests {
     /// Obfuscated battery: dynamic sees it, static does not.
     #[test]
     fn obfuscated_battery_divergence() {
-        use jsland::{Interpreter, RecordingHooks, ScriptSource};
+        use jsland::{RecordingHooks, ScriptEngine, ScriptSource};
         let src = battery(true);
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(&src, ScriptSource::inline(), &mut hooks)
             .unwrap();
         assert_eq!(hooks.calls[0].path, "navigator.getBattery");
@@ -283,16 +283,16 @@ mod tests {
     /// Click-gated snippet: nothing runs without firing the event.
     #[test]
     fn click_gated_is_dynamically_silent() {
-        use jsland::{Interpreter, RecordingHooks, ScriptSource};
+        use jsland::{Engine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
         let src = click_gated(&clipboard_share_handler());
         let mut hooks = RecordingHooks::default();
-        let mut interp = Interpreter::new();
-        interp
+        let mut engine = ScriptEngine::default();
+        engine
             .run(&src, ScriptSource::inline(), &mut hooks)
             .unwrap();
-        interp.drain_timers(&mut hooks);
+        engine.drain_timers(&mut hooks);
         assert!(hooks.calls.is_empty());
-        interp.fire_event("click", &mut hooks);
+        engine.fire_event("click", &mut hooks, &mut StepPool::unlimited());
         assert_eq!(hooks.calls[0].path, "navigator.clipboard.writeText");
     }
 }

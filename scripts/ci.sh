@@ -51,16 +51,6 @@ rm -rf "$IDENT"
 echo "    crawl, streaming re-encode, and value-tree re-encode are byte-identical"
 echo "    crawl matches the golden digest"
 
-echo "==> js-engine byte-identity gate (20k sites, interp vs vm)"
-BIN=target/release/permissions-odyssey
-ENG=$(mktemp -d)
-trap 'rm -rf "$ENG"' EXIT
-"$BIN" crawl --size 20000 --seed 7 --js-engine vm --out "$ENG/vm.jsonl" 2>/dev/null
-"$BIN" crawl --size 20000 --seed 7 --js-engine interp --out "$ENG/interp.jsonl" 2>/dev/null
-cmp "$ENG/vm.jsonl" "$ENG/interp.jsonl"
-rm -rf "$ENG"
-echo "    bytecode-VM and tree-walker crawls are byte-identical"
-
 echo "==> sharded round-trip smoke (crawl --shards 4 vs unsharded)"
 BIN=target/release/permissions-odyssey
 SMOKE=$(mktemp -d)
@@ -204,7 +194,8 @@ echo "==> difftest: spec-oracle differential gate (>=10k seeded scenarios)"
 cargo test -q --release -p difftest
 cargo test -q --release -p difftest --test differential -- --ignored
 
-echo "==> difftest: interp-vs-VM lockstep differential (>=10k seeded scenarios)"
+echo "==> difftest: engine differentials vs the tree-walking referee"
+echo "    (>=10k lockstep scripts; seed-7 20k browser visits, with and without interaction)"
 cargo test -q --release -p difftest --lib -- --ignored
 echo "    zero engine divergences"
 

@@ -91,6 +91,8 @@ proptest! {
     /// parameters, including faulted, retried and adversarial visits,
     /// and regardless of the replaying worker count. Each case records
     /// and replays a whole (small) crawl, so sizes stay single-digit.
+    /// Stores tagged with the retired tree-walker (`"js_engine":"Interp"`)
+    /// replay the same.
     #[test]
     fn record_replay_round_trip_is_byte_identical(
         seed in 0u64..1_000_000,
@@ -100,6 +102,7 @@ proptest! {
         max_retries in 0u32..3,
         adversarial in prop::bool::ANY,
         replay_workers in 1usize..4,
+        interp_tag in prop::bool::ANY,
     ) {
         quiet_panics();
         let config = CrawlConfig {
@@ -114,6 +117,13 @@ proptest! {
             ..CrawlConfig::default()
         };
         let (dir, live) = record_crawl("rt", &config, seed, size, adversarial);
+        if interp_tag {
+            let meta = BundleMeta::load(&dir).expect("load metadata");
+            prop_assert_eq!(meta.js_engine, browser::ExecEngine::Vm);
+            BundleMeta { js_engine: browser::ExecEngine::Interp, ..meta }
+                .store(&dir)
+                .expect("retag metadata");
+        }
         let replayed = replay_crawl(&dir, replay_workers);
         prop_assert_eq!(jsonl(&replayed), jsonl(&live));
         std::fs::remove_dir_all(&dir).ok();

@@ -52,7 +52,7 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
     let dir = scratch("flags");
     let db = dir.join("crawl.jsonl");
     let out = path(&db);
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         // Misspelled `--shards`: ignored, the crawl would write one shard.
         (
             &["crawl", "--size", "50", "--shard", "4", "--out", out],
@@ -78,11 +78,31 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
             &["crawl", "--size", "50", "--out", "--format", "columnar"],
             "--out",
         ),
+        // The retired engine choice: there is one engine.
+        (
+            &["crawl", "--size", "50", "--js-engine", "vm", "--out", out],
+            "--js-engine",
+        ),
     ];
     for (args, flag) in cases {
         assert_one_error(&run(args), &["crawl", flag]);
     }
     assert!(!db.exists(), "a rejected command line writes nothing");
+    let job = dir.join("job");
+    assert_one_error(
+        &run(&[
+            "crawl-job",
+            "start",
+            "--dir",
+            path(&job),
+            "--size",
+            "50",
+            "--js-engine",
+            "interp",
+        ]),
+        &["crawl-job start", "--js-engine"],
+    );
+    assert!(!job.exists(), "a rejected job start creates nothing");
     assert_one_error(
         &run(&["analyze", "--tabel", "t10"]),
         &["analyze", "--tabel"],
