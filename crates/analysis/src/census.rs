@@ -1,9 +1,10 @@
 //! Frame census (§4's document accounting).
 
-use crawler::{CrawlDataset, SiteRecord};
+use crawler::CrawlDataset;
 use serde::{Deserialize, Serialize};
 
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, RecordView};
 
 /// Document-level counts over successful visits.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -88,13 +89,10 @@ impl FrameCensus {
 }
 
 impl FrameCensus {
-    /// Folds one site record into the census (streaming counterpart of
-    /// [`frame_census`]; success outcomes only, like the batch path).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != crawler::SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
+    /// Folds one record into the census (success outcomes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let Some(visit) = view.visit() else { return };
+        let record = view.record();
         self.websites += 1;
         let mut direct = 0u64;
         for frame in &visit.frames {
@@ -139,11 +137,7 @@ impl FrameCensus {
 
 /// Computes the census over successful visits.
 pub fn frame_census(dataset: &CrawlDataset) -> FrameCensus {
-    let mut census = FrameCensus::default();
-    for record in &dataset.records {
-        census.fold(record);
-    }
-    census
+    fold_dataset::<FrameCensus>(dataset)
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 use std::collections::BTreeMap;
 
 use browser::Completeness;
-use crawler::{CrawlDataset, SiteRecord};
+use crawler::CrawlDataset;
 
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, RecordView};
 
 /// Completeness counts over all data-producing visits (any outcome),
 /// plus a per-kind breakdown of the degradation events behind them.
@@ -56,8 +57,10 @@ impl CompletenessCensus {
 impl CompletenessCensus {
     /// Folds one record into the census. Unlike the success-only tables
     /// this sees every visit: a degraded excluded visit still counts.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        let Some(visit) = &record.visit else { return };
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let Some(visit) = &view.record().visit else {
+            return;
+        };
         self.visits += 1;
         match visit.completeness() {
             Completeness::Complete => self.complete += 1,
@@ -86,11 +89,7 @@ impl CompletenessCensus {
 /// Computes the completeness census over every visit in the dataset
 /// (not just successes: a degraded excluded visit is still accounting).
 pub fn data_completeness(dataset: &CrawlDataset) -> CompletenessCensus {
-    let mut census = CompletenessCensus::default();
-    for record in &dataset.records {
-        census.fold(record);
-    }
-    census
+    fold_dataset::<CompletenessCensus>(dataset)
 }
 
 #[cfg(test)]

@@ -3,13 +3,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
-use policy::{parse_allow_attribute, DelegationDirective};
-use registry::Permission;
+use browser::FrameRecord;
+use crawler::CrawlDataset;
+use policy::{AllowAttribute, DelegationDirective};
+use registry::{Permission, PermissionSet};
 use serde::{Deserialize, Serialize};
 
 use crate::intern::{intern, resolve, Sym};
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, FrameFacts, RecordView};
 
 /// Table 7 row: one embedded-document site receiving delegations.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -29,17 +31,22 @@ pub struct DelegatedEmbedStats {
     pub websites_delegating_any: u64,
     /// Websites delegating to an *external* embedded document (10.8%).
     pub websites_delegating_external: u64,
-    /// Websites delegating to a third-party (cross-site) document.
-    pub websites_delegating_third_party: u64,
     /// Websites analyzed.
     pub websites: u64,
 }
 
-/// Whether an `allow` attribute value actually delegates something.
-fn delegates(allow: Option<&str>) -> bool {
-    allow
-        .map(|a| parse_allow_attribute(a).delegates_anything())
-        .unwrap_or(false)
+/// Whether a frame's `allow` attribute actually delegates something.
+fn delegates(facts: &FrameFacts) -> bool {
+    facts
+        .allow
+        .as_ref()
+        .is_some_and(AllowAttribute::delegates_anything)
+}
+
+/// A directly inserted embed (depth 1) whose `<iframe>` attributes were
+/// collected: the embeds Table 7 counts.
+fn direct_iframe(frame: &FrameRecord) -> bool {
+    frame.depth == 1 && frame.iframe_attrs.is_some()
 }
 
 /// Streaming accumulator behind [`DelegatedEmbedStats`]: per-embed
@@ -51,65 +58,33 @@ pub struct DelegatedEmbedAcc {
     rows: BTreeMap<Sym, DelegatedEmbedRow>,
     websites_delegating_any: u64,
     websites_delegating_external: u64,
-    websites_delegating_third_party: u64,
     websites: u64,
 }
 
 impl DelegatedEmbedAcc {
-    /// Folds one site record (successes only) into the Table 7 tallies.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
+    /// Folds one record (successes only) into the Table 7 tallies.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        if view.visit().is_none() {
             return;
         }
-        let Some(visit) = &record.visit else { return };
         self.websites += 1;
-        let own_site = visit.top_frame().and_then(|f| f.site.as_deref());
-        let mut any = false;
+        for site in view.external_sites(|frame, _| direct_iframe(frame)) {
+            self.rows.entry(intern(site)).or_default().inclusions += 1;
+        }
         let mut external = false;
-        let mut third_party = false;
-        let mut delegated_sites: BTreeSet<Sym> = BTreeSet::new();
-        let mut included_sites: BTreeSet<Sym> = BTreeSet::new();
-        for frame in visit.embedded_frames() {
-            if frame.depth != 1 {
-                continue; // directly inserted embeds only
-            }
-            let attrs = match &frame.iframe_attrs {
-                Some(a) => a,
-                None => continue,
-            };
-            let frame_delegates = delegates(attrs.allow.as_deref());
-            if let Some(site) = &frame.site {
-                if Some(site.as_str()) != own_site {
-                    let sym = intern(site);
-                    included_sites.insert(sym);
-                    if frame_delegates {
-                        any = true;
-                        external = true;
-                        third_party = true;
-                        delegated_sites.insert(sym);
-                    }
-                    continue;
-                }
-            }
-            if frame_delegates {
-                // Local or same-site frame with delegation.
-                any = true;
-            }
+        for site in view.external_sites(|frame, facts| direct_iframe(frame) && delegates(facts)) {
+            external = true;
+            self.rows.entry(intern(site)).or_default().websites += 1;
         }
-        for site in included_sites {
-            self.rows.entry(site).or_default().inclusions += 1;
-        }
-        for site in delegated_sites {
-            self.rows.entry(site).or_default().websites += 1;
-        }
+        // Local and same-site embeds delegate too, but only count here.
+        let any = view
+            .embedded()
+            .any(|(frame, facts)| direct_iframe(frame) && delegates(facts));
         if any {
             self.websites_delegating_any += 1;
         }
         if external {
             self.websites_delegating_external += 1;
-        }
-        if third_party {
-            self.websites_delegating_third_party += 1;
         }
     }
 
@@ -122,7 +97,6 @@ impl DelegatedEmbedAcc {
         }
         self.websites_delegating_any += other.websites_delegating_any;
         self.websites_delegating_external += other.websites_delegating_external;
-        self.websites_delegating_third_party += other.websites_delegating_third_party;
         self.websites += other.websites;
     }
 
@@ -137,7 +111,6 @@ impl DelegatedEmbedAcc {
                 .collect(),
             websites_delegating_any: self.websites_delegating_any,
             websites_delegating_external: self.websites_delegating_external,
-            websites_delegating_third_party: self.websites_delegating_third_party,
             websites: self.websites,
         }
     }
@@ -145,11 +118,7 @@ impl DelegatedEmbedAcc {
 
 /// Computes Table 7 (direct iframes only, like the paper).
 pub fn delegated_embeds(dataset: &CrawlDataset) -> DelegatedEmbedStats {
-    let mut acc = DelegatedEmbedAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<DelegatedEmbedAcc>(dataset)
 }
 
 impl DelegatedEmbedStats {
@@ -232,31 +201,23 @@ pub struct DelegatedPermissionStats {
 }
 
 impl DelegatedPermissionStats {
-    /// Folds one site record (successes only) into the Table 8 tallies
-    /// and directive mix.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let own_site = visit.top_frame().and_then(|f| f.site.as_deref());
-        let mut site_perms: BTreeSet<Permission> = BTreeSet::new();
+    /// Folds one record (successes only) into the Table 8 tallies and
+    /// directive mix.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let own_site = view.own_site();
+        let mut site_perms = PermissionSet::EMPTY;
         let mut any = false;
-        for frame in visit.embedded_frames() {
+        for (frame, facts) in view.embedded() {
             if frame.depth != 1 || frame.is_local_document {
                 continue;
             }
             if frame.site.is_some() && frame.site.as_deref() == own_site {
                 continue;
             }
-            let Some(attrs) = &frame.iframe_attrs else {
+            let Some(allow) = &facts.allow else {
                 continue;
             };
-            let Some(allow) = attrs.allow.as_deref() else {
-                continue;
-            };
-            let parsed = parse_allow_attribute(allow);
-            for delegation in parsed.delegations() {
+            for delegation in allow.delegations() {
                 match delegation.directive {
                     DelegationDirective::DefaultSrc => self.directives.default_src += 1,
                     DelegationDirective::Star => self.directives.star += 1,
@@ -301,11 +262,7 @@ impl DelegatedPermissionStats {
 
 /// Computes Table 8 and the §4.2.2 directive mix.
 pub fn delegated_permissions(dataset: &CrawlDataset) -> DelegatedPermissionStats {
-    let mut stats = DelegatedPermissionStats::default();
-    for record in &dataset.records {
-        stats.fold(record);
-    }
-    stats
+    fold_dataset::<DelegatedPermissionStats>(dataset)
 }
 
 impl DelegatedPermissionStats {
@@ -533,18 +490,14 @@ pub struct PurposeGroupStats {
 /// [`PurposeGroupAcc::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct PurposeGroupAcc {
-    per_site: BTreeMap<Sym, (BTreeSet<Permission>, BTreeSet<u64>)>,
+    per_site: BTreeMap<Sym, (PermissionSet, BTreeSet<u64>)>,
 }
 
 impl PurposeGroupAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let own_site = visit.top_frame().and_then(|f| f.site.as_deref());
-        for frame in visit.embedded_frames() {
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let own_site = view.own_site();
+        for (frame, facts) in view.embedded() {
             if frame.depth != 1 || frame.is_local_document {
                 continue;
             }
@@ -552,14 +505,10 @@ impl PurposeGroupAcc {
             if Some(site.as_str()) == own_site {
                 continue;
             }
-            let Some(attrs) = &frame.iframe_attrs else {
+            let Some(allow) = &facts.allow else {
                 continue;
             };
-            let Some(allow) = attrs.allow.as_deref() else {
-                continue;
-            };
-            let parsed = parse_allow_attribute(allow);
-            let perms: BTreeSet<Permission> = parsed
+            let perms: PermissionSet = allow
                 .delegations()
                 .iter()
                 .filter(|d| !d.allowlist.is_empty())
@@ -569,8 +518,8 @@ impl PurposeGroupAcc {
                 continue;
             }
             let entry = self.per_site.entry(intern(site)).or_default();
-            entry.0.extend(perms);
-            entry.1.insert(record.rank);
+            entry.0 |= perms;
+            entry.1.insert(view.record().rank);
         }
     }
 
@@ -580,7 +529,7 @@ impl PurposeGroupAcc {
     pub fn merge(&mut self, other: PurposeGroupAcc) {
         for (site, (perms, ranks)) in other.per_site {
             let entry = self.per_site.entry(site).or_default();
-            entry.0.extend(perms);
+            entry.0 |= perms;
             entry.1.extend(ranks);
         }
     }
@@ -590,7 +539,7 @@ impl PurposeGroupAcc {
     pub fn finish(self) -> PurposeGroupStats {
         let mut stats = PurposeGroupStats::default();
         for (_, (perms, ranks)) in self.per_site {
-            let group = classify_purpose(&perms);
+            let group = classify_purpose(&perms.iter().collect());
             let entry = stats.groups.entry(group).or_default();
             entry.0 += 1;
             entry.1 += ranks.len() as u64;
@@ -601,11 +550,7 @@ impl PurposeGroupAcc {
 
 /// Computes the purpose-group census.
 pub fn purpose_groups(dataset: &CrawlDataset) -> PurposeGroupStats {
-    let mut acc = PurposeGroupAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<PurposeGroupAcc>(dataset)
 }
 
 impl PurposeGroupStats {

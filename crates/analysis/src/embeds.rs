@@ -1,12 +1,13 @@
 //! Table 3: top external embedded-document sites.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
+use crawler::CrawlDataset;
 use serde::{Deserialize, Serialize};
 
 use crate::intern::{intern, resolve, Sym};
 use crate::table::TextTable;
+use crate::view::{fold_dataset, RecordView};
 
 /// One Table 3 row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,29 +38,15 @@ pub struct EmbedAcc {
 }
 
 impl EmbedAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let mut any = false;
+        for site in view.external_sites(|frame, _| !frame.is_local_document) {
+            any = true;
+            *self.per_site.entry(intern(site)).or_default() += 1;
         }
-        let Some(visit) = &record.visit else { return };
-        let own_site = visit.top_frame().and_then(|f| f.site.as_deref());
-        let mut seen: BTreeSet<Sym> = BTreeSet::new();
-        for frame in visit.embedded_frames() {
-            if frame.is_local_document {
-                continue;
-            }
-            if let Some(site) = &frame.site {
-                if Some(site.as_str()) != own_site {
-                    seen.insert(intern(site));
-                }
-            }
-        }
-        if !seen.is_empty() {
+        if any {
             self.total_any += 1;
-        }
-        for site in seen {
-            *self.per_site.entry(site).or_default() += 1;
         }
     }
 
@@ -94,11 +81,7 @@ impl EmbedAcc {
 
 /// Computes the external-embed census.
 pub fn top_external_embeds(dataset: &CrawlDataset) -> EmbedStats {
-    let mut acc = EmbedAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<EmbedAcc>(dataset)
 }
 
 impl EmbedStats {

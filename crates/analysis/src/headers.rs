@@ -3,14 +3,14 @@
 
 use std::collections::BTreeMap;
 
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
+use crawler::CrawlDataset;
 use policy::allowlist::AllowlistMember;
 use policy::header::DeclaredPolicy;
-use policy::validate::validate_header;
 use registry::Permission;
 use serde::{Deserialize, Serialize};
 
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, RecordView};
 
 /// Figure 2: adoption of the permission-control headers.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -34,15 +34,11 @@ pub struct HeaderAdoption {
 }
 
 impl HeaderAdoption {
-    /// Folds one site record (successes only) into the Figure 2 counts.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
+    /// Folds one record (successes only) into the Figure 2 counts.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
         let mut site_pp = false;
         let mut site_fp = false;
-        for frame in &visit.frames {
+        for (frame, _) in view.frames() {
             if frame.is_local_document {
                 continue;
             }
@@ -91,11 +87,7 @@ impl HeaderAdoption {
 
 /// Computes Figure 2. Local documents are excluded (no headers — §4.3).
 pub fn header_adoption(dataset: &CrawlDataset) -> HeaderAdoption {
-    let mut a = HeaderAdoption::default();
-    for record in &dataset.records {
-        a.fold(record);
-    }
-    a
+    fold_dataset::<HeaderAdoption>(dataset)
 }
 
 impl HeaderAdoption {
@@ -235,19 +227,9 @@ pub struct TopLevelDirectiveAcc {
 }
 
 impl TopLevelDirectiveAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let Some(top) = visit.top_frame() else {
-            return;
-        };
-        let Some(header) = &top.permissions_policy_header else {
-            return;
-        };
-        let Ok(parsed) = policy::parse_permissions_policy(header) else {
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let Some(parsed) = view.top().and_then(|(_, facts)| facts.policy()) else {
             return;
         };
         self.stats.parsed_sites += 1;
@@ -314,11 +296,7 @@ impl TopLevelDirectiveAcc {
 
 /// Computes Table 9 over top-level documents with parseable headers.
 pub fn top_level_directives(dataset: &CrawlDataset) -> TopLevelDirectiveStats {
-    let mut acc = TopLevelDirectiveAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<TopLevelDirectiveAcc>(dataset)
 }
 
 impl TopLevelDirectiveStats {
@@ -432,20 +410,13 @@ pub struct EmbeddedDirectiveMixAcc {
 }
 
 impl EmbeddedDirectiveMixAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        for frame in visit.embedded_frames() {
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        for (frame, facts) in view.embedded() {
             if frame.is_local_document {
                 continue;
             }
-            let Some(header) = &frame.permissions_policy_header else {
-                continue;
-            };
-            let Ok(parsed) = policy::parse_permissions_policy(header) else {
+            let Some(parsed) = facts.policy() else {
                 continue;
             };
             self.mix.documents += 1;
@@ -489,11 +460,7 @@ impl EmbeddedDirectiveMixAcc {
 
 /// Computes the §4.3.2 embedded-document directive mix.
 pub fn embedded_directive_mix(dataset: &CrawlDataset) -> EmbeddedDirectiveMix {
-    let mut acc = EmbeddedDirectiveMixAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<EmbeddedDirectiveMixAcc>(dataset)
 }
 
 /// §4.3.3 misconfiguration counts.
@@ -515,21 +482,16 @@ pub struct MisconfigStats {
 }
 
 impl MisconfigStats {
-    /// Folds one site record (successes only) into the §4.3.3 counts.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
+    /// Folds one record (successes only) into the §4.3.3 counts.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
         let mut site_syntax = false;
         let mut site_semantic = false;
         let mut embedded_semantic = false;
-        for frame in &visit.frames {
-            let Some(header) = &frame.permissions_policy_header else {
+        for (frame, facts) in view.frames() {
+            let Some(report) = &facts.header else {
                 continue;
             };
             self.declaring_frames += 1;
-            let report = validate_header(header);
             if report.syntax_error.is_some() {
                 self.syntax_error_frames += 1;
                 if frame.is_top_level {
@@ -569,11 +531,7 @@ impl MisconfigStats {
 
 /// Computes §4.3.3.
 pub fn misconfigurations(dataset: &CrawlDataset) -> MisconfigStats {
-    let mut stats = MisconfigStats::default();
-    for record in &dataset.records {
-        stats.fold(record);
-    }
-    stats
+    fold_dataset::<MisconfigStats>(dataset)
 }
 
 impl MisconfigStats {

@@ -24,6 +24,11 @@
 //! permission per frame, first-party = script site equals frame site
 //! (inline scripts are first-party), and local documents are excluded
 //! from header statistics.
+//!
+//! Every table folds one per-record view that derives each shared fact
+//! of a frame once — the party of every invocation, the static-scan
+//! findings, the parsed `allow` attribute and the validated header —
+//! so adding a table that reads them costs no second derivation.
 
 pub mod census;
 pub mod completeness;
@@ -39,30 +44,5 @@ pub mod stream;
 pub mod table;
 pub mod usage;
 pub mod validation;
+mod view;
 pub mod vulnerability;
-
-use browser::FrameRecord;
-
-/// The registrable domain of a script URL, for first/third-party
-/// attribution. `None` = inline script (attributed first-party).
-pub(crate) fn script_site(url: &str) -> Option<String> {
-    weburl::Url::parse(url)
-        .ok()
-        .and_then(|u| u.site())
-        .map(|s| s.registrable_domain().to_string())
-}
-
-/// Whether an invocation's calling script is third-party to its frame
-/// (the paper: "the site of the script differs from the site of the
-/// frame"; calls with no script URL in the trace are first-party).
-pub(crate) fn is_third_party(frame: &FrameRecord, script_url: Option<&str>) -> bool {
-    match script_url {
-        None => false,
-        Some(url) => match (script_site(url), &frame.site) {
-            (Some(script), Some(frame_site)) => &script != frame_site,
-            // Frames with no site (local docs): any external script is 3p.
-            (Some(_), None) => true,
-            (None, _) => false,
-        },
-    }
-}

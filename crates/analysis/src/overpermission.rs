@@ -25,13 +25,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
-use policy::parse_allow_attribute;
-use registry::{DefaultAllowlist, Permission};
+use crawler::CrawlDataset;
+use registry::{DefaultAllowlist, Permission, PermissionSet};
 use serde::{Deserialize, Serialize};
 
 use crate::intern::{intern, resolve, Sym};
 use crate::table::TextTable;
+use crate::view::{fold_dataset, RecordView};
 
 /// One Table 10/13 row.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -63,22 +63,6 @@ fn risk_relevant(p: Permission) -> bool {
     }
 }
 
-/// The permissions delegated to a frame (non-empty allowlists only).
-fn delegated_permissions_of(frame: &browser::FrameRecord) -> Vec<Permission> {
-    let Some(attrs) = &frame.iframe_attrs else {
-        return vec![];
-    };
-    let Some(allow) = attrs.allow.as_deref() else {
-        return vec![];
-    };
-    parse_allow_attribute(allow)
-        .delegations()
-        .iter()
-        .filter(|d| !d.allowlist.is_empty())
-        .filter_map(|d| d.permission)
-        .collect()
-}
-
 /// Per-embedded-site working state for [`OverPermissionAcc`]: delegation
 /// prevalence plus the *candidate* unused pairs (permission → embedding
 /// ranks where an instance delegated it with no observed activity). The
@@ -101,41 +85,42 @@ pub struct OverPermissionAcc {
 }
 
 impl OverPermissionAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let own_site = visit.top_frame().and_then(|f| f.site.as_deref());
-        for frame in visit.embedded_frames() {
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let own_site = view.own_site();
+        for (frame, facts) in view.embedded() {
             let Some(site) = &frame.site else { continue };
             if Some(site.as_str()) == own_site {
                 continue;
             }
-            let delegated = delegated_permissions_of(frame);
-            if delegated.is_empty() {
+            let Some(allow) = &facts.allow else { continue };
+            // The permissions delegated to the frame (non-empty
+            // allowlists only), once per delegation.
+            let mut delegated = allow
+                .delegations()
+                .iter()
+                .filter(|d| !d.allowlist.is_empty())
+                .filter_map(|d| d.permission)
+                .peekable();
+            if delegated.peek().is_none() {
                 continue;
             }
             // The instance's activity: invocations + static findings.
-            let mut activity: BTreeSet<Permission> = BTreeSet::new();
-            for inv in &frame.invocations {
-                activity.extend(inv.permissions.iter().copied());
-            }
-            for script in &frame.scripts {
-                activity.extend(
-                    staticscan::scan_script(&script.source)
-                        .permissions
-                        .iter()
-                        .copied(),
-                );
-            }
+            let invoked: PermissionSet = frame
+                .invocations
+                .iter()
+                .flat_map(|inv| &inv.permissions)
+                .collect();
+            let activity = invoked | facts.statics;
             let acc = self.per_site.entry(intern(site)).or_default();
             acc.delegated_frames += 1;
             for p in delegated {
                 *acc.delegation_counts.entry(p).or_default() += 1;
-                if risk_relevant(p) && !activity.contains(&p) {
-                    acc.candidates.entry(p).or_default().insert(record.rank);
+                if risk_relevant(p) && !activity.contains(p) {
+                    acc.candidates
+                        .entry(p)
+                        .or_default()
+                        .insert(view.record().rank);
                 }
             }
         }
@@ -196,11 +181,7 @@ impl OverPermissionAcc {
 
 /// Runs the §5 unused-delegation analysis.
 pub fn unused_delegations(dataset: &CrawlDataset) -> OverPermissionStats {
-    let mut acc = OverPermissionAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<OverPermissionAcc>(dataset)
 }
 
 impl OverPermissionStats {

@@ -8,11 +8,12 @@
 
 use std::collections::BTreeMap;
 
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
-use registry::Permission;
+use crawler::CrawlDataset;
+use registry::{Permission, PermissionSet};
 use serde::{Deserialize, Serialize};
 
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, RecordView};
 
 /// Per-permission prompt tallies.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -38,18 +39,14 @@ pub struct PromptStats {
 }
 
 impl PromptStats {
-    /// Folds one site record (successes only) into the census.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
+    /// Folds one record (successes only) into the census.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let Some(visit) = view.visit() else { return };
         if visit.prompts.is_empty() {
             return;
         }
         self.websites_any += 1;
-        let mut site_perms: std::collections::BTreeSet<Permission> =
-            std::collections::BTreeSet::new();
+        let mut site_perms = PermissionSet::EMPTY;
         let mut embedded_on_behalf = false;
         for prompt in &visit.prompts {
             let row = self.rows.entry(prompt.permission).or_default();
@@ -88,11 +85,7 @@ impl PromptStats {
 
 /// Computes the prompt census over successful visits.
 pub fn prompt_census(dataset: &CrawlDataset) -> PromptStats {
-    let mut stats = PromptStats::default();
-    for record in &dataset.records {
-        stats.fold(record);
-    }
-    stats
+    fold_dataset::<PromptStats>(dataset)
 }
 
 impl PromptStats {

@@ -1,14 +1,15 @@
 //! Streaming single-pass analysis over sharded JSONL databases.
 //!
 //! Every analysis table in this crate is built from a fold/merge
-//! accumulator: `fold` consumes one [`SiteRecord`] at a time, `merge`
-//! combines accumulators folded over disjoint partitions, and `finish`
-//! derives the presentation-ready statistics (sorts, averages, shares)
-//! from the merged integer state. The [`Accumulator`] trait names that
-//! contract, [`TableSet`] composes every requested table into one
-//! accumulator so a dataset is read exactly once, and [`fold_shards`]
-//! drives the composed accumulator over a set of shard files with a
-//! worker pool.
+//! accumulator: `fold` consumes one record at a time, `merge` combines
+//! accumulators folded over disjoint partitions, and `finish` derives
+//! the presentation-ready statistics (sorts, averages, shares) from the
+//! merged integer state. The [`Accumulator`] trait names that contract
+//! over [`SiteRecord`]s. [`TableSet`] implements it by composing every
+//! requested table into one accumulator, so a dataset is read exactly
+//! once: it derives each record's shared frame facts once, into a view
+//! every table folds. [`fold_shards`] drives the composed accumulator
+//! over a set of shard files with a worker pool.
 //!
 //! # Determinism
 //!
@@ -47,9 +48,12 @@ use crate::prompts::PromptStats;
 use crate::usage::{
     InvocationStats, StaticStats, StatusCheckAcc, StatusCheckStats, UsageSummary, UsageSummaryAcc,
 };
+use crate::view::{FactBuffer, RecordView, TableFold};
 use crate::vulnerability::{ExposureAcc, ExposureStats};
 
-/// The fold/merge contract every analysis table implements.
+/// The fold/merge contract over raw records, which [`TableSet`]
+/// implements; every table inside it keeps the same laws over the
+/// per-record view.
 ///
 /// Laws the engine relies on (and the equivalence suite asserts):
 ///
@@ -73,12 +77,12 @@ pub trait Accumulator: Send + Sized {
 }
 
 /// Tables whose accumulator *is* the output (pure additive counters).
-macro_rules! identity_accumulator {
+macro_rules! identity_table {
     ($($t:ty),+ $(,)?) => {$(
-        impl Accumulator for $t {
+        impl TableFold for $t {
             type Output = $t;
-            fn fold(&mut self, record: &SiteRecord) {
-                <$t>::fold(self, record);
+            fn fold(&mut self, view: &RecordView<'_>) {
+                <$t>::fold(self, view);
             }
             fn merge(&mut self, other: Self) {
                 <$t>::merge(self, other);
@@ -91,12 +95,12 @@ macro_rules! identity_accumulator {
 }
 
 /// Tables with a distinct working state finalized into an output type.
-macro_rules! finishing_accumulator {
+macro_rules! finishing_table {
     ($($t:ty => $out:ty),+ $(,)?) => {$(
-        impl Accumulator for $t {
+        impl TableFold for $t {
             type Output = $out;
-            fn fold(&mut self, record: &SiteRecord) {
-                <$t>::fold(self, record);
+            fn fold(&mut self, view: &RecordView<'_>) {
+                <$t>::fold(self, view);
             }
             fn merge(&mut self, other: Self) {
                 <$t>::merge(self, other);
@@ -108,8 +112,22 @@ macro_rules! finishing_accumulator {
     )+};
 }
 
-identity_accumulator!(
-    CrawlFunnel,
+/// The crawl funnel counts raw outcomes (it lives in `crawler`, which
+/// knows no view).
+impl TableFold for CrawlFunnel {
+    type Output = CrawlFunnel;
+    fn fold(&mut self, view: &RecordView<'_>) {
+        CrawlFunnel::fold(self, view.record());
+    }
+    fn merge(&mut self, other: Self) {
+        CrawlFunnel::merge(self, other);
+    }
+    fn finish(self) -> Self {
+        self
+    }
+}
+
+identity_table!(
     FrameCensus,
     CompletenessCensus,
     InvocationStats,
@@ -120,7 +138,7 @@ identity_accumulator!(
     PromptStats,
 );
 
-finishing_accumulator!(
+finishing_table!(
     DelegatedEmbedAcc => DelegatedEmbedStats,
     EmbedAcc => EmbedStats,
     StatusCheckAcc => StatusCheckStats,
@@ -334,13 +352,16 @@ pub struct Tables {
 }
 
 /// One accumulator per selected table, composed so the whole analysis is
-/// a single pass over the records.
+/// a single pass over the records. Each record's frame facts are derived
+/// once, for the columns the selection projects, into a buffer the set
+/// reuses from record to record.
 ///
 /// `Clone` is part of the live-analysis contract: a snapshot clones the
 /// per-shard accumulators at a frontier and merges the clones, leaving
 /// the originals resident to keep folding the next delta.
 #[derive(Debug, Default, Clone)]
 pub struct TableSet {
+    facts: FactBuffer,
     funnel: Option<CrawlFunnel>,
     census: Option<FrameCensus>,
     completeness: Option<CompletenessCensus>,
@@ -369,20 +390,20 @@ macro_rules! each_slot {
             adoption, top_level_directives, misconfigurations, overpermission,
             purpose_groups, exposure, prompts);
     };
-    (@ fold, $self:ident, $record:expr; $($field:ident),+) => {
+    (@ fold, $self:ident, $view:expr; $($field:ident),+) => {
         $(if let Some(acc) = &mut $self.$field {
-            acc.fold($record);
+            TableFold::fold(acc, $view);
         })+
     };
     (@ merge, $self:ident, $other:expr; $($field:ident),+) => {
         let other = $other;
         $(if let (Some(acc), Some(theirs)) = (&mut $self.$field, other.$field) {
-            acc.merge(theirs);
+            TableFold::merge(acc, theirs);
         })+
     };
     (@ finish, $self:ident; $($field:ident),+) => {
         return Tables {
-            $($field: $self.$field.map(Accumulator::finish),)+
+            $($field: $self.$field.map(TableFold::finish),)+
         };
     };
 }
@@ -394,6 +415,7 @@ impl TableSet {
             wanted.then(A::default)
         }
         TableSet {
+            facts: FactBuffer::new(selection.columns()),
             funnel: slot(selection.funnel),
             census: slot(selection.census),
             completeness: slot(selection.completeness),
@@ -419,7 +441,8 @@ impl Accumulator for TableSet {
     type Output = Tables;
 
     fn fold(&mut self, record: &SiteRecord) {
-        each_slot!(fold, self, record);
+        let view = self.facts.view(record);
+        each_slot!(fold, self, &view);
     }
 
     fn merge(&mut self, other: TableSet) {
@@ -652,35 +675,43 @@ mod tests {
         parts
     }
 
+    /// The fold/merge law, for every table at once: one fold over the
+    /// whole dataset, a merge of three striped partitions, and a merge of
+    /// one-record partitions finish to the same tables, on the calibrated
+    /// population and on the adversarial one (hostile headers, `allow`
+    /// values and degraded visits).
     #[test]
     fn fold_merge_equals_single_fold() {
-        let ds = dataset(800);
-        let mut whole = TableSet::new(TableSelection::all());
-        for record in &ds.records {
-            whole.fold(record);
-        }
-        let mut merged = TableSet::new(TableSelection::all());
-        for part in shard_dataset(&ds, 3) {
-            let mut acc = TableSet::new(TableSelection::all());
-            for record in &part.records {
-                acc.fold(record);
+        let selection = TableSelection {
+            prompts: true,
+            ..TableSelection::all()
+        };
+        let fold = |records: &[SiteRecord]| {
+            let mut set = TableSet::new(selection);
+            for record in records {
+                set.fold(record);
             }
-            merged.merge(acc);
+            set
+        };
+        let adversarial =
+            WebPopulation::new(PopulationConfig { seed: 7, size: 400 }).with_adversarial(true);
+        for ds in [
+            dataset(800),
+            Crawler::new(CrawlConfig::default()).crawl(&adversarial),
+        ] {
+            let whole = fold(&ds.records).finish();
+            let mut striped = TableSet::new(selection);
+            for part in shard_dataset(&ds, 3) {
+                striped.merge(fold(&part.records));
+            }
+            let mut singles = TableSet::new(selection);
+            for record in &ds.records {
+                singles.merge(fold(std::slice::from_ref(record)));
+            }
+            let whole = format!("{whole:?}");
+            assert_eq!(whole, format!("{:?}", striped.finish()));
+            assert_eq!(whole, format!("{:?}", singles.finish()));
         }
-        let whole = whole.finish();
-        let merged = merged.finish();
-        assert_eq!(
-            whole.census.unwrap().table().render(),
-            merged.census.unwrap().table().render()
-        );
-        assert_eq!(
-            whole.overpermission.unwrap().table(30).render(),
-            merged.overpermission.unwrap().table(30).render()
-        );
-        assert_eq!(
-            whole.summary.unwrap().table().render(),
-            merged.summary.unwrap().table().render()
-        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! §4.1: permission usage — Tables 4, 5, 6 and the usage summary.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::{BitOr, BitOrAssign};
 
-use browser::{FrameRecord, InvocationKind};
-use crawler::{CrawlDataset, SiteOutcome, SiteRecord};
-use registry::Permission;
+use browser::{InvocationKind, InvocationRecord};
+use crawler::CrawlDataset;
+use registry::{Permission, PermissionSet};
 use serde::{Deserialize, Serialize};
 
-use crate::is_third_party;
 use crate::table::{pct, TextTable};
+use crate::view::{fold_dataset, RecordView};
 
 /// Row key for Table 4: the General-API group or one permission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,6 +28,68 @@ impl UsageKey {
             UsageKey::General => "General Permission APIs".to_string(),
             UsageKey::Permission(p) => p.display_name(),
         }
+    }
+}
+
+/// A set of [`UsageKey`]s: the General-API group and a permission set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct UsageKeys {
+    general: bool,
+    permissions: PermissionSet,
+}
+
+impl UsageKeys {
+    /// The keys one invocation marks: general and status-query APIs
+    /// mark the General group, capability invocations their
+    /// permissions.
+    pub fn of(invocation: &InvocationRecord) -> UsageKeys {
+        match invocation.kind {
+            InvocationKind::General | InvocationKind::StatusQuery => UsageKeys {
+                general: true,
+                permissions: PermissionSet::EMPTY,
+            },
+            InvocationKind::Invocation => UsageKeys {
+                general: false,
+                permissions: invocation.permissions.iter().collect(),
+            },
+        }
+    }
+
+    /// Whether the set has no key.
+    pub fn is_empty(self) -> bool {
+        !self.general && self.permissions.is_empty()
+    }
+
+    /// Whether `key` is in the set.
+    pub fn contains(self, key: UsageKey) -> bool {
+        match key {
+            UsageKey::General => self.general,
+            UsageKey::Permission(p) => self.permissions.contains(p),
+        }
+    }
+
+    /// The keys, in [`UsageKey`] order.
+    pub fn iter(self) -> impl Iterator<Item = UsageKey> {
+        self.general
+            .then_some(UsageKey::General)
+            .into_iter()
+            .chain(self.permissions.iter().map(UsageKey::Permission))
+    }
+}
+
+impl BitOr for UsageKeys {
+    type Output = UsageKeys;
+    fn bitor(self, rhs: UsageKeys) -> UsageKeys {
+        UsageKeys {
+            general: self.general || rhs.general,
+            permissions: self.permissions | rhs.permissions,
+        }
+    }
+}
+
+impl BitOrAssign for UsageKeys {
+    fn bitor_assign(&mut self, rhs: UsageKeys) {
+        *self = *self | rhs;
     }
 }
 
@@ -88,31 +151,6 @@ pub struct InvocationStats {
     pub websites_feature_policy_api: u64,
 }
 
-fn per_frame_keys(frame: &FrameRecord) -> BTreeMap<UsageKey, (bool, bool)> {
-    // key -> (first-party seen, third-party seen)
-    let mut keys: BTreeMap<UsageKey, (bool, bool)> = BTreeMap::new();
-    for record in &frame.invocations {
-        let third = is_third_party(frame, record.script_url.as_deref());
-        let mut mark = |key: UsageKey| {
-            let entry = keys.entry(key).or_insert((false, false));
-            if third {
-                entry.1 = true;
-            } else {
-                entry.0 = true;
-            }
-        };
-        match record.kind {
-            InvocationKind::General | InvocationKind::StatusQuery => mark(UsageKey::General),
-            InvocationKind::Invocation => {
-                for p in &record.permissions {
-                    mark(UsageKey::Permission(*p));
-                }
-            }
-        }
-    }
-    keys
-}
-
 impl InvocationRow {
     fn merge(&mut self, other: InvocationRow) {
         self.top.merge(other.top);
@@ -122,35 +160,34 @@ impl InvocationRow {
 }
 
 impl InvocationStats {
-    /// Folds one site record (successes only) into the Table 4 tallies.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
+    /// Folds one record (successes only) into the Table 4 tallies.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        if view.visit().is_none() {
             return;
         }
-        let Some(visit) = &record.visit else { return };
         self.websites += 1;
-        let mut site_keys: BTreeSet<UsageKey> = BTreeSet::new();
+        let mut site_keys = UsageKeys::default();
         let mut any_top = false;
         let mut any_embedded = false;
         let mut fp_api = false;
-        for frame in &visit.frames {
-            let keys = per_frame_keys(frame);
+        for (frame, facts) in view.frames() {
+            let keys = facts.usage();
             if keys.is_empty() {
                 continue;
             }
-            let (mut first_any, mut third_any) = (false, false);
-            for (key, (first, third)) in &keys {
-                let row = self.rows.entry(*key).or_default();
+            for key in keys.iter() {
+                let row = self.rows.entry(key).or_default();
                 let tally = if frame.is_top_level {
                     &mut row.top
                 } else {
                     &mut row.embedded
                 };
-                tally.add(*first, *third);
-                site_keys.insert(*key);
-                first_any |= first;
-                third_any |= third;
+                tally.add(
+                    facts.first_party.contains(key),
+                    facts.third_party.contains(key),
+                );
             }
+            site_keys |= keys;
             let total_tally = if frame.is_top_level {
                 any_top = true;
                 &mut self.total.top
@@ -158,10 +195,10 @@ impl InvocationStats {
                 any_embedded = true;
                 &mut self.total.embedded
             };
-            total_tally.add(first_any, third_any);
-            fp_api |= frame.invocations.iter().any(|r| r.via_feature_policy_api);
+            total_tally.add(!facts.first_party.is_empty(), !facts.third_party.is_empty());
+            fp_api |= facts.feature_policy_api;
         }
-        for key in site_keys {
+        for key in site_keys.iter() {
             self.rows.get_mut(&key).unwrap().websites += 1;
         }
         if any_top || any_embedded {
@@ -193,11 +230,7 @@ impl InvocationStats {
 
 /// Computes Table 4.
 pub fn invocation_table(dataset: &CrawlDataset) -> InvocationStats {
-    let mut stats = InvocationStats::default();
-    for record in &dataset.records {
-        stats.fold(record);
-    }
-    stats
+    fold_dataset::<InvocationStats>(dataset)
 }
 
 impl InvocationStats {
@@ -275,6 +308,26 @@ impl CheckKey {
     }
 }
 
+/// A set of [`CheckKey`]s.
+#[derive(Debug, Clone, Copy, Default)]
+struct CheckKeys {
+    all_permissions: bool,
+    permissions: PermissionSet,
+}
+
+impl CheckKeys {
+    fn is_empty(self) -> bool {
+        !self.all_permissions && self.permissions.is_empty()
+    }
+
+    fn iter(self) -> impl Iterator<Item = CheckKey> {
+        self.all_permissions
+            .then_some(CheckKey::AllPermissions)
+            .into_iter()
+            .chain(self.permissions.iter().map(CheckKey::Permission))
+    }
+}
+
 /// Table 5 plus §4.1.2 aggregates.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StatusCheckStats {
@@ -309,32 +362,20 @@ pub struct StatusCheckAcc {
 }
 
 impl StatusCheckAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let mut site_keys: BTreeSet<CheckKey> = BTreeSet::new();
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let mut site_keys = CheckKeys::default();
         let mut any_top = false;
         let mut any_embedded = false;
-        for frame in &visit.frames {
-            let mut frame_keys: BTreeSet<CheckKey> = BTreeSet::new();
+        for (frame, _) in view.frames() {
+            let mut frame_keys = CheckKeys::default();
             for inv in &frame.invocations {
                 match inv.kind {
-                    InvocationKind::StatusQuery => {
-                        for p in &inv.permissions {
-                            frame_keys.insert(CheckKey::Permission(*p));
-                        }
+                    InvocationKind::General if inv.permissions.is_empty() => {
+                        frame_keys.all_permissions = true;
                     }
-                    InvocationKind::General => {
-                        if inv.permissions.is_empty() {
-                            frame_keys.insert(CheckKey::AllPermissions);
-                        } else {
-                            for p in &inv.permissions {
-                                frame_keys.insert(CheckKey::Permission(*p));
-                            }
-                        }
+                    InvocationKind::General | InvocationKind::StatusQuery => {
+                        frame_keys.permissions.extend(&inv.permissions);
                     }
                     InvocationKind::Invocation => {}
                 }
@@ -348,24 +389,22 @@ impl StatusCheckAcc {
                 self.embedded_contexts += 1;
             } else {
                 any_top = true;
-                let specific = frame_keys
-                    .iter()
-                    .filter(|k| matches!(k, CheckKey::Permission(_)))
-                    .count() as u64;
+                let specific = frame_keys.permissions.len() as u64;
                 if specific > 0 {
                     self.specific_sum += specific;
                     self.specific_docs += 1;
                     self.max_specific = self.max_specific.max(specific);
                 }
             }
-            for key in &frame_keys {
-                let row = self.stats.rows.entry(*key).or_default();
+            for key in frame_keys.iter() {
+                let row = self.stats.rows.entry(key).or_default();
                 row.contexts += 1;
                 if !frame.is_top_level {
                     row.embedded_contexts += 1;
                 }
             }
-            site_keys.extend(frame_keys);
+            site_keys.all_permissions |= frame_keys.all_permissions;
+            site_keys.permissions |= frame_keys.permissions;
         }
         if !site_keys.is_empty() {
             self.stats.total_websites += 1;
@@ -376,7 +415,7 @@ impl StatusCheckAcc {
         if any_embedded {
             self.stats.websites_embedded += 1;
         }
-        for key in site_keys {
+        for key in site_keys.iter() {
             self.stats.rows.get_mut(&key).unwrap().websites += 1;
         }
     }
@@ -420,11 +459,7 @@ impl StatusCheckAcc {
 
 /// Computes Table 5.
 pub fn status_check_table(dataset: &CrawlDataset) -> StatusCheckStats {
-    let mut acc = StatusCheckAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<StatusCheckAcc>(dataset)
 }
 
 impl StatusCheckStats {
@@ -482,21 +517,14 @@ pub struct StaticStats {
 }
 
 impl StaticStats {
-    /// Folds one site record (successes only), scanning its scripts.
-    pub fn fold(&mut self, record: &SiteRecord) {
-        if record.outcome != SiteOutcome::Success {
-            return;
-        }
-        let Some(visit) = &record.visit else { return };
-        let mut site_perms: BTreeSet<Permission> = BTreeSet::new();
+    /// Folds one record (successes only) from its frames' static
+    /// findings.
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        let mut site_perms = PermissionSet::EMPTY;
         let mut any_top = false;
         let mut any_embedded = false;
-        for frame in &visit.frames {
-            let mut findings = staticscan::StaticFindings::default();
-            for script in &frame.scripts {
-                findings.merge(&staticscan::scan_script(&script.source));
-            }
-            if findings.permissions.is_empty() {
+        for (frame, facts) in view.frames() {
+            if facts.statics.is_empty() {
                 continue;
             }
             if frame.is_top_level {
@@ -504,14 +532,14 @@ impl StaticStats {
             } else {
                 any_embedded = true;
             }
-            for p in &findings.permissions {
-                let row = self.rows.entry(*p).or_default();
+            for p in facts.statics {
+                let row = self.rows.entry(p).or_default();
                 row.contexts += 1;
                 if !frame.is_top_level {
                     row.embedded_contexts += 1;
                 }
-                site_perms.insert(*p);
             }
+            site_perms |= facts.statics;
         }
         if any_top || any_embedded {
             self.total_websites += 1;
@@ -542,11 +570,7 @@ impl StaticStats {
 
 /// Computes Table 6 by scanning every collected script.
 pub fn static_table(dataset: &CrawlDataset) -> StaticStats {
-    let mut stats = StaticStats::default();
-    for record in &dataset.records {
-        stats.fold(record);
-    }
-    stats
+    fold_dataset::<StaticStats>(dataset)
 }
 
 impl StaticStats {
@@ -603,79 +627,109 @@ pub struct UsageSummary {
     pub feature_policy_api: u64,
 }
 
-/// Streaming accumulator behind [`usage_summary`]: composes the Table 4
-/// and Table 6 accumulators with the §4.1.4 union counter, collapsing
-/// what used to be three dataset passes into one fold.
+/// Streaming accumulator behind [`usage_summary`]: the §4.1.4 counters
+/// on their own, read from the same per-frame facts Tables 4 and 6
+/// fold. Every share is derived only at [`UsageSummaryAcc::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct UsageSummaryAcc {
-    invocations: InvocationStats,
-    statics: StaticStats,
+    websites: u64,
     any: u64,
+    dynamic: u64,
+    dynamic_top: u64,
+    dynamic_embedded: u64,
+    static_any: u64,
+    feature_policy_api: u64,
+    /// Top-level contexts with a usage key, and those where a
+    /// third-party script touched one.
+    top_contexts: u64,
+    top_third_party: u64,
+    /// Embedded contexts with a usage key, and those where a
+    /// first-party script touched one.
+    embedded_contexts: u64,
+    embedded_first_party: u64,
 }
 
 impl UsageSummaryAcc {
-    /// Folds one site record (successes only).
-    pub fn fold(&mut self, record: &SiteRecord) {
-        self.invocations.fold(record);
-        self.statics.fold(record);
-        if record.outcome != SiteOutcome::Success {
+    /// Folds one record (successes only).
+    pub(crate) fn fold(&mut self, view: &RecordView<'_>) {
+        if view.visit().is_none() {
             return;
         }
-        let Some(visit) = &record.visit else { return };
-        let has_dynamic = visit.frames.iter().any(|f| !f.invocations.is_empty());
-        // §4.1.3 counts *permission functionality*; general-API-only
-        // scripts (featurePolicy probes) do not make a site "static".
-        let has_static = visit.frames.iter().any(|f| {
-            f.scripts
-                .iter()
-                .any(|s| !staticscan::scan_script(&s.source).permissions.is_empty())
-        });
-        if has_dynamic || has_static {
-            self.any += 1;
+        self.websites += 1;
+        let mut any_top = false;
+        let mut any_embedded = false;
+        let mut has_invocations = false;
+        let mut has_static = false;
+        let mut fp_api = false;
+        for (frame, facts) in view.frames() {
+            has_invocations |= !frame.invocations.is_empty();
+            // §4.1.3 counts *permission functionality*; general-API-only
+            // scripts (featurePolicy probes) do not make a site "static".
+            has_static |= !facts.statics.is_empty();
+            if facts.usage().is_empty() {
+                continue;
+            }
+            if frame.is_top_level {
+                any_top = true;
+                self.top_contexts += 1;
+                self.top_third_party += u64::from(!facts.third_party.is_empty());
+            } else {
+                any_embedded = true;
+                self.embedded_contexts += 1;
+                self.embedded_first_party += u64::from(!facts.first_party.is_empty());
+            }
+            fp_api |= facts.feature_policy_api;
         }
+        self.any += u64::from(has_invocations || has_static);
+        self.dynamic += u64::from(any_top || any_embedded);
+        self.dynamic_top += u64::from(any_top);
+        self.dynamic_embedded += u64::from(any_embedded);
+        self.static_any += u64::from(has_static);
+        self.feature_policy_api += u64::from(fp_api);
     }
 
     /// Merges an accumulator folded over another partition.
     pub fn merge(&mut self, other: UsageSummaryAcc) {
-        self.invocations.merge(other.invocations);
-        self.statics.merge(other.statics);
+        self.websites += other.websites;
         self.any += other.any;
+        self.dynamic += other.dynamic;
+        self.dynamic_top += other.dynamic_top;
+        self.dynamic_embedded += other.dynamic_embedded;
+        self.static_any += other.static_any;
+        self.feature_policy_api += other.feature_policy_api;
+        self.top_contexts += other.top_contexts;
+        self.top_third_party += other.top_third_party;
+        self.embedded_contexts += other.embedded_contexts;
+        self.embedded_first_party += other.embedded_first_party;
     }
 
     /// Finalizes into [`UsageSummary`], deriving every share from the
     /// merged integer totals.
     pub fn finish(self) -> UsageSummary {
-        let invocations = self.invocations;
+        let share = |part: u64, whole: u64| {
+            if whole == 0 {
+                0.0
+            } else {
+                part as f64 / whole as f64
+            }
+        };
         UsageSummary {
-            websites: invocations.websites,
+            websites: self.websites,
             any: self.any,
-            dynamic: invocations.total.websites,
-            dynamic_top: invocations.websites_top,
-            dynamic_embedded: invocations.websites_embedded,
-            static_any: self.statics.total_websites,
-            top_third_party_share: if invocations.total.top.contexts == 0 {
-                0.0
-            } else {
-                invocations.total.top.third_party as f64 / invocations.total.top.contexts as f64
-            },
-            embedded_first_party_share: if invocations.total.embedded.contexts == 0 {
-                0.0
-            } else {
-                invocations.total.embedded.first_party as f64
-                    / invocations.total.embedded.contexts as f64
-            },
-            feature_policy_api: invocations.websites_feature_policy_api,
+            dynamic: self.dynamic,
+            dynamic_top: self.dynamic_top,
+            dynamic_embedded: self.dynamic_embedded,
+            static_any: self.static_any,
+            top_third_party_share: share(self.top_third_party, self.top_contexts),
+            embedded_first_party_share: share(self.embedded_first_party, self.embedded_contexts),
+            feature_policy_api: self.feature_policy_api,
         }
     }
 }
 
 /// Computes the §4.1.4 summary in one pass over the dataset.
 pub fn usage_summary(dataset: &CrawlDataset) -> UsageSummary {
-    let mut acc = UsageSummaryAcc::default();
-    for record in &dataset.records {
-        acc.fold(record);
-    }
-    acc.finish()
+    fold_dataset::<UsageSummaryAcc>(dataset)
 }
 
 impl UsageSummary {

@@ -65,12 +65,9 @@ pub fn measure_site(population: &WebPopulation, rank: u64) -> Option<SiteDetecti
     };
     for frame in &visit.frames {
         for script in &frame.scripts {
-            detection.static_found.extend(
-                staticscan::scan_script(&script.source)
-                    .permissions
-                    .iter()
-                    .copied(),
-            );
+            detection
+                .static_found
+                .extend(staticscan::scan_permissions(&script.source));
         }
         for inv in &frame.invocations {
             detection
@@ -206,7 +203,7 @@ pub fn select_static_only_sites(
         let has_static = visit.frames.iter().any(|f| {
             f.scripts
                 .iter()
-                .any(|s| !staticscan::scan_script(&s.source).permissions.is_empty())
+                .any(|s| !staticscan::scan_permissions(&s.source).is_empty())
         });
         if has_static {
             out.push(rank);

@@ -22,39 +22,24 @@
 //! §6.2 specification issue that enables permission hijacking via
 //! `data:`-URI documents (Table 11).
 
-use registry::{DefaultAllowlist, Permission};
+use registry::{DefaultAllowlist, Permission, PermissionSet};
 use weburl::Origin;
 
 use crate::allow_attr::AllowAttribute;
 use crate::allowlist::Allowlist;
 use crate::header::DeclaredPolicy;
 
-/// A set of features: bit `i` stands for `registry::all_permissions()[i]`,
-/// the permission whose discriminant is `i`.
-type FeatureSet = u128;
-
-// Every discriminant must fit the set and index its own registry entry.
-const _: () = {
-    let all = registry::all_permissions();
-    let mut i = 0;
-    while i < all.len() {
-        assert!((all[i] as usize) < FeatureSet::BITS as usize);
-        assert!(all[i] as usize == i);
-        i += 1;
-    }
-};
-
 /// The set of registry features whose [`registry::PermissionInfo`]
 /// satisfies a predicate, built at compile time.
 macro_rules! registry_set {
     (|$info:ident| $pred:expr) => {{
         let all = registry::all_permissions();
-        let mut set: FeatureSet = 0;
+        let mut set = PermissionSet::EMPTY;
         let mut i = 0;
         while i < all.len() {
             let $info = all[i].info();
             if $pred {
-                set |= 1 << i;
+                set = set.with(all[i]);
             }
             i += 1;
         }
@@ -63,18 +48,13 @@ macro_rules! registry_set {
 }
 
 /// Every policy-controlled feature.
-const POLICY_CONTROLLED: FeatureSet = registry_set!(|info| info.policy_controlled);
+const POLICY_CONTROLLED: PermissionSet = registry_set!(|info| info.policy_controlled);
 /// The features whose default allowlist is `*`.
-const STAR_DEFAULT: FeatureSet =
+const STAR_DEFAULT: PermissionSet =
     registry_set!(|info| matches!(info.default_allowlist, Some(DefaultAllowlist::Star)));
 /// The features whose default allowlist is `self`.
-const SELF_DEFAULT: FeatureSet =
+const SELF_DEFAULT: PermissionSet =
     registry_set!(|info| matches!(info.default_allowlist, Some(DefaultAllowlist::SelfOrigin)));
-
-/// The one-member set of `feature`.
-fn bit(feature: Permission) -> FeatureSet {
-    1 << feature as u32
-}
 
 /// Matches the first allowlist given for each feature, in declaration
 /// order. Returns the features named at all and those whose first
@@ -83,14 +63,14 @@ fn bit(feature: Permission) -> FeatureSet {
 fn first_matches<'a>(
     entries: impl Iterator<Item = (Option<Permission>, &'a Allowlist)>,
     matches: impl Fn(&Allowlist) -> bool,
-) -> (FeatureSet, FeatureSet) {
-    let (mut named, mut matched) = (0, 0);
+) -> (PermissionSet, PermissionSet) {
+    let (mut named, mut matched) = (PermissionSet::EMPTY, PermissionSet::EMPTY);
     for (feature, allowlist) in entries {
         let Some(feature) = feature else { continue };
-        if named & bit(feature) == 0 {
-            named |= bit(feature);
+        if !named.contains(feature) {
+            named.insert(feature);
             if matches(allowlist) {
-                matched |= bit(feature);
+                matched.insert(feature);
             }
         }
     }
@@ -140,14 +120,14 @@ pub struct DocumentPolicy {
     declared: DeclaredPolicy,
     /// Inherited policy: the policy-controlled features enabled at
     /// document creation.
-    inherited: FeatureSet,
+    inherited: PermissionSet,
     /// The features enabled for the document's own origin: the answer of
     /// [`DocumentPolicy::is_enabled_for`] at `origin`, for every feature.
-    allowed: FeatureSet,
+    allowed: PermissionSet,
 }
 
 impl DocumentPolicy {
-    fn new(origin: Origin, declared: DeclaredPolicy, inherited: FeatureSet) -> DocumentPolicy {
+    fn new(origin: Origin, declared: DeclaredPolicy, inherited: PermissionSet) -> DocumentPolicy {
         // Both default allowlists (`self` and `*`) match the document's
         // own origin, so only a declared directive can withhold an
         // inherited feature from it.
@@ -183,36 +163,30 @@ impl DocumentPolicy {
     /// Policy at all; the engine reports them as enabled and leaves their
     /// semantics (e.g. notifications being top-level-only) to the browser.
     pub fn is_enabled_for(&self, feature: Permission, origin: &Origin) -> bool {
-        if POLICY_CONTROLLED & bit(feature) == 0 {
+        if !POLICY_CONTROLLED.contains(feature) {
             return true;
         }
-        if self.inherited & bit(feature) == 0 {
+        if !self.inherited.contains(feature) {
             return false;
         }
         if let Some(allowlist) = self.declared.get(feature) {
             return allowlist.matches(origin, &self.origin, None);
         }
-        STAR_DEFAULT & bit(feature) != 0 || origin.same_origin(&self.origin)
+        STAR_DEFAULT.contains(feature) || origin.same_origin(&self.origin)
     }
 
     /// Whether the document itself may use the feature (and therefore
     /// prompt the user / delegate it onward). This is the paper's
     /// "Prompt and Delegation Capability" column.
     pub fn allowed_to_use(&self, feature: Permission) -> bool {
-        self.allowed & bit(feature) != 0
+        self.allowed.contains(feature)
     }
 
     /// Features reported by `document.featurePolicy.allowedFeatures()`:
     /// every policy-controlled feature enabled for the document's origin,
     /// in registry order.
     pub fn allowed_features(&self) -> Vec<Permission> {
-        let mut set = self.allowed & POLICY_CONTROLLED;
-        let mut features = Vec::with_capacity(set.count_ones() as usize);
-        while set != 0 {
-            features.push(registry::all_permissions()[set.trailing_zeros() as usize]);
-            set &= set - 1;
-        }
-        features
+        (self.allowed & POLICY_CONTROLLED).iter().collect()
     }
 }
 
@@ -240,7 +214,7 @@ impl PolicyEngine {
         parent: &DocumentPolicy,
         framing: &FramingContext<'_>,
         child_origin: &Origin,
-    ) -> FeatureSet {
+    ) -> PermissionSet {
         // Step: feature must be enabled in the parent for the parent itself.
         let enabled_in_parent = parent.allowed & POLICY_CONTROLLED;
         // Step: a declared directive in the parent that does not cover the
@@ -264,7 +238,7 @@ impl PolicyEngine {
                     allowlist.matches(child_origin, &parent.origin, framing.src_origin.as_ref())
                 },
             ),
-            None => (0, 0),
+            None => (PermissionSet::EMPTY, PermissionSet::EMPTY),
         };
         // Steps: fall back to the default allowlist.
         let defaults = if child_origin.same_origin(&parent.origin) {

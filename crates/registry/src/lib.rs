@@ -6,7 +6,8 @@
 //!
 //! * which permissions exist ([`Permission`], the full instrumented list
 //!   from the paper's Appendix A.4 plus the policy-only features that occur
-//!   in headers and `allow` attributes),
+//!   in headers and `allow` attributes), and sets of them
+//!   ([`PermissionSet`], one bit per permission),
 //! * their characteristics ([`PermissionInfo`]: *policy-controlled?*,
 //!   *powerful?*, default allowlist, category — the paper's Table 2),
 //! * the Web-API surface behind each permission ([`apis`]: the strings the
@@ -37,10 +38,12 @@
 pub mod apis;
 mod info;
 mod permission;
+pub mod set;
 pub mod support;
 
 pub use info::{Category, DefaultAllowlist, PermissionInfo};
 pub use permission::{FeatureToken, Permission};
+pub use set::PermissionSet;
 
 /// All permissions known to the registry, in declaration order: entry
 /// `i` is the permission whose discriminant is `i`.

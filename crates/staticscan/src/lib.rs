@@ -36,7 +36,7 @@ pub use ac::AcAutomaton;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use registry::{apis, Permission};
+use registry::{apis, Permission, PermissionSet};
 use serde::{Deserialize, Serialize};
 
 /// What the static scan found in one script.
@@ -196,10 +196,18 @@ impl Scanner for AcScanner {
 
 static DEFAULT_SCANNER: OnceLock<AcScanner> = OnceLock::new();
 
-// Memo for `scan_script`: crawls see the same shared tracker scripts
-// on hundreds of thousands of sites, and the analyses scan each frame's
-// scripts several times (usage, summary, over-permission). Keyed by an
-// FNV-1a hash of the source; bounded to keep memory flat on
+/// One memo entry: a script's findings with the permissions as a
+/// [`PermissionSet`], so a hit copies a few words and allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    permissions: PermissionSet,
+    general_apis: bool,
+    feature_policy_api: bool,
+}
+
+// Memo for `scan_script` and `scan_permissions`: crawls see the same
+// shared tracker scripts on hundreds of thousands of sites. Keyed by a
+// 64-bit hash of the source; bounded to keep memory flat on
 // adversarially-unique corpora. Thread-local rather than process-wide:
 // the analysis fold runs one worker per shard, and a shared
 // `Mutex<HashMap>` here serialized those workers on every script — the
@@ -207,34 +215,71 @@ static DEFAULT_SCANNER: OnceLock<AcScanner> = OnceLock::new();
 // than one. Each worker paying one redundant scan per distinct script
 // is far cheaper than a cross-core lock per call.
 thread_local! {
-    static SCAN_MEMO: std::cell::RefCell<std::collections::HashMap<u64, StaticFindings>> =
+    static SCAN_MEMO: std::cell::RefCell<std::collections::HashMap<u64, MemoEntry>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
 }
 
 const SCAN_MEMO_CAP: usize = 65_536;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(0x1_0000_0000_01b3)
+/// The memo key of a script source: eight bytes per multiply-rotate
+/// round rather than one, since the analysis fold hashes every script it
+/// reads; seeded with the length and finished with an avalanche so every
+/// input bit reaches every key bit.
+fn source_hash(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    let round = |h: u64, word: u64| (h ^ word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (bytes.len() as u64).wrapping_mul(P1);
+    for word in &mut words {
+        h = round(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    for &byte in words.remainder() {
+        h = round(h, u64::from(byte));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^ (h >> 29)
+}
+
+/// Scans one script with the default (Aho-Corasick) scanner, through
+/// the memo.
+fn memo_scan(source: &str) -> MemoEntry {
+    let key = source_hash(source.as_bytes());
+    SCAN_MEMO.with(|memo| {
+        if let Some(entry) = memo.borrow().get(&key) {
+            return *entry;
+        }
+        let findings = DEFAULT_SCANNER.get_or_init(AcScanner::new).scan(source);
+        let entry = MemoEntry {
+            permissions: findings.permissions.iter().collect(),
+            general_apis: findings.general_apis,
+            feature_policy_api: findings.feature_policy_api,
+        };
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= SCAN_MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(key, entry);
+        entry
     })
 }
 
 /// Scans one script with the default (Aho-Corasick) scanner, memoized by
 /// content hash.
 pub fn scan_script(source: &str) -> StaticFindings {
-    let key = fnv1a(source.as_bytes());
-    SCAN_MEMO.with(|memo| {
-        if let Some(found) = memo.borrow().get(&key) {
-            return found.clone();
-        }
-        let findings = DEFAULT_SCANNER.get_or_init(AcScanner::new).scan(source);
-        let mut memo = memo.borrow_mut();
-        if memo.len() >= SCAN_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, findings.clone());
-        findings
-    })
+    let entry = memo_scan(source);
+    StaticFindings {
+        permissions: entry.permissions.iter().collect(),
+        general_apis: entry.general_apis,
+        feature_policy_api: entry.feature_policy_api,
+    }
+}
+
+/// The permissions [`scan_script`] finds in `source`, from the same
+/// memo, as a [`PermissionSet`]: a memo hit allocates nothing.
+pub fn scan_permissions(source: &str) -> PermissionSet {
+    memo_scan(source).permissions
 }
 
 #[cfg(test)]
@@ -307,6 +352,44 @@ mod tests {
         a.merge(&b);
         assert!(a.permissions.contains(&Permission::Battery));
         assert!(a.general_apis && a.feature_policy_api);
+    }
+
+    #[test]
+    fn near_identical_sources_get_distinct_keys() {
+        let sources = [
+            "",
+            "\0",
+            "\0\0",
+            "abcdefgh",
+            "abcdefgi",
+            "abcdefgh\0",
+            "bbcdefgh",
+            "abcdefghabcdefgh",
+            "abcdefghabcdefgi",
+        ];
+        let keys: std::collections::HashSet<u64> =
+            sources.iter().map(|s| source_hash(s.as_bytes())).collect();
+        assert_eq!(keys.len(), sources.len());
+    }
+
+    #[test]
+    fn permission_query_agrees_with_the_full_scan() {
+        for source in [
+            "navigator.mediaDevices.getUserMedia({audio:true});",
+            "document.featurePolicy.allowedFeatures();",
+            "getBattery(); requestMIDIAccess(); writeText('x');",
+            "console.log('hello');",
+        ] {
+            // Both orders: either query may fill the memo first.
+            let set = scan_permissions(source);
+            let findings = scan_script(source);
+            assert!(
+                set.iter().eq(findings.permissions.iter().copied()),
+                "{source}"
+            );
+            assert_eq!(scan_permissions(source), set);
+            assert_eq!(AcScanner::new().scan(source), findings, "{source}");
+        }
     }
 
     #[test]

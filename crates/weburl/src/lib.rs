@@ -34,7 +34,7 @@ pub mod psl;
 mod site;
 
 pub use origin::Origin;
-pub use parse::{ParseError, Url};
+pub use parse::{site_domain, ParseError, Url};
 pub use site::Site;
 
 /// Returns `true` for *local schemes* as defined by the Fetch standard

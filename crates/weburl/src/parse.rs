@@ -7,10 +7,11 @@
 //! scheme and host.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::origin::Origin;
-use crate::site::Site;
+use crate::site::{self, Site};
 
 /// Error produced by [`Url::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +92,75 @@ fn valid_host(s: &str) -> bool {
         && !s.ends_with('.')
 }
 
+/// Lowercases `s`, borrowing it when it has no uppercase ASCII.
+fn ascii_lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// The `:` ending `input`'s scheme, if `input` starts with a valid one
+/// (an absolute URL).
+fn scheme_end(input: &str) -> Option<usize> {
+    let colon = input.find(':')?;
+    valid_scheme(&input[..colon]).then_some(colon)
+}
+
+/// Splits what follows `scheme:` in a special-scheme URL into its raw
+/// host, its explicit port and the rest (path, query and fragment).
+fn split_authority(rest: &str) -> Result<(&str, Option<u16>, &str), ParseError> {
+    let rest = rest.strip_prefix("//").ok_or(ParseError::MissingHost)?;
+    let (authority, after) = match rest.find(['/', '?', '#']) {
+        Some(i) => (&rest[..i], &rest[i..]),
+        None => (rest, ""),
+    };
+    // Strip userinfo if present (rare; not used by the generator).
+    let authority = authority.rsplit('@').next().unwrap_or(authority);
+    let (host_raw, port) = match authority.rfind(':') {
+        Some(i) if authority[i + 1..].chars().all(|c| c.is_ascii_digit()) => {
+            let port: u16 = authority[i + 1..]
+                .parse()
+                .map_err(|_| ParseError::InvalidPort)?;
+            (&authority[..i], Some(port))
+        }
+        _ => (authority, None),
+    };
+    Ok((host_raw, port, after))
+}
+
+/// The lowercase form of a raw host, if it is a valid one.
+fn parse_host(raw: &str) -> Result<Cow<'_, str>, ParseError> {
+    let host = ascii_lowercase(raw);
+    if !valid_host(&host) {
+        return Err(if host.is_empty() {
+            ParseError::MissingHost
+        } else {
+            ParseError::InvalidHost
+        });
+    }
+    Ok(host)
+}
+
+/// The registrable domain of `input`'s site: the same answer as
+/// `Url::parse(input).ok().and_then(|u| u.site())` gives through
+/// [`Site::registrable_domain`], from the same scheme, authority and
+/// host code, without building the [`Url`]. It borrows from `input`
+/// unless the host has uppercase letters.
+pub fn site_domain(input: &str) -> Option<Cow<'_, str>> {
+    let input = input.trim();
+    let colon = scheme_end(input)?;
+    if !is_special(&ascii_lowercase(&input[..colon])) {
+        return None;
+    }
+    let (host_raw, _, _) = split_authority(&input[colon + 1..]).ok()?;
+    Some(match parse_host(host_raw).ok()? {
+        Cow::Borrowed(host) => Cow::Borrowed(site::registrable_domain_or_host(host)),
+        Cow::Owned(host) => Cow::Owned(site::registrable_domain_or_host(&host).to_owned()),
+    })
+}
+
 impl Url {
     /// Parses an absolute URL.
     pub fn parse(input: &str) -> Result<Url, ParseError> {
@@ -108,11 +178,8 @@ impl Url {
             return Err(ParseError::Empty);
         }
 
-        if let Some(colon) = input.find(':') {
-            let (scheme_raw, _rest) = input.split_at(colon);
-            if valid_scheme(scheme_raw) {
-                return Self::parse_absolute(input, colon);
-            }
+        if let Some(colon) = scheme_end(input) {
+            return Self::parse_absolute(input, colon);
         }
 
         // Relative reference.
@@ -184,30 +251,8 @@ impl Url {
             });
         }
 
-        let rest = rest.strip_prefix("//").ok_or(ParseError::MissingHost)?;
-        let (authority, after) = match rest.find(['/', '?', '#']) {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, ""),
-        };
-        // Strip userinfo if present (rare; not used by the generator).
-        let authority = authority.rsplit('@').next().unwrap_or(authority);
-        let (host_raw, port) = match authority.rfind(':') {
-            Some(i) if authority[i + 1..].chars().all(|c| c.is_ascii_digit()) => {
-                let port: u16 = authority[i + 1..]
-                    .parse()
-                    .map_err(|_| ParseError::InvalidPort)?;
-                (&authority[..i], Some(port))
-            }
-            _ => (authority, None),
-        };
-        let host = host_raw.to_ascii_lowercase();
-        if !valid_host(&host) {
-            return Err(if host.is_empty() {
-                ParseError::MissingHost
-            } else {
-                ParseError::InvalidHost
-            });
-        }
+        let (host_raw, port, after) = split_authority(rest)?;
+        let host = parse_host(host_raw)?.into_owned();
         let port = match port {
             Some(p) if Some(p) == default_port(&scheme) => None,
             other => other,
@@ -497,6 +542,37 @@ mod tests {
             assert_eq!(u.to_string(), s);
             let reparsed = Url::parse(&u.to_string()).unwrap();
             assert_eq!(u, reparsed);
+        }
+    }
+
+    #[test]
+    fn site_domain_borrows_lowercase_hosts() {
+        let url = "https://cdn.tracker.example.co.uk:8443/lib.js?v=1";
+        assert!(matches!(
+            site_domain(url),
+            Some(Cow::Borrowed("example.co.uk"))
+        ));
+        let upper = " HTTPS://user@CDN.Example.COM/x ";
+        assert!(matches!(site_domain(upper), Some(Cow::Owned(ref d)) if d == "example.com"));
+        assert_eq!(
+            site_domain("http://192.168.0.1/").as_deref(),
+            Some("192.168.0.1")
+        );
+        assert_eq!(
+            site_domain("https://github.io/").as_deref(),
+            Some("github.io")
+        );
+        for no_site in [
+            "data:text/javascript,x",
+            "https:/missing.example/",
+            "https://example.com:/",
+            "https://example.com:99999/",
+            "https://bad host/",
+            "/relative.js",
+            "",
+        ] {
+            assert_eq!(site_domain(no_site), None, "{no_site}");
+            assert!(Url::parse(no_site).ok().and_then(|u| u.site()).is_none());
         }
     }
 

@@ -8,6 +8,9 @@
 //! suffixes that matter for widget attribution, e.g. `appspot.com`) is
 //! sufficient and keeps this crate dependency-free.
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 /// Ordinary suffix rules (an entry `co.uk` makes `example.co.uk` the
 /// registrable domain of `www.example.co.uk`).
 const SUFFIXES: &[&str] = &[
@@ -197,6 +200,25 @@ const WILDCARDS: &[&str] = &["ck", "er", "fj", "kh", "mm", "np", "pg"];
 /// Exceptions to wildcard rules (`!www.ck`): the listed name is registrable.
 const EXCEPTIONS: &[&str] = &["www.ck", "city.kawasaki.jp"];
 
+/// The last label of a rule or host (all of it when it has no dot).
+fn last_label(name: &str) -> &str {
+    name.rfind('.').map_or(name, |i| &name[i + 1..])
+}
+
+/// The ordinary rules grouped by their last label: a rule can match a
+/// host only if both end in the same label, so a lookup checks a handful
+/// of rules instead of scanning all of them.
+fn rules_by_last_label() -> &'static HashMap<&'static str, Vec<&'static str>> {
+    static INDEX: OnceLock<HashMap<&'static str, Vec<&'static str>>> = OnceLock::new();
+    INDEX.get_or_init(|| {
+        let mut index: HashMap<&'static str, Vec<&'static str>> = HashMap::new();
+        for rule in SUFFIXES {
+            index.entry(last_label(rule)).or_default().push(rule);
+        }
+        index
+    })
+}
+
 /// Whether `host` equals `suffix` or ends with `.suffix` — the PSL rule
 /// match, allocation-free (this runs for every frame and script URL in a
 /// crawl).
@@ -236,12 +258,12 @@ pub fn public_suffix(host: &str) -> &str {
         }
     }
     // Ordinary rules: longest match.
-    let mut best: Option<&str> = None;
-    for suffix in SUFFIXES {
-        if rule_matches(host, suffix) && best.is_none_or(|b| suffix.len() > b.len()) {
-            best = Some(suffix);
-        }
-    }
+    let best = rules_by_last_label()
+        .get(last_label(host))
+        .into_iter()
+        .flatten()
+        .filter(|suffix| rule_matches(host, suffix))
+        .max_by_key(|suffix| suffix.len());
     match best {
         Some(suffix) => &host[host.len() - suffix.len()..],
         // Unknown TLD: treat the final label as the suffix (PSL `*` rule).
@@ -287,6 +309,37 @@ pub fn registrable_domain(host: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The indexed lookup against a scan of every rule, on each rule
+    /// itself, under one and two more labels, and with its first byte
+    /// changed.
+    #[test]
+    fn indexed_lookup_matches_a_scan_of_every_rule() {
+        fn scan(host: &str) -> &str {
+            SUFFIXES
+                .iter()
+                .filter(|suffix| rule_matches(host, suffix))
+                .max_by_key(|suffix| suffix.len())
+                .map(|suffix| &host[host.len() - suffix.len()..])
+                .unwrap_or_else(|| last_label(host))
+        }
+        for rule in SUFFIXES.iter().chain(WILDCARDS).chain(EXCEPTIONS) {
+            let changed = format!("q{}", &rule[1..]);
+            for host in [
+                rule.to_string(),
+                format!("x.{rule}"),
+                format!("y.x.{rule}"),
+                format!("x{rule}"),
+                changed,
+            ] {
+                let exceptional = EXCEPTIONS.iter().any(|e| rule_matches(&host, e))
+                    || WILDCARDS.iter().any(|w| rule_matches(&host, w));
+                if !exceptional {
+                    assert_eq!(public_suffix(&host), scan(&host), "{host}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn simple_tld() {

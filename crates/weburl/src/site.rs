@@ -23,7 +23,7 @@ pub struct Site {
 impl Site {
     /// Computes the site of `host` under `scheme`.
     pub fn from_host(scheme: &str, host: &str) -> Site {
-        let rd = psl::registrable_domain(host).unwrap_or(host);
+        let rd = registrable_domain_or_host(host);
         Site {
             scheme: scheme.to_ascii_lowercase(),
             registrable_domain: rd.to_ascii_lowercase(),
@@ -45,6 +45,12 @@ impl Site {
     pub fn same_registrable_domain(&self, other: &Site) -> bool {
         self.registrable_domain == other.registrable_domain
     }
+}
+
+/// The registrable domain of `host`, or the host itself when it has
+/// none (a public suffix or an IP literal).
+pub(crate) fn registrable_domain_or_host(host: &str) -> &str {
+    psl::registrable_domain(host).unwrap_or(host)
 }
 
 /// `Display` shows only the registrable domain — matching how the paper's

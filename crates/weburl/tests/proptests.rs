@@ -1,7 +1,9 @@
 //! Property-based tests for URL parsing and site computation.
 
 use proptest::prelude::*;
-use weburl::{psl, Url};
+use std::borrow::Cow;
+
+use weburl::{psl, site_domain, Url};
 
 fn label() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,8}[a-z0-9]".prop_map(|s| s)
@@ -10,6 +12,20 @@ fn label() -> impl Strategy<Value = String> {
 fn host() -> impl Strategy<Value = String> {
     prop::collection::vec(label(), 1..5).prop_map(|labels| labels.join("."))
 }
+
+/// The site lookup's reference: a full parse, then the site.
+fn parsed_site_domain(input: &str) -> Option<String> {
+    Url::parse(input)
+        .ok()
+        .and_then(|u| u.site())
+        .map(|s| s.registrable_domain().to_owned())
+}
+
+/// Strings shaped like the URLs scripts are loaded from, with the
+/// corners the parser cares about: scheme case, a missing `//`,
+/// userinfo, empty, huge and non-numeric ports, uppercase and invalid
+/// hosts, public-suffix and IP hosts, and surrounding whitespace.
+const URL_SHAPED: &str = "( |\t|||)(https|https|https|http|HTTPS|Http|wss|ws|data|javascript|mailto|1x|h t)(://|://|://|://|:|:/)([a-z]{1,4}(:[a-z]{0,3})?@)?(([a-zA-Z0-9_-]{1,8}\\.){0,3}[a-z0-9_-]{1,8}|([a-z0-9-]{1,8}\\.){1,3}[a-zA-Z0-9_-]{1,8}|github\\.io|co\\.uk|192\\.168\\.0\\.1|\\.bad|bad\\.|b d|)(:[0-9]{0,5}|:x|||)(/[a-zA-Z0-9.]{0,6}){0,3}(\\?[a-z=&]{0,6})?(#[a-z]{0,4})?( |\t|||)";
 
 proptest! {
     /// Parsing then displaying then parsing again is a fixed point.
@@ -34,6 +50,37 @@ proptest! {
             let ps = psl::public_suffix(&host);
             prop_assert!(rd.ends_with(ps));
             prop_assert!(rd.len() > ps.len());
+        }
+    }
+
+    /// The borrowed site lookup agrees with a full parse on arbitrary
+    /// byte soup...
+    #[test]
+    fn site_domain_matches_parse_on_byte_soup(words in prop::collection::vec(0u16..256u16, 0..48)) {
+        let bytes: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+        let input = String::from_utf8_lossy(&bytes).into_owned();
+        prop_assert_eq!(site_domain(&input).map(Cow::into_owned), parsed_site_domain(&input));
+    }
+
+    /// ... on printable ASCII soup with the URL metacharacters in it ...
+    #[test]
+    fn site_domain_matches_parse_on_ascii_soup(input in "[ -~]{0,40}", scheme in "(https?://|HTTP://|ws:|)") {
+        let input = format!("{scheme}{input}");
+        prop_assert_eq!(site_domain(&input).map(Cow::into_owned), parsed_site_domain(&input));
+    }
+
+    /// ... and on URL-shaped strings, where most inputs have a site. It
+    /// borrows unless the host has uppercase letters.
+    #[test]
+    fn site_domain_matches_parse_on_url_shaped_strings(input in URL_SHAPED) {
+        let lookup = site_domain(&input);
+        prop_assert_eq!(
+            lookup.clone().map(Cow::into_owned),
+            parsed_site_domain(&input),
+            "{:?}", input
+        );
+        if let Some(Cow::Owned(_)) = lookup {
+            prop_assert!(input.bytes().any(|b| b.is_ascii_uppercase()), "{:?}", input);
         }
     }
 

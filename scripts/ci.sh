@@ -7,7 +7,8 @@
 # (see vendor/README.md); no network access is required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# Digests of the seed-7 20k-site outputs, committed so a change that
+# Digests of the seed-7 outputs (the 20k-site crawl, its bundle store,
+# and the analyze report and tables over it), committed so a change that
 # alters the output of every path at once still fails CI (every cmp gate
 # below compares two paths of the same build). Regenerate them only for
 # a deliberate output change, and say so in CHANGES.md.
@@ -92,9 +93,22 @@ for table in funnel census completeness t3 t4 t5 t6 summary t7 t8 directives \
         "$BIN" analyze --db "$COL/crawl.colsh" --table "$table" --workers "$workers" \
             >"$COL/colsh.out" 2>/dev/null
         diff -u "$COL/jsonl.out" "$COL/colsh.out"
+        if [ "$workers" = 1 ]; then
+            cp "$COL/jsonl.out" "$COL/analyze-$table.out"
+        fi
     done
 done
 echo "    every table renders byte-identically from columnar at 1 and 4 workers"
+# Every gate above compares two paths of one build; the committed digests
+# also catch a fold change that moves all of them at once. The 5k-site
+# adversarial crawl's hostile headers and `allow` values drive the
+# parse-error paths.
+"$BIN" analyze --db "$COL/crawl.jsonl" --workers 1 >"$COL/analyze-all.out" 2>/dev/null
+"$BIN" crawl --size 5000 --seed 7 --adversarial --out "$COL/adversarial.jsonl" 2>/dev/null
+"$BIN" analyze --db "$COL/adversarial.jsonl" --workers 1 \
+    >"$COL/analyze-adversarial.out" 2>/dev/null
+(cd "$COL" && sha256sum --quiet -c "$GOLDEN/analyze-seed7-20k.sha256")
+echo "    analyze output matches the golden digests"
 mkdir -p "$COL/sharded"
 "$BIN" crawl --size 20000 --seed 7 --shards 4 --format columnar \
     --out "$COL/sharded/crawl.colsh" 2>/dev/null
