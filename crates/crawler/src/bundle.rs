@@ -715,7 +715,7 @@ impl BundleRecorder {
         }
         let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
         let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (blob_records, _, blobs_valid) = if blobs_path.exists() {
+        let (blob_records, _, mut blobs_valid) = if blobs_path.exists() {
             read_pack(&blobs_path, BLOB_MAGIC, StreamMode::Resume)?
         } else {
             (Vec::new(), SkipReport::default(), 0)
@@ -723,7 +723,10 @@ impl BundleRecorder {
         let mut index = HashSet::new();
         for record in &blob_records {
             if record.payload.len() < 16 {
-                break; // treat as damage: truncate here
+                // Damage: truncate here, so neither this record nor any
+                // blob after it stays on disk unindexed.
+                blobs_valid = record.offset;
+                break;
             }
             let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
             index.insert(digest);
@@ -1395,6 +1398,61 @@ mod tests {
         drop(file);
         let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
         assert_eq!(resumed.durable_prefix(), 0, "manifest rolled back");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_truncates_at_a_blob_record_shorter_than_its_digest() {
+        let dir =
+            std::env::temp_dir().join(format!("permodyssey-bundle-short-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 2, false);
+        let site = |rank: u64| {
+            let url = format!("https://site-{rank}.example/");
+            SiteBundle {
+                rank,
+                origin: url.clone(),
+                synthesized: false,
+                attempts: vec![VisitTape {
+                    exchanges: vec![Exchange {
+                        url: url.clone(),
+                        advance_ms: 155,
+                        outcome: ExchangeOutcome::Content {
+                            status: 200,
+                            headers: vec![("content-type".to_string(), "text/html".to_string())],
+                            body: Bytes::copy_from_slice(format!("<html>{rank}</html>").as_bytes()),
+                            final_url: url,
+                            redirects: 0,
+                        },
+                    }],
+                    probes: Vec::new(),
+                }],
+            }
+        };
+        let recorder = BundleRecorder::create(&dir, &meta).unwrap();
+        recorder.submit(site(1)).unwrap();
+        recorder.finish().unwrap();
+        // Splice a CRC-valid record with a 10-byte payload in after the
+        // first blob: every check but the digest length passes it.
+        let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
+        let bytes = std::fs::read(&blobs_path).unwrap();
+        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let cut = 8 + 8 + first_len;
+        let mut spliced = bytes[..cut].to_vec();
+        write_framed(&mut spliced, &[0u8; 10]).unwrap();
+        spliced.extend_from_slice(&bytes[cut..]);
+        std::fs::write(&blobs_path, &spliced).unwrap();
+
+        // The cut drops rank 1's second blob, so its manifest rolls back
+        // and both ranks are captured again.
+        let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
+        assert_eq!(resumed.durable_prefix(), 0);
+        resumed.submit(site(1)).unwrap();
+        resumed.submit(site(2)).unwrap();
+        assert_eq!(resumed.finish().unwrap(), 2);
+        let bundle = ReplayBundle::load(&dir).expect("strict load of the resumed store");
+        assert_eq!(bundle.sites(), 2);
+        assert_eq!(bundle.tape(1, 0).unwrap(), site(1).attempts[0]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

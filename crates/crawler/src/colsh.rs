@@ -223,6 +223,141 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+// --- shard digest ---------------------------------------------------------
+
+const DIGEST_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const DIGEST_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One multiply-rotate round. For a fixed word it is a bijection of the
+/// state, so two inputs of one length that differ in a single word can
+/// never meet again: any one changed byte changes the digest.
+fn digest_round(state: u64, word: u64) -> u64 {
+    (state ^ word.wrapping_mul(DIGEST_P2))
+        .rotate_left(31)
+        .wrapping_mul(DIGEST_P1)
+}
+
+/// A streaming 64-bit digest of a byte sequence, eight bytes per round:
+/// what a job's completion record holds for each shard. Any split of
+/// the input into [`Digest64::update`] calls gives the same value, so
+/// the shard sinks fold it over exactly the bytes they write, and a
+/// resume seeds it from the prefix it keeps. Not cryptographic: it
+/// catches accidental change, and anyone who can edit a shard can edit
+/// the record too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Digest64 {
+    state: u64,
+    len: u64,
+    /// The bytes of a word not yet complete (`len % 8` of them), then
+    /// zeros — so equal digests compare equal.
+    tail: [u8; 8],
+}
+
+impl Default for Digest64 {
+    fn default() -> Digest64 {
+        Digest64 {
+            state: DIGEST_P1,
+            len: 0,
+            tail: [0; 8],
+        }
+    }
+}
+
+impl Digest64 {
+    /// Folds `bytes` in after everything folded so far.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        let fill = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if fill > 0 {
+            let take = bytes.len().min(8 - fill);
+            self.tail[fill..fill + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if fill + take < 8 {
+                return;
+            }
+            self.state = digest_round(self.state, u64::from_le_bytes(self.tail));
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            self.state = digest_round(self.state, word);
+        }
+        let rest = words.remainder();
+        self.tail = [0; 8];
+        self.tail[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// Folds in everything `reader` yields, through one fixed 64 KiB
+    /// buffer, and returns how many bytes that was.
+    pub(crate) fn update_from(&mut self, mut reader: impl Read) -> std::io::Result<u64> {
+        let mut buf = vec![0u8; 1 << 16];
+        let mut read = 0u64;
+        loop {
+            match reader.read(&mut buf) {
+                Ok(0) => return Ok(read),
+                Ok(n) => {
+                    self.update(&buf[..n]);
+                    read += n as u64;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Bytes folded so far.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// The digest of everything folded so far: the zero-padded partial
+    /// word, then the length (which tells the padding apart from real
+    /// zero bytes), then an avalanche so every input bit reaches every
+    /// output bit.
+    pub(crate) fn value(&self) -> u64 {
+        let mut h = self.state;
+        if !self.len.is_multiple_of(8) {
+            h = digest_round(h, u64::from_le_bytes(self.tail));
+        }
+        h = digest_round(h, self.len);
+        h ^= h >> 33;
+        h = h.wrapping_mul(DIGEST_P2);
+        h ^ (h >> 29)
+    }
+}
+
+/// A writer that folds every byte it passes on into a [`Digest64`]:
+/// beneath a `BufWriter`, it sees exactly the bytes that reach the file.
+pub(crate) struct DigestWriter<W> {
+    inner: W,
+    digest: Digest64,
+}
+
+impl<W> DigestWriter<W> {
+    /// Wraps `inner`, whose destination already holds the bytes
+    /// `digest` folded.
+    pub(crate) fn new(inner: W, digest: Digest64) -> DigestWriter<W> {
+        DigestWriter { inner, digest }
+    }
+
+    /// The digest of every byte written so far, seed included.
+    pub(crate) fn digest(&self) -> Digest64 {
+        self.digest
+    }
+}
+
+impl<W: Write> Write for DigestWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.digest.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 // --- primitive codecs -----------------------------------------------------
 
 /// Appends a LEB128 varint.
@@ -566,7 +701,7 @@ pub struct ColshAppendState {
 /// [`DEFAULT_GROUP_RECORDS`] pushes; [`ColshWriter::finish`] flushes the
 /// tail group and writes the END marker.
 pub struct ColshWriter {
-    out: BufWriter<File>,
+    out: BufWriter<DigestWriter<File>>,
     dict: WriterDict,
     perm_index: HashMap<Permission, u32>,
     cols: [Vec<u8>; 9],
@@ -609,7 +744,8 @@ impl ColshWriter {
     /// boundaries; must be nonzero).
     pub fn create_grouped(path: &Path, group_records: usize) -> std::io::Result<ColshWriter> {
         assert!(group_records > 0, "row group size must be nonzero");
-        let mut out = BufWriter::new(File::create(path)?);
+        let file = File::create(path)?;
+        let mut out = BufWriter::new(DigestWriter::new(file, Digest64::default()));
         out.write_all(&COLSH_MAGIC)?;
         out.write_all(&COLSH_VERSION.to_le_bytes())?;
         let mut fdict = Vec::new();
@@ -636,8 +772,9 @@ impl ColshWriter {
 
     /// Reopens an interrupted database for appending: truncates to the
     /// valid prefix [`resume_colsh`] measured (discarding any torn tail
-    /// and the old END marker) and restores the dictionary state so new
-    /// groups continue the id sequence.
+    /// and the old END marker), restores the dictionary state so new
+    /// groups continue the id sequence, and seeds the file digest with
+    /// one sequential read of the kept prefix.
     pub fn append(
         path: &Path,
         valid_len: u64,
@@ -648,10 +785,14 @@ impl ColshWriter {
             // over, rewriting the magic and feature dictionary.
             return ColshWriter::create(path);
         }
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut out = BufWriter::new(file);
-        out.seek(SeekFrom::Start(valid_len))?;
+        let mut digest = Digest64::default();
+        if digest.update_from(&mut file)? != valid_len {
+            return Err(unexpected_eof());
+        }
+        file.seek(SeekFrom::Start(valid_len))?;
+        let out = BufWriter::new(DigestWriter::new(file, digest));
         let mut dict = WriterDict {
             ids: HashMap::with_capacity(state.dict.len()),
             len: state.dict.len(),
@@ -886,13 +1027,20 @@ impl ColshWriter {
         Ok(())
     }
 
-    /// Flushes the tail group, writes the END marker, and syncs.
-    pub fn finish(mut self) -> std::io::Result<()> {
+    /// Flushes the tail group and writes the END marker.
+    pub fn finish(self) -> std::io::Result<()> {
+        self.finish_sealed().map(|_| ())
+    }
+
+    /// [`ColshWriter::finish`], returning the digest of the whole file
+    /// as written.
+    pub(crate) fn finish_sealed(mut self) -> std::io::Result<Digest64> {
         self.flush_group()?;
         let mut end = Vec::new();
         wv(&mut end, self.total);
         write_block(&mut self.out, BLOCK_END, &end)?;
-        self.out.flush()
+        self.out.flush()?;
+        Ok(self.out.get_ref().digest())
     }
 
     /// Finishes at the last *complete* row-group boundary, discarding
@@ -1718,6 +1866,8 @@ pub fn read_colsh(path: &Path) -> std::io::Result<CrawlDataset> {
 mod tests {
     use super::*;
     use crate::run::{CrawlConfig, Crawler};
+    use crate::scratch::ScratchFile;
+    use proptest::prelude::*;
     use webgen::{PopulationConfig, WebPopulation};
 
     /// Pin the sliced CRC to the IEEE 802.3 check value: round-trip
@@ -1738,15 +1888,59 @@ mod tests {
         }
     }
 
+    fn digest_of(bytes: &[u8]) -> u64 {
+        let mut digest = Digest64::default();
+        digest.update(bytes);
+        digest.value()
+    }
+
+    /// Pins the shard digest: completion records already on disk must
+    /// keep verifying, so the function can never change silently.
+    #[test]
+    fn digest64_matches_pinned_values() {
+        let data: Vec<u8> = (0u16..=300).map(|i| (i % 251) as u8).collect();
+        assert_eq!(digest_of(b""), 0xc2fb_4d20_ee18_98eb);
+        assert_eq!(digest_of(b"123456789"), 0x0918_76a4_9fd5_fd7b);
+        assert_eq!(digest_of(&data), 0x3742_c878_da70_1563);
+        // The padding of a partial word is not a zero byte.
+        assert_ne!(digest_of(b"abc"), digest_of(b"abc\0"));
+        // Every round is a bijection of the state, so one changed byte
+        // anywhere changes the digest.
+        let whole = digest_of(&data);
+        for i in 0..data.len() {
+            let mut changed = data.clone();
+            changed[i] ^= 0x01;
+            assert_ne!(digest_of(&changed), whole, "byte {i}");
+        }
+    }
+
+    proptest! {
+        /// Any split of the input folds to the one-shot digest.
+        #[test]
+        fn digest64_is_independent_of_how_the_input_is_split(
+            bytes in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..200),
+            cuts in prop::collection::vec(0usize..200, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut digest = Digest64::default();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                digest.update(&bytes[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(digest.len(), bytes.len() as u64);
+            prop_assert_eq!(digest.value(), digest_of(&bytes));
+        }
+    }
+
     fn dataset(size: u64) -> CrawlDataset {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size });
         Crawler::new(CrawlConfig::default()).crawl(&pop)
     }
 
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("permodyssey-colsh-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn scratch(name: &str) -> ScratchFile {
+        ScratchFile::new("permodyssey-colsh", name)
     }
 
     #[test]
@@ -1756,7 +1950,6 @@ mod tests {
         write_colsh(&ds, &path).unwrap();
         let loaded = read_colsh(&path).unwrap();
         assert_eq!(ds.records, loaded.records);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1770,7 +1963,6 @@ mod tests {
         w.finish().unwrap();
         let loaded = read_colsh(&path).unwrap();
         assert_eq!(ds.records, loaded.records);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1792,7 +1984,6 @@ mod tests {
                 assert!(v.prompts.is_empty());
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1817,7 +2008,6 @@ mod tests {
             .find_map(|r| r.err())
             .expect("strict read errors");
         assert!(err.to_string().contains("end marker"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1863,8 +2053,6 @@ mod tests {
         }
         w.finish().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&full).unwrap());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&full).ok();
     }
 
     #[test]
@@ -1899,7 +2087,6 @@ mod tests {
         let report = stream.into_skip_report();
         assert_eq!(report.skipped, 10);
         assert_eq!(report.lines, vec![11]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1930,8 +2117,6 @@ mod tests {
         let flat_bytes = std::fs::read(&flat).unwrap();
         assert_eq!(count_blocks(&flat_bytes, BLOCK_EPOCH), 0);
         assert_eq!(read_colsh(&flat).unwrap().records, ds.records);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&flat).ok();
     }
 
     #[test]
@@ -1963,8 +2148,6 @@ mod tests {
         // Both layouts decode to the same records.
         assert_eq!(read_colsh(&unbounded_path).unwrap().records, ds.records);
         assert_eq!(read_colsh(&bounded_path).unwrap().records, ds.records);
-        std::fs::remove_file(&unbounded_path).ok();
-        std::fs::remove_file(&bounded_path).ok();
     }
 
     #[test]
@@ -1998,8 +2181,6 @@ mod tests {
             w.finish().unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "cut at {cut}");
         }
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&full).ok();
     }
 
     #[test]
@@ -2028,7 +2209,6 @@ mod tests {
             assert!(report.lines.is_empty(), "cut at {cut}");
             assert!(report.torn_tail, "cut at {cut}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2070,8 +2250,6 @@ mod tests {
         // valid_len excludes the 10-byte END block (id + len + crc +
         // varint(30)) so an appender can overwrite it in place.
         assert_eq!(stream.valid_len(), bytes.len() as u64 - 10);
-        std::fs::remove_file(&live).ok();
-        std::fs::remove_file(&full).ok();
     }
 
     /// How many blocks with `id` the (complete) file holds.

@@ -29,7 +29,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::colsh::ColshWriter;
+use crate::colsh::{ColshWriter, Digest64, DigestWriter};
 use crate::run::{CrawlDataset, SiteRecord};
 
 /// How a [`RecordStream`] treats lines that fail to parse.
@@ -101,6 +101,9 @@ pub struct RecordStream {
     skip: SkipReport,
     buf: Vec<u8>,
     done: bool,
+    /// The digest of the valid prefix, folded only when a resume asks
+    /// for it ([`resume_jsonl_digested`]).
+    digest: Option<Digest64>,
 }
 
 impl RecordStream {
@@ -115,6 +118,7 @@ impl RecordStream {
             skip: SkipReport::default(),
             buf: Vec::new(),
             done: false,
+            digest: None,
         })
     }
 
@@ -146,6 +150,15 @@ impl RecordStream {
     /// offset to truncate to before appending).
     pub fn valid_len(&self) -> u64 {
         self.valid_len
+    }
+
+    /// Extends the valid prefix by the line just read into `buf`.
+    fn accept_line(&mut self) {
+        self.valid_len += self.buf.len() as u64;
+        self.valid_lines = self.line_no;
+        if let Some(digest) = &mut self.digest {
+            digest.update(&self.buf);
+        }
     }
 
     fn corrupt(&self, detail: impl std::fmt::Display) -> std::io::Error {
@@ -199,14 +212,12 @@ impl RecordStream {
             };
             if blank {
                 // Blank line: fine, still part of the valid prefix.
-                self.valid_len += n as u64;
-                self.valid_lines = self.line_no;
+                self.accept_line();
                 continue;
             }
             match serde_json::from_slice::<SiteRecord>(line) {
                 Ok(record) => {
-                    self.valid_len += n as u64;
-                    self.valid_lines = self.line_no;
+                    self.accept_line();
                     return Some(Ok(record));
                 }
                 Err(e) => match self.failed_line(terminated, &e.to_string()) {
@@ -323,18 +334,30 @@ pub struct ResumeState {
 /// line by line — the database is never held in memory.
 pub fn resume_jsonl(
     path: &Path,
-    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+    check_rank: impl FnMut(u64) -> std::io::Result<()>,
 ) -> std::io::Result<ResumeState> {
+    resume_jsonl_digested(path, check_rank).map(|(state, _)| state)
+}
+
+/// [`resume_jsonl`], also returning the digest of the valid prefix,
+/// folded over the lines the scan reads anyway — the seed of an
+/// appending sink's digest.
+pub(crate) fn resume_jsonl_digested(
+    path: &Path,
+    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+) -> std::io::Result<(ResumeState, Digest64)> {
     let mut stream = RecordStream::open(path, StreamMode::Resume)?;
+    stream.digest = Some(Digest64::default());
     let mut records = 0u64;
     for record in &mut stream {
         check_rank(record?.rank)?;
         records += 1;
     }
-    Ok(ResumeState {
+    let state = ResumeState {
         records,
         valid_len: stream.valid_len(),
-    })
+    };
+    Ok((state, stream.digest.unwrap_or_default()))
 }
 
 /// The shard a record of `rank` is striped to on an `shards`-way write.
@@ -352,7 +375,10 @@ pub(crate) fn shard_index(rank: u64, shards: usize) -> usize {
 // One sink exists per shard, so the size gap between variants is moot.
 #[allow(clippy::large_enum_variant)]
 enum Sink {
-    Jsonl { out: BufWriter<File>, records: u64 },
+    Jsonl {
+        out: BufWriter<DigestWriter<File>>,
+        records: u64,
+    },
     Colsh(ColshWriter),
 }
 
@@ -368,15 +394,17 @@ impl Sink {
     ) -> std::io::Result<(Sink, u64)> {
         Ok(match (format, resume && path.exists()) {
             (DbFormat::Jsonl, false) => {
-                let out = BufWriter::new(File::create(path)?);
+                let file = File::create(path)?;
+                let out = BufWriter::new(DigestWriter::new(file, Digest64::default()));
                 (Sink::Jsonl { out, records: 0 }, 0)
             }
             (DbFormat::Colsh, false) => (Sink::Colsh(ColshWriter::create(path)?), 0),
             (DbFormat::Jsonl, true) => {
-                let ResumeState { records, valid_len } = resume_jsonl(path, check_rank)?;
+                let (ResumeState { records, valid_len }, digest) =
+                    resume_jsonl_digested(path, check_rank)?;
                 let file = std::fs::OpenOptions::new().append(true).open(path)?;
                 file.set_len(valid_len)?;
-                let out = BufWriter::new(file);
+                let out = BufWriter::new(DigestWriter::new(file, digest));
                 (Sink::Jsonl { out, records }, records)
             }
             (DbFormat::Colsh, true) => {
@@ -493,14 +521,22 @@ impl ShardWriter {
 
     /// Completes every shard: flushes, and columnar shards write END.
     pub fn finish(self) -> std::io::Result<()> {
-        for (path, sink) in self.shards {
-            match sink {
-                Sink::Jsonl { mut out, .. } => out.flush(),
-                Sink::Colsh(writer) => writer.finish(),
-            }
-            .map_err(|e| at("finishing", &path, e))?;
-        }
-        Ok(())
+        self.finish_sealed().map(|_| ())
+    }
+
+    /// [`ShardWriter::finish`], returning the digest of each finished
+    /// shard file, in shard order.
+    pub(crate) fn finish_sealed(self) -> std::io::Result<Vec<Digest64>> {
+        self.shards
+            .into_iter()
+            .map(|(path, sink)| {
+                match sink {
+                    Sink::Jsonl { mut out, .. } => out.flush().map(|()| out.get_ref().digest()),
+                    Sink::Colsh(writer) => writer.finish_sealed(),
+                }
+                .map_err(|e| at("finishing", &path, e))
+            })
+            .collect()
     }
 
     /// Graceful-shutdown checkpoint: flushes every shard to a clean
@@ -1158,6 +1194,57 @@ mod tests {
             "clean file is valid in full"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resumed_sinks_report_the_digest_of_the_final_file() {
+        let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 30 });
+        let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
+        let dir = std::env::temp_dir().join(format!("permodyssey-sealed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let one_shot = |bytes: &[u8]| {
+            let mut digest = Digest64::default();
+            digest.update(bytes);
+            digest
+        };
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            let paths = shard_paths(&dir.join(format!("crawl.{}", format.extension())), 2);
+            // Small row groups and epochs, so cuts land between groups,
+            // inside them, and before an epoch marker.
+            let open = |resume| {
+                let (writer, counts) = ShardWriter::open(&paths, format, resume).unwrap();
+                (writer.with_colsh_layout(4, 2), counts)
+            };
+            let (mut writer, _) = open(false);
+            for record in &dataset.records {
+                writer.push(record).unwrap();
+            }
+            let digests = writer.finish_sealed().unwrap();
+            let full: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+            for (digest, bytes) in digests.iter().zip(&full) {
+                assert_eq!(*digest, one_shot(bytes), "{format:?} fresh");
+            }
+            // Shard 0 torn inside the header, mid-file and one byte
+            // short; shard 1 resumes intact.
+            let len = full[0].len();
+            for cut in [5, len / 3, len / 2, len - 1] {
+                std::fs::write(&paths[0], &full[0][..cut]).unwrap();
+                let (mut writer, counts) = open(true);
+                for record in &dataset.records {
+                    let shard = shard_index(record.rank, 2);
+                    if (record.rank - 1) / 2 >= counts[shard] {
+                        writer.push(record).unwrap();
+                    }
+                }
+                let digests = writer.finish_sealed().unwrap();
+                for (path, (digest, bytes)) in paths.iter().zip(digests.iter().zip(&full)) {
+                    assert_eq!(&std::fs::read(path).unwrap(), bytes, "{format:?} cut {cut}");
+                    assert_eq!(*digest, one_shot(bytes), "{format:?} cut {cut}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -129,12 +129,11 @@ mod tests {
     use crate::colsh::ColshWriter;
     use crate::db::write_jsonl;
     use crate::run::{CrawlConfig, Crawler};
+    use crate::scratch::ScratchFile;
     use webgen::{PopulationConfig, WebPopulation};
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("permodyssey-follow-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn scratch(name: &str) -> ScratchFile {
+        ScratchFile::new("permodyssey-follow", name)
     }
 
     #[test]
@@ -174,8 +173,6 @@ mod tests {
         }
         assert_eq!(got, ds.records);
         assert_eq!(follower.frontier().records, 20);
-        std::fs::remove_file(&live).ok();
-        std::fs::remove_file(&full).ok();
     }
 
     #[test]
@@ -195,7 +192,5 @@ mod tests {
         }
         assert_eq!(got, ds.records);
         assert_eq!(follower.frontier().bytes, bytes.len() as u64);
-        std::fs::remove_file(&live).ok();
-        std::fs::remove_file(&full).ok();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A 1M-origin measurement (the paper's real substrate) needs a *job*:
 //! a crawl that survives kills, reports its health, and never holds
-//! more than a bounded window of work in memory. The engine layers four
+//! more than a bounded window of work in memory. The engine layers five
 //! pieces over [`Crawler`], [`CrawlTelemetry`] and the one shard writer
 //! ([`ShardWriter`]):
 //!
@@ -42,6 +42,13 @@
 //!   depth and peak, sustained records/sec and ETA — all derived from
 //!   [`TelemetrySnapshot`] with the zero-division guards that type
 //!   provides.
+//! * **A completion certificate.** A run that ends complete writes a
+//!   checksummed completion record ([`COMPLETION_FILE`]) holding the
+//!   manifest and each shard's byte length and 64-bit digest, which the
+//!   shard sinks fold as they write. A resume that finds every shard
+//!   still matching it has nothing to re-derive and opens no shard for
+//!   writing; anything else resumes through the decoding scan, so the
+//!   record only ever saves time, never changes an outcome.
 //!
 //! Crash-safety contract, enforced by the chaos harness in
 //! `tests/job_engine.rs` and the ci.sh crash gate: for *any* byte
@@ -61,7 +68,7 @@ use serde::{Deserialize, Serialize};
 use webgen::{PopulationConfig, WebPopulation};
 
 use crate::bundle::{BundleMeta, BundleRecorder, SiteBundle};
-use crate::colsh::crc32;
+use crate::colsh::{crc32, Digest64};
 use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter, StreamMode};
 use crate::funnel::CrawlFunnel;
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
@@ -75,6 +82,9 @@ pub const MANIFEST_FILE: &str = "job.json";
 
 /// The health surface's file name inside a job directory.
 pub const STATUS_FILE: &str = "status.json";
+
+/// The completion record's file name inside a job directory.
+pub const COMPLETION_FILE: &str = "complete.json";
 
 /// Default ranks per lease batch.
 pub const DEFAULT_LEASE_RECORDS: u64 = 256;
@@ -232,8 +242,8 @@ impl JobManifest {
 
 /// Atomically writes `value` into `dir/name` as one JSON line plus a
 /// `crc32:` trailer (temp file + rename, so a kill never leaves a torn
-/// file behind) — the format of `job.json` and a bundle store's
-/// `bundle.json`.
+/// file behind) — the format of `job.json`, `complete.json` and a
+/// bundle store's `bundle.json`.
 pub(crate) fn store_checksummed<T: Serialize>(
     value: &T,
     dir: &Path,
@@ -263,6 +273,82 @@ pub(crate) fn parse_checksummed<T: Deserialize>(text: &str) -> Result<T, String>
         return Err("checksum mismatch".to_string());
     }
     serde_json::from_str(body).map_err(|e| format!("unparseable: {e}"))
+}
+
+/// What a complete run wrote, persisted as `complete.json` (JSON line
+/// plus `crc32:` trailer, temp-file rename) once its shards are flushed
+/// and before the final `status.json`.
+///
+/// It never supplies progress — the dataset stays the checkpoint — it
+/// only certifies that every shard byte is exactly what a complete run
+/// wrote, so [`job_resume`] can return without the decoding scan (see
+/// [`completion_certified`]). The manifest it carries binds it to the
+/// parameters that produced the bytes: a `job.json` rewritten with other
+/// parameters cannot inherit it. Jobs with
+/// [`JobManifest::record_bundle`] write none, because certifying them
+/// would also have to cover the bundle store. Nothing is fsynced: under
+/// process death the record is ordered after the shard flush, and under
+/// power loss a record that outlives its data fails the digest check.
+#[derive(Debug, Serialize, Deserialize)]
+struct CompletionRecord {
+    /// The manifest of the run that completed.
+    manifest: JobManifest,
+    /// Each shard file's length and digest, in shard order.
+    shards: Vec<ShardSeal>,
+}
+
+/// One shard file as a complete run left it.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct ShardSeal {
+    /// Byte length.
+    len: u64,
+    /// [`Digest64`] of every byte.
+    digest: u64,
+}
+
+impl ShardSeal {
+    fn of(digest: &Digest64) -> ShardSeal {
+        ShardSeal {
+            len: digest.len(),
+            digest: digest.value(),
+        }
+    }
+
+    /// Whether the file at `path` still is exactly this shard: the
+    /// length from its metadata first, then one read through a fixed
+    /// buffer. Any error reads as "no".
+    fn matches(&self, path: &Path) -> bool {
+        let Ok(file) = std::fs::File::open(path) else {
+            return false;
+        };
+        if file.metadata().ok().map(|m| m.len()) != Some(self.len) {
+            return false;
+        }
+        let mut digest = Digest64::default();
+        digest.update_from(file).is_ok() && ShardSeal::of(&digest) == *self
+    }
+}
+
+/// Whether `dir` holds a completion record for `manifest` that every
+/// shard file still matches in length and digest. Anything missing,
+/// torn, foreign or different — including an unreadable file — is a
+/// plain `false`: the resume then runs the decoding scan, which repairs
+/// or reports exactly what it would have without a record.
+pub(crate) fn completion_certified(dir: &Path, manifest: &JobManifest) -> bool {
+    let Ok(text) = std::fs::read_to_string(dir.join(COMPLETION_FILE)) else {
+        return false;
+    };
+    let Ok(record) = parse_checksummed::<CompletionRecord>(&text) else {
+        return false;
+    };
+    let paths = manifest.shard_files(dir);
+    record.manifest == *manifest
+        && record.shards.len() == paths.len()
+        && record
+            .shards
+            .iter()
+            .zip(&paths)
+            .all(|(seal, path)| seal.matches(path))
 }
 
 /// Run-time knobs (never persisted — changing them between resumes
@@ -554,7 +640,9 @@ pub fn job_start(
 /// Resumes the job persisted in `dir`: re-derives per-shard high-water
 /// marks from the shard files (truncating torn tails) and crawls the
 /// remaining ranks. A no-op returning [`JobState::Complete`] when
-/// everything is already on disk.
+/// everything is already on disk; when an intact completion record
+/// ([`COMPLETION_FILE`]) says so, each shard is read once and never
+/// decoded or opened for writing.
 pub fn job_resume(dir: &Path, opts: &JobOptions) -> Result<JobReport, JobError> {
     let manifest = JobManifest::load(dir)?;
     run_job(dir, &manifest, opts, true)
@@ -586,6 +674,18 @@ struct HighWater {
 }
 
 impl HighWater {
+    /// Every stripe full: shard `s` of `S` holds ranks `s+1, s+1+S, …`
+    /// up to `size`.
+    fn complete(size: u64, shards: usize) -> HighWater {
+        let stride = shards as u64;
+        HighWater {
+            marks: (0..stride)
+                .map(|s| size.saturating_sub(s).div_ceil(stride))
+                .collect(),
+            shards: stride,
+        }
+    }
+
     fn is_done(&self, rank: u64) -> bool {
         let shard = shard_index(rank, self.marks.len());
         (rank - 1) / self.shards < self.marks[shard]
@@ -685,16 +785,26 @@ fn run_job(
     } else {
         None
     };
-    let (sinks, marks) = ShardWriter::open(&manifest.shard_files(dir), manifest.format, resume)?;
-    let mut sinks = sinks.with_colsh_layout(
-        opts.colsh_group_records
-            .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS),
-        opts.colsh_dict_epoch_groups
-            .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS),
-    );
-    let high_water = HighWater {
-        marks,
-        shards: manifest.shards as u64,
+    // A certified complete job has every rank on disk: no shard is
+    // opened, and the run below finds an empty lease queue. Otherwise
+    // the decoding scan measures each shard's durable prefix.
+    let certified = resume && !manifest.record_bundle && completion_certified(dir, manifest);
+    let (mut sinks, high_water) = if certified {
+        (None, HighWater::complete(manifest.size, manifest.shards))
+    } else {
+        let (sinks, marks) =
+            ShardWriter::open(&manifest.shard_files(dir), manifest.format, resume)?;
+        let sinks = sinks.with_colsh_layout(
+            opts.colsh_group_records
+                .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS),
+            opts.colsh_dict_epoch_groups
+                .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS),
+        );
+        let high_water = HighWater {
+            marks,
+            shards: manifest.shards as u64,
+        };
+        (Some(sinks), high_water)
     };
     let resumed_from = high_water.total();
     let planned = manifest.size - resumed_from;
@@ -952,6 +1062,9 @@ fn run_job(
                     break;
                 };
                 funnel.count_record(&next);
+                let sinks = sinks
+                    .as_mut()
+                    .expect("a certified job has no rank to write");
                 if let Err(e) = sinks.push(&next) {
                     writer_error = Some(JobError::Io(e));
                     stop.store(true, Ordering::Relaxed);
@@ -1013,11 +1126,21 @@ fn run_job(
     }
 
     let stopped = stop.load(Ordering::Relaxed);
-    let durable = if stopped {
-        sinks.finish_checkpoint()?
-    } else {
-        sinks.finish()?;
-        resumed_from + written
+    let durable = match sinks {
+        // Certified: nothing was opened, so there is nothing to close.
+        None => resumed_from,
+        Some(sinks) if stopped => sinks.finish_checkpoint()?,
+        Some(sinks) => {
+            let shards = sinks.finish_sealed()?;
+            if !manifest.record_bundle {
+                let record = CompletionRecord {
+                    manifest: manifest.clone(),
+                    shards: shards.iter().map(ShardSeal::of).collect(),
+                };
+                store_checksummed(&record, dir, COMPLETION_FILE)?;
+            }
+            resumed_from + written
+        }
     };
     if let Some(recorder) = &recorder {
         // Complete runs must have captured every rank (a gap is a bug);
@@ -1131,6 +1254,12 @@ mod tests {
         // Shard 2 holds ranks 3, 6…: nothing durable.
         assert!(!hw.is_done(3));
         assert_eq!(hw.total(), 3);
+        // A complete job's full stripes, including empty ones.
+        let full = HighWater::complete(10, 3);
+        assert_eq!(full.marks, vec![4, 3, 3]);
+        assert!((1..=10).all(|rank| full.is_done(rank)));
+        assert!(!full.is_done(11));
+        assert_eq!(HighWater::complete(1, 3).marks, vec![1, 0, 0]);
     }
 
     #[test]
@@ -1285,5 +1414,295 @@ mod tests {
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
+    }
+
+    // --- the completion record -------------------------------------------
+
+    /// A small job whose `.colsh` shards span several row groups.
+    fn small_job(format: DbFormat) -> JobManifest {
+        JobManifest::new(7, 45, 3, format)
+    }
+
+    /// One worker, so that two runs over the same work report the same
+    /// per-worker telemetry.
+    fn small_options() -> JobOptions {
+        JobOptions {
+            workers: 1,
+            channel_capacity: 8,
+            lease_records: 8,
+            status_every: 10,
+            colsh_group_records: Some(4),
+            ..JobOptions::default()
+        }
+    }
+
+    /// Every shard file's bytes, in shard order (`None` if missing).
+    fn shard_bytes(manifest: &JobManifest, dir: &Path) -> Vec<Option<Vec<u8>>> {
+        let files = manifest.shard_files(dir);
+        files.iter().map(|path| std::fs::read(path).ok()).collect()
+    }
+
+    /// A report with its wall-clock time zeroed, for comparison.
+    fn untimed(report: &JobReport) -> String {
+        format!(
+            "{:?}",
+            JobReport {
+                wall_secs: 0.0,
+                ..report.clone()
+            }
+        )
+    }
+
+    /// `status.json` with its timing fields zeroed, for comparison.
+    fn untimed_status(dir: &Path) -> String {
+        let status = read_status(dir).unwrap();
+        let status = JobStatus {
+            rate_per_sec: 0.0,
+            eta_secs: 0.0,
+            wall_secs: 0.0,
+            ..status
+        };
+        format!("{status:?}")
+    }
+
+    /// Starts a job in a fresh directory and runs it to completion.
+    fn completed_job(tag: &str, manifest: &JobManifest) -> PathBuf {
+        let dir = temp_job_dir(tag);
+        let report = job_start(&dir, manifest, &small_options()).unwrap();
+        assert_eq!(report.state, JobState::Complete);
+        dir
+    }
+
+    fn set_shard_len(path: &Path, len: u64) {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(len).unwrap();
+    }
+
+    #[test]
+    fn completion_check_accepts_jobs_finished_by_start_and_by_resume() {
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            let manifest = small_job(format);
+            let ext = format.extension();
+            let reference = completed_job(&format!("cert-start-{ext}"), &manifest);
+            assert!(completion_certified(&reference, &manifest), "{format:?}");
+            let expected = shard_bytes(&manifest, &reference);
+
+            // A kill mid-write, then tails shredded further: one shard
+            // torn inside its header, one mid-file, one left alone.
+            let dir = temp_job_dir(&format!("cert-resume-{ext}"));
+            let killed = JobOptions {
+                abort_after_records: Some(20),
+                ..small_options()
+            };
+            let err = job_start(&dir, &manifest, &killed).unwrap_err();
+            assert!(matches!(err, JobError::Aborted { .. }), "{err}");
+            assert!(!completion_certified(&dir, &manifest));
+            let files = manifest.shard_files(&dir);
+            set_shard_len(&files[0], 5);
+            let len = std::fs::metadata(&files[1]).unwrap().len();
+            set_shard_len(&files[1], len / 2);
+            let report = job_resume(&dir, &small_options()).unwrap();
+            assert_eq!(report.state, JobState::Complete);
+            assert_eq!(shard_bytes(&manifest, &dir), expected, "{format:?}");
+            assert!(completion_certified(&dir, &manifest), "{format:?}");
+            std::fs::remove_dir_all(&reference).ok();
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Every file in `dir` with its bytes.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let files = std::fs::read_dir(dir).unwrap();
+        let path = |entry: std::io::Result<std::fs::DirEntry>| entry.unwrap().path();
+        let read = |path: PathBuf| (path.clone(), std::fs::read(path).unwrap());
+        files.map(path).map(read).collect()
+    }
+
+    /// Puts `dir` back exactly as [`snapshot`] found it.
+    fn restore(dir: &Path, files: &[(PathBuf, Vec<u8>)]) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+        for (path, bytes) in files {
+            std::fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// Resumes a damaged job twice from the same bytes: with its stale
+    /// completion record, and with none — how every job resumed before
+    /// records existed. Requires one outcome and returns it.
+    fn resume_as_without_a_record(
+        dir: &Path,
+        manifest: &JobManifest,
+        case: &str,
+    ) -> Result<JobReport, String> {
+        assert!(!completion_certified(dir, manifest), "{case}: certified");
+        let damaged = snapshot(dir);
+        let with_record = job_resume(dir, &small_options()).map_err(|e| e.to_string());
+        let bytes_with_record = shard_bytes(manifest, dir);
+
+        restore(dir, &damaged);
+        let _ = std::fs::remove_file(dir.join(COMPLETION_FILE));
+        let without = job_resume(dir, &small_options()).map_err(|e| e.to_string());
+        assert_eq!(shard_bytes(manifest, dir), bytes_with_record, "{case}");
+        match (&with_record, &without) {
+            (Ok(a), Ok(b)) => assert_eq!(untimed(a), untimed(b), "{case}"),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{case}"),
+            (a, b) => panic!("{case}: {a:?} with the record, {b:?} without"),
+        }
+        without
+    }
+
+    #[test]
+    fn completion_check_refuses_damage_and_the_scan_decides() {
+        type Damage = fn(&Path, &JobManifest);
+        let cases: [(&str, Damage); 7] = [
+            ("record missing", |dir, _| {
+                std::fs::remove_file(dir.join(COMPLETION_FILE)).unwrap();
+            }),
+            ("record torn", |dir, _| {
+                let path = dir.join(COMPLETION_FILE);
+                let text = std::fs::read_to_string(&path).unwrap();
+                let (body, _) = text.split_once("crc32:").unwrap();
+                std::fs::write(&path, format!("{body}crc32:00000000\n")).unwrap();
+            }),
+            ("record of another manifest", |dir, _| {
+                let text = std::fs::read_to_string(dir.join(COMPLETION_FILE)).unwrap();
+                let mut record: CompletionRecord = parse_checksummed(&text).unwrap();
+                record.manifest.seed += 1;
+                store_checksummed(&record, dir, COMPLETION_FILE).unwrap();
+            }),
+            ("shard one byte shorter", |dir, manifest| {
+                let path = &manifest.shard_files(dir)[1];
+                set_shard_len(path, std::fs::metadata(path).unwrap().len() - 1);
+            }),
+            ("shard one byte longer", |dir, manifest| {
+                let path = &manifest.shard_files(dir)[1];
+                let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+                file.write_all(b"{").unwrap();
+            }),
+            ("one byte flipped in place", |dir, manifest| {
+                let path = &manifest.shard_files(dir)[0];
+                let mut bytes = std::fs::read(path).unwrap();
+                let middle = bytes.len() / 2;
+                bytes[middle] ^= 0x01;
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("shard missing", |dir, manifest| {
+                std::fs::remove_file(&manifest.shard_files(dir)[2]).unwrap();
+            }),
+        ];
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            let manifest = small_job(format);
+            let ext = format.extension();
+            let dir = completed_job(&format!("cert-damage-{ext}"), &manifest);
+            let reference = shard_bytes(&manifest, &dir);
+            let pristine = snapshot(&dir);
+            for (case, damage) in cases {
+                restore(&dir, &pristine);
+                assert!(completion_certified(&dir, &manifest), "{case}");
+                damage(&dir, &manifest);
+                let case = format!("{format:?}, {case}");
+                let outcome = resume_as_without_a_record(&dir, &manifest, &case);
+                if case.ends_with("flipped in place") {
+                    // Whatever the scan makes of it — a loud error where
+                    // it reads a checksum or a line it cannot parse,
+                    // acceptance where it does not — was checked above.
+                    continue;
+                }
+                // Every other damage is repaired byte for byte, and the
+                // repairing run leaves a record the next resume takes
+                // the fast path on.
+                let report = outcome.unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_eq!(report.state, JobState::Complete, "{case}");
+                assert_eq!(shard_bytes(&manifest, &dir), reference, "{case}");
+                assert!(completion_certified(&dir, &manifest), "{case}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn mid_file_damage_fails_loudly_with_or_without_a_record() {
+        let manifest = small_job(DbFormat::Jsonl);
+        let dir = completed_job("cert-loud", &manifest);
+        // Break the second line of shard 0: mid-file damage, which the
+        // scan reports by file and line rather than repairs.
+        let path = &manifest.shard_files(&dir)[0];
+        let mut bytes = std::fs::read(path).unwrap();
+        let second = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[second] = b'#';
+        std::fs::write(path, bytes).unwrap();
+        let err = resume_as_without_a_record(&dir, &manifest, "mid-file").unwrap_err();
+        assert!(err.contains("crawl-000.jsonl"), "{err}");
+        assert!(err.contains("line 2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recordless_complete_job_scans_once_then_takes_the_fast_path() {
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            let manifest = small_job(format);
+            let dir = completed_job(&format!("cert-parent-{}", format.extension()), &manifest);
+            let reference = shard_bytes(&manifest, &dir);
+            // A job completed before completion records existed.
+            std::fs::remove_file(dir.join(COMPLETION_FILE)).unwrap();
+            assert!(!completion_certified(&dir, &manifest));
+            let scanned = job_resume(&dir, &small_options()).unwrap();
+            let scanned_status = untimed_status(&dir);
+            assert_eq!(shard_bytes(&manifest, &dir), reference, "{format:?}");
+            assert!(completion_certified(&dir, &manifest), "{format:?}");
+
+            let fast = job_resume(&dir, &small_options()).unwrap();
+            assert_eq!(untimed(&fast), untimed(&scanned), "{format:?}");
+            assert_eq!(untimed_status(&dir), scanned_status, "{format:?}");
+            assert_eq!(fast.state, JobState::Complete);
+            assert_eq!((fast.written, fast.durable), (0, manifest.size));
+            assert_eq!(shard_bytes(&manifest, &dir), reference, "{format:?}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn certified_resume_opens_no_shard_for_writing() {
+        // An old, exact modification time survives only if nothing
+        // writes or truncates the file.
+        let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+        let mtimes = |manifest: &JobManifest, dir: &Path| -> Vec<std::time::SystemTime> {
+            let files = manifest.shard_files(dir);
+            let mtime = |path: &PathBuf| std::fs::metadata(path).unwrap().modified().unwrap();
+            files.iter().map(mtime).collect()
+        };
+        for format in [DbFormat::Jsonl, DbFormat::Colsh] {
+            let manifest = small_job(format);
+            let dir = completed_job(&format!("cert-mtime-{}", format.extension()), &manifest);
+            for path in manifest.shard_files(&dir) {
+                std::fs::File::open(&path)
+                    .unwrap()
+                    .set_modified(old)
+                    .unwrap();
+            }
+            job_resume(&dir, &small_options()).unwrap();
+            assert_eq!(mtimes(&manifest, &dir), vec![old; 3], "{format:?}");
+            if format == DbFormat::Colsh {
+                // The scan rewrites each END marker: the probe sees it.
+                std::fs::remove_file(dir.join(COMPLETION_FILE)).unwrap();
+                job_resume(&dir, &small_options()).unwrap();
+                assert!(mtimes(&manifest, &dir).iter().all(|&t| t != old));
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn recording_jobs_write_no_completion_record() {
+        let mut manifest = small_job(DbFormat::Jsonl);
+        manifest.record_bundle = true;
+        let dir = completed_job("cert-recording", &manifest);
+        assert!(!dir.join(COMPLETION_FILE).exists());
+        let report = job_resume(&dir, &small_options()).unwrap();
+        assert_eq!(report.state, JobState::Complete);
+        assert!(!dir.join(COMPLETION_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

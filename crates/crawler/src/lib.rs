@@ -66,8 +66,47 @@ pub use follow::{ShardFollower, ShardFrontier};
 pub use funnel::CrawlFunnel;
 pub use jobs::{
     job_resume, job_start, read_status, JobError, JobManifest, JobOptions, JobReport, JobState,
-    JobStatus, DEFAULT_LEASE_RECORDS, MANIFEST_FILE, MANIFEST_VERSION, STATUS_FILE,
+    JobStatus, COMPLETION_FILE, DEFAULT_LEASE_RECORDS, MANIFEST_FILE, MANIFEST_VERSION,
+    STATUS_FILE,
 };
 pub use netsim::FaultSpec;
 pub use run::{CrawlConfig, CrawlDataset, Crawler, SiteOutcome, SiteRecord};
 pub use telemetry::{CrawlTelemetry, TelemetrySnapshot, LATENCY_BOUNDS_MS};
+
+#[cfg(test)]
+mod scratch {
+    use std::path::{Path, PathBuf};
+
+    /// A unit test's scratch file, alone in a directory named after it
+    /// and the test process. Dropping it removes the directory.
+    pub(crate) struct ScratchFile(PathBuf);
+
+    impl ScratchFile {
+        pub(crate) fn new(prefix: &str, name: &str) -> ScratchFile {
+            let dir = std::env::temp_dir().join(format!("{prefix}-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("create scratch dir");
+            ScratchFile(dir.join(name))
+        }
+    }
+
+    impl std::ops::Deref for ScratchFile {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for ScratchFile {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchFile {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+}

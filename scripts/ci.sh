@@ -13,6 +13,10 @@ cd "$(dirname "$0")/.."
 # below compares two paths of the same build). Regenerate them only for
 # a deliberate output change, and say so in CHANGES.md.
 GOLDEN="$PWD/scripts/golden"
+# Every gate's scratch directory lives under one root that a single EXIT
+# trap removes, whether the run passes or a gate fails part-way.
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
 
 echo "==> cargo build --release"
 cargo build --release
@@ -38,8 +42,7 @@ cargo test -q --release --test streaming_equivalence
 echo "==> serde byte-identity gate (20k sites, streaming vs value-tree)"
 cargo build --release --example reencode
 BIN=target/release/permissions-odyssey
-IDENT=$(mktemp -d)
-trap 'rm -rf "$IDENT"' EXIT
+IDENT=$(mktemp -d -p "$SCRATCH")
 "$BIN" crawl --size 20000 --seed 7 --out "$IDENT/crawl.jsonl" 2>/dev/null
 target/release/examples/reencode \
     --db "$IDENT/crawl.jsonl" --out "$IDENT/streaming.jsonl" --codec streaming
@@ -54,20 +57,19 @@ echo "    crawl matches the golden digest"
 
 echo "==> sharded round-trip smoke (crawl --shards 4 vs unsharded)"
 BIN=target/release/permissions-odyssey
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
+SMOKE=$(mktemp -d -p "$SCRATCH")
 "$BIN" crawl --size 2000 --seed 7 --out "$SMOKE/flat.jsonl" 2>/dev/null
 mkdir -p "$SMOKE/sharded"
 "$BIN" crawl --size 2000 --seed 7 --shards 4 --out "$SMOKE/sharded/crawl.jsonl" 2>/dev/null
 "$BIN" analyze --db "$SMOKE/flat.jsonl" >"$SMOKE/flat.out" 2>/dev/null
 "$BIN" analyze --db "$SMOKE/sharded" --workers 4 >"$SMOKE/sharded.out" 2>/dev/null
 diff -u "$SMOKE/flat.out" "$SMOKE/sharded.out"
+rm -rf "$SMOKE"
 echo "    sharded analyze output is byte-identical"
 
 echo "==> columnar format gate (20k sites, JSONL vs .colsh)"
 BIN=target/release/permissions-odyssey
-COL=$(mktemp -d)
-trap 'rm -rf "$COL"' EXIT
+COL=$(mktemp -d -p "$SCRATCH")
 "$BIN" crawl --size 20000 --seed 7 --out "$COL/crawl.jsonl" 2>/dev/null
 "$BIN" crawl --size 20000 --seed 7 --format columnar --out "$COL/crawl.colsh" 2>/dev/null
 "$BIN" convert --in "$COL/crawl.jsonl" --out "$COL/converted.colsh" 2>/dev/null
@@ -120,8 +122,7 @@ echo "    sharded columnar analyze output is byte-identical"
 
 echo "==> record/replay bundle gate (20k sites, generator never invoked)"
 BIN=target/release/permissions-odyssey
-REC=$(mktemp -d)
-trap 'rm -rf "$REC"' EXIT
+REC=$(mktemp -d -p "$SCRATCH")
 "$BIN" crawl --size 20000 --seed 7 --record "$REC/bundle" --out "$REC/live.jsonl" 2>/dev/null
 "$BIN" crawl --replay "$REC/bundle" --out "$REC/replayed.jsonl" 2>/dev/null
 cmp "$REC/live.jsonl" "$REC/replayed.jsonl"
@@ -154,8 +155,7 @@ cargo test -q --release -p crawler --test job_engine
 
 echo "==> job engine: CLI crash gate (chaos kill mid-write, resume, cmp)"
 BIN=target/release/permissions-odyssey
-JOB=$(mktemp -d)
-trap 'rm -rf "$JOB"' EXIT
+JOB=$(mktemp -d -p "$SCRATCH")
 for format in jsonl columnar; do
     ext=jsonl; [ "$format" = columnar ] && ext=colsh
     "$BIN" crawl-job start --dir "$JOB/ref-$ext" --size 20000 --seed 7 --shards 3 \
@@ -175,12 +175,27 @@ for format in jsonl columnar; do
         cmp "$JOB/ref-$ext/crawl-00$i.$ext" "$JOB/chaos-$ext/crawl-00$i.$ext"
     done
     "$BIN" crawl-job status --dir "$JOB/chaos-$ext" | grep -q "state:     complete"
+    # The completed resume wrote a completion record: resuming again
+    # checks it and leaves every byte alone. Then a shard shortened
+    # after completion no longer matches the record, so the resume falls
+    # back to the decoding scan, which repairs it.
+    for damage in none shorten; do
+        test -f "$JOB/chaos-$ext/complete.json"
+        if [ "$damage" = shorten ]; then
+            truncate -s -100 "$JOB/chaos-$ext/crawl-002.$ext"
+        fi
+        "$BIN" crawl-job resume --dir "$JOB/chaos-$ext" 2>/dev/null
+        for i in 0 1 2; do
+            cmp "$JOB/ref-$ext/crawl-00$i.$ext" "$JOB/chaos-$ext/crawl-00$i.$ext"
+        done
+        "$BIN" crawl-job status --dir "$JOB/chaos-$ext" | grep -q "state:     complete"
+    done
 done
 echo "    killed-and-resumed 20k jobs are byte-identical in both formats"
+echo "    resuming a complete job is a no-op; a shortened shard is repaired"
 
 echo "==> live analysis gate (analyze-while-crawling, both formats)"
-LIVE=$(mktemp -d)
-trap 'rm -rf "$LIVE"' EXIT
+LIVE=$(mktemp -d -p "$SCRATCH")
 for format in jsonl columnar; do
     ext=jsonl; [ "$format" = columnar ] && ext=colsh
     "$BIN" crawl-job start --dir "$LIVE/job-$ext" --size 20000 --seed 7 --shards 3 \

@@ -18,10 +18,35 @@ use proptest::prelude::*;
 mod records;
 use records::arb_record;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("po-colsh-rt-{}", std::process::id()));
+/// A test's scratch file, alone in a directory named after it and the
+/// test process. Dropping it removes the directory.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("po-colsh-rt-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{tag}.colsh"))
+    Scratch(dir.join(format!("{tag}.colsh")))
 }
 
 fn encode(path: &Path, records: &[SiteRecord], group: usize, epoch: u64) {

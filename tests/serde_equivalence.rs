@@ -147,4 +147,5 @@ fn record_stream_line_numbers_survive_streaming_decode() {
         vec![2, 4],
         "skip report keeps 1-based line numbers"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
