@@ -1,5 +1,6 @@
 //! The engine: navigation, frame tree construction, script execution.
 
+use std::borrow::Cow;
 use std::marker::PhantomData;
 
 use jsland::{Engine, RunError, ScriptEngine, ScriptSource, StepPool};
@@ -189,14 +190,15 @@ fn classify_run_error(error: &RunError) -> (ScriptOutcome, DegradationKind) {
     }
 }
 
-/// Truncates `text` to at most `max_bytes`, backing up to a char
-/// boundary so hostile multi-byte input cannot cause a slicing panic.
-fn truncate_to_boundary(text: &mut String, max_bytes: usize) {
-    let mut end = max_bytes;
+/// The longest prefix of `text` of at most `max_bytes`, backing up to a
+/// char boundary so hostile multi-byte input cannot cause a slicing
+/// panic.
+fn prefix_to_boundary(text: &str, max_bytes: usize) -> &str {
+    let mut end = max_bytes.min(text.len());
     while !text.is_char_boundary(end) {
         end -= 1;
     }
-    text.truncate(end);
+    &text[..end]
 }
 
 impl<N: Network> Browser<N> {
@@ -265,8 +267,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             _ => {}
         }
 
-        let final_url = response.final_url.clone();
-        let origin = final_url.origin();
+        let origin = response.final_url.origin();
         // The top-level document cannot be dropped for over-long redirect
         // chains (there would be no visit), but the anomaly is recorded.
         if response.redirects > budget.max_redirect_hops {
@@ -286,7 +287,8 @@ impl<N: Network, E: Engine> Browser<N, E> {
             "content-security-policy",
         );
         let declared = effective_declared(pp_header.as_deref(), fp_header.as_deref());
-        let policy = self.engine.document_for_top_level(origin.clone(), declared);
+        let origin_text = origin.ascii_serialization();
+        let policy = self.engine.document_for_top_level(origin, declared);
 
         if ctx.outcome != VisitOutcome::CrawlerCrash
             && ctx.outcome != VisitOutcome::EphemeralContext
@@ -295,9 +297,9 @@ impl<N: Network, E: Engine> Browser<N, E> {
                 &mut ctx,
                 clock,
                 LoadDoc {
-                    html: response.body_text(),
-                    url: Some(final_url),
-                    origin,
+                    html: response.body_str(),
+                    url: Some(response.final_url.clone()),
+                    origin: origin_text,
                     policy,
                     pp_header,
                     fp_header,
@@ -331,7 +333,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
         })
     }
 
-    fn load_document(&mut self, ctx: &mut LoadCtx, clock: &mut SimClock, mut doc: LoadDoc) {
+    fn load_document(&mut self, ctx: &mut LoadCtx, clock: &mut SimClock, doc: LoadDoc<'_>) {
         if ctx.frames.len() >= self.config.max_frames {
             ctx.outcome = VisitOutcome::PageTimeout;
             if !ctx.frame_cap_noted {
@@ -346,26 +348,29 @@ impl<N: Network, E: Engine> Browser<N, E> {
         }
         let budget = self.config.budget;
         let frame_id = ctx.frames.len();
-        if doc.html.len() > budget.max_document_bytes {
+        let mut html: &str = &doc.html;
+        if html.len() > budget.max_document_bytes {
             ctx.degrade(
                 frame_id,
                 DegradationKind::DocumentBytesCapped,
                 Some(format!(
                     "{} of {} bytes scanned",
                     budget.max_document_bytes,
-                    doc.html.len()
+                    html.len()
                 )),
             );
-            truncate_to_boundary(&mut doc.html, budget.max_document_bytes);
+            html = prefix_to_boundary(html, budget.max_document_bytes);
         }
-        let scanned = html::scan(&doc.html);
+        let scanned = html::scan(html);
 
         // Collect scripts: external ones are fetched, inline ones taken as
         // written; HTML event-handler attributes count as inline script
         // material for the static analysis. Failures no longer vanish:
-        // each script carries its outcome, each cap trip an event.
+        // each script carries its outcome, each cap trip an event. The
+        // scripts to run are indices into the records, which own the
+        // only copy of each source.
         let mut scripts: Vec<ScriptRecord> = Vec::new();
-        let mut executable: Vec<(usize, Option<String>, String)> = Vec::new();
+        let mut executable: Vec<usize> = Vec::new();
         for script in &scanned.scripts {
             if !script.is_javascript() {
                 continue;
@@ -402,26 +407,22 @@ impl<N: Network, E: Engine> Browser<N, E> {
                         });
                     }
                     Ok(resp) => {
-                        let mut source = resp.body_text();
+                        let source = resp.body_str();
                         if source.len() > budget.max_script_bytes {
                             ctx.degrade(
                                 frame_id,
                                 DegradationKind::ScriptBytesCapped,
                                 Some(format!("{url_string}: {} bytes", source.len())),
                             );
-                            truncate_to_boundary(&mut source, budget.max_script_bytes);
                             scripts.push(ScriptRecord {
                                 url: Some(url_string),
-                                source,
+                                source: prefix_to_boundary(&source, budget.max_script_bytes)
+                                    .to_string(),
                                 outcome: ScriptOutcome::BytesCapped,
                             });
                         } else {
-                            executable.push((
-                                scripts.len(),
-                                Some(url_string.clone()),
-                                source.clone(),
-                            ));
-                            scripts.push(ScriptRecord::ok(Some(url_string), source));
+                            executable.push(scripts.len());
+                            scripts.push(ScriptRecord::ok(Some(url_string), source.into_owned()));
                         }
                     }
                     Err(error) => {
@@ -444,15 +445,13 @@ impl<N: Network, E: Engine> Browser<N, E> {
                         DegradationKind::ScriptBytesCapped,
                         Some(format!("inline: {} bytes", inline.len())),
                     );
-                    let mut source = inline.clone();
-                    truncate_to_boundary(&mut source, budget.max_script_bytes);
                     scripts.push(ScriptRecord {
                         url: None,
-                        source,
+                        source: prefix_to_boundary(inline, budget.max_script_bytes).to_string(),
                         outcome: ScriptOutcome::BytesCapped,
                     });
                 } else {
-                    executable.push((scripts.len(), None, inline.clone()));
+                    executable.push(scripts.len());
                     scripts.push(ScriptRecord::ok(None, inline.clone()));
                 }
             }
@@ -469,20 +468,21 @@ impl<N: Network, E: Engine> Browser<N, E> {
         let mut hooks = BrowserHooks::new(&doc.policy);
         let mut interp = E::default();
         if doc.scripts_enabled {
-            for (index, url, source) in &executable {
-                let script_source = match url {
+            for index in executable {
+                let script = &scripts[index];
+                let script_source = match &script.url {
                     Some(u) => ScriptSource::external(u.clone()),
                     None => ScriptSource::inline(),
                 };
                 if let Err(error) =
-                    interp.run_pooled(source, script_source, &mut hooks, &mut ctx.pool)
+                    interp.run_pooled(&script.source, script_source, &mut hooks, &mut ctx.pool)
                 {
                     let (outcome, kind) = classify_run_error(&error);
-                    scripts[*index].outcome = outcome;
-                    let detail = match url {
+                    let detail = match &script.url {
                         Some(u) => format!("{u}: {error}"),
                         None => error.to_string(),
                     };
+                    scripts[index].outcome = outcome;
                     ctx.degrade(frame_id, kind, Some(detail));
                 }
                 clock.advance(2);
@@ -542,17 +542,20 @@ impl<N: Network, E: Engine> Browser<N, E> {
             .map(registry::FeatureToken)
             .collect();
 
+        let url = doc.url.as_ref().map(Url::to_string);
+        // The site from the URL text just made: the same answer as
+        // `Url::site`, without building a `Site`.
+        let site = url
+            .as_deref()
+            .and_then(weburl::site_domain)
+            .map(Cow::into_owned);
         ctx.frames.push(FrameRecord {
             frame_id,
             parent: doc.parent,
             depth: doc.depth,
-            url: doc.url.as_ref().map(Url::to_string),
-            origin: doc.origin.to_string(),
-            site: doc
-                .url
-                .as_ref()
-                .and_then(Url::site)
-                .map(|s| s.registrable_domain().to_string()),
+            url,
+            origin: doc.origin,
+            site,
             is_top_level: doc.is_top_level,
             is_local_document: doc.is_local,
             iframe_attrs: doc.iframe_attrs,
@@ -580,7 +583,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             return;
         }
         let csp = doc.csp_header.as_deref().map(Csp::parse);
-        for iframe in &scanned.iframes {
+        for iframe in scanned.iframes {
             if clock.expired(ctx.deadline) {
                 ctx.outcome = VisitOutcome::PageTimeout;
                 return;
@@ -615,25 +618,36 @@ impl<N: Network, E: Engine> Browser<N, E> {
         parent_csp: Option<&Csp>,
         parent_id: usize,
         parent_depth: u32,
-        iframe: &html::IframeElement,
+        iframe: html::IframeElement,
     ) {
+        // The scanned element's strings move into the record.
+        let html::IframeElement {
+            id,
+            name,
+            class,
+            src,
+            allow,
+            sandbox,
+            srcdoc,
+            loading,
+        } = iframe;
         let attrs = IframeAttrs {
-            id: iframe.id.clone(),
-            name: iframe.name.clone(),
-            class: iframe.class.clone(),
-            src: iframe.src.clone(),
-            allow: iframe.allow.clone(),
-            sandbox: iframe.sandbox.clone(),
-            has_srcdoc: iframe.srcdoc.is_some(),
-            loading: iframe.loading.clone(),
+            id,
+            name,
+            class,
+            src,
+            allow,
+            sandbox,
+            has_srcdoc: srcdoc.is_some(),
+            loading,
         };
-        let allow = iframe.allow.as_deref().map(parse_allow_attribute);
+        let allow = attrs.allow.as_deref().map(parse_allow_attribute);
+        let (scripts_enabled, same_origin) = sandbox_flags(attrs.sandbox.as_deref());
         let depth = parent_depth + 1;
 
         // srcdoc documents: same-origin local documents with inline HTML
         // (opaque-origin when sandboxed without allow-same-origin).
-        if let Some(srcdoc) = &iframe.srcdoc {
-            let (scripts_enabled, same_origin) = sandbox_flags(iframe.sandbox.as_deref());
+        if let Some(srcdoc) = srcdoc {
             let origin = if same_origin {
                 parent_policy.origin().clone()
             } else {
@@ -643,10 +657,11 @@ impl<N: Network, E: Engine> Browser<N, E> {
                 allow: allow.as_ref(),
                 src_origin: Some(origin.clone()),
             };
+            let origin_text = origin.ascii_serialization();
             let policy = self.engine.document_for_frame(
                 parent_policy,
                 &framing,
-                origin.clone(),
+                origin,
                 DeclaredPolicy::default(),
                 true,
             );
@@ -654,9 +669,9 @@ impl<N: Network, E: Engine> Browser<N, E> {
                 ctx,
                 clock,
                 LoadDoc {
-                    html: srcdoc.clone(),
+                    html: Cow::Owned(srcdoc),
                     url: None,
-                    origin,
+                    origin: origin_text,
                     policy,
                     pp_header: None,
                     fp_header: None,
@@ -672,7 +687,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             return;
         }
 
-        let Some(src) = iframe.src.as_deref().filter(|s| !s.is_empty()) else {
+        let Some(src) = attrs.src.as_deref().filter(|s| !s.is_empty()) else {
             // src-less iframe: an empty local document.
             self.push_empty_local_frame(ctx, parent_policy, parent_id, depth, attrs, allow);
             return;
@@ -699,30 +714,26 @@ impl<N: Network, E: Engine> Browser<N, E> {
                     allow: allow.as_ref(),
                     src_origin: Some(origin.clone()),
                 };
+                let origin_text = origin.ascii_serialization();
                 let policy = self.engine.document_for_frame(
                     parent_policy,
                     &framing,
-                    origin.clone(),
+                    origin,
                     DeclaredPolicy::default(),
                     true,
                 );
                 let html_payload = if src_url.scheme() == "data" {
-                    src_url
-                        .path()
-                        .split_once(',')
-                        .map(|(_, body)| body.to_string())
-                        .unwrap_or_default()
+                    src_url.path().split_once(',').map_or("", |(_, body)| body)
                 } else {
-                    String::new()
+                    ""
                 };
-                let (scripts_enabled, _) = sandbox_flags(iframe.sandbox.as_deref());
                 self.load_document(
                     ctx,
                     clock,
                     LoadDoc {
-                        html: html_payload,
-                        url: Some(src_url),
-                        origin,
+                        html: Cow::Borrowed(html_payload),
+                        url: Some(src_url.clone()),
+                        origin: origin_text,
                         policy,
                         pp_header: None,
                         fp_header: None,
@@ -744,12 +755,10 @@ impl<N: Network, E: Engine> Browser<N, E> {
                 let Ok(response) = self.network.fetch(&src_url, clock) else {
                     return;
                 };
-                let final_url = response.final_url.clone();
-                let (scripts_enabled, same_origin) = sandbox_flags(iframe.sandbox.as_deref());
                 // Sandboxing without allow-same-origin forces an opaque
                 // origin for everything, including policy matching.
                 let origin = if same_origin {
-                    final_url.origin()
+                    response.final_url.origin()
                 } else {
                     Origin::opaque()
                 };
@@ -770,10 +779,11 @@ impl<N: Network, E: Engine> Browser<N, E> {
                 let csp_header =
                     ctx.capped_header(child_id, max_header, &response, "content-security-policy");
                 let declared = effective_declared(pp_header.as_deref(), fp_header.as_deref());
+                let origin_text = origin.ascii_serialization();
                 let policy = self.engine.document_for_frame(
                     parent_policy,
                     &framing,
-                    origin.clone(),
+                    origin,
                     declared,
                     false,
                 );
@@ -781,9 +791,9 @@ impl<N: Network, E: Engine> Browser<N, E> {
                     ctx,
                     clock,
                     LoadDoc {
-                        html: response.body_text(),
-                        url: Some(final_url),
-                        origin,
+                        html: response.body_str(),
+                        url: Some(response.final_url.clone()),
+                        origin: origin_text,
                         policy,
                         pp_header,
                         fp_header,
@@ -840,7 +850,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             parent: Some(parent_id),
             depth,
             url: attrs.src.clone(),
-            origin: origin.to_string(),
+            origin: origin.ascii_serialization(),
             site: None,
             is_top_level: false,
             is_local_document: true,
@@ -859,10 +869,13 @@ impl<N: Network, E: Engine> Browser<N, E> {
     }
 }
 
-struct LoadDoc {
-    html: String,
+struct LoadDoc<'a> {
+    /// The document text, borrowed from its response where possible.
+    html: Cow<'a, str>,
     url: Option<Url>,
-    origin: Origin,
+    /// The document origin's serialization, as the frame record holds
+    /// it (the policy owns the `Origin`).
+    origin: String,
     policy: DocumentPolicy,
     pp_header: Option<String>,
     fp_header: Option<String>,

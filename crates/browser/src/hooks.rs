@@ -6,12 +6,24 @@
 //! the document's [`DocumentPolicy`] for permission state and allowed
 //! feature lists.
 
+use std::rc::Rc;
+
 use jsland::{ApiCall, HostHooks, Value};
 use policy::DocumentPolicy;
 use registry::apis::{self, ApiKind};
 use registry::Permission;
 
 use crate::records::{InvocationKind, InvocationRecord};
+
+thread_local! {
+    /// Every permission's token as a script string, made once per
+    /// thread. Each `allowedFeatures()` array is fresh but shares these;
+    /// strings are immutable, so no script can tell.
+    static TOKENS: Vec<Rc<str>> = registry::all_permissions()
+        .iter()
+        .map(|p| Rc::from(p.token()))
+        .collect();
+}
 
 /// Instrumentation + host behaviour for one document.
 pub struct BrowserHooks<'a> {
@@ -125,12 +137,14 @@ impl BrowserHooks<'_> {
                 | "document.featurePolicy.features"
                 | "document.permissionsPolicy.allowedFeatures"
                 | "document.permissionsPolicy.features",
-            ) => Value::string_array(
-                self.policy
-                    .allowed_features()
-                    .into_iter()
-                    .map(|p| p.token().to_string()),
-            ),
+            ) => TOKENS.with(|tokens| {
+                Value::string_array(
+                    self.policy
+                        .allowed_features()
+                        .into_iter()
+                        .map(|p| Rc::clone(&tokens[p as usize])),
+                )
+            }),
             (
                 InvocationKind::General,
                 "document.featurePolicy.allowsFeature" | "document.permissionsPolicy.allowsFeature",

@@ -82,14 +82,14 @@ const BLOCK_FDICT: u8 = 0x03;
 const BLOCK_EPOCH: u8 = 0x05;
 const BLOCK_END: u8 = 0xEE;
 /// Column block ids are `0x10 + column index`.
-const BLOCK_COLUMN_BASE: u8 = 0x10;
+pub(crate) const BLOCK_COLUMN_BASE: u8 = 0x10;
 
 const C_META: usize = 0;
 const C_FRAMES: usize = 1;
 const C_ATTRS: usize = 2;
 const C_HEADERS: usize = 3;
 const C_INVOCATIONS: usize = 4;
-const C_SCRIPTS: usize = 5;
+pub(crate) const C_SCRIPTS: usize = 5;
 const C_FEATURES: usize = 6;
 const C_PROMPTS: usize = 7;
 const C_DEGRADATIONS: usize = 8;
@@ -1100,6 +1100,10 @@ pub struct ColshStream {
     /// dictionary, old epoch counter) exactly what an appending writer
     /// re-emitting the marker expects.
     epoch_pending: bool,
+    /// Read and checksum the column blocks the projection leaves out
+    /// instead of seeking past them (the job-resume scan, which must not
+    /// certify bytes it never checked).
+    verify_skipped: bool,
     skip: SkipReport,
     done: bool,
 }
@@ -1151,6 +1155,7 @@ impl ColshStream {
             valid_records: 0,
             groups_in_epoch: 0,
             epoch_pending: false,
+            verify_skipped: false,
             skip: SkipReport::default(),
             done: false,
         };
@@ -1357,6 +1362,12 @@ impl ColshStream {
     /// verified); a checksum failure is reported but the payload bytes
     /// are consumed, so group framing survives.
     fn read_column_block(&mut self, expected_id: u8, k: usize) -> std::io::Result<()> {
+        let len = self.column_block_frame(expected_id)?;
+        self.read_column_payload(k, len)
+    }
+
+    /// Reads a column block's frame, returning its payload length.
+    fn column_block_frame(&mut self, expected_id: u8) -> std::io::Result<usize> {
         let Some((id, len)) = self.read_block_frame()? else {
             return Err(unexpected_eof());
         };
@@ -1365,6 +1376,12 @@ impl ColshStream {
                 "expected column block {expected_id:#x}, found {id:#x}"
             )));
         }
+        Ok(len)
+    }
+
+    /// Reads a framed column block's checksum and payload into column
+    /// `k`'s buffer and checks the payload against it.
+    fn read_column_payload(&mut self, k: usize, len: usize) -> std::io::Result<()> {
         let mut crc = [0u8; 4];
         self.read_exact(&mut crc)?;
         let expected = u32::from_le_bytes(crc);
@@ -1385,19 +1402,18 @@ impl ColshStream {
         Ok(())
     }
 
-    /// Seeks past an unprojected column block without reading or
-    /// checksumming the payload — the point of projection.
+    /// Passes over an unprojected column block without decoding it.
+    /// Projected reads seek past the payload unread — the point of
+    /// projection; a verifying stream reads it and fails on a checksum
+    /// mismatch.
     fn skip_column_block(&mut self, expected_id: u8, k: usize) -> std::io::Result<()> {
-        let Some((id, len)) = self.read_block_frame()? else {
-            return Err(unexpected_eof());
-        };
-        if id != expected_id {
-            return Err(bad(format!(
-                "expected column block {expected_id:#x}, found {id:#x}"
-            )));
+        let len = self.column_block_frame(expected_id)?;
+        if self.verify_skipped {
+            self.read_column_payload(k, len)?;
+        } else {
+            self.reader.seek_relative(len as i64 + 4)?;
+            self.offset += len as u64 + 4;
         }
-        self.reader.seek_relative(len as i64 + 4)?;
-        self.offset += len as u64 + 4;
         self.cols[k].reset();
         Ok(())
     }
@@ -1806,7 +1822,9 @@ impl Iterator for ColshStream {
 /// first error aborts the scan (pass `|_| Ok(())` to accept any ranks).
 ///
 /// Tolerates exactly one kind of damage — a torn tail, the signature of
-/// a writer killed mid-append. Decodes only the META column. Returns the
+/// a writer killed mid-append. Decodes only the META column, but checks
+/// every column block's checksum, so a damaged block fails the scan
+/// instead of being appended to. Returns the
 /// record count + valid byte prefix, and the [`ColshAppendState`]
 /// (dictionary + record count) an appending [`ColshWriter`] needs so
 /// the resumed file is byte-identical to an uninterrupted write. Errors
@@ -1832,6 +1850,7 @@ pub fn resume_colsh(
             }
             Err(e) => return Err(e),
         };
+    stream.verify_skipped = true;
     if stream.feature_dictionary() != all_permissions() {
         return Err(bad(
             "feature dictionary does not match the current registry; \

@@ -914,15 +914,14 @@ fn glob_match(pattern: &str, name: &str) -> bool {
 mod tests {
     use super::*;
     use crate::run::{CrawlConfig, Crawler};
+    use crate::scratch::ScratchFile;
     use webgen::{PopulationConfig, WebPopulation};
 
     #[test]
     fn jsonl_round_trip() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 30 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("crawl.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "crawl.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let loaded = read_jsonl(&path).unwrap();
         assert_eq!(dataset.records.len(), loaded.records.len());
@@ -934,7 +933,6 @@ mod tests {
                 b.visit.as_ref().map(|v| v.frames.len())
             );
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -968,21 +966,16 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_loud() {
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "corrupt.jsonl");
         std::fs::write(&path, "{not json}\n").unwrap();
         assert!(read_jsonl(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn strict_errors_carry_one_based_line_numbers() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 3 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("strict-lineno.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "strict-lineno.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
@@ -990,7 +983,6 @@ mod tests {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let err = read_jsonl(&path).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     /// Every record a lenient stream salvages, plus what it skipped.
@@ -1004,9 +996,7 @@ mod tests {
     fn lenient_reader_skips_and_reports_corrupt_line_numbers() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 6 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lenient.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "lenient.jsonl");
         write_jsonl(&dataset, &path).unwrap();
 
         // Corrupt two lines in the middle of the file: one mangled JSON,
@@ -1026,7 +1016,6 @@ mod tests {
         assert_eq!(report.lines, vec![2, 4]);
         assert_eq!(report.describe(), "lines 2, 4");
         assert_eq!(salvaged.len(), dataset.records.len() - 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1044,9 +1033,7 @@ mod tests {
     fn record_stream_is_incremental() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 12 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "stream.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let mut stream = RecordStream::open(&path, StreamMode::Strict).unwrap();
         let first = stream.next().unwrap().unwrap();
@@ -1054,16 +1041,13 @@ mod tests {
         // Remaining records arrive in order without a Vec materializing.
         let ranks: Vec<u64> = stream.map(|r| r.unwrap().rank).collect();
         assert_eq!(ranks, (2..=12).collect::<Vec<u64>>());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn resume_tolerates_torn_final_line_only() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 10 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "torn.jsonl");
         write_jsonl(&dataset, &path).unwrap();
 
         // Tear the last record mid-line, as a kill -9 during append would.
@@ -1093,16 +1077,13 @@ mod tests {
         early.extend_from_slice(&bytes[..intact_len]);
         std::fs::write(&path, early).unwrap();
         assert!(resume_jsonl(&path, |_| Ok(())).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn resume_tolerates_terminated_torn_final_line() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 8 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-terminated.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "torn-terminated.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let intact_len = bytes[..bytes.len() - 1]
@@ -1117,16 +1098,13 @@ mod tests {
         let state = resume_jsonl(&path, |_| Ok(())).unwrap();
         assert_eq!(state.valid_len, intact_len as u64);
         assert_eq!(state.records, 7);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_multibyte_utf8_line_localizes_and_resumes() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 3 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-utf8.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "torn-utf8.jsonl");
         write_jsonl(&dataset, &path).unwrap();
 
         // Tear line 2 mid-record and leave a dangling UTF-8 lead byte
@@ -1175,16 +1153,13 @@ mod tests {
         let state = resume_jsonl(&path, |_| Ok(())).unwrap();
         assert_eq!(state.valid_len, intact_len as u64);
         assert_eq!(state.records, dataset.records.len() as u64 - 1);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn resume_of_clean_file_covers_everything() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 12 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("clean.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "clean.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let state = resume_jsonl(&path, |_| Ok(())).unwrap();
         assert_eq!(state.records, 12);
@@ -1193,7 +1168,6 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             "clean file is valid in full"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1270,8 +1244,8 @@ mod tests {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 4 });
         let mut dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
         dataset.records[0].rank = 0;
-        let dir = std::env::temp_dir().join("permodyssey-test-rank0");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchFile::new("permodyssey-db-rank0", "crawl.jsonl");
+        let dir = scratch.parent().expect("scratch dir");
         let paths = shard_paths(&dir.join("crawl.jsonl"), 3);
         let mut writer = ShardWriter::create(&paths, DbFormat::Jsonl).unwrap();
         for record in &dataset.records {
@@ -1282,7 +1256,6 @@ mod tests {
         let total: usize = parts.iter().map(|part| part.records.len()).sum();
         assert_eq!(total, dataset.records.len());
         assert_eq!(parts[0].records[0].rank, 0, "rank 0 policy: shard 0");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1290,9 +1263,8 @@ mod tests {
         // {index:03} stops padding at 999, so the 1001-shard layout
         // `crawl-1000.jsonl` sorts lexicographically before
         // `crawl-999.jsonl`; merge order must follow the shard index.
-        let dir = std::env::temp_dir().join("permodyssey-test-bigshards");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchFile::new("permodyssey-db-bigshards", "crawl.jsonl");
+        let dir = scratch.parent().expect("scratch dir");
         let base = dir.join("crawl.jsonl");
         let shards = 1001usize;
         for i in 0..shards {
@@ -1301,14 +1273,12 @@ mod tests {
         let expanded = expand_db_paths(dir.to_str().unwrap()).unwrap();
         let expected: Vec<PathBuf> = (0..shards).map(|i| shard_path(&base, i)).collect();
         assert_eq!(expanded, expected);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn base_file_next_to_its_shards_is_rejected() {
-        let dir = std::env::temp_dir().join("permodyssey-test-conflict");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchFile::new("permodyssey-db-conflict", "crawl.jsonl");
+        let dir = scratch.parent().expect("scratch dir");
         for name in ["crawl.jsonl", "crawl-000.jsonl", "crawl-001.jsonl"] {
             std::fs::write(dir.join(name), "\n").unwrap();
         }
@@ -1330,15 +1300,14 @@ mod tests {
             expand_db_paths(single.to_str().unwrap()).unwrap(),
             vec![single]
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn format_detection_and_any_stream_read_both_formats() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 12 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test-anystream");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchFile::new("permodyssey-db-anystream", "crawl.jsonl");
+        let dir = scratch.parent().expect("scratch dir");
         let jsonl = dir.join("crawl.jsonl");
         let colsh = dir.join("crawl.colsh");
         write_jsonl(&dataset, &jsonl).unwrap();
@@ -1352,7 +1321,6 @@ mod tests {
                 .collect();
             assert_eq!(records, dataset.records);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1362,9 +1330,7 @@ mod tests {
         // must stop at the frontier without counting a corrupt skip.
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 6 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live-tail.jsonl");
+        let path = ScratchFile::new("permodyssey-db", "live-tail.jsonl");
         write_jsonl(&dataset, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = bytes.len() - 20;
@@ -1377,16 +1343,13 @@ mod tests {
         assert_eq!(report.skipped, 0);
         assert!(report.lines.is_empty());
         assert!(report.torn_tail);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn refresh_follows_a_growing_jsonl() {
         let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 9 });
         let dataset = Crawler::new(CrawlConfig::default()).crawl(&pop);
-        let dir = std::env::temp_dir().join("permodyssey-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let full = dir.join("grow-full.jsonl");
+        let full = ScratchFile::new("permodyssey-db", "grow-full.jsonl");
         write_jsonl(&dataset, &full).unwrap();
         let bytes = std::fs::read(&full).unwrap();
         let newlines: Vec<usize> = bytes
@@ -1398,7 +1361,7 @@ mod tests {
 
         // Grow the live file in three stages, each ending mid-line
         // (except the last), as a live appender's kill states would.
-        let live = dir.join("grow-live.jsonl");
+        let live = full.with_file_name("grow-live.jsonl");
         std::fs::write(&live, &bytes[..newlines[2] + 5]).unwrap();
         let mut stream = RecordStream::open(&live, StreamMode::Resume).unwrap();
         let mut ranks: Vec<u64> = (&mut stream).map(|r| r.unwrap().rank).collect();
@@ -1415,8 +1378,6 @@ mod tests {
         ranks.extend((&mut stream).map(|r| r.unwrap().rank));
         assert_eq!(ranks, (1..=9).collect::<Vec<u64>>());
         assert_eq!(stream.valid_len(), bytes.len() as u64);
-        std::fs::remove_file(&live).ok();
-        std::fs::remove_file(&full).ok();
     }
 
     #[test]
@@ -1450,8 +1411,8 @@ mod tests {
 
     #[test]
     fn expand_db_paths_handles_file_dir_and_glob() {
-        let dir = std::env::temp_dir().join("permodyssey-test-expand");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchFile::new("permodyssey-db-expand", "crawl.jsonl");
+        let dir = scratch.parent().expect("scratch dir");
         for name in ["crawl-001.jsonl", "crawl-000.jsonl", "other.txt"] {
             std::fs::write(dir.join(name), "\n").unwrap();
         }
@@ -1469,6 +1430,5 @@ mod tests {
         let from_glob = expand_db_paths(glob_arg.to_str().unwrap()).unwrap();
         assert_eq!(from_glob, from_dir);
         assert!(expand_db_paths(dir.join("nope-*.jsonl").to_str().unwrap()).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

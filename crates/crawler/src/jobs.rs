@@ -846,11 +846,12 @@ fn run_job(
     let leases_quarantined = AtomicU64::new(0);
     let lease_backoff_ms = AtomicU64::new(0);
 
+    // Each record travels tagged with the worker that built it.
     let (sender, receiver) =
-        std::sync::mpsc::sync_channel::<(u64, SiteRecord)>(opts.channel_capacity.max(1));
+        std::sync::mpsc::sync_channel::<(u64, usize, SiteRecord)>(opts.channel_capacity.max(1));
 
     // Writer-side state, mutated only by the scope's own thread.
-    let mut pending: BTreeMap<u64, SiteRecord> = BTreeMap::new();
+    let mut pending: BTreeMap<u64, (usize, SiteRecord)> = BTreeMap::new();
     let mut peak_pending = 0u64;
     // The writer's cursor is published for the workers' reorder window:
     // a lease starts only when every rank it holds lies below
@@ -918,9 +919,18 @@ fn run_job(
         let lease_backoff_ms = &lease_backoff_ms;
         let written_to = &written_to;
 
+        // After writing a record the writer hands it back to the worker
+        // that built it, which frees it between visits: a block freed on
+        // the thread that allocated it stays in that thread's allocator
+        // cache instead of taking the cross-thread path. The return
+        // channels are unbounded, so the writer never blocks on one.
+        let mut give_back = Vec::with_capacity(workers);
         for worker in 0..workers {
             let sender = sender.clone();
+            let (returns, returned) = std::sync::mpsc::channel::<SiteRecord>();
+            give_back.push(returns);
             scope.spawn(move || {
+                let free_returned = || returned.try_iter().for_each(drop);
                 let pop_lease = || {
                     let mut q = queue.lock().expect("lease queue");
                     let lease = q.pop_front();
@@ -932,7 +942,7 @@ fn run_job(
                     q.push_front(lease);
                     queue_depth.store(q.len() as u64, Ordering::Relaxed);
                 };
-                let process = |lease: &mut Lease, sender: &SyncSender<(u64, SiteRecord)>| {
+                let process = |lease: &mut Lease, sender: &SyncSender<(u64, usize, SiteRecord)>| {
                     while lease.next <= lease.hi {
                         if stop.load(Ordering::Relaxed) {
                             return LeaseRun::Stopped;
@@ -959,12 +969,15 @@ fn run_job(
                                     rank,
                                     Some((telemetry, worker)),
                                 );
-                                sender.send((rank, record)).is_err()
+                                sender.send((rank, worker, record)).is_err()
                             }));
                         match attempt {
                             Err(_) => return LeaseRun::Failed,
                             Ok(true) => return LeaseRun::WriterGone,
-                            Ok(false) => lease.next += 1,
+                            Ok(false) => {
+                                lease.next += 1;
+                                free_returned();
+                            }
                         }
                     }
                     LeaseRun::Done
@@ -983,6 +996,7 @@ fn run_job(
                     while lease.hi >= written_to.load(Ordering::Relaxed) + reorder_window
                         && !stop.load(Ordering::Relaxed)
                     {
+                        free_returned();
                         std::thread::sleep(std::time::Duration::from_micros(100));
                     }
                     match process(&mut lease, &sender) {
@@ -1027,10 +1041,11 @@ fn run_job(
                                             );
                                         }
                                     }
-                                    if sender.send((rank, record)).is_err() {
+                                    if sender.send((rank, worker, record)).is_err() {
                                         writer_gone = true;
                                         break;
                                     }
+                                    free_returned();
                                 }
                                 if writer_gone {
                                     break;
@@ -1044,21 +1059,26 @@ fn run_job(
                         }
                     }
                 }
+                // Out of leases: the writer may still hold records of
+                // this worker, so keep freeing them until it closes the
+                // return channel.
+                drop(sender);
+                returned.iter().for_each(drop);
             });
         }
         drop(sender);
 
         // The shard writer: reorder into global rank order, append,
         // checkpoint the health surface.
-        'writer: for (rank, record) in receiver.iter() {
-            pending.insert(rank, record);
+        'writer: for (rank, worker, record) in receiver.iter() {
+            pending.insert(rank, (worker, record));
             peak_pending = peak_pending.max(pending.len() as u64);
             while cursor <= manifest.size {
                 if high_water.is_done(cursor) {
                     cursor += 1;
                     continue;
                 }
-                let Some(next) = pending.remove(&cursor) else {
+                let Some((worker, next)) = pending.remove(&cursor) else {
                     break;
                 };
                 funnel.count_record(&next);
@@ -1070,6 +1090,10 @@ fn run_job(
                     stop.store(true, Ordering::Relaxed);
                     break 'writer;
                 }
+                // A worker keeps its end open until the writer closes
+                // it; only one that panicked has let go, and then the
+                // record is freed here.
+                let _ = give_back[worker].send(next);
                 written += 1;
                 cursor += 1;
                 if opts.abort_after_records == Some(written) {
@@ -1103,8 +1127,10 @@ fn run_job(
             written_to.store(cursor, Ordering::Relaxed);
         }
         // Disconnect the channel so any still-blocked sender unblocks
-        // and its worker exits, then let the scope join them.
+        // and its worker winds down, close the return channels so the
+        // workers stop waiting for records, then let the scope join them.
         drop(receiver);
+        drop(give_back);
     });
 
     let snapshot = telemetry.snapshot();
@@ -1637,6 +1663,41 @@ mod tests {
         assert!(err.contains("crawl-000.jsonl"), "{err}");
         assert!(err.contains("line 2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+
+        // Flip one payload byte of a `.colsh` SCRIPTS block: a column the
+        // scan does not decode, but whose checksum it must check.
+        let manifest = small_job(DbFormat::Colsh);
+        let dir = completed_job("cert-loud-colsh", &manifest);
+        let record = std::fs::read(dir.join(COMPLETION_FILE)).unwrap();
+        let path = &manifest.shard_files(&dir)[0];
+        let mut bytes = std::fs::read(path).unwrap();
+        let payload = column_block_payload(&bytes, crate::colsh::C_SCRIPTS);
+        bytes[payload.start + payload.len() / 2] ^= 0x01;
+        std::fs::write(path, bytes).unwrap();
+        let err = job_resume(&dir, &small_options()).unwrap_err().to_string();
+        assert!(err.contains("crawl-000.colsh"), "{err}");
+        assert!(err.contains("checksum"), "{err}");
+        assert_eq!(std::fs::read(dir.join(COMPLETION_FILE)).unwrap(), record);
+        let without = resume_as_without_a_record(&dir, &manifest, "colsh block").unwrap_err();
+        assert_eq!(without, err);
+        assert!(!dir.join(COMPLETION_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The payload range of the first non-empty block of column `column`
+    /// in a `.colsh` file: past the 8-byte magic and 4-byte version,
+    /// every block is framed `[id: u8][len: u32 LE][crc32: u32 LE]`.
+    fn column_block_payload(bytes: &[u8], column: usize) -> std::ops::Range<usize> {
+        let id = crate::colsh::BLOCK_COLUMN_BASE + column as u8;
+        let mut at = 12;
+        loop {
+            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+            let payload = at + 9..at + 9 + len;
+            if bytes[at] == id && len > 0 {
+                return payload;
+            }
+            at = payload.end;
+        }
     }
 
     #[test]

@@ -283,7 +283,8 @@ fn kill_and_resume_round_trip(format: DbFormat, tag: &str) {
 #[test]
 fn uninterrupted_job_matches_hand_striped_crawl() {
     // The engine's output must equal a single-threaded rank-order crawl
-    // striped by hand — workers, leases and reordering are invisible.
+    // striped by hand — workers, leases, reordering and the records
+    // handed back to their workers are invisible, at any worker count.
     for format in [DbFormat::Jsonl, DbFormat::Colsh] {
         let manifest = manifest(format);
         let dir = temp_dir(&format!("handref-{format:?}"));
@@ -319,11 +320,21 @@ fn uninterrupted_job_matches_hand_striped_crawl() {
         }
         let hand = shard_bytes(&manifest, &dir);
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(
-            reference_bytes(&manifest, &format!("engine-{format:?}")),
-            hand,
-            "{format:?}: engine output diverges from a hand-striped crawl"
-        );
+        for workers in [1, 2, 4, 8] {
+            let dir = temp_dir(&format!("engine-{format:?}-{workers}"));
+            let opts = JobOptions {
+                workers,
+                ..options()
+            };
+            let report = with_quiet_panics(|| job_start(&dir, &manifest, &opts).unwrap());
+            assert_eq!(report.state, JobState::Complete);
+            assert_eq!(
+                shard_bytes(&manifest, &dir),
+                hand,
+                "{format:?} at {workers} workers: engine output diverges from a hand-striped crawl"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 

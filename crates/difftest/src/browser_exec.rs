@@ -128,10 +128,10 @@ impl PageBuilder {
                     let final_url = self.url_on(*final_idx);
                     let mut response = Response::html(final_url.clone(), body);
                     if let Some(pp) = pp {
-                        response = response.with_header("Permissions-Policy", pp);
+                        response = response.with_header("Permissions-Policy", pp.clone());
                     }
                     if let Some(fp) = fp {
-                        response = response.with_header("Feature-Policy", fp);
+                        response = response.with_header("Feature-Policy", fp.clone());
                     }
                     let src_url = if src_idx == final_idx {
                         final_url.clone()
@@ -310,10 +310,10 @@ pub(crate) fn scenario_page(scenario: &Scenario) -> (Url, TableProvider, Browser
     let body = builder.render_frames(&scenario.frames);
     let mut response = Response::html(top_url.clone(), body);
     if let Some(pp) = &scenario.pp {
-        response = response.with_header("Permissions-Policy", pp);
+        response = response.with_header("Permissions-Policy", pp.clone());
     }
     if let Some(fp) = &scenario.fp {
-        response = response.with_header("Feature-Policy", fp);
+        response = response.with_header("Feature-Policy", fp.clone());
     }
     builder
         .entries

@@ -1112,7 +1112,7 @@ impl Compiler<'_> {
         self.tick(1);
         match expr {
             Expr::Str(s) => {
-                let c = self.const_index(Value::Str(s.clone()))?;
+                let c = self.const_index(Value::Str(s.as_str().into()))?;
                 self.op(Op::Const(c));
             }
             Expr::Num(n) => {

@@ -55,10 +55,10 @@ impl ApiCall {
     pub fn name_argument(&self) -> Option<String> {
         match self.args.first()? {
             Value::Object(map) => match map.borrow().get("name") {
-                Some(Value::Str(s)) => Some(s.clone()),
+                Some(Value::Str(s)) => Some(s.to_string()),
                 _ => None,
             },
-            Value::Str(s) => Some(s.clone()),
+            Value::Str(s) => Some(s.to_string()),
             _ => None,
         }
     }
@@ -141,7 +141,7 @@ pub fn default_return(path: &str, _args: &[Value]) -> Value {
         "document.featurePolicy.allowedFeatures"
         | "document.permissionsPolicy.allowedFeatures"
         | "document.featurePolicy.features"
-        | "document.permissionsPolicy.features" => Value::string_array(vec![]),
+        | "document.permissionsPolicy.features" => Value::string_array(Vec::<String>::new()),
         "document.featurePolicy.allowsFeature" | "document.permissionsPolicy.allowsFeature" => {
             Value::Bool(true)
         }
@@ -156,7 +156,7 @@ pub fn default_return(path: &str, _args: &[Value]) -> Value {
         "navigator.geolocation.getCurrentPosition" | "navigator.geolocation.watchPosition" => {
             Value::Undefined
         }
-        "navigator.clipboard.readText" => Value::promise(Value::Str(String::new())),
+        "navigator.clipboard.readText" => Value::promise(Value::Str("".into())),
         "navigator.clipboard.writeText" | "navigator.clipboard.write" => {
             Value::promise(Value::Undefined)
         }

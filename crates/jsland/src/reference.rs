@@ -327,7 +327,7 @@ impl Interpreter {
     ) -> Result<Value, Signal> {
         self.step()?;
         match expr {
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
+            Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
             Expr::Num(n) => Ok(Value::Num(*n)),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
@@ -408,7 +408,7 @@ impl Interpreter {
                         Value::Num(n) => Value::Num(-n),
                         _ => Value::Num(f64::NAN),
                     },
-                    "typeof" => Value::Str(v.type_of().to_string()),
+                    "typeof" => Value::Str(v.type_of().into()),
                     // `await` on a settled promise unwraps it in place
                     // (the sim-clock has no microtask queue); any other
                     // value passes through, like `await 1`.
@@ -669,7 +669,7 @@ impl Interpreter {
                 {
                     if matches!(func, Value::Func { .. }) {
                         self.handlers.push(PendingHandler {
-                            event: event.clone(),
+                            event: event.to_string(),
                             func: func.clone(),
                         });
                     }
@@ -743,7 +743,8 @@ impl Interpreter {
                         .iter()
                         .map(Value::to_display_string)
                         .collect::<Vec<_>>()
-                        .join(&sep),
+                        .join(&sep)
+                        .into(),
                 ))
             }
             "forEach" => {
@@ -805,10 +806,9 @@ impl Interpreter {
                 }
             }
             // Calling a non-function throws (catchable).
-            other => Err(Signal::Thrown(Value::Str(format!(
-                "TypeError: {} is not a function",
-                other.to_display_string()
-            )))),
+            other => Err(Signal::Thrown(Value::Str(
+                format!("TypeError: {} is not a function", other.to_display_string()).into(),
+            ))),
         }
     }
 

@@ -115,11 +115,13 @@ pub(crate) fn binary_op(op: &str, l: &Value, r: &Value) -> Value {
     match op {
         "+" => match (l, r) {
             (Value::Num(a), Value::Num(b)) => Value::Num(a + b),
-            _ => Value::Str(format!(
-                "{}{}",
-                l.to_display_string(),
-                r.to_display_string()
-            )),
+            _ => {
+                let (l, r) = (l.display_str(), r.display_str());
+                let mut joined = String::with_capacity(l.len() + r.len());
+                joined.push_str(&l);
+                joined.push_str(&r);
+                Value::Str(joined.into())
+            }
         },
         "-" | "*" | "/" => {
             let (a, b) = (to_number(l), to_number(r));
@@ -170,8 +172,8 @@ pub(crate) fn string_method(s: &str, key: &str, args: &[Value]) -> Value {
                 .map(|i| i as f64)
                 .unwrap_or(-1.0),
         ),
-        "toLowerCase" => Value::Str(s.to_lowercase()),
-        "toUpperCase" => Value::Str(s.to_uppercase()),
+        "toLowerCase" => Value::Str(s.to_lowercase().into()),
+        "toUpperCase" => Value::Str(s.to_uppercase().into()),
         "split" => {
             let sep = args
                 .first()
@@ -190,11 +192,17 @@ pub(crate) fn string_method(s: &str, key: &str, args: &[Value]) -> Value {
                 .map(to_number)
                 .unwrap_or(s.len() as f64)
                 .min(s.len() as f64) as usize;
-            Value::Str(s.get(start.min(end)..end).unwrap_or("").to_string())
+            Value::Str(s.get(start.min(end)..end).unwrap_or("").into())
         }
         "charAt" => {
             let i = args.first().map(to_number).unwrap_or(0.0) as usize;
-            Value::Str(s.chars().nth(i).map(String::from).unwrap_or_default())
+            let mut utf8 = [0; 4];
+            Value::Str(
+                s.chars()
+                    .nth(i)
+                    .map_or("", |c| c.encode_utf8(&mut utf8))
+                    .into(),
+            )
         }
         _ => Value::Undefined,
     }
@@ -204,16 +212,16 @@ pub(crate) fn string_method(s: &str, key: &str, args: &[Value]) -> Value {
 pub(crate) fn data_property(path: &str) -> Option<Value> {
     match path {
         "navigator.userAgent" => Some(Value::Str(
-            "Mozilla/5.0 (X11; Linux x86_64) Chromium/127.0.6533.17".to_string(),
+            "Mozilla/5.0 (X11; Linux x86_64) Chromium/127.0.6533.17".into(),
         )),
-        "navigator.language" => Some(Value::Str("en-US".to_string())),
-        "navigator.platform" => Some(Value::Str("Linux x86_64".to_string())),
+        "navigator.language" => Some(Value::Str("en-US".into())),
+        "navigator.platform" => Some(Value::Str("Linux x86_64".into())),
         // The crawler disables AutomationControlled, so webdriver is false
         // (§A.2 C6/C8).
         "navigator.webdriver" => Some(Value::Bool(false)),
-        "Notification.permission" => Some(Value::Str("default".to_string())),
-        "document.visibilityState" => Some(Value::Str("visible".to_string())),
-        "location.href" => Some(Value::Str("about:srcdoc".to_string())),
+        "Notification.permission" => Some(Value::Str("default".into())),
+        "document.visibilityState" => Some(Value::Str("visible".into())),
+        "location.href" => Some(Value::Str("about:srcdoc".into())),
         _ => None,
     }
 }

@@ -1,5 +1,6 @@
 //! Runtime values.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -78,8 +79,8 @@ pub enum Value {
     Bool(bool),
     /// Number.
     Num(f64),
-    /// String.
-    Str(String),
+    /// String. Strings are immutable, so copies of one share its text.
+    Str(Rc<str>),
     /// Mutable object.
     Object(Rc<RefCell<HashMap<String, Value>>>),
     /// Mutable array.
@@ -112,9 +113,9 @@ impl Value {
     }
 
     /// Builds an array of strings (e.g. `allowedFeatures()` results).
-    pub fn string_array(items: impl IntoIterator<Item = String>) -> Value {
+    pub fn string_array<S: Into<Rc<str>>>(items: impl IntoIterator<Item = S>) -> Value {
         Value::Array(Rc::new(RefCell::new(
-            items.into_iter().map(Value::Str).collect(),
+            items.into_iter().map(|s| Value::Str(s.into())).collect(),
         )))
     }
 
@@ -166,7 +167,7 @@ impl Value {
                     n.to_string()
                 }
             }
-            Value::Str(s) => s.clone(),
+            Value::Str(s) => s.to_string(),
             Value::Object(_) => "[object Object]".to_string(),
             Value::Array(items) => items
                 .borrow()
@@ -177,6 +178,14 @@ impl Value {
             Value::Func { .. } => "function".to_string(),
             Value::Host(path) => format!("[object {path}]"),
             Value::Promise(_) => "[object Promise]".to_string(),
+        }
+    }
+
+    /// [`Value::to_display_string`], borrowing a string's own text.
+    pub(crate) fn display_str(&self) -> Cow<'_, str> {
+        match self {
+            Value::Str(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.to_display_string()),
         }
     }
 
@@ -228,8 +237,8 @@ mod tests {
         assert!(!Value::Null.truthy());
         assert!(!Value::Bool(false).truthy());
         assert!(!Value::Num(0.0).truthy());
-        assert!(!Value::Str(String::new()).truthy());
-        assert!(Value::Str("x".to_string()).truthy());
+        assert!(!Value::Str("".into()).truthy());
+        assert!(Value::Str("x".into()).truthy());
         assert!(Value::object(vec![]).truthy());
     }
 
@@ -249,7 +258,7 @@ mod tests {
     fn equality() {
         assert!(Value::Null.loose_eq(&Value::Undefined));
         assert!(!Value::Null.strict_eq(&Value::Undefined));
-        assert!(Value::Str("a".to_string()).strict_eq(&Value::Str("a".to_string())));
+        assert!(Value::Str("a".into()).strict_eq(&Value::Str("a".into())));
         let o = Value::object(vec![]);
         assert!(o.strict_eq(&o.clone()));
         assert!(!o.strict_eq(&Value::object(vec![])));

@@ -465,7 +465,7 @@ impl ScriptEngine {
                             Value::Num(n) => Value::Num(-n),
                             _ => Value::Num(f64::NAN),
                         },
-                        "typeof" => Value::Str(v.type_of().to_string()),
+                        "typeof" => Value::Str(v.type_of().into()),
                         "await" => match v {
                             Value::Promise(inner) => (*inner).clone(),
                             other => other,
@@ -761,7 +761,7 @@ impl ScriptEngine {
                     if let (Some(Value::Str(event)), Some(func)) = (args.first(), args.get(1)) {
                         if matches!(func, Value::Func { .. }) {
                             self.handlers.push(PendingHandler {
-                                event: event.clone(),
+                                event: event.to_string(),
                                 func: func.clone(),
                             });
                         }
@@ -945,7 +945,8 @@ impl ScriptEngine {
                         .iter()
                         .map(Value::to_display_string)
                         .collect::<Vec<_>>()
-                        .join(&sep),
+                        .join(&sep)
+                        .into(),
                 ))
             }
             "forEach" => {
@@ -1133,10 +1134,9 @@ fn host_member(path: &Rc<str>, key: &str) -> Value {
 }
 
 fn type_error(value: &Value) -> Flow {
-    Flow::Thrown(Value::Str(format!(
-        "TypeError: {} is not a function",
-        value.to_display_string()
-    )))
+    Flow::Thrown(Value::Str(
+        format!("TypeError: {} is not a function", value.to_display_string()).into(),
+    ))
 }
 
 fn current(envs: &[Env]) -> &Env {

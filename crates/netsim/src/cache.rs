@@ -20,12 +20,13 @@ use crate::response::Response;
 pub struct CachingNetwork<N> {
     inner: N,
     capacity: usize,
-    entries: HashMap<String, CacheEntry>,
+    /// Keyed by URL, whose clones share its text.
+    entries: HashMap<Url, CacheEntry>,
     /// Recency index: `last_used` tick → cache key. Ticks are unique per
     /// fetch, so this is a bijection with `entries`; the first entry is
     /// always the least-recently-used key, making eviction O(log n)
     /// instead of a full O(capacity) scan.
-    by_recency: BTreeMap<u64, String>,
+    by_recency: BTreeMap<u64, Url>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -83,10 +84,9 @@ impl<N: Network> Network for CachingNetwork<N> {
             return self.inner.fetch(url, clock);
         }
         self.tick += 1;
-        let key = url.to_string();
-        if let Some(entry) = self.entries.get_mut(&key) {
+        if let Some(entry) = self.entries.get_mut(url) {
             self.by_recency.remove(&entry.last_used);
-            self.by_recency.insert(self.tick, key);
+            self.by_recency.insert(self.tick, url.clone());
             entry.last_used = self.tick;
             self.hits += 1;
             // Cache hits are near-instant.
@@ -96,9 +96,11 @@ impl<N: Network> Network for CachingNetwork<N> {
         self.misses += 1;
         let response = self.inner.fetch(url, clock)?;
         self.evict_if_full();
-        self.by_recency.insert(self.tick, key.clone());
+        self.by_recency.insert(self.tick, url.clone());
+        // The copy shares the body and the URL text, and borrows the
+        // constant headers.
         self.entries.insert(
-            key,
+            url.clone(),
             CacheEntry {
                 response: response.clone(),
                 last_used: self.tick,

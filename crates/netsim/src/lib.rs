@@ -32,7 +32,7 @@ pub use clock::{capped_backoff_ms, SimClock, MAX_BACKOFF_MS, MAX_BACKOFF_SHIFT};
 pub use error::FetchError;
 pub use fault::{FaultSpec, FaultyNetwork};
 pub use network::{ContentProvider, Network, ProviderResult, SimNetwork};
-pub use response::{Response, SiteBehavior};
+pub use response::{HeaderText, Response, SiteBehavior};
 pub use tape::{
     Exchange, ExchangeOutcome, PostFetchProbe, RecordingNetwork, ReplayNetwork, TapeHandle,
     VisitTape,

@@ -84,18 +84,20 @@ impl<P: ContentProvider> SimNetwork<P> {
 impl<P: ContentProvider> Network for SimNetwork<P> {
     fn fetch(&mut self, url: &Url, clock: &mut SimClock) -> Result<Response, FetchError> {
         self.last_served = None;
-        let mut current = url.clone();
+        // The URL a redirect led to; the requested one until then.
+        let mut redirected: Option<Url> = None;
         let mut redirects = 0;
         loop {
             clock.advance(self.connect_overhead_ms);
-            match self.provider.resolve(&current) {
+            match self.provider.resolve(redirected.as_ref().unwrap_or(url)) {
                 ProviderResult::Content {
                     mut response,
                     behavior,
                 } => {
                     clock.advance(behavior.latency_ms);
-                    self.last_served = Some((current.clone(), behavior.post_fetch_failure));
-                    response.final_url = current;
+                    let served = redirected.unwrap_or_else(|| url.clone());
+                    self.last_served = Some((served.clone(), behavior.post_fetch_failure));
+                    response.final_url = served;
                     response.redirects = redirects;
                     return Ok(response);
                 }
@@ -104,7 +106,7 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
                     if redirects > self.max_redirects {
                         return Err(FetchError::TooManyRedirects);
                     }
-                    current = next;
+                    redirected = Some(next);
                 }
                 ProviderResult::DnsFailure => return Err(FetchError::DnsFailure),
                 ProviderResult::ConnectionFailure => return Err(FetchError::ConnectionFailure),

@@ -1,10 +1,16 @@
 //! HTTP responses and per-site behaviour.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use weburl::Url;
 
 use crate::error::FetchError;
+
+/// A header name or value. The simulator's constant headers borrow
+/// static text, so serving or cloning them copies nothing.
+pub type HeaderText = Cow<'static, str>;
 
 /// A fetched resource.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,7 +18,7 @@ pub struct Response {
     /// Status code (the simulator serves 200s; errors are [`FetchError`]s).
     pub status: u16,
     /// Response headers, in order. Names are case-insensitive on lookup.
-    pub headers: Vec<(String, String)>,
+    pub headers: Vec<(HeaderText, HeaderText)>,
     /// Body bytes.
     pub body: Bytes,
     /// URL after redirects.
@@ -22,37 +28,37 @@ pub struct Response {
 }
 
 impl Response {
-    /// A 200 HTML response with no headers.
-    pub fn html(url: Url, body: impl Into<Bytes>) -> Response {
+    /// A 200 response of `content_type`.
+    fn ok(url: Url, content_type: &'static str, body: Bytes) -> Response {
         Response {
             status: 200,
             headers: vec![(
-                "content-type".to_string(),
-                "text/html; charset=utf-8".to_string(),
+                HeaderText::Borrowed("content-type"),
+                HeaderText::Borrowed(content_type),
             )],
-            body: body.into(),
+            body,
             final_url: url,
             redirects: 0,
         }
+    }
+
+    /// A 200 HTML response with no headers.
+    pub fn html(url: Url, body: impl Into<Bytes>) -> Response {
+        Response::ok(url, "text/html; charset=utf-8", body.into())
     }
 
     /// A 200 JavaScript response.
     pub fn script(url: Url, body: impl Into<Bytes>) -> Response {
-        Response {
-            status: 200,
-            headers: vec![(
-                "content-type".to_string(),
-                "application/javascript".to_string(),
-            )],
-            body: body.into(),
-            final_url: url,
-            redirects: 0,
-        }
+        Response::ok(url, "application/javascript", body.into())
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
-        self.headers.push((name.to_string(), value.to_string()));
+    pub fn with_header(
+        mut self,
+        name: impl Into<HeaderText>,
+        value: impl Into<HeaderText>,
+    ) -> Response {
+        self.headers.push((name.into(), value.into()));
         self
     }
 
@@ -61,12 +67,17 @@ impl Response {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| &**v)
+    }
+
+    /// Body as UTF-8 (lossy), borrowed unless it needs repair.
+    pub fn body_str(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
     }
 
     /// Body as UTF-8 (lossy).
     pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+        self.body_str().into_owned()
     }
 }
 

@@ -133,7 +133,11 @@ impl<N: Network> Network for RecordingNetwork<N> {
         let outcome = match &result {
             Ok(Ok(response)) => ExchangeOutcome::Content {
                 status: response.status,
-                headers: response.headers.clone(),
+                headers: response
+                    .headers
+                    .iter()
+                    .map(|(name, value)| (name.to_string(), value.to_string()))
+                    .collect(),
                 body: response.body.clone(),
                 final_url: response.final_url.to_string(),
                 redirects: response.redirects,
@@ -191,7 +195,7 @@ impl ReplayNetwork {
 
 impl Network for ReplayNetwork {
     fn fetch(&mut self, url: &Url, clock: &mut SimClock) -> Result<Response, FetchError> {
-        let requested = url.to_string();
+        let requested = url.as_str();
         let Some(exchange) = self.exchanges.pop_front() else {
             panic!("replay divergence: fetch of {requested} past the end of the tape");
         };
@@ -210,7 +214,10 @@ impl Network for ReplayNetwork {
                 redirects,
             } => Ok(Response {
                 status,
-                headers,
+                headers: headers
+                    .into_iter()
+                    .map(|(name, value)| (name.into(), value.into()))
+                    .collect(),
                 body,
                 final_url: Url::parse(&final_url).unwrap_or_else(|e| {
                     panic!("replay divergence: recorded final URL {final_url:?} unparseable: {e:?}")
@@ -225,7 +232,7 @@ impl Network for ReplayNetwork {
     }
 
     fn post_fetch_failure(&self, url: &Url) -> Option<FetchError> {
-        let requested = url.to_string();
+        let requested = url.as_str();
         let Some(probe) = self.probes.borrow_mut().pop_front() else {
             panic!("replay divergence: post-fetch probe of {requested} past the end of the tape");
         };

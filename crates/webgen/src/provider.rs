@@ -120,13 +120,13 @@ impl WebPopulation {
         } else if path == "/" {
             let mut r = Response::html(url.clone(), site::page_html(seed, rank));
             if let Some(pp) = site::page_pp_header(seed, rank) {
-                r = r.with_header("Permissions-Policy", &pp);
+                r = r.with_header("Permissions-Policy", pp);
             }
             if let Some(fp) = site::page_fp_header(seed, rank) {
-                r = r.with_header("Feature-Policy", &fp);
+                r = r.with_header("Feature-Policy", fp);
             }
             if let Some(csp) = site::page_csp_header(seed, rank) {
-                r = r.with_header("Content-Security-Policy", &csp);
+                r = r.with_header("Content-Security-Policy", csp);
             }
             r
         } else {
@@ -192,10 +192,8 @@ impl WebPopulation {
         let mut response =
             Response::html(url.clone(), adversarial::landing_page(seed, rank, class));
         if class == HostileClass::OversizedHeader {
-            response = response.with_header(
-                "Permissions-Policy",
-                &adversarial::oversized_policy_header(),
-            );
+            response =
+                response.with_header("Permissions-Policy", adversarial::oversized_policy_header());
         }
         ProviderResult::Content { response, behavior }
     }
@@ -244,7 +242,7 @@ impl netsim::ContentProvider for WebPopulation {
                 // variants (§4.3.3's 653 embedded misconfigured docs).
                 if crate::hashing::chance(seed, rank, "widget-hdr-bad", 0.03) {
                     let broken = format!("{header}, camera=(none)");
-                    response = response.with_header("Permissions-Policy", &broken);
+                    response = response.with_header("Permissions-Policy", broken);
                 } else {
                     response = response.with_header("Permissions-Policy", header);
                 }

@@ -72,9 +72,18 @@ impl Origin {
     }
 
     /// ASCII serialization used by allowlist matching: `scheme://host[:port]`
-    /// with default ports omitted, or `"null"` for opaque origins.
+    /// with default ports omitted, or `"null"` for opaque origins. The
+    /// same text as `Display`, in one allocation.
     pub fn ascii_serialization(&self) -> String {
-        self.to_string()
+        let capacity = match self {
+            // `:` and up to five port digits.
+            Origin::Tuple { scheme, host, .. } => scheme.len() + "://".len() + host.len() + 6,
+            Origin::Opaque(_) => "null".len(),
+        };
+        let mut text = String::with_capacity(capacity);
+        // Writing to a `String` cannot fail.
+        let _ = fmt::Write::write_fmt(&mut text, format_args!("{self}"));
+        text
     }
 }
 
@@ -133,5 +142,12 @@ mod tests {
             "https://example.com:8443"
         );
         assert_eq!(Origin::opaque().to_string(), "null");
+        for origin in [
+            Origin::tuple("https", "example.com", Some(443)),
+            Origin::tuple("http", "example.com", Some(65535)),
+            Origin::opaque(),
+        ] {
+            assert_eq!(origin.ascii_serialization(), origin.to_string());
+        }
     }
 }

@@ -9,6 +9,8 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::origin::Origin;
 use crate::site::{self, Site};
@@ -51,14 +53,27 @@ impl std::error::Error for ParseError {}
 /// Network-scheme URLs (`http`, `https`, `ws`, `wss`) carry a host and
 /// optional port; local-scheme URLs (`data`, `about`, `blob`, `javascript`)
 /// keep their content opaque in `path`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The normalized text lives in one shared buffer and each component is
+/// a range of it, so a clone copies no text and `Display` writes the
+/// buffer whole. Two URLs are equal exactly when their texts are. For
+/// every URL this crate parses or resolves, that is exactly when every
+/// component is: the text lays the components out with separators no
+/// component before the fragment can contain.
+#[derive(Clone)]
 pub struct Url {
-    scheme: String,
-    host: Option<String>,
+    serialization: Arc<str>,
+    /// The `:` ending the scheme.
+    scheme_end: usize,
+    /// The host's byte range, for URLs with an authority.
+    host: Option<(usize, usize)>,
+    /// The explicit port (default ports are normalized away).
     port: Option<u16>,
-    path: String,
-    query: Option<String>,
-    fragment: Option<String>,
+    path_start: usize,
+    /// The `?` opening the query.
+    query_start: Option<usize>,
+    /// The `#` opening the fragment.
+    fragment_start: Option<usize>,
 }
 
 /// Returns the default port of a special scheme, if any.
@@ -161,6 +176,99 @@ pub fn site_domain(input: &str) -> Option<Cow<'_, str>> {
     })
 }
 
+/// A URL's normalized components, borrowed wherever the text they came
+/// from allows.
+struct Components<'a> {
+    scheme: Cow<'a, str>,
+    host: Option<Cow<'a, str>>,
+    port: Option<u16>,
+    path: Cow<'a, str>,
+    query: Option<&'a str>,
+    fragment: Option<&'a str>,
+}
+
+/// The pieces of a URL's text, in order, before they are joined.
+#[derive(Default)]
+struct Pieces<'a> {
+    pieces: [&'a str; 10],
+    count: usize,
+    len: usize,
+}
+
+impl<'a> Pieces<'a> {
+    /// Appends `piece` and returns the offset it starts at.
+    fn push(&mut self, piece: &'a str) -> usize {
+        let at = self.len;
+        self.pieces[self.count] = piece;
+        self.count += 1;
+        self.len += piece.len();
+        at
+    }
+
+    /// The joined text: one copy of `source` when it already reads as
+    /// the pieces do, which is the common case of normalized input.
+    fn join(&self, source: &str) -> Arc<str> {
+        let pieces = &self.pieces[..self.count];
+        let mut rest = Some(source);
+        for piece in pieces {
+            rest = rest.and_then(|r| r.strip_prefix(piece));
+        }
+        if rest == Some("") {
+            return Arc::from(source);
+        }
+        let mut text = String::with_capacity(self.len);
+        for piece in pieces {
+            text.push_str(piece);
+        }
+        Arc::from(text)
+    }
+}
+
+impl Components<'_> {
+    /// Lays the components out in one buffer; `source` is the text they
+    /// were parsed from, if any.
+    fn build(&self, source: &str) -> Url {
+        let port = self.port.map(|p| p.to_string());
+        let mut pieces = Pieces::default();
+        let scheme_end = pieces.push(&self.scheme) + self.scheme.len();
+        let host = match &self.host {
+            Some(host) => {
+                pieces.push("://");
+                let start = pieces.push(host);
+                if let Some(port) = &port {
+                    pieces.push(":");
+                    pieces.push(port);
+                }
+                Some((start, start + host.len()))
+            }
+            None => {
+                pieces.push(":");
+                None
+            }
+        };
+        let path_start = pieces.push(&self.path);
+        let query_start = self.query.map(|q| {
+            let at = pieces.push("?");
+            pieces.push(q);
+            at
+        });
+        let fragment_start = self.fragment.map(|f| {
+            let at = pieces.push("#");
+            pieces.push(f);
+            at
+        });
+        Url {
+            serialization: pieces.join(source),
+            scheme_end,
+            host,
+            port: self.port,
+            path_start,
+            query_start,
+            fragment_start,
+        }
+    }
+}
+
 impl Url {
     /// Parses an absolute URL.
     pub fn parse(input: &str) -> Result<Url, ParseError> {
@@ -184,48 +292,43 @@ impl Url {
 
         // Relative reference.
         let base = base.ok_or(ParseError::RelativeWithoutBase)?;
-        if !is_special(&base.scheme) {
+        if !is_special(base.scheme()) {
             return Err(ParseError::RelativeWithoutBase);
         }
         if let Some(rest) = input.strip_prefix("//") {
             // Scheme-relative.
-            return Self::parse_absolute(&format!("{}://{}", base.scheme, rest), base.scheme.len());
+            return Self::parse_absolute(&format!("{}://{}", base.scheme(), rest), base.scheme_end);
         }
-        let mut resolved = base.clone();
-        resolved.fragment = None;
-        resolved.query = None;
-        if let Some(path) = input.strip_prefix('/') {
-            let (p, q, f) = split_path_query_fragment(path);
-            resolved.path = format!("/{p}");
+        let mut resolved = base.components();
+        if input.starts_with('/') {
+            let (p, q, f) = split_path_query_fragment(input);
+            resolved.path = Cow::Borrowed(p);
             resolved.query = q;
             resolved.fragment = f;
         } else if let Some(frag) = input.strip_prefix('#') {
-            resolved.query = base.query.clone();
-            resolved.fragment = Some(frag.to_string());
-            resolved.path = base.path.clone();
+            resolved.fragment = Some(frag);
         } else if let Some(query) = input.strip_prefix('?') {
             let (q, f) = match query.find('#') {
-                Some(i) => (query[..i].to_string(), Some(query[i + 1..].to_string())),
-                None => (query.to_string(), None),
+                Some(i) => (&query[..i], Some(&query[i + 1..])),
+                None => (query, None),
             };
             resolved.query = Some(q);
             resolved.fragment = f;
-            resolved.path = base.path.clone();
         } else {
             let (p, q, f) = split_path_query_fragment(input);
-            let dir = match base.path.rfind('/') {
-                Some(i) => &base.path[..=i],
+            let dir = match base.path().rfind('/') {
+                Some(i) => &base.path()[..=i],
                 None => "/",
             };
-            resolved.path = normalize_dots(&format!("{dir}{p}"));
+            resolved.path = normalize_dots(Cow::Owned(format!("{dir}{p}")));
             resolved.query = q;
             resolved.fragment = f;
         }
-        Ok(resolved)
+        Ok(resolved.build(""))
     }
 
     fn parse_absolute(input: &str, colon: usize) -> Result<Url, ParseError> {
-        let scheme = input[..colon].to_ascii_lowercase();
+        let scheme = ascii_lowercase(&input[..colon]);
         if !valid_scheme(&scheme) {
             return Err(ParseError::InvalidScheme);
         }
@@ -236,60 +339,75 @@ impl Url {
             let (path, query, fragment) = if scheme == "data" || scheme == "javascript" {
                 // data/javascript URLs may contain '?' and '#' as payload;
                 // keep everything opaque.
-                (rest.to_string(), None, None)
+                (rest, None, None)
             } else {
-                let (p, q, f) = split_path_query_fragment(rest);
-                (p.to_string(), q, f)
+                split_path_query_fragment(rest)
             };
-            return Ok(Url {
+            let components = Components {
                 scheme,
                 host: None,
                 port: None,
-                path,
+                path: Cow::Borrowed(path),
                 query,
                 fragment,
-            });
+            };
+            return Ok(components.build(input));
         }
 
         let (host_raw, port, after) = split_authority(rest)?;
-        let host = parse_host(host_raw)?.into_owned();
+        let host = parse_host(host_raw)?;
         let port = match port {
             Some(p) if Some(p) == default_port(&scheme) => None,
             other => other,
         };
-        let (path, query, fragment) = if after.is_empty() {
-            ("/".to_string(), None, None)
-        } else if let Some(stripped) = after.strip_prefix('/') {
-            let (p, q, f) = split_path_query_fragment(stripped);
-            (format!("/{p}"), q, f)
+        // `after` is empty or opens with `/`, `?` or `#`.
+        let (path, query, fragment) = if after.starts_with('/') {
+            split_path_query_fragment(after)
+        } else if let Some(qf) = after.strip_prefix('?') {
+            match qf.find('#') {
+                Some(i) => ("/", Some(&qf[..i]), Some(&qf[i + 1..])),
+                None => ("/", Some(qf), None),
+            }
         } else {
-            let (q, f) = match after.strip_prefix('?') {
-                Some(qf) => match qf.find('#') {
-                    Some(i) => (Some(qf[..i].to_string()), Some(qf[i + 1..].to_string())),
-                    None => (Some(qf.to_string()), None),
-                },
-                None => (None, after.strip_prefix('#').map(str::to_string)),
-            };
-            ("/".to_string(), q, f)
+            ("/", None, after.strip_prefix('#'))
         };
-        Ok(Url {
+        let components = Components {
             scheme,
             host: Some(host),
             port,
-            path: normalize_dots(&path),
+            path: normalize_dots(Cow::Borrowed(path)),
             query,
             fragment,
-        })
+        };
+        Ok(components.build(input))
+    }
+
+    /// This URL's components, borrowed from its buffer.
+    fn components(&self) -> Components<'_> {
+        Components {
+            scheme: Cow::Borrowed(self.scheme()),
+            host: self.host().map(Cow::Borrowed),
+            port: self.port,
+            path: Cow::Borrowed(self.path()),
+            query: self.query(),
+            fragment: self.fragment(),
+        }
+    }
+
+    /// The whole URL text, as `Display` writes it.
+    pub fn as_str(&self) -> &str {
+        &self.serialization
     }
 
     /// The lowercase scheme, without the trailing `:`.
     pub fn scheme(&self) -> &str {
-        &self.scheme
+        &self.serialization[..self.scheme_end]
     }
 
     /// The lowercase host, if the URL has an authority.
     pub fn host(&self) -> Option<&str> {
-        self.host.as_deref()
+        self.host
+            .map(|(start, end)| &self.serialization[start..end])
     }
 
     /// The explicit port, if any (default ports are normalized away).
@@ -299,34 +417,41 @@ impl Url {
 
     /// The effective port: explicit, or the scheme default.
     pub fn port_or_default(&self) -> Option<u16> {
-        self.port.or_else(|| default_port(&self.scheme))
+        self.port.or_else(|| default_port(self.scheme()))
     }
 
     /// The path (for local schemes, the opaque payload).
     pub fn path(&self) -> &str {
-        &self.path
+        let end = self
+            .query_start
+            .or(self.fragment_start)
+            .unwrap_or(self.serialization.len());
+        &self.serialization[self.path_start..end]
     }
 
     /// The query string, without the leading `?`.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        let end = self.fragment_start.unwrap_or(self.serialization.len());
+        self.query_start
+            .map(|start| &self.serialization[start + 1..end])
     }
 
     /// The fragment, without the leading `#`.
     pub fn fragment(&self) -> Option<&str> {
-        self.fragment.as_deref()
+        self.fragment_start
+            .map(|start| &self.serialization[start + 1..])
     }
 
     /// Whether this URL uses a local scheme (`about`, `blob`, `data`).
     pub fn is_local_scheme(&self) -> bool {
-        crate::is_local_scheme(&self.scheme)
+        crate::is_local_scheme(self.scheme())
     }
 
     /// The origin of this URL: a tuple origin for network schemes, opaque
     /// for everything else.
     pub fn origin(&self) -> Origin {
-        match (&self.host, is_special(&self.scheme)) {
-            (Some(host), true) => Origin::tuple(&self.scheme, host, self.port_or_default()),
+        match (self.host(), is_special(self.scheme())) {
+            (Some(host), true) => Origin::tuple(self.scheme(), host, self.port_or_default()),
             _ => Origin::opaque(),
         }
     }
@@ -334,31 +459,44 @@ impl Url {
     /// The site (scheme + registrable domain) of this URL, or `None` for
     /// opaque-origin URLs.
     pub fn site(&self) -> Option<Site> {
-        let host = self.host.as_deref()?;
-        if !is_special(&self.scheme) {
+        let host = self.host()?;
+        if !is_special(self.scheme()) {
             return None;
         }
-        Some(Site::from_host(&self.scheme, host))
+        Some(Site::from_host(self.scheme(), host))
+    }
+}
+
+impl PartialEq for Url {
+    fn eq(&self, other: &Url) -> bool {
+        self.serialization == other.serialization
+    }
+}
+
+impl Eq for Url {}
+
+impl Hash for Url {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.serialization.hash(state);
+    }
+}
+
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Url")
+            .field("scheme", &self.scheme())
+            .field("host", &self.host())
+            .field("port", &self.port)
+            .field("path", &self.path())
+            .field("query", &self.query())
+            .field("fragment", &self.fragment())
+            .finish()
     }
 }
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:", self.scheme)?;
-        if let Some(host) = &self.host {
-            write!(f, "//{host}")?;
-            if let Some(port) = self.port {
-                write!(f, ":{port}")?;
-            }
-        }
-        write!(f, "{}", self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        if let Some(frag) = &self.fragment {
-            write!(f, "#{frag}")?;
-        }
-        Ok(())
+        f.write_str(&self.serialization)
     }
 }
 
@@ -369,25 +507,63 @@ impl std::str::FromStr for Url {
     }
 }
 
-fn split_path_query_fragment(s: &str) -> (String, Option<String>, Option<String>) {
+/// [`Url`]'s serialized form: its components, field by field.
+#[derive(Serialize, Deserialize)]
+struct UrlFields {
+    scheme: String,
+    host: Option<String>,
+    port: Option<u16>,
+    path: String,
+    query: Option<String>,
+    fragment: Option<String>,
+}
+
+impl Serialize for Url {
+    fn to_value(&self) -> serde::Value {
+        UrlFields {
+            scheme: self.scheme().to_string(),
+            host: self.host().map(str::to_string),
+            port: self.port,
+            path: self.path().to_string(),
+            query: self.query().map(str::to_string),
+            fragment: self.fragment().map(str::to_string),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Url {
+    fn from_value(value: &serde::Value) -> Result<Url, serde::de::Error> {
+        let fields = UrlFields::from_value(value)?;
+        Ok(Components {
+            scheme: Cow::Borrowed(&fields.scheme),
+            host: fields.host.as_deref().map(Cow::Borrowed),
+            port: fields.port,
+            path: Cow::Borrowed(&fields.path),
+            query: fields.query.as_deref(),
+            fragment: fields.fragment.as_deref(),
+        }
+        .build(""))
+    }
+}
+
+/// Splits `s` at its first `#` (the fragment) and then at the first `?`
+/// before it (the query).
+fn split_path_query_fragment(s: &str) -> (&str, Option<&str>, Option<&str>) {
     let (before_frag, fragment) = match s.find('#') {
-        Some(i) => (&s[..i], Some(s[i + 1..].to_string())),
+        Some(i) => (&s[..i], Some(&s[i + 1..])),
         None => (s, None),
     };
-    let (path, query) = match before_frag.find('?') {
-        Some(i) => (
-            before_frag[..i].to_string(),
-            Some(before_frag[i + 1..].to_string()),
-        ),
-        None => (before_frag.to_string(), None),
-    };
-    (path, query, fragment)
+    match before_frag.find('?') {
+        Some(i) => (&before_frag[..i], Some(&before_frag[i + 1..]), fragment),
+        None => (before_frag, None, fragment),
+    }
 }
 
 /// Removes `.` and `..` segments from an absolute path.
-fn normalize_dots(path: &str) -> String {
+fn normalize_dots(path: Cow<'_, str>) -> Cow<'_, str> {
     if !path.contains("./") && !path.ends_with("/.") && !path.ends_with("/..") {
-        return path.to_string();
+        return path;
     }
     let trailing_slash = path.ends_with('/') || path.ends_with("/.") || path.ends_with("/..");
     let mut out: Vec<&str> = Vec::new();
@@ -405,7 +581,7 @@ fn normalize_dots(path: &str) -> String {
     if trailing_slash && result.len() > 1 {
         result.push('/');
     }
-    result
+    Cow::Owned(result)
 }
 
 #[cfg(test)]
@@ -540,9 +716,17 @@ mod tests {
         ] {
             let u = Url::parse(s).unwrap();
             assert_eq!(u.to_string(), s);
+            assert_eq!(u.as_str(), s);
             let reparsed = Url::parse(&u.to_string()).unwrap();
             assert_eq!(u, reparsed);
         }
+    }
+
+    #[test]
+    fn clones_share_one_buffer() {
+        let u = Url::parse("HTTPS://Example.COM:443/a/./b?q=1#f").unwrap();
+        assert_eq!(u.as_str(), "https://example.com/a/b?q=1#f");
+        assert!(Arc::ptr_eq(&u.serialization, &u.clone().serialization));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 
 use weburl::{psl, site_domain, Url};
 
@@ -81,6 +82,41 @@ proptest! {
         );
         if let Some(Cow::Owned(_)) = lookup {
             prop_assert!(input.bytes().any(|b| b.is_ascii_uppercase()), "{:?}", input);
+        }
+    }
+
+    /// URLs are equal, and hash equal, exactly when every component is,
+    /// whether parsed or resolved against a base.
+    #[test]
+    fn equality_is_componentwise(
+        input in URL_SHAPED,
+        refs in prop::collection::vec("(//[a-z]{1,3}\\.example|/|\\.\\./|\\?|#|)[a-z./?#=]{0,6}", 1..4),
+    ) {
+        let Ok(base) = Url::parse(&input) else { return Ok(()) };
+        let fields = |u: &Url| {
+            (
+                u.scheme().to_owned(),
+                u.host().map(str::to_owned),
+                u.port(),
+                u.path().to_owned(),
+                u.query().map(str::to_owned),
+                u.fragment().map(str::to_owned),
+            )
+        };
+        let hash = |u: &Url| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            u.hash(&mut hasher);
+            hasher.finish()
+        };
+        let mut urls = vec![base.clone(), Url::parse(&base.to_string()).unwrap()];
+        urls.extend(refs.iter().filter_map(|r| Url::parse_with_base(r, Some(&base)).ok()));
+        for a in &urls {
+            for b in &urls {
+                prop_assert_eq!(a == b, fields(a) == fields(b), "{:?} vs {:?}", a, b);
+                if a == b {
+                    prop_assert_eq!(hash(a), hash(b));
+                }
+            }
         }
     }
 

@@ -160,6 +160,14 @@ for format in jsonl columnar; do
     ext=jsonl; [ "$format" = columnar ] && ext=colsh
     "$BIN" crawl-job start --dir "$JOB/ref-$ext" --size 20000 --seed 7 --shards 3 \
         --format "$format" --fault-transients 40 2>/dev/null
+    # Output does not depend on the worker count: one worker writes the
+    # same shards as the default eight.
+    "$BIN" crawl-job start --dir "$JOB/one-$ext" --size 20000 --seed 7 --shards 3 \
+        --format "$format" --fault-transients 40 --workers 1 2>/dev/null
+    for i in 0 1 2; do
+        cmp "$JOB/ref-$ext/crawl-00$i.$ext" "$JOB/one-$ext/crawl-00$i.$ext"
+    done
+    rm -rf "$JOB/one-$ext"
     # The chaos hook aborts the engine mid-write without flushing — the
     # start MUST fail — and the tails are shredded further by truncation
     # (every SIGKILL state is some byte prefix of the uninterrupted file).
@@ -192,6 +200,7 @@ for format in jsonl columnar; do
     done
 done
 echo "    killed-and-resumed 20k jobs are byte-identical in both formats"
+echo "    a 1-worker job is byte-identical to the 8-worker reference"
 echo "    resuming a complete job is a no-op; a shortened shard is repaired"
 
 echo "==> live analysis gate (analyze-while-crawling, both formats)"
