@@ -28,14 +28,27 @@
 //! in first-reference order) makes the resumed store byte-identical to
 //! an uninterrupted one.
 //!
-//! [`ReplayBundle`] loads a store and serves every visit byte-for-byte
-//! through [`netsim::ReplayNetwork`] — original timing, faults and
-//! crashes included — so a replayed crawl reproduces the recorded
-//! dataset exactly, with the page generator never invoked.
+//! Every reader makes the same single pass over a store: `blobs.bin`,
+//! then `manifests.bin`, one frame at a time through one reused buffer,
+//! under one rule set. A blob payload is a 16-byte digest followed by
+//! content that hashes to it; the n-th manifest decodes, carries rank n,
+//! and names only blobs the pass has already accepted. The
+//! [`StreamMode`] alone decides what a broken frame or rule does:
+//! `Strict` errs naming the file and byte offset, `Lenient` skips the
+//! record and counts it once, `Resume` cuts the pack there. The readers
+//! differ only in what they keep: [`ReplayBundle::load`] the blobs and
+//! manifests, [`BundleStat::scan`] blob sizes and counts, and
+//! [`BundleRecorder::resume`] the digest index and each pack's valid
+//! length.
+//!
+//! [`ReplayBundle`] serves every visit byte-for-byte through
+//! [`netsim::ReplayNetwork`] — original timing, faults and crashes
+//! included — so a replayed crawl reproduces the recorded dataset
+//! exactly, with the page generator never invoked.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -501,6 +514,18 @@ impl SiteManifest {
             attempts,
         })
     }
+
+    /// The digests of every blob the manifest names, in exchange order.
+    fn blob_refs(&self) -> impl Iterator<Item = &[u8; 16]> {
+        self.attempts
+            .iter()
+            .flat_map(|attempt| &attempt.exchanges)
+            .filter_map(|exchange| match &exchange.outcome {
+                OutcomeRef::Content { headers, body, .. } => Some([headers, body]),
+                _ => None,
+            })
+            .flatten()
+    }
 }
 
 /// Canonical header-template blob: count then `(name, value)` pairs.
@@ -529,89 +554,211 @@ fn decode_headers(bytes: &[u8]) -> Result<Vec<(String, String)>, String> {
 
 // --- framed pack files ----------------------------------------------------
 
-/// One scanned record: payload plus its start offset in the file.
-struct Framed {
-    offset: u64,
-    payload: Vec<u8>,
-}
-
-/// Reads a CRC-framed pack file. `Strict` makes any damage (bad magic,
-/// checksum mismatch, torn tail) a loud error naming the path and byte
-/// offset; `Lenient` skips corrupt records it can frame past and counts
-/// them, flagging a torn tail; `Resume` stops cleanly at the first
-/// damage and reports `valid_len` — the truncation point an append
-/// resumes from.
-fn read_pack(
-    path: &Path,
-    magic: [u8; 8],
-    mode: StreamMode,
-) -> std::io::Result<(Vec<Framed>, SkipReport, u64)> {
-    let bytes = std::fs::read(path)?;
-    let name = path.display();
-    let mut report = SkipReport::default();
-    let mut records = Vec::new();
-    if bytes.len() < 8 || bytes[..8] != magic {
-        return match mode {
-            StreamMode::Strict => invalid(format!("{name}: missing or wrong pack magic")),
-            _ => {
-                report.torn_tail = true;
-                Ok((records, report, 0))
-            }
-        };
-    }
-    let mut at = 8usize;
-    let mut valid_len = at as u64;
-    while at < bytes.len() {
-        let header_end = at + 8;
-        let frame = header_end
-            .checked_add(u32::from_le_bytes(
-                bytes.get(at..at + 4).unwrap_or(&[0; 4]).try_into().unwrap(),
-            ) as usize)
-            .filter(|&end| header_end <= bytes.len() && end <= bytes.len());
-        let Some(end) = frame else {
-            // Torn tail: the record header or payload runs past EOF.
-            match mode {
-                StreamMode::Strict => {
-                    return invalid(format!("{name}: torn record at byte {at}"));
-                }
-                StreamMode::Lenient => {
-                    report.torn_tail = true;
-                    break;
-                }
-                StreamMode::Resume => break,
-            }
-        };
-        let expected = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let payload = &bytes[header_end..end];
-        if crc32(payload) != expected {
-            match mode {
-                StreamMode::Strict => {
-                    return invalid(format!("{name}: checksum mismatch at byte {at}"));
-                }
-                StreamMode::Lenient => {
-                    // The frame is intact, only the payload is damaged:
-                    // skip this record and keep going.
-                    report.record(records.len() as u64 + report.skipped + 1);
-                    at = end;
-                    continue;
-                }
-                StreamMode::Resume => break,
-            }
-        }
-        records.push(Framed {
-            offset: at as u64,
-            payload: payload.to_vec(),
-        });
-        at = end;
-        valid_len = at as u64;
-    }
-    Ok((records, report, valid_len))
-}
-
 fn write_framed(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     writer.write_all(&(payload.len() as u32).to_le_bytes())?;
     writer.write_all(&crc32(payload).to_le_bytes())?;
     writer.write_all(payload)
+}
+
+/// What [`PackReader::next_frame`] found at its offset.
+enum Frame {
+    /// A whole frame whose payload matches its checksum.
+    Intact,
+    /// A whole frame whose payload fails its checksum.
+    Corrupt,
+    /// A frame header or payload that runs past the end of the file.
+    Torn,
+    /// The end of the file.
+    End,
+}
+
+/// Reads one pack file's `[len u32][crc32 u32][payload]` frames in order
+/// through one reused payload buffer, never the whole file.
+struct PackReader {
+    file: BufReader<File>,
+    /// File length when opened: a frame that runs past it is torn, and
+    /// no length read from the file allocates more than it.
+    len: u64,
+    /// Byte offset of the next frame.
+    at: u64,
+    /// The payload of the last whole frame read.
+    payload: Vec<u8>,
+}
+
+impl PackReader {
+    /// Opens `path` past its magic; `None` when the file does not start
+    /// with `magic`, a missing file included.
+    fn open(path: &Path, magic: [u8; 8]) -> std::io::Result<Option<PackReader>> {
+        let file = match File::open(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            file => file?,
+        };
+        let len = file.metadata()?.len();
+        if len < 8 {
+            return Ok(None);
+        }
+        let mut file = BufReader::new(file);
+        let mut head = [0u8; 8];
+        file.read_exact(&mut head)?;
+        if head != magic {
+            return Ok(None);
+        }
+        Ok(Some(PackReader {
+            file,
+            len,
+            at: 8,
+            payload: Vec::new(),
+        }))
+    }
+
+    fn next_frame(&mut self) -> std::io::Result<Frame> {
+        let left = self.len - self.at;
+        if left == 0 {
+            return Ok(Frame::End);
+        }
+        if left < 8 {
+            return Ok(Frame::Torn);
+        }
+        let mut header = [0u8; 8];
+        self.file.read_exact(&mut header)?;
+        let [len, crc] = [&header[..4], &header[4..]]
+            .map(|field| u32::from_le_bytes(field.try_into().expect("4-byte field")));
+        if left - 8 < u64::from(len) {
+            return Ok(Frame::Torn);
+        }
+        self.payload.resize(len as usize, 0);
+        self.file.read_exact(&mut self.payload)?;
+        self.at += 8 + u64::from(len);
+        Ok(if crc32(&self.payload) == crc {
+            Frame::Intact
+        } else {
+            Frame::Corrupt
+        })
+    }
+}
+
+/// Streams one pack, handing each intact payload to `rule` with its byte
+/// offset and 1-based frame number. `mode` alone decides what a broken
+/// frame or a failed rule does: `Strict` errs naming the file and byte
+/// offset; `Lenient` skips the record and counts it once, except that a
+/// torn tail ends the pack and is flagged; `Resume` ends the pack at that
+/// record. Returns the skips and the length of the pack's valid prefix,
+/// which is where a resumed append starts.
+fn pass_pack(
+    path: &Path,
+    magic: [u8; 8],
+    mode: StreamMode,
+    mut rule: impl FnMut(&[u8], u64, u64) -> Result<(), String>,
+) -> std::io::Result<(SkipReport, u64)> {
+    let mut report = SkipReport::default();
+    let Some(mut pack) = PackReader::open(path, magic)? else {
+        if mode == StreamMode::Strict {
+            return invalid(format!("{}: missing or wrong pack magic", path.display()));
+        }
+        report.torn_tail = true;
+        return Ok((report, 0));
+    };
+    for number in 1.. {
+        let at = pack.at;
+        let (failure, torn) = match pack.next_frame()? {
+            Frame::End => break,
+            Frame::Torn => (format!("torn record at byte {at}"), true),
+            Frame::Corrupt => (format!("checksum mismatch at byte {at}"), false),
+            Frame::Intact => match rule(&pack.payload, at, number) {
+                Ok(()) => continue,
+                Err(failure) => (failure, false),
+            },
+        };
+        match mode {
+            StreamMode::Strict => return invalid(format!("{}: {failure}", path.display())),
+            StreamMode::Lenient if !torn => report.record(number),
+            StreamMode::Lenient => {
+                report.torn_tail = true;
+                return Ok((report, at));
+            }
+            StreamMode::Resume => return Ok((report, at)),
+        }
+    }
+    Ok((report, pack.at))
+}
+
+/// What one [`pass_store`] accepted, and where each pack's valid prefix
+/// ends.
+struct StorePass<B> {
+    /// Every accepted blob by digest, as the caller kept it.
+    blobs: HashMap<[u8; 16], B>,
+    blob_skips: SkipReport,
+    manifest_skips: SkipReport,
+    blobs_valid: u64,
+    manifests_valid: u64,
+}
+
+/// The one pass every store reader makes: `blobs.bin`, then
+/// `manifests.bin`, each streamed once under one rule set.
+///
+/// - A blob payload is at least 16 bytes, and its content hashes to the
+///   digest those bytes store.
+/// - The n-th manifest frame decodes, carries rank n, and names only
+///   blobs this pass accepted.
+///
+/// `keep_blob` turns an accepted blob's content into what the caller
+/// keeps of it; `keep_manifest` receives each accepted manifest together
+/// with the blobs kept so far.
+fn pass_store<B>(
+    dir: &Path,
+    mode: StreamMode,
+    mut keep_blob: impl FnMut(&[u8]) -> B,
+    mut keep_manifest: impl FnMut(SiteManifest, &HashMap<[u8; 16], B>),
+) -> std::io::Result<StorePass<B>> {
+    let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
+    let mut blobs = HashMap::new();
+    let (blob_skips, blobs_valid) = pass_pack(&blobs_path, BLOB_MAGIC, mode, |payload, at, _| {
+        let Some((digest, content)) = payload.split_first_chunk::<16>() else {
+            return Err(format!("blob record at byte {at} shorter than its digest"));
+        };
+        if digest128(content) != *digest {
+            return Err(format!(
+                "blob at byte {at} does not hash to its stored digest"
+            ));
+        }
+        blobs.insert(*digest, keep_blob(content));
+        Ok(())
+    })?;
+    let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
+    let (manifest_skips, manifests_valid) = pass_pack(
+        &manifests_path,
+        MANIFEST_MAGIC,
+        mode,
+        |payload, at, number| {
+            let manifest = SiteManifest::decode(payload)
+                .map_err(|e| format!("bad site manifest at byte {at}: {e}"))?;
+            if manifest.rank != number {
+                return Err(format!(
+                    "manifest at byte {at} has rank {} where {number} was expected",
+                    manifest.rank
+                ));
+            }
+            if !manifest
+                .blob_refs()
+                .all(|digest| blobs.contains_key(digest))
+            {
+                return Err(format!(
+                    "manifest for rank {} references a blob missing from {}",
+                    manifest.rank,
+                    blobs_path.display()
+                ));
+            }
+            keep_manifest(manifest, &blobs);
+            Ok(())
+        },
+    )?;
+    Ok(StorePass {
+        blobs,
+        blob_skips,
+        manifest_skips,
+        blobs_valid,
+        manifests_valid,
+    })
 }
 
 // --- recording ------------------------------------------------------------
@@ -646,7 +793,7 @@ struct RecorderInner {
     blobs: BufWriter<File>,
     manifests: BufWriter<File>,
     /// Digests already durable in `blobs.bin`.
-    index: HashSet<[u8; 16]>,
+    index: HashMap<[u8; 16], ()>,
     /// Next rank to commit; ranks below it are already durable.
     cursor: u64,
     /// Ranks durable in `manifests.bin` when the store was opened.
@@ -678,29 +825,15 @@ impl BundleRecorder {
             ));
         }
         meta.store(dir)?;
-        let mut blobs = BufWriter::new(File::create(dir.join(BUNDLE_BLOBS_FILE))?);
-        blobs.write_all(&BLOB_MAGIC)?;
-        let mut manifests = BufWriter::new(File::create(dir.join(BUNDLE_MANIFESTS_FILE))?);
-        manifests.write_all(&MANIFEST_MAGIC)?;
-        Ok(BundleRecorder {
-            dir: dir.to_path_buf(),
-            inner: Mutex::new(RecorderInner {
-                blobs,
-                manifests,
-                index: HashSet::new(),
-                cursor: 1,
-                durable_prefix: 0,
-                pending: BTreeMap::new(),
-            }),
-        })
+        BundleRecorder::append(dir, [0, 0], HashMap::new(), 0)
     }
 
     /// Opens `dir` for appending, creating a fresh store if none exists.
     /// An existing store must match `meta` (same crawl parameters), and
-    /// both pack files are truncated at their last valid record — with
-    /// manifests additionally rolled back past any record whose blobs
-    /// did not survive, so "manifest durable ⇒ blobs durable" holds no
-    /// matter where a kill landed.
+    /// both pack files are truncated at their first record that fails the
+    /// store rules — so a manifest whose blobs did not survive rolls back
+    /// too, and "manifest durable ⇒ blobs durable" holds no matter where
+    /// a kill landed.
     pub fn resume(dir: &Path, meta: &BundleMeta) -> std::io::Result<BundleRecorder> {
         if !is_bundle_store(dir) {
             return BundleRecorder::create(dir, meta);
@@ -713,80 +846,42 @@ impl BundleRecorder {
                 dir.display()
             ));
         }
-        let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
-        let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (blob_records, _, mut blobs_valid) = if blobs_path.exists() {
-            read_pack(&blobs_path, BLOB_MAGIC, StreamMode::Resume)?
-        } else {
-            (Vec::new(), SkipReport::default(), 0)
-        };
-        let mut index = HashSet::new();
-        for record in &blob_records {
-            if record.payload.len() < 16 {
-                // Damage: truncate here, so neither this record nor any
-                // blob after it stays on disk unindexed.
-                blobs_valid = record.offset;
-                break;
-            }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
-            index.insert(digest);
-        }
-        let (manifest_records, _, mut manifests_valid) = if manifests_path.exists() {
-            read_pack(&manifests_path, MANIFEST_MAGIC, StreamMode::Resume)?
-        } else {
-            (Vec::new(), SkipReport::default(), 0)
-        };
         let mut durable_prefix = 0u64;
-        for record in &manifest_records {
-            let Ok(manifest) = SiteManifest::decode(&record.payload) else {
-                manifests_valid = record.offset;
-                break;
-            };
-            let refs_resolve = manifest.attempts.iter().all(|attempt| {
-                attempt.exchanges.iter().all(|e| match &e.outcome {
-                    OutcomeRef::Content { headers, body, .. } => {
-                        index.contains(headers) && index.contains(body)
-                    }
-                    _ => true,
-                })
-            });
-            if manifest.rank != durable_prefix + 1 || !refs_resolve {
-                manifests_valid = record.offset;
-                break;
-            }
-            durable_prefix = manifest.rank;
-        }
-        let reopen = |path: &Path, magic: &[u8], valid: u64| -> std::io::Result<BufWriter<File>> {
-            let file = OpenOptions::new().read(true).write(true).open(path)?;
-            file.set_len(valid.max(magic.len() as u64))?;
-            let mut file = file;
-            use std::io::Seek;
-            if valid < magic.len() as u64 {
+        let pass = pass_store(dir, StreamMode::Resume, |_| (), |_, _| durable_prefix += 1)?;
+        let valid = [pass.blobs_valid, pass.manifests_valid];
+        BundleRecorder::append(dir, valid, pass.blobs, durable_prefix)
+    }
+
+    /// A recorder appending to `dir`'s blob and manifest packs after
+    /// their first `valid` bytes (0 starts a pack over at its magic), with
+    /// `index`'s blobs and ranks `1..=durable_prefix` already durable.
+    fn append(
+        dir: &Path,
+        valid: [u64; 2],
+        index: HashMap<[u8; 16], ()>,
+        durable_prefix: u64,
+    ) -> std::io::Result<BundleRecorder> {
+        let open = |file: &str, magic: [u8; 8], valid: u64| -> std::io::Result<BufWriter<File>> {
+            let path = dir.join(file);
+            let mut file = OpenOptions::new()
+                .create(true)
+                .truncate(false)
+                .write(true)
+                .open(path)?;
+            if valid == 0 {
                 file.set_len(0)?;
-                file.write_all(magic)?;
+                file.write_all(&magic)?;
+            } else {
+                file.set_len(valid)?;
+                file.seek(SeekFrom::End(0))?;
             }
-            file.seek(std::io::SeekFrom::End(0))?;
             Ok(BufWriter::new(file))
-        };
-        let blobs = if blobs_path.exists() {
-            reopen(&blobs_path, &BLOB_MAGIC, blobs_valid)?
-        } else {
-            let mut w = BufWriter::new(File::create(&blobs_path)?);
-            w.write_all(&BLOB_MAGIC)?;
-            w
-        };
-        let manifests = if manifests_path.exists() {
-            reopen(&manifests_path, &MANIFEST_MAGIC, manifests_valid)?
-        } else {
-            let mut w = BufWriter::new(File::create(&manifests_path)?);
-            w.write_all(&MANIFEST_MAGIC)?;
-            w
         };
         Ok(BundleRecorder {
             dir: dir.to_path_buf(),
             inner: Mutex::new(RecorderInner {
-                blobs,
-                manifests,
+                blobs: open(BUNDLE_BLOBS_FILE, BLOB_MAGIC, valid[0])?,
+                manifests: open(BUNDLE_MANIFESTS_FILE, MANIFEST_MAGIC, valid[1])?,
                 index,
                 cursor: durable_prefix + 1,
                 durable_prefix,
@@ -908,7 +1003,7 @@ fn commit_site(inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Resul
 
 fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]> {
     let digest = digest128(bytes);
-    if inner.index.insert(digest) {
+    if inner.index.insert(digest, ()).is_none() {
         let mut payload = Vec::with_capacity(16 + bytes.len());
         payload.extend_from_slice(&digest);
         payload.extend_from_slice(bytes);
@@ -924,7 +1019,8 @@ fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]
 pub struct ReplayBundle {
     meta: BundleMeta,
     blobs: HashMap<[u8; 16], Bytes>,
-    manifests: BTreeMap<u64, SiteManifest>,
+    /// Rank r at index r − 1: the store rules admit ranks 1..=n only.
+    manifests: Vec<SiteManifest>,
 }
 
 impl ReplayBundle {
@@ -933,70 +1029,16 @@ impl ReplayBundle {
     /// the file.
     pub fn load(dir: &Path) -> std::io::Result<ReplayBundle> {
         let meta = BundleMeta::load(dir)?;
-        let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
-        let (blob_records, _, _) = read_pack(&blobs_path, BLOB_MAGIC, StreamMode::Strict)?;
-        let mut blobs = HashMap::new();
-        for record in blob_records {
-            if record.payload.len() < 16 {
-                return invalid(format!(
-                    "{}: blob record at byte {} shorter than its digest",
-                    blobs_path.display(),
-                    record.offset
-                ));
-            }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
-            if digest128(&record.payload[16..]) != digest {
-                return invalid(format!(
-                    "{}: blob at byte {} does not hash to its stored digest",
-                    blobs_path.display(),
-                    record.offset
-                ));
-            }
-            blobs.insert(digest, Bytes::copy_from_slice(&record.payload[16..]));
-        }
-        let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (records, _, _) = read_pack(&manifests_path, MANIFEST_MAGIC, StreamMode::Strict)?;
-        let mut manifests = BTreeMap::new();
-        for record in records {
-            let manifest = SiteManifest::decode(&record.payload).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: bad site manifest at byte {}: {e}",
-                        manifests_path.display(),
-                        record.offset
-                    ),
-                )
-            })?;
-            let expected = manifests.len() as u64 + 1;
-            if manifest.rank != expected {
-                return invalid(format!(
-                    "{}: manifest at byte {} has rank {} where {expected} was expected",
-                    manifests_path.display(),
-                    record.offset,
-                    manifest.rank
-                ));
-            }
-            for attempt in &manifest.attempts {
-                for exchange in &attempt.exchanges {
-                    if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
-                        if !blobs.contains_key(headers) || !blobs.contains_key(body) {
-                            return invalid(format!(
-                                "{}: manifest for rank {} references a blob missing \
-                                 from {}",
-                                manifests_path.display(),
-                                manifest.rank,
-                                blobs_path.display()
-                            ));
-                        }
-                    }
-                }
-            }
-            manifests.insert(manifest.rank, manifest);
-        }
+        let mut manifests = Vec::new();
+        let pass = pass_store(
+            dir,
+            StreamMode::Strict,
+            Bytes::copy_from_slice,
+            |manifest, _| manifests.push(manifest),
+        )?;
         Ok(ReplayBundle {
             meta,
-            blobs,
+            blobs: pass.blobs,
             manifests,
         })
     }
@@ -1013,12 +1055,13 @@ impl ReplayBundle {
 
     /// One site's manifest, if recorded.
     pub fn manifest(&self, rank: u64) -> Option<&SiteManifest> {
-        self.manifests.get(&rank)
+        self.manifests
+            .get(usize::try_from(rank.checked_sub(1)?).ok()?)
     }
 
     /// Rebuilds the raw visit tape for one attempt of one rank.
     pub fn tape(&self, rank: u64, attempt: usize) -> Option<VisitTape> {
-        let manifest = self.manifests.get(&rank)?;
+        let manifest = self.manifest(rank)?;
         let attempt = manifest.attempts.get(attempt)?;
         let mut tape = VisitTape::default();
         for exchange in &attempt.exchanges {
@@ -1083,82 +1126,32 @@ pub struct BundleStat {
 }
 
 impl BundleStat {
-    /// Scans a store. `Strict` errors loudly on any damage; `Lenient`
-    /// counts skipped records instead.
+    /// Scans a store. `Strict` errors loudly on any damage, exactly where
+    /// [`ReplayBundle::load`] does; `Lenient` skips and counts each record
+    /// that fails the store rules instead. A `Resume` scan counts the
+    /// prefix [`BundleRecorder::resume`] would keep.
     pub fn scan(dir: &Path, mode: StreamMode) -> std::io::Result<BundleStat> {
         let mut stat = BundleStat::default();
-        let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
-        let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (blob_records, blob_skips, _) = read_pack(&blobs_path, BLOB_MAGIC, mode)?;
-        stat.blob_skips = blob_skips;
-        let mut sizes: HashMap<[u8; 16], u64> = HashMap::new();
-        for record in &blob_records {
-            if record.payload.len() < 16 {
-                match mode {
-                    StreamMode::Strict => {
-                        return invalid(format!(
-                            "{}: blob record at byte {} shorter than its digest",
-                            blobs_path.display(),
-                            record.offset
-                        ));
-                    }
-                    _ => {
-                        stat.blob_skips.skipped += 1;
-                        continue;
-                    }
+        let pass = pass_store(
+            dir,
+            mode,
+            |content| content.len() as u64,
+            |manifest, sizes| {
+                stat.sites += 1;
+                stat.synthesized += manifest.synthesized as u64;
+                stat.attempts += manifest.attempts.len() as u64;
+                for attempt in &manifest.attempts {
+                    stat.exchanges += attempt.exchanges.len() as u64;
                 }
-            }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
-            let len = (record.payload.len() - 16) as u64;
-            sizes.insert(digest, len);
-            stat.stored_bytes += len;
-        }
-        stat.unique_blobs = sizes.len() as u64;
-        let (records, manifest_skips, _) = read_pack(&manifests_path, MANIFEST_MAGIC, mode)?;
-        stat.manifest_skips = manifest_skips;
-        for record in &records {
-            let manifest = match SiteManifest::decode(&record.payload) {
-                Ok(manifest) => manifest,
-                Err(e) => match mode {
-                    StreamMode::Strict => {
-                        return invalid(format!(
-                            "{}: bad site manifest at byte {}: {e}",
-                            manifests_path.display(),
-                            record.offset
-                        ));
-                    }
-                    _ => {
-                        stat.manifest_skips.skipped += 1;
-                        continue;
-                    }
-                },
-            };
-            stat.sites += 1;
-            stat.synthesized += manifest.synthesized as u64;
-            stat.attempts += manifest.attempts.len() as u64;
-            for attempt in &manifest.attempts {
-                stat.exchanges += attempt.exchanges.len() as u64;
-                for exchange in &attempt.exchanges {
-                    if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
-                        for digest in [headers, body] {
-                            match sizes.get(digest) {
-                                Some(len) => stat.referenced_bytes += len,
-                                None if mode == StreamMode::Strict => {
-                                    return invalid(format!(
-                                        "{}: manifest for rank {} references a blob \
-                                         missing from {}",
-                                        manifests_path.display(),
-                                        manifest.rank,
-                                        blobs_path.display()
-                                    ));
-                                }
-                                None => stat.manifest_skips.skipped += 1,
-                            }
-                        }
-                    }
-                }
-            }
-        }
+                // The pass admits a manifest only once every blob it
+                // names is in `sizes`.
+                stat.referenced_bytes += manifest.blob_refs().map(|d| sizes[d]).sum::<u64>();
+            },
+        )?;
+        stat.unique_blobs = pass.blobs.len() as u64;
+        stat.stored_bytes = pass.blobs.values().sum();
+        stat.blob_skips = pass.blob_skips;
+        stat.manifest_skips = pass.manifest_skips;
         for file in [BUNDLE_META_FILE, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE] {
             if let Ok(meta) = std::fs::metadata(dir.join(file)) {
                 stat.store_file_bytes += meta.len();
@@ -1179,6 +1172,7 @@ impl BundleStat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchFile;
 
     fn sample_manifest() -> SiteManifest {
         SiteManifest {
@@ -1274,10 +1268,88 @@ mod tests {
         assert!(decode_headers(&blob[..blob.len() - 1]).is_err());
     }
 
+    /// A store directory of its own, removed with its parent when
+    /// dropped.
+    fn scratch(name: &str) -> ScratchFile {
+        ScratchFile::new("permodyssey-bundle", name)
+    }
+
+    /// Rank `rank`'s visit: a page whose header template and body are
+    /// its own, then a script every site shares.
+    fn site(rank: u64) -> SiteBundle {
+        let url = format!("https://site-{rank}.example/");
+        let exchange = |url: &str, headers: Vec<(String, String)>, body: String| Exchange {
+            url: url.to_string(),
+            advance_ms: 155,
+            outcome: ExchangeOutcome::Content {
+                status: 200,
+                headers,
+                body: Bytes::copy_from_slice(body.as_bytes()),
+                final_url: url.to_string(),
+                redirects: 0,
+            },
+        };
+        let page_headers = vec![
+            ("content-type".to_string(), "text/html".to_string()),
+            (
+                "permissions-policy".to_string(),
+                format!("camera=(self \"{url}\")"),
+            ),
+        ];
+        let script_headers = vec![("content-type".to_string(), "text/javascript".to_string())];
+        SiteBundle {
+            rank,
+            origin: url.clone(),
+            synthesized: false,
+            attempts: vec![VisitTape {
+                exchanges: vec![
+                    exchange(&url, page_headers, format!("<html>{rank}</html>")),
+                    exchange(
+                        "https://cdn.example/t.js",
+                        script_headers,
+                        "track();".into(),
+                    ),
+                ],
+                probes: Vec::new(),
+            }],
+        }
+    }
+
+    /// Records ranks `1..=sites` into a fresh store at `dir`. Its blob
+    /// frames are rank 1's page headers, page, script headers and script,
+    /// then each later rank's page headers and page.
+    fn record_sites(dir: &Path, sites: u64) -> BundleMeta {
+        let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, sites, false);
+        let recorder = BundleRecorder::create(dir, &meta).unwrap();
+        for rank in 1..=sites {
+            recorder.submit(site(rank)).unwrap();
+        }
+        assert_eq!(recorder.finish().unwrap(), sites);
+        meta
+    }
+
+    /// Byte ranges of a pack's frames, in file order.
+    fn frames(pack: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut frames = Vec::new();
+        let mut at = 8;
+        while at < pack.len() {
+            let len = u32::from_le_bytes(pack[at..at + 4].try_into().unwrap()) as usize;
+            frames.push(at..at + 8 + len);
+            at += 8 + len;
+        }
+        frames
+    }
+
+    fn edit_pack(dir: &Path, file: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        edit(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
     #[test]
     fn store_round_trips_and_dedups() {
-        let dir = std::env::temp_dir().join(format!("permodyssey-bundle-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("store");
         let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 2, false);
         let recorder = BundleRecorder::create(&dir, &meta).expect("create");
         let body = Bytes::copy_from_slice(b"<html>shared</html>");
@@ -1328,14 +1400,11 @@ mod tests {
         assert_eq!(stat.sites, 2);
         assert_eq!(stat.unique_blobs, 2, "shared body + shared headers");
         assert!(stat.dedup_ratio() > 1.5, "ratio {}", stat.dedup_ratio());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corruption_is_loud_in_strict_and_counted_in_lenient() {
-        let dir =
-            std::env::temp_dir().join(format!("permodyssey-bundle-cor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("corrupt");
         let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 1, false);
         let recorder = BundleRecorder::create(&dir, &meta).unwrap();
         recorder
@@ -1356,14 +1425,39 @@ mod tests {
         let stat = BundleStat::scan(&dir, StreamMode::Lenient).unwrap();
         assert_eq!(stat.sites, 0);
         assert_eq!(stat.manifest_skips.skipped, 1);
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest that fails a store rule counts once among the lenient
+    /// skips and adds nothing to the site, attempt, exchange or
+    /// referenced-byte counts.
+    #[test]
+    fn lenient_stat_counts_a_failing_manifest_once() {
+        let dir = scratch("lenient");
+        record_sites(&dir, 5);
+        // Cut blobs.bin after rank 3's page: ranks 4 and 5 each name two
+        // blobs it no longer holds.
+        edit_pack(&dir, BUNDLE_BLOBS_FILE, |pack| {
+            pack.truncate(frames(pack)[7].end)
+        });
+        let stat = BundleStat::scan(&dir, StreamMode::Lenient).unwrap();
+        assert_eq!(stat.manifest_skips.skipped, 2);
+        assert_eq!(stat.manifest_skips.lines, [4, 5]);
+        assert_eq!(stat.blob_skips, SkipReport::default());
+
+        // Everything else reads as a store that only ever held ranks 1..=3.
+        let three = scratch("lenient-three");
+        record_sites(&three, 3);
+        let expected = BundleStat::scan(&three, StreamMode::Strict).unwrap();
+        let counts = |s: &BundleStat| {
+            let blobs = (s.referenced_bytes, s.unique_blobs, s.stored_bytes);
+            (s.sites, s.synthesized, s.attempts, s.exchanges, blobs)
+        };
+        assert_eq!(counts(&stat), counts(&expected));
     }
 
     #[test]
     fn resume_truncates_torn_tails_and_rolls_back_blobless_manifests() {
-        let dir =
-            std::env::temp_dir().join(format!("permodyssey-bundle-res-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("resume");
         let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 2, false);
         let recorder = BundleRecorder::create(&dir, &meta).unwrap();
         let tape = VisitTape {
@@ -1398,61 +1492,111 @@ mod tests {
         drop(file);
         let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
         assert_eq!(resumed.durable_prefix(), 0, "manifest rolled back");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every reader applies one rule set: on each damage shape a strict
+    /// `bundle stat` fails exactly when a replay load does, with the same
+    /// message, and a resume keeps the prefix before the damage and,
+    /// once every rank is submitted again, finishes a store that loads.
     #[test]
-    fn resume_truncates_at_a_blob_record_shorter_than_its_digest() {
-        let dir =
-            std::env::temp_dir().join(format!("permodyssey-bundle-short-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 2, false);
-        let site = |rank: u64| {
-            let url = format!("https://site-{rank}.example/");
-            SiteBundle {
-                rank,
-                origin: url.clone(),
-                synthesized: false,
-                attempts: vec![VisitTape {
-                    exchanges: vec![Exchange {
-                        url: url.clone(),
-                        advance_ms: 155,
-                        outcome: ExchangeOutcome::Content {
-                            status: 200,
-                            headers: vec![("content-type".to_string(), "text/html".to_string())],
-                            body: Bytes::copy_from_slice(format!("<html>{rank}</html>").as_bytes()),
-                            final_url: url,
-                            redirects: 0,
-                        },
-                    }],
-                    probes: Vec::new(),
-                }],
-            }
-        };
-        let recorder = BundleRecorder::create(&dir, &meta).unwrap();
-        recorder.submit(site(1)).unwrap();
-        recorder.finish().unwrap();
-        // Splice a CRC-valid record with a 10-byte payload in after the
-        // first blob: every check but the digest length passes it.
-        let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
-        let bytes = std::fs::read(&blobs_path).unwrap();
-        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let cut = 8 + 8 + first_len;
-        let mut spliced = bytes[..cut].to_vec();
-        write_framed(&mut spliced, &[0u8; 10]).unwrap();
-        spliced.extend_from_slice(&bytes[cut..]);
-        std::fs::write(&blobs_path, &spliced).unwrap();
+    fn readers_agree_on_every_damage_shape() {
+        type Damage = fn(&mut Vec<u8>);
+        // (shape, damaged pack, damage, ranks a resume keeps)
+        let shapes: [(&str, &str, Damage, u64); 8] = [
+            ("intact", BUNDLE_MANIFESTS_FILE, |_| {}, 5),
+            (
+                "rank-gap",
+                BUNDLE_MANIFESTS_FILE,
+                |pack| drop(pack.drain(frames(pack)[2].clone())),
+                2,
+            ),
+            (
+                // Rank 2's page changes and its CRC is recomputed.
+                "digest-mismatch",
+                BUNDLE_BLOBS_FILE,
+                |pack| {
+                    let frame = frames(pack)[5].clone();
+                    pack[frame.end - 1] ^= 0xFF;
+                    let crc = crc32(&pack[frame.start + 8..frame.end]);
+                    pack[frame.start + 4..frame.start + 8].copy_from_slice(&crc.to_le_bytes());
+                },
+                1,
+            ),
+            (
+                // A CRC-valid 10-byte record after the first blob.
+                "short-blob-record",
+                BUNDLE_BLOBS_FILE,
+                |pack| {
+                    let at = frames(pack)[0].end;
+                    let mut short = Vec::new();
+                    write_framed(&mut short, &[0u8; 10]).unwrap();
+                    pack.splice(at..at, short);
+                },
+                0,
+            ),
+            (
+                // Rank 3's page headers leave blobs.bin.
+                "missing-blob",
+                BUNDLE_BLOBS_FILE,
+                |pack| drop(pack.drain(frames(pack)[6].clone())),
+                2,
+            ),
+            (
+                "torn-blobs-tail",
+                BUNDLE_BLOBS_FILE,
+                |pack| pack.truncate(pack.len() - 3),
+                4,
+            ),
+            (
+                "torn-manifests-tail",
+                BUNDLE_MANIFESTS_FILE,
+                |pack| pack.truncate(pack.len() - 3),
+                4,
+            ),
+            (
+                // The last byte of rank 3's page.
+                "flipped-byte",
+                BUNDLE_BLOBS_FILE,
+                |pack| {
+                    let end = frames(pack)[7].end;
+                    pack[end - 1] ^= 0x01;
+                },
+                2,
+            ),
+        ];
+        for (shape, file, damage, kept) in shapes {
+            let dir = scratch(shape);
+            let meta = record_sites(&dir, 5);
+            edit_pack(&dir, file, damage);
 
-        // The cut drops rank 1's second blob, so its manifest rolls back
-        // and both ranks are captured again.
-        let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
-        assert_eq!(resumed.durable_prefix(), 0);
-        resumed.submit(site(1)).unwrap();
-        resumed.submit(site(2)).unwrap();
-        assert_eq!(resumed.finish().unwrap(), 2);
-        let bundle = ReplayBundle::load(&dir).expect("strict load of the resumed store");
-        assert_eq!(bundle.sites(), 2);
-        assert_eq!(bundle.tape(1, 0).unwrap(), site(1).attempts[0]);
-        std::fs::remove_dir_all(&dir).ok();
+            let load = ReplayBundle::load(&dir)
+                .map(|_| ())
+                .map_err(|e| e.to_string());
+            let stat = BundleStat::scan(&dir, StreamMode::Strict)
+                .map(|_| ())
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                load.is_ok(),
+                shape == "intact",
+                "{shape}: load gave {load:?}"
+            );
+            assert_eq!(stat, load, "{shape}: bundle stat and load disagree");
+
+            let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
+            assert_eq!(resumed.durable_prefix(), kept, "{shape}: durable prefix");
+            for rank in 1..=5 {
+                resumed.submit(site(rank)).unwrap();
+            }
+            assert_eq!(resumed.finish().unwrap(), 5);
+            let bundle = ReplayBundle::load(&dir)
+                .unwrap_or_else(|e| panic!("{shape}: the resumed store fails to load: {e}"));
+            for rank in 1..=5 {
+                assert_eq!(
+                    bundle.tape(rank, 0).unwrap(),
+                    site(rank).attempts[0],
+                    "{shape}"
+                );
+            }
+        }
     }
 }

@@ -203,6 +203,39 @@ echo "    killed-and-resumed 20k jobs are byte-identical in both formats"
 echo "    a 1-worker job is byte-identical to the 8-worker reference"
 echo "    resuming a complete job is a no-op; a shortened shard is repaired"
 
+echo "==> job engine: CLI crash gate for a recording job (kill, shred, resume, replay)"
+# The killed recording job is shredded further: each pack and one shard
+# cut to a fixed prefix, well below what the abort at 7,300 records
+# leaves (about 3.3 MB per pack, 10 MB per shard) and inside a frame.
+# The resume pass cuts each pack at its first record that breaks a store
+# rule, so the resumed job must equal the uninterrupted one byte for byte,
+# pass a strict `bundle stat`, and replay to the same shards.
+"$BIN" crawl-job start --dir "$JOB/rec-ref" --record --size 20000 --seed 7 --shards 3 \
+    --fault-transients 40 2>/dev/null
+if "$BIN" crawl-job start --dir "$JOB/rec-chaos" --record --size 20000 --seed 7 --shards 3 \
+    --fault-transients 40 --chaos-abort 7300 2>/dev/null; then
+    echo "chaos-abort recording run unexpectedly succeeded" >&2
+    exit 1
+fi
+truncate -s 2000003 "$JOB/rec-chaos/bundle/blobs.bin"
+truncate -s 2500001 "$JOB/rec-chaos/bundle/manifests.bin"
+truncate -s 4000007 "$JOB/rec-chaos/crawl-001.jsonl"
+"$BIN" crawl-job resume --dir "$JOB/rec-chaos" 2>/dev/null
+for f in bundle/bundle.json bundle/blobs.bin bundle/manifests.bin \
+    crawl-000.jsonl crawl-001.jsonl crawl-002.jsonl; do
+    cmp "$JOB/rec-ref/$f" "$JOB/rec-chaos/$f"
+done
+"$BIN" bundle stat "$JOB/rec-chaos/bundle" >/dev/null
+mkdir -p "$JOB/rec-replay"
+"$BIN" crawl --replay "$JOB/rec-chaos/bundle" --shards 3 \
+    --out "$JOB/rec-replay/crawl.jsonl" 2>/dev/null
+for i in 0 1 2; do
+    cmp "$JOB/rec-ref/crawl-00$i.jsonl" "$JOB/rec-replay/crawl-00$i.jsonl"
+done
+rm -rf "$JOB/rec-ref" "$JOB/rec-chaos" "$JOB/rec-replay"
+echo "    a killed, shredded recording job resumes to the reference shards and store"
+echo "    the resumed store passes a strict bundle stat and replays to the same shards"
+
 echo "==> live analysis gate (analyze-while-crawling, both formats)"
 LIVE=$(mktemp -d -p "$SCRATCH")
 for format in jsonl columnar; do
