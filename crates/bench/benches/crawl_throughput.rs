@@ -4,9 +4,30 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 
-use crawler::{CrawlConfig, Crawler};
+use crawler::{
+    crawl_shards, CrawlConfig, CrawlSource, Crawler, DbFormat, JobManifest, JobOptions, JobReport,
+};
 use webgen::{PopulationConfig, WebPopulation};
+
+/// A scratch directory for one benchmark, named after the process.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("permodyssey-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// One `crawl` on the worker pool into a single JSONL file at `out`.
+fn pool_crawl(source: CrawlSource<'_>, out: &Path, workers: usize) -> JobReport {
+    let opts = JobOptions {
+        workers,
+        ..JobOptions::default()
+    };
+    let paths = [out.to_path_buf()];
+    crawl_shards(source, &paths, DbFormat::Jsonl, &opts).expect("crawl runs")
+}
 
 fn single_visit(c: &mut Criterion) {
     let population = WebPopulation::new(PopulationConfig { seed: 7, size: 512 });
@@ -20,21 +41,22 @@ fn single_visit(c: &mut Criterion) {
     });
 }
 
+/// The worker pool behind `crawl`, writing its shard, at 1–8 workers.
 fn worker_scaling(c: &mut Criterion) {
-    let population = WebPopulation::new(PopulationConfig { seed: 7, size: 256 });
+    let manifest = JobManifest::new(7, 256, 1, DbFormat::Jsonl);
+    let dir = scratch("scaling");
+    let out = dir.join("crawl.jsonl");
     let mut group = c.benchmark_group("crawl_worker_scaling");
     group.sample_size(10);
     group.throughput(Throughput::Elements(256));
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let crawler = Crawler::new(CrawlConfig {
-                workers: w,
-                ..CrawlConfig::default()
-            });
-            b.iter(|| black_box(crawler.crawl(&population)))
+            let source = || CrawlSource::Live(&manifest, None);
+            b.iter(|| black_box(pool_crawl(source(), &out, w)))
         });
     }
     group.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn interaction_overhead(c: &mut Criterion) {
@@ -130,54 +152,38 @@ fn record_job_engine(_c: &mut Criterion) {
     );
 }
 
-/// Record/replay throughput: a 20k-site crawl captured into a
-/// content-addressed bundle store, then replayed from the store with
-/// the generator never consulted — best-of-three replay wall-clock and
-/// the store's dedup ratio appended to `BENCH_crawl.json` as the
-/// replay leg (after [`record_job_engine`] wrote the base object).
+/// Record/replay throughput: a 20k-site `crawl --record` captured into
+/// a content-addressed bundle store, then `crawl --replay` from the
+/// store with the generator never consulted, both on the worker pool
+/// writing a JSONL shard — best-of-three replay wall-clock and the
+/// store's dedup ratio appended to `BENCH_crawl.json` as the replay leg
+/// (after [`record_job_engine`] wrote the base object).
 fn record_replay(_c: &mut Criterion) {
     const POPULATION: u64 = 20_000;
     const WORKERS: usize = 8;
-    let dir = std::env::temp_dir().join(format!("permodyssey-bench-replay-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = CrawlConfig {
-        workers: WORKERS,
-        ..CrawlConfig::default()
-    };
-    let meta = crawler::BundleMeta::for_crawl(&config, 7, POPULATION, false);
-    let recorder = std::sync::Arc::new(
-        crawler::BundleRecorder::create(&dir, &meta).expect("create bundle store"),
-    );
-    let crawler = Crawler::new(config).with_recorder(std::sync::Arc::clone(&recorder));
-    let population = WebPopulation::new(PopulationConfig {
-        seed: 7,
-        size: POPULATION,
-    });
+    let dir = scratch("replay");
+    let store = dir.join("bundle");
+    let manifest = JobManifest::new(7, POPULATION, 1, DbFormat::Jsonl);
+    let source = CrawlSource::Live(&manifest, Some(&store));
     let start = std::time::Instant::now();
-    let mut recorded = 0u64;
-    crawler.crawl_streaming(&population, |_| recorded += 1);
-    assert_eq!(recorder.finish().expect("finish store"), POPULATION);
+    let recorded = pool_crawl(source, &dir.join("live.jsonl"), WORKERS);
     let record_secs = start.elapsed().as_secs_f64();
-    assert_eq!(recorded, POPULATION);
+    assert_eq!(recorded.written, POPULATION);
 
-    let bundle = crawler::ReplayBundle::load(&dir).expect("load bundle store");
+    let bundle = crawler::ReplayBundle::load(&store).expect("load bundle store");
     let mut replay_secs = f64::INFINITY;
     for _ in 0..3 {
-        let crawler = Crawler::new(bundle.meta().replay_config(WORKERS));
-        let telemetry = crawler::CrawlTelemetry::new(WORKERS);
         let start = std::time::Instant::now();
-        let mut replayed = 0u64;
-        crawler.replay_streaming_observed(
-            &bundle,
-            &std::collections::BTreeSet::new(),
-            &telemetry,
-            |_| replayed += 1,
+        let replayed = pool_crawl(
+            CrawlSource::Replay(&bundle),
+            &dir.join("replayed.jsonl"),
+            WORKERS,
         );
-        assert_eq!(replayed, POPULATION);
+        assert_eq!(replayed.written, POPULATION);
         replay_secs = replay_secs.min(start.elapsed().as_secs_f64());
     }
     let stat =
-        crawler::BundleStat::scan(&dir, crawler::StreamMode::Strict).expect("scan bundle store");
+        crawler::BundleStat::scan(&store, crawler::StreamMode::Strict).expect("scan bundle store");
     std::fs::remove_dir_all(&dir).ok();
 
     // Append the replay leg to the object record_job_engine wrote (or

@@ -19,7 +19,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crawler::{DbFormat, JobManifest, ShardWriter};
+use crawler::{CrawlSource, DbFormat, JobManifest, ReplayBundle, ShardWriter};
 use permissions_odyssey::prelude::*;
 use permissions_odyssey::tools;
 
@@ -109,22 +109,26 @@ mod table {
     use super::*;
 
     /// The flags that determine a crawl's dataset bytes, read by
-    /// [`job_manifest`] for `crawl` and `crawl-job start` alike.
-    const DATASET: &[Flag] = &[
+    /// [`job_manifest`] for `crawl` and `crawl-job start` alike. A
+    /// bundle store fixes them all: `crawl --replay` refuses them.
+    pub(super) const DATASET: &[Flag] = &[
         ("--size N", "origins to crawl, ranks 1..=N (default 20000)"),
         ("--seed S", "population seed (default 7)"),
-        ("--shards N", "rank-striped shard files (default 1)"),
-        ("--format jsonl|columnar", "database format (crawl: default from --out)"),
         ("--retries R", "per-visit transient-failure retries (default 2)"),
         ("--adversarial", "enable hostile origins"),
         ("--fault-panics PM", "injected visit panics per mille (default 0)"),
         ("--fault-transients PM", "injected transient failures per mille (default 0)"),
     ];
+    /// How the dataset is laid out on disk.
+    const LAYOUT: &[Flag] = &[
+        ("--shards N", "rank-striped shard files (default 1)"),
+        ("--format jsonl|columnar", "database format (crawl: default from --out)"),
+    ];
     const CRAWL: &[Flag] = &[
         ("--out FILE", "database file or shard base (default crawl.jsonl)"),
         ("--workers W", "parallel visit workers (default 8)"),
         ("--record DIR", "also record every exchange into a bundle store"),
-        ("--replay DIR", "re-drive a recorded store; dataset flags come from it"),
+        ("--replay DIR", "re-drive a recorded store; it fixes the dataset flags"),
     ];
     const JOB_DIR: &[Flag] = &[("--dir DIR", "the job directory (required)")];
     const JOB_RECORD: &[Flag] = &[("--record", "record a bundle store at DIR/bundle")];
@@ -172,8 +176,8 @@ mod table {
     /// Every command, in usage order: name, positional operand, flag
     /// groups, and the function that runs it.
     pub(super) const COMMANDS: &[Command] = &[
-        command("crawl", None, &[CRAWL, DATASET], cmd_crawl),
-        command("crawl-job start", None, &[JOB_DIR, DATASET, JOB_RECORD, JOB_RUN], cmd_job_start),
+        command("crawl", None, &[CRAWL, DATASET, LAYOUT], cmd_crawl),
+        command("crawl-job start", None, &[JOB_DIR, DATASET, LAYOUT, JOB_RECORD, JOB_RUN], cmd_job_start),
         command("crawl-job resume", None, &[JOB_DIR, JOB_RUN], cmd_job_resume),
         command("crawl-job status", None, &[JOB_DIR], cmd_job_status),
         command("crawl-job analyze", None, &[JOB_DIR, TABLES], cmd_job_analyze),
@@ -317,15 +321,16 @@ JOBS: `crawl-job` runs a crawl as a resumable job — a directory holding
   a checksummed manifest, rank-striped shards, and a live status.json.
   Kill it at any point and `crawl-job resume` reproduces the
   uninterrupted dataset byte for byte; touch the --stop-file for a
-  graceful checkpointed shutdown (exit 0). `crawl` writes the same
-  shard files in one run and cannot be resumed: use `crawl-job` for
-  anything that may be interrupted.
+  graceful checkpointed shutdown (exit 0). `crawl` runs the same pool
+  and writes the same shard files, but keeps no job directory and
+  cannot be resumed: use `crawl-job` for anything that may be stopped.
 
 BUNDLES: `crawl --record DIR` captures every network exchange of the
   crawl into a content-addressed bundle store (bodies and header
   templates deduplicated by digest); `crawl --replay DIR` re-drives the
   identical crawl from the store — byte-identical dataset, generator
-  never invoked, no other parameters needed. `crawl-job start --record`
+  never invoked, an error where it cannot — and refuses the dataset
+  flags the store fixes. `crawl-job start --record`
   does the same for resumable jobs (store at DIR/bundle, kill/resume
   safe); `bundle stat` prints store accounting and the dedup ratio.
 
@@ -365,8 +370,8 @@ fn output_format(args: &Args, out: Option<&Path>) -> Result<DbFormat, String> {
     }
 }
 
-/// The `DATASET` flags as a job manifest: `crawl` and `crawl-job start`
-/// build the same crawl from the same flags.
+/// The `DATASET` and `LAYOUT` flags as a job manifest: `crawl` and
+/// `crawl-job start` build the same crawl from the same flags.
 fn job_manifest(args: &Args, format: DbFormat) -> Result<JobManifest, String> {
     let size: u64 = args.num("--size", 20_000)?;
     let shards: usize = args.num("--shards", 1)?;
@@ -385,100 +390,63 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     let out_flag = args.value("--out").map(PathBuf::from);
     let format = output_format(args, out_flag.as_deref())?;
     let out = out_flag.unwrap_or_else(|| format!("crawl.{}", format.extension()).into());
-    let mut manifest = job_manifest(args, format)?;
-    let workers: usize = args.num("--workers", 8)?;
-    let record_dir = args.value("--record").map(Path::new);
-
+    let record = args.value("--record").map(Path::new);
     // A replay takes every dataset-determining parameter from the
     // bundle store's metadata, and never invokes the generator.
-    let replay = match args.value("--replay") {
-        Some(_) if record_dir.is_some() => {
-            return Err("--record and --replay are mutually exclusive".to_string())
+    let replay = args.value("--replay");
+    if replay.is_some() {
+        if record.is_some() {
+            return Err("--record and --replay are mutually exclusive".to_string());
         }
-        Some(dir) => Some(crawler::ReplayBundle::load(Path::new(dir)).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let config = match &replay {
-        Some(bundle) => {
-            let meta = bundle.meta();
-            (manifest.seed, manifest.size) = (meta.seed, meta.size);
-            manifest.fault_panics_per_mille = meta.fault_panics_per_mille;
-            meta.replay_config(workers)
+        for (spec, _) in table::DATASET {
+            let flag = spec.split_once(' ').map_or(*spec, |(flag, _)| flag);
+            if args.switch(flag) {
+                return Err(format!("crawl: {flag} cannot be combined with --replay"));
+            }
         }
-        None => manifest.crawl_config(workers),
+    }
+    // Without --replay the manifest is the crawl; with it, the layout.
+    let manifest = job_manifest(args, format)?;
+    let bundle = replay.map(|dir| ReplayBundle::load(Path::new(dir)));
+    let bundle = bundle.transpose().map_err(|e| e.to_string())?;
+    let (source, doing) = match &bundle {
+        Some(bundle) => (CrawlSource::Replay(bundle), "replaying"),
+        None => (CrawlSource::Live(&manifest, record), "crawling"),
     };
-    let (seed, size) = (manifest.seed, manifest.size);
-    if manifest.adversarial && replay.is_none() {
+    let size = bundle.as_ref().map_or(manifest.size, ReplayBundle::sites);
+    let (seed, panics) = match bundle.as_ref().map(ReplayBundle::meta) {
+        Some(meta) => (meta.seed, meta.fault_panics_per_mille),
+        None => (manifest.seed, manifest.fault_panics_per_mille),
+    };
+    if manifest.adversarial {
         note!("adversarial-site mode: hostile origins enabled");
     }
-
-    let shard_files = crawler::shard_paths(&out, manifest.shards);
-    let mut writer = ShardWriter::create(&shard_files, format).map_err(|e| e.to_string())?;
-
-    // Injected panics — live-injected or replayed from tape — are
-    // caught and classified by the crawler; don't let the default hook
-    // print a backtrace for each simulated crash. (Without fault
-    // injection the hook stays untouched, so real bugs still report
-    // loudly.)
-    if manifest.fault_panics_per_mille > 0 {
+    // Injected panics — live-injected or replayed from tape — are caught
+    // and classified by the crawler; don't print a backtrace for each.
+    // (Without fault injection real bugs still report loudly.)
+    if panics > 0 {
         quiet_injected_panics();
     }
-
-    let meta = crawler::BundleMeta::for_crawl(&config, seed, size, manifest.adversarial);
-    let mut crawler = Crawler::new(config);
-    let recorder = record_dir
-        .map(|dir| crawler::BundleRecorder::create(dir, &meta))
-        .transpose()
-        .map_err(|e| format!("creating bundle store: {e}"))?
-        .map(std::sync::Arc::new);
-    if let Some(recorder) = &recorder {
-        crawler = crawler.with_recorder(std::sync::Arc::clone(recorder));
-    }
-
-    let doing = replay.as_ref().map_or("crawling", |_| "replaying");
+    let defaults = crawler::JobOptions::default();
+    let workers = args.num("--workers", defaults.workers)?;
     note!("{doing} {size} origins (seed {seed}, {workers} workers)…");
-    let started = std::time::Instant::now();
-    let telemetry = crawler::CrawlTelemetry::new(workers);
-    let progress_every = (size / 10).max(1);
-    let mut last_milestone = 0;
-    // Stream records to disk as they complete (the paper's per-site
-    // persistence, Appendix A.2 C14).
-    let mut write_error: Option<String> = None;
-    let sink = |record: crawler::SiteRecord| {
-        if write_error.is_some() {
-            return;
-        }
-        if let Err(e) = writer.push(&record) {
-            write_error = Some(e.to_string());
-        }
-        let snapshot = telemetry.snapshot();
-        let milestone = snapshot.completed() / progress_every;
-        if milestone > last_milestone {
-            last_milestone = milestone;
-            note!("{}", snapshot.progress_line(size));
-        }
+    // Records reach disk as their visits end, in rank order (the paper's
+    // per-site persistence, Appendix A.2 C14); progress every tenth.
+    let status_every = (size / 10).max(1);
+    let opts = crawler::JobOptions {
+        workers,
+        status_every,
+        progress: true,
+        ..defaults
     };
-    let funnel = match &replay {
-        Some(bundle) => {
-            let skip = std::collections::BTreeSet::new();
-            crawler.replay_streaming_observed(bundle, &skip, &telemetry, sink)
-        }
-        None => crawler.crawl_streaming_observed(&manifest.population(), &telemetry, sink),
-    };
-    writer.finish().map_err(|e| e.to_string())?;
-    if let Some(e) = write_error {
-        return Err(e);
+    let shard_files = crawler::shard_paths(&out, manifest.shards);
+    let report =
+        crawler::crawl_shards(source, &shard_files, format, &opts).map_err(|e| e.to_string())?;
+    note!("{}", report.render());
+    if let Some(dir) = record {
+        let sites = report.written;
+        note!("bundle store recorded to {} ({sites} sites)", dir.display());
     }
-    if let Some(recorder) = &recorder {
-        let sites = recorder
-            .finish()
-            .map_err(|e| format!("finishing bundle store: {e}"))?;
-        let dir = recorder.dir().display();
-        note!("bundle store recorded to {dir} ({sites} sites)");
-    }
-    let secs = started.elapsed().as_secs_f64();
-    note!("{} in {secs:.1}s", funnel.report());
-    note!("{}", telemetry.snapshot().report());
     match shard_files.as_slice() {
         [first, .., last] => note!(
             "database written to {} shards: {} … {}",

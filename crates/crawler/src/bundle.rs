@@ -890,11 +890,6 @@ impl BundleRecorder {
         })
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Ranks already durable when the store was opened (a resumed
     /// recording backfills captures for dataset ranks above this).
     pub fn durable_prefix(&self) -> u64 {

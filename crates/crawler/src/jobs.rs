@@ -50,6 +50,9 @@
 //!   writing; anything else resumes through the decoding scan, so the
 //!   record only ever saves time, never changes an outcome.
 //!
+//! The `crawl` verb runs on the same worker pool ([`crawl_shards`]),
+//! live or replayed, over fresh shard files and without a job directory.
+//!
 //! Crash-safety contract, enforced by the chaos harness in
 //! `tests/job_engine.rs` and the ci.sh crash gate: for *any* byte
 //! prefix of any shard file (a kill tears JSONL lines, `.colsh` row
@@ -67,8 +70,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use webgen::{PopulationConfig, WebPopulation};
 
-use crate::bundle::{BundleMeta, BundleRecorder, SiteBundle};
-use crate::colsh::{crc32, Digest64};
+use crate::bundle::{BundleMeta, BundleRecorder, ReplayBundle, SiteBundle};
+use crate::colsh::{crc32, Digest64, DEFAULT_DICT_EPOCH_GROUPS, DEFAULT_GROUP_RECORDS};
 use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter, StreamMode};
 use crate::funnel::CrawlFunnel;
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
@@ -486,6 +489,14 @@ pub enum JobError {
         /// Records handed to sinks before the abort.
         written: u64,
     },
+    /// A replay reached a rank its bundle store cannot reproduce. No
+    /// record of that rank or any later one was written.
+    Diverged {
+        /// The rank whose replay failed.
+        rank: u64,
+        /// What diverged.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -495,6 +506,9 @@ impl std::fmt::Display for JobError {
             JobError::Manifest(m) => write!(f, "{m}"),
             JobError::Aborted { written } => {
                 write!(f, "chaos abort after {written} records (simulated kill)")
+            }
+            JobError::Diverged { rank, detail } => {
+                write!(f, "replay diverged at rank {rank}: {detail}")
             }
         }
     }
@@ -648,6 +662,82 @@ pub fn job_resume(dir: &Path, opts: &JobOptions) -> Result<JobReport, JobError> 
     run_job(dir, &manifest, opts, true)
 }
 
+/// What [`crawl_shards`] crawls.
+pub enum CrawlSource<'a> {
+    /// `Live(manifest, record)`: the crawl `manifest` describes (only its
+    /// dataset parameters are read), recording every exchange into a
+    /// fresh bundle store at `record` when given.
+    Live(&'a JobManifest, Option<&'a Path>),
+    /// A loaded bundle store, replayed under its recorded parameters.
+    Replay(&'a ReplayBundle),
+}
+
+/// Runs one crawl on the job engine's worker pool, with `opts.workers`
+/// workers, into fresh shard files at `paths` in `format`: the shard
+/// bytes a [`job_start`] of the same crawl writes, but no job files, so
+/// a killed run cannot be resumed. A replay that cannot reproduce its
+/// recording fails with [`JobError::Diverged`].
+pub fn crawl_shards(
+    source: CrawlSource<'_>,
+    paths: &[PathBuf],
+    format: DbFormat,
+    opts: &JobOptions,
+) -> Result<JobReport, JobError> {
+    let started = Instant::now();
+    let workers = opts.workers.max(1);
+    let population;
+    let (crawler, source) = match source {
+        CrawlSource::Live(manifest, record) => {
+            population = manifest.population();
+            let crawler = live_crawler(manifest, workers, record, false)?;
+            (crawler, RankSource::Live(&population))
+        }
+        CrawlSource::Replay(bundle) => {
+            let crawler = Crawler::new(bundle.meta().replay_config(workers));
+            (crawler, RankSource::Replay(bundle))
+        }
+    };
+    let (sinks, done) = open_shards(paths, format, false, opts)?;
+    run_pool(&crawler, source, started, Some(sinks), &done, opts, None)
+}
+
+/// The crawler for `manifest`'s crawl, recording into the bundle store
+/// at `record` when given: a fresh store, or with `resume` the one
+/// there reopened for appending.
+fn live_crawler(
+    manifest: &JobManifest,
+    workers: usize,
+    record: Option<&Path>,
+    resume: bool,
+) -> std::io::Result<Crawler> {
+    let config = manifest.crawl_config(workers);
+    let Some(dir) = record else {
+        return Ok(Crawler::new(config));
+    };
+    let meta = BundleMeta::for_crawl(&config, manifest.seed, manifest.size, manifest.adversarial);
+    let recorder = if resume {
+        BundleRecorder::resume(dir, &meta)
+    } else {
+        BundleRecorder::create(dir, &meta)
+    }?;
+    Ok(Crawler::new(config).with_recorder(Arc::new(recorder)))
+}
+
+/// Opens a run's shard files (see [`ShardWriter::open`]) in its
+/// `.colsh` layout, with the high-water marks of what they hold.
+fn open_shards(
+    paths: &[PathBuf],
+    format: DbFormat,
+    resume: bool,
+    opts: &JobOptions,
+) -> std::io::Result<(ShardWriter, HighWater)> {
+    let (sinks, marks) = ShardWriter::open(paths, format, resume)?;
+    let group = opts.colsh_group_records.unwrap_or(DEFAULT_GROUP_RECORDS);
+    let epoch = opts.colsh_dict_epoch_groups;
+    let sinks = sinks.with_colsh_layout(group, epoch.unwrap_or(DEFAULT_DICT_EPOCH_GROUPS));
+    Ok((sinks, HighWater { marks }))
+}
+
 /// One contiguous batch of ranks a worker leases.
 #[derive(Debug)]
 struct Lease {
@@ -658,19 +748,23 @@ struct Lease {
     attempts: u32,
 }
 
+/// What a replay lease that panicked outside the visit isolation reports.
+const PANICKED: &str = "panicked outside the per-visit isolation";
+
 /// How processing one lease ended.
 enum LeaseRun {
     Done,
     Failed,
+    /// A replay reached a rank its store cannot reproduce.
+    Diverged(String),
     Stopped,
     WriterGone,
 }
 
-/// Per-shard high-water marks: `marks[s]` leading ranks of shard `s`
-/// are durable. O(shards) memory no matter the population size.
+/// Per-shard high-water marks: the leading `marks[s]` ranks of shard
+/// `s` are durable. O(shards) memory no matter the population size.
 struct HighWater {
     marks: Vec<u64>,
-    shards: u64,
 }
 
 impl HighWater {
@@ -678,17 +772,15 @@ impl HighWater {
     /// up to `size`.
     fn complete(size: u64, shards: usize) -> HighWater {
         let stride = shards as u64;
+        let marks = (0..stride).map(|s| size.saturating_sub(s).div_ceil(stride));
         HighWater {
-            marks: (0..stride)
-                .map(|s| size.saturating_sub(s).div_ceil(stride))
-                .collect(),
-            shards: stride,
+            marks: marks.collect(),
         }
     }
 
     fn is_done(&self, rank: u64) -> bool {
-        let shard = shard_index(rank, self.marks.len());
-        (rank - 1) / self.shards < self.marks[shard]
+        let shards = self.marks.len();
+        (rank - 1) / (shards as u64) < self.marks[shard_index(rank, shards)]
     }
 
     fn total(&self) -> u64 {
@@ -753,8 +845,10 @@ fn backfill_bundle(
     Ok(())
 }
 
-/// The engine proper. `resume` selects fresh-create vs scan-and-append
-/// shard handling; everything else is identical for start and resume.
+/// The job layer around the pool: the bundle store under `dir`, the
+/// resume scan (or the completion record that spares it) and the
+/// backfill. `resume` selects fresh-create vs scan-and-append shard
+/// handling; everything else is identical for start and resume.
 fn run_job(
     dir: &Path,
     manifest: &JobManifest,
@@ -763,51 +857,20 @@ fn run_job(
 ) -> Result<JobReport, JobError> {
     let started = Instant::now();
     let population = manifest.population();
-    let workers = opts.workers.max(1);
-    let mut crawler = Crawler::new(manifest.crawl_config(workers));
-    let recorder = if manifest.record_bundle {
-        let meta = BundleMeta::for_crawl(
-            &manifest.crawl_config(workers),
-            manifest.seed,
-            manifest.size,
-            manifest.adversarial,
-        );
-        let bundle_dir = JobManifest::bundle_dir(dir);
-        let recorder = if resume {
-            BundleRecorder::resume(&bundle_dir, &meta)
-        } else {
-            BundleRecorder::create(&bundle_dir, &meta)
-        }
-        .map(Arc::new)
-        .map_err(JobError::Io)?;
-        crawler = crawler.with_recorder(Arc::clone(&recorder));
-        Some(recorder)
-    } else {
-        None
-    };
+    let bundle_dir = JobManifest::bundle_dir(dir);
+    let record = manifest.record_bundle.then_some(bundle_dir.as_path());
+    let crawler = live_crawler(manifest, opts.workers.max(1), record, resume)?;
     // A certified complete job has every rank on disk: no shard is
-    // opened, and the run below finds an empty lease queue. Otherwise
-    // the decoding scan measures each shard's durable prefix.
+    // opened, and the pool finds an empty lease queue. Otherwise the
+    // decoding scan measures each shard's durable prefix.
     let certified = resume && !manifest.record_bundle && completion_certified(dir, manifest);
-    let (mut sinks, high_water) = if certified {
+    let (sinks, done) = if certified {
         (None, HighWater::complete(manifest.size, manifest.shards))
     } else {
-        let (sinks, marks) =
-            ShardWriter::open(&manifest.shard_files(dir), manifest.format, resume)?;
-        let sinks = sinks.with_colsh_layout(
-            opts.colsh_group_records
-                .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS),
-            opts.colsh_dict_epoch_groups
-                .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS),
-        );
-        let high_water = HighWater {
-            marks,
-            shards: manifest.shards as u64,
-        };
-        (Some(sinks), high_water)
+        let paths = manifest.shard_files(dir);
+        let (sinks, done) = open_shards(&paths, manifest.format, resume, opts)?;
+        (Some(sinks), done)
     };
-    let resumed_from = high_water.total();
-    let planned = manifest.size - resumed_from;
 
     // A resumed recording backfills captures for ranks already durable
     // in the dataset but not yet in the bundle store (the shard writer
@@ -815,21 +878,54 @@ fn run_job(
     // side ahead). Visits are deterministic, so re-driving them
     // reproduces the lost tapes exactly; quarantine records (no visit
     // ever ran) are re-synthesized.
-    if resume {
-        if let Some(recorder) = &recorder {
-            backfill_bundle(recorder, &crawler, &population, manifest, dir, &high_water)
-                .map_err(JobError::Io)?;
-        }
+    if let Some(recorder) = crawler.recorder().filter(|_| resume) {
+        backfill_bundle(recorder, &crawler, &population, manifest, dir, &done)?;
     }
+    let (source, job) = (RankSource::Live(&population), Some((dir, manifest)));
+    run_pool(&crawler, source, started, sinks, &done, opts, job)
+}
+
+/// Where the pool's workers take each rank's record from.
+#[derive(Clone, Copy)]
+enum RankSource<'a> {
+    /// Visit the population live (recording, if the crawler records).
+    Live(&'a WebPopulation),
+    /// Replay a loaded bundle store.
+    Replay(&'a ReplayBundle),
+}
+
+/// The one worker pool: `crawler`'s workers lease the ranks of `source`
+/// that `done` does not hold, and the calling thread writes their records
+/// in rank order into `sinks` (`None` for a certified complete job),
+/// handing each back to the worker that built it, and reports to `job`'s
+/// directory if there is one. A failed live lease is retried, then
+/// quarantined; a failed replay lease stops the run with
+/// [`JobError::Diverged`].
+fn run_pool(
+    crawler: &Crawler,
+    source: RankSource<'_>,
+    started: Instant,
+    mut sinks: Option<ShardWriter>,
+    done: &HighWater,
+    opts: &JobOptions,
+    job: Option<(&Path, &JobManifest)>,
+) -> Result<JobReport, JobError> {
+    let (size, seed) = match source {
+        RankSource::Live(population) => (population.config().size, population.config().seed),
+        RankSource::Replay(bundle) => (bundle.sites(), bundle.meta().seed),
+    };
+    let workers = crawler.config.workers.max(1);
+    let resumed_from = done.total();
+    let planned = size - resumed_from;
 
     // The lease queue: contiguous rank batches with at least one
     // unvisited rank. Fully-durable batches never enter the queue.
     let lease_records = opts.lease_records.max(1);
     let mut queue = VecDeque::new();
     let mut lo = 1u64;
-    while lo <= manifest.size {
-        let hi = (lo + lease_records - 1).min(manifest.size);
-        if (lo..=hi).any(|r| !high_water.is_done(r)) {
+    while lo <= size {
+        let hi = (lo + lease_records - 1).min(size);
+        if (lo..=hi).any(|r| !done.is_done(r)) {
             queue.push_back(Lease {
                 hi,
                 next: lo,
@@ -838,13 +934,16 @@ fn run_job(
         }
         lo = hi + 1;
     }
-    let queue_depth = AtomicU64::new(queue.len() as u64);
-    let queue = Mutex::new(queue);
-    let stop = AtomicBool::new(false);
-    let telemetry = CrawlTelemetry::new(workers);
-    let leases_retried = AtomicU64::new(0);
-    let leases_quarantined = AtomicU64::new(0);
-    let lease_backoff_ms = AtomicU64::new(0);
+    // Shared with every worker: the references copy into each closure.
+    let queue_depth = &AtomicU64::new(queue.len() as u64);
+    let queue = &Mutex::new(queue);
+    let stop = &AtomicBool::new(false);
+    let telemetry = &CrawlTelemetry::new(workers);
+    let leases_retried = &AtomicU64::new(0);
+    let leases_quarantined = &AtomicU64::new(0);
+    let lease_backoff_ms = &AtomicU64::new(0);
+    // The first replay rank that failed, and how.
+    let diverged = &Mutex::new(None::<(u64, String)>);
 
     // Each record travels tagged with the worker that built it.
     let (sender, receiver) =
@@ -860,10 +959,10 @@ fn run_job(
     // lease holding the cursor always qualifies, so the cursor starts
     // past the ranks a resume finds done.
     let mut cursor = 1u64;
-    while cursor <= manifest.size && high_water.is_done(cursor) {
+    while cursor <= size && done.is_done(cursor) {
         cursor += 1;
     }
-    let written_to = AtomicU64::new(cursor);
+    let written_to = &AtomicU64::new(cursor);
     let reorder_window = workers as u64 * lease_records + opts.channel_capacity.max(1) as u64;
     let mut funnel = CrawlFunnel {
         attempted: planned,
@@ -881,7 +980,7 @@ fn run_job(
         let remaining = planned.saturating_sub(written);
         JobStatus {
             state: state.to_string(),
-            size: manifest.size,
+            size,
             resumed_from,
             planned,
             written,
@@ -907,18 +1006,6 @@ fn run_job(
     };
 
     std::thread::scope(|scope| {
-        let queue = &queue;
-        let queue_depth = &queue_depth;
-        let stop = &stop;
-        let telemetry = &telemetry;
-        let crawler = &crawler;
-        let population = &population;
-        let high_water = &high_water;
-        let leases_retried = &leases_retried;
-        let leases_quarantined = &leases_quarantined;
-        let lease_backoff_ms = &lease_backoff_ms;
-        let written_to = &written_to;
-
         // After writing a record the writer hands it back to the worker
         // that built it, which frees it between visits: a block freed on
         // the thread that allocated it stays in that thread's allocator
@@ -948,33 +1035,43 @@ fn run_job(
                             return LeaseRun::Stopped;
                         }
                         let rank = lease.next;
-                        if high_water.is_done(rank) {
+                        if done.is_done(rank) {
                             lease.next += 1;
                             continue;
                         }
-                        // The closure reports only whether the writer is
-                        // gone (true), not the rejected record itself.
+                        // The closure reports whether the writer is
+                        // gone (`Ok(true)`) or what a replay diverged
+                        // on (`Err`), not the rejected record itself.
                         let attempt =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 if lease_fault_fires(
                                     opts.lease_fault_per_mille,
-                                    manifest.seed,
+                                    seed,
                                     rank,
                                     lease.attempts,
                                 ) {
                                     panic!("chaos: injected lease fault at rank {rank}");
                                 }
-                                let record = crawler.visit_observed(
-                                    population,
-                                    rank,
-                                    Some((telemetry, worker)),
-                                );
-                                sender.send((rank, worker, record)).is_err()
+                                let observer = Some((telemetry, worker));
+                                let record = match source {
+                                    RankSource::Live(population) => {
+                                        crawler.visit_observed(population, rank, observer)
+                                    }
+                                    RankSource::Replay(bundle) => {
+                                        crawler.replay_observed(bundle, rank, observer)?
+                                    }
+                                };
+                                Ok::<bool, String>(sender.send((rank, worker, record)).is_err())
                             }));
+                        // A replay reproduces its recording or fails: it
+                        // neither retries a lease nor quarantines a rank.
+                        let replay = matches!(source, RankSource::Replay(_));
                         match attempt {
+                            Err(_) if replay => return LeaseRun::Diverged(PANICKED.to_string()),
                             Err(_) => return LeaseRun::Failed,
-                            Ok(true) => return LeaseRun::WriterGone,
-                            Ok(false) => {
+                            Ok(Err(detail)) => return LeaseRun::Diverged(detail),
+                            Ok(Ok(true)) => return LeaseRun::WriterGone,
+                            Ok(Ok(false)) => {
                                 lease.next += 1;
                                 free_returned();
                             }
@@ -1002,12 +1099,21 @@ fn run_job(
                     match process(&mut lease, &sender) {
                         LeaseRun::Done => {}
                         LeaseRun::Stopped | LeaseRun::WriterGone => break,
+                        LeaseRun::Diverged(detail) => {
+                            let mut first = diverged.lock().expect("divergence slot");
+                            first.get_or_insert((lease.next, detail));
+                            stop.store(true, Ordering::Relaxed);
+                            break;
+                        }
                         LeaseRun::Failed => {
+                            let RankSource::Live(population) = source else {
+                                unreachable!("a failed replay lease diverges");
+                            };
                             lease.attempts += 1;
                             leases_retried.fetch_add(1, Ordering::Relaxed);
                             lease_backoff_ms.fetch_add(
                                 netsim::capped_backoff_ms(
-                                    manifest.retry_backoff_ms,
+                                    crawler.config.retry_backoff_ms,
                                     lease.attempts,
                                 ),
                                 Ordering::Relaxed,
@@ -1019,7 +1125,7 @@ fn run_job(
                                 leases_quarantined.fetch_add(1, Ordering::Relaxed);
                                 let mut writer_gone = false;
                                 for rank in lease.next..=lease.hi {
-                                    if high_water.is_done(rank) {
+                                    if done.is_done(rank) {
                                         continue;
                                     }
                                     let record = SiteRecord {
@@ -1073,8 +1179,8 @@ fn run_job(
         'writer: for (rank, worker, record) in receiver.iter() {
             pending.insert(rank, (worker, record));
             peak_pending = peak_pending.max(pending.len() as u64);
-            while cursor <= manifest.size {
-                if high_water.is_done(cursor) {
+            while cursor <= size {
+                if done.is_done(cursor) {
                     cursor += 1;
                     continue;
                 }
@@ -1110,17 +1216,19 @@ fn run_job(
                         // A closed stderr must not stop the crawl.
                         let _ = writeln!(std::io::stderr(), "{}", snapshot.progress_line(planned));
                     }
-                    let status = make_status(
-                        "running",
-                        &snapshot,
-                        written,
-                        pending.len() as u64,
-                        peak_pending,
-                    );
-                    if let Err(e) = write_status(dir, &status) {
-                        writer_error = Some(JobError::Io(e));
-                        stop.store(true, Ordering::Relaxed);
-                        break 'writer;
+                    if let Some((dir, _)) = job {
+                        let status = make_status(
+                            "running",
+                            &snapshot,
+                            written,
+                            pending.len() as u64,
+                            peak_pending,
+                        );
+                        if let Err(e) = write_status(dir, &status) {
+                            writer_error = Some(JobError::Io(e));
+                            stop.store(true, Ordering::Relaxed);
+                            break 'writer;
+                        }
                     }
                 }
             }
@@ -1134,18 +1242,16 @@ fn run_job(
     });
 
     let snapshot = telemetry.snapshot();
-    if let Some(error) = writer_error {
-        if !matches!(error, JobError::Aborted { .. }) {
-            // Best-effort: a real writer failure still updates the
-            // health surface. A chaos abort is a simulated kill and
-            // must leave the directory exactly as a kill would.
-            let status = make_status(
-                "failed",
-                &snapshot,
-                written,
-                pending.len() as u64,
-                peak_pending,
-            );
+    let diverged = diverged.lock().expect("divergence slot").take();
+    let failure =
+        writer_error.or(diverged.map(|(rank, detail)| JobError::Diverged { rank, detail }));
+    if let Some(error) = failure {
+        if let Some((dir, _)) = job.filter(|_| !matches!(error, JobError::Aborted { .. })) {
+            // Best-effort: a real failure still updates the health
+            // surface. A chaos abort is a simulated kill and must
+            // leave the directory exactly as a kill would.
+            let pending = pending.len() as u64;
+            let status = make_status("failed", &snapshot, written, pending, peak_pending);
             let _ = write_status(dir, &status);
         }
         return Err(error);
@@ -1158,7 +1264,7 @@ fn run_job(
         Some(sinks) if stopped => sinks.finish_checkpoint()?,
         Some(sinks) => {
             let shards = sinks.finish_sealed()?;
-            if !manifest.record_bundle {
+            if let Some((dir, manifest)) = job.filter(|(_, m)| !m.record_bundle) {
                 let record = CompletionRecord {
                     manifest: manifest.clone(),
                     shards: shards.iter().map(ShardSeal::of).collect(),
@@ -1168,7 +1274,7 @@ fn run_job(
             resumed_from + written
         }
     };
-    if let Some(recorder) = &recorder {
+    if let Some(recorder) = crawler.recorder() {
         // Complete runs must have captured every rank (a gap is a bug);
         // graceful stops checkpoint whatever prefix is committed and
         // leave the rest for the resume backfill.
@@ -1176,32 +1282,30 @@ fn run_job(
             recorder.checkpoint()
         } else {
             recorder.finish()
-        }
-        .map_err(JobError::Io)?;
+        }?;
     }
     let state = if stopped {
         JobState::Stopped
     } else {
         JobState::Complete
     };
-    let status = make_status(
-        match state {
+    if let Some((dir, _)) = job {
+        let label = match state {
             JobState::Complete => "complete",
             JobState::Stopped => "stopped",
-        },
-        &snapshot,
-        written,
-        0,
-        peak_pending,
-    );
-    write_status(dir, &status)?;
+        };
+        write_status(
+            dir,
+            &make_status(label, &snapshot, written, 0, peak_pending),
+        )?;
+    }
     Ok(JobReport {
         state,
         funnel,
         snapshot,
         written,
         durable,
-        size: manifest.size,
+        size,
         peak_writer_pending: peak_pending,
         leases_retried: leases_retried.load(Ordering::Relaxed),
         leases_quarantined: leases_quarantined.load(Ordering::Relaxed),
@@ -1268,7 +1372,6 @@ mod tests {
     fn high_water_marks_match_striping() {
         let hw = HighWater {
             marks: vec![2, 1, 0],
-            shards: 3,
         };
         // Shard 0 holds ranks 1, 4, 7…: first two durable.
         assert!(hw.is_done(1));

@@ -1,16 +1,19 @@
 //! The measurement pipeline.
 //!
 //! The Rust counterpart of the paper's Playwright wrapper (§3.2 /
-//! Appendix A.2): it walks the ranked origin list with a pool of parallel
-//! crawler workers (the paper used 40), visits each origin once through
+//! Appendix A.2): it visits each origin of the ranked list once through
 //! the simulated browser, classifies failures into the §4 crawl-funnel
-//! taxonomy, and stores one record per site in an in-memory dataset
-//! and/or a JSONL database — the same shape the paper's pipeline wrote to
-//! its database after each site.
+//! taxonomy, and stores one record per site — the same shape the paper's
+//! pipeline wrote to its database after each site. One worker pool of
+//! parallel crawler workers (the paper used 40) serves both `crawl`
+//! ([`crawl_shards`]) and resumable jobs ([`job_start`]), writing each
+//! record to rank-striped shard files as its visit ends;
+//! [`Crawler::crawl`] collects an in-memory dataset on the calling
+//! thread.
 //!
 //! Because the population, network and browser are all deterministic, a
-//! crawl with the same seed and worker count always produces the same
-//! dataset (workers only affect wall-clock time, not results).
+//! crawl with the same seed always produces the same dataset, at any
+//! worker count (workers only affect wall-clock time, not results).
 //!
 //! # Example
 //!
@@ -65,9 +68,9 @@ pub use db::{
 pub use follow::{ShardFollower, ShardFrontier};
 pub use funnel::CrawlFunnel;
 pub use jobs::{
-    job_resume, job_start, read_status, JobError, JobManifest, JobOptions, JobReport, JobState,
-    JobStatus, COMPLETION_FILE, DEFAULT_LEASE_RECORDS, MANIFEST_FILE, MANIFEST_VERSION,
-    STATUS_FILE,
+    crawl_shards, job_resume, job_start, read_status, CrawlSource, JobError, JobManifest,
+    JobOptions, JobReport, JobState, JobStatus, COMPLETION_FILE, DEFAULT_LEASE_RECORDS,
+    MANIFEST_FILE, MANIFEST_VERSION, STATUS_FILE,
 };
 pub use netsim::FaultSpec;
 pub use run::{CrawlConfig, CrawlDataset, Crawler, SiteOutcome, SiteRecord};

@@ -1,5 +1,5 @@
-//! The crawl loop: work distribution, visiting, classification,
-//! fault tolerance.
+//! Visiting one site: classification and fault tolerance. The worker
+//! pool that spreads the visits lives in [`crate::jobs`].
 //!
 //! Fault model (mirrors what the paper's §4 crawl funnel absorbed at
 //! scale):
@@ -19,8 +19,8 @@
 //!   utilization, cache hit rates) that can be polled mid-crawl.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use browser::{Browser, BrowserConfig, PageVisit, VisitError, VisitOutcome};
 use netsim::{
@@ -37,7 +37,8 @@ use crate::telemetry::CrawlTelemetry;
 /// Crawl configuration.
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
-    /// Parallel crawler workers (the paper used 40).
+    /// Parallel visit workers of the job engine's pool (the paper used
+    /// 40). [`Crawler::crawl`] and the other loops run on one thread.
     pub workers: usize,
     /// Browser configuration for every visit.
     pub browser: BrowserConfig,
@@ -162,7 +163,7 @@ struct AttemptOutcome {
 
 /// The crawler.
 pub struct Crawler {
-    config: CrawlConfig,
+    pub(crate) config: CrawlConfig,
     /// When set, every visit's network exchanges are captured into this
     /// bundle store (see [`crate::bundle`]).
     recorder: Option<Arc<BundleRecorder>>,
@@ -205,54 +206,55 @@ impl Crawler {
         telemetry: Option<(&CrawlTelemetry, usize)>,
     ) -> SiteRecord {
         let origin = population.origin(rank);
+        let faults = &self.config.faults;
         let faulty = |attempt: u32| {
-            FaultyNetwork::new(
-                SimNetwork::new(population),
-                &self.config.faults,
-                rank,
-                attempt,
-            )
+            let network = SimNetwork::new(population);
+            Ok::<_, Infallible>(FaultyNetwork::new(network, faults, rank, attempt))
         };
-        if let Some(recorder) = &self.recorder {
-            // Tape handles are created out here, outside the attempt's
-            // panic isolation, so exchanges recorded before an injected
-            // crash survive the unwind.
-            let mut handles: Vec<TapeHandle> = Vec::new();
-            let record = self.visit_loop(rank, &origin, telemetry, |attempt| {
-                let handle = TapeHandle::new();
-                handles.push(handle.clone());
-                RecordingNetwork::new(faulty(attempt), handle)
-            });
-            let bundle = SiteBundle {
-                rank,
-                origin: origin.to_string(),
-                synthesized: false,
-                attempts: handles.iter().map(TapeHandle::take).collect(),
-            };
-            if let Err(e) = recorder.submit(bundle) {
-                panic!("bundle store write failed for rank {rank}: {e}");
-            }
-            record
-        } else {
-            self.visit_loop(rank, &origin, telemetry, faulty)
+        let Some(recorder) = &self.recorder else {
+            let Ok(record) = self.visit_loop(rank, &origin, telemetry, faulty);
+            return record;
+        };
+        // Tape handles are created out here, outside the attempt's panic
+        // isolation, so exchanges recorded before an injected crash
+        // survive the unwind.
+        let mut handles: Vec<TapeHandle> = Vec::new();
+        let Ok(record) = self.visit_loop(rank, &origin, telemetry, |attempt| {
+            let handle = TapeHandle::new();
+            handles.push(handle.clone());
+            faulty(attempt).map(|network| RecordingNetwork::new(network, handle))
+        });
+        let bundle = SiteBundle {
+            rank,
+            origin: origin.to_string(),
+            synthesized: false,
+            attempts: handles.iter().map(TapeHandle::take).collect(),
+        };
+        if let Err(e) = recorder.submit(bundle) {
+            panic!("bundle store write failed for rank {rank}: {e}");
         }
+        record
     }
 
     /// Replays one recorded origin: the same retry loop and
     /// classification as [`visit_one`](Crawler::visit_one), but every
     /// attempt's network is served from the bundle's tapes — the page
-    /// generator is never consulted.
+    /// generator is never consulted. Panics where the store cannot
+    /// reproduce the recorded visit.
     pub fn replay_one(&self, bundle: &ReplayBundle, rank: u64) -> SiteRecord {
         self.replay_observed(bundle, rank, None)
+            .unwrap_or_else(|e| panic!("replay divergence at rank {rank}: {e}"))
     }
 
-    /// [`replay_one`](Crawler::replay_one) with telemetry reporting.
+    /// [`replay_one`](Crawler::replay_one) with telemetry reporting. A
+    /// replay that needs an attempt the store lacks, or leaves one
+    /// unused, is not the recorded visit: it returns what diverged.
     pub(crate) fn replay_observed(
         &self,
         bundle: &ReplayBundle,
         rank: u64,
         telemetry: Option<(&CrawlTelemetry, usize)>,
-    ) -> SiteRecord {
+    ) -> Result<SiteRecord, String> {
         let Some(manifest) = bundle.manifest(rank) else {
             panic!("replay divergence: the bundle store has no manifest for rank {rank}");
         };
@@ -270,31 +272,37 @@ impl Crawler {
             if let Some((telemetry, worker)) = telemetry {
                 telemetry.record_visit(worker, record.outcome, 0, 0);
             }
-            return record;
+            return Ok(record);
         }
         let origin = weburl::Url::parse(&manifest.origin)
             .unwrap_or_else(|e| panic!("recorded origin {:?} unparseable: {e:?}", manifest.origin));
-        self.visit_loop(rank, &origin, telemetry, |attempt| {
-            ReplayNetwork::new(bundle.tape(rank, attempt as usize).unwrap_or_else(|| {
-                panic!("replay divergence: rank {rank} has no recorded attempt {attempt}")
-            }))
-        })
+        let record = self.visit_loop(rank, &origin, telemetry, |attempt| {
+            let tape = bundle.tape(rank, attempt as usize);
+            tape.map(ReplayNetwork::new)
+                .ok_or_else(|| format!("no recorded attempt {attempt}"))
+        })?;
+        let recorded = manifest.attempts.len();
+        match record.attempts as usize {
+            replayed if replayed == recorded => Ok(record),
+            replayed => Err(format!("{replayed} of {recorded} attempts replayed")),
+        }
     }
 
     /// The shared retry loop: attempts visits over networks produced by
     /// `network_for` (live, recording, or replay) until the outcome is
-    /// final, then classifies and reports.
-    fn visit_loop<N: Network>(
+    /// final, then classifies and reports. Stops at the first attempt
+    /// `network_for` has no network for.
+    fn visit_loop<N: Network, E>(
         &self,
         rank: u64,
         origin: &weburl::Url,
         telemetry: Option<(&CrawlTelemetry, usize)>,
-        mut network_for: impl FnMut(u32) -> N,
-    ) -> SiteRecord {
+        mut network_for: impl FnMut(u32) -> Result<N, E>,
+    ) -> Result<SiteRecord, E> {
         let mut clock = SimClock::new();
         let mut attempts: u32 = 0;
         let outcome = loop {
-            let network = network_for(attempts);
+            let network = network_for(attempts)?;
             let attempt = self.drive_attempt(network, origin, &mut clock);
             attempts += 1;
             if let Some((telemetry, _)) = telemetry {
@@ -335,7 +343,7 @@ impl Crawler {
                 }
             }
         }
-        record
+        Ok(record)
     }
 
     /// Runs one visit attempt in panic isolation: a panicking visit
@@ -404,123 +412,40 @@ impl Crawler {
         })
     }
 
-    /// Crawls the whole population with the configured worker pool,
-    /// collecting the streamed records in rank order.
+    /// Crawls the whole population in rank order on the calling thread,
+    /// collecting every record. The worker pool, which writes shard
+    /// files, is [`crate::crawl_shards`].
     pub fn crawl(&self, population: &WebPopulation) -> CrawlDataset {
-        let mut records = Vec::with_capacity(population.config().size as usize);
-        self.crawl_streaming(population, |record| records.push(record));
+        let ranks = 1..=population.config().size;
+        let records = ranks.map(|rank| self.visit_one(population, rank)).collect();
         CrawlDataset { records }
     }
 
-    /// Crawls the population, invoking `sink` for every completed record
-    /// in rank order as soon as it (and all earlier ranks) finished —
-    /// the paper's C14 requirement: data is persisted per site, not at
-    /// the end of the run.
-    pub fn crawl_streaming<F>(&self, population: &WebPopulation, sink: F) -> CrawlFunnel
-    where
-        F: FnMut(SiteRecord) + Send,
-    {
-        let telemetry = CrawlTelemetry::new(self.config.workers);
-        self.crawl_streaming_observed(population, &telemetry, sink)
-    }
-
-    /// [`crawl_streaming`](Crawler::crawl_streaming) with workers
-    /// reporting to `telemetry`.
-    pub fn crawl_streaming_observed<F>(
-        &self,
-        population: &WebPopulation,
-        telemetry: &CrawlTelemetry,
-        sink: F,
-    ) -> CrawlFunnel
-    where
-        F: FnMut(SiteRecord) + Send,
-    {
-        self.stream_observed(
-            population.config().size,
-            &BTreeSet::new(),
-            sink,
-            &|rank, worker| self.visit_observed(population, rank, Some((telemetry, worker))),
-        )
-    }
-
-    /// Streams a recorded crawl back out of a bundle store: the same
-    /// worker pool and in-order delivery as
-    /// [`crawl_streaming_observed`](Crawler::crawl_streaming_observed),
-    /// with every record replayed from tape instead of generated. Ranks
-    /// in `completed` are skipped — never replayed, never passed to
-    /// `sink` — and the returned funnel covers only the replayed ranks.
+    /// Streams a recorded crawl back out of a bundle store on the
+    /// calling thread: every rank not in `completed` is replayed from
+    /// tape in rank order, reported to `telemetry` as worker 0 and handed
+    /// to `sink`; the funnel covers only those ranks. Panics where the
+    /// store cannot reproduce its recording ([`crate::crawl_shards`]
+    /// fails with an error instead).
     pub fn replay_streaming_observed<F>(
         &self,
         bundle: &ReplayBundle,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
-        sink: F,
-    ) -> CrawlFunnel
-    where
-        F: FnMut(SiteRecord) + Send,
-    {
-        self.stream_observed(bundle.sites(), completed, sink, &|rank, worker| {
-            self.replay_observed(bundle, rank, Some((telemetry, worker)))
-        })
-    }
-
-    /// The shared streaming pool: visits ranks `1..=to` not in
-    /// `completed` via `visit`, delivering records to `sink` in rank
-    /// order.
-    fn stream_observed<F>(
-        &self,
-        to: u64,
-        completed: &BTreeSet<u64>,
         mut sink: F,
-        visit: &(dyn Fn(u64, usize) -> SiteRecord + Sync),
     ) -> CrawlFunnel
     where
-        F: FnMut(SiteRecord) + Send,
+        F: FnMut(SiteRecord),
     {
-        let workers = self.config.workers.max(1);
-        let pending = Mutex::new(std::collections::BTreeMap::<u64, SiteRecord>::new());
-        let next_rank = AtomicU64::new(1);
-        let mut funnel = CrawlFunnel {
-            attempted: (1..=to).filter(|r| !completed.contains(r)).count() as u64,
-            ..CrawlFunnel::default()
-        };
-        let sink_cell = Mutex::new((&mut sink, 1u64, &mut funnel));
-
-        std::thread::scope(|scope| {
-            let pending = &pending;
-            let next_rank = &next_rank;
-            let sink_cell = &sink_cell;
-            for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let rank = next_rank.fetch_add(1, Ordering::Relaxed);
-                    if rank > to {
-                        break;
-                    }
-                    if completed.contains(&rank) {
-                        continue;
-                    }
-                    let record = visit(rank, worker);
-                    let mut buffer = pending.lock().expect("pending lock");
-                    buffer.insert(rank, record);
-                    // Drain the in-order prefix (skipped ranks count as
-                    // already delivered).
-                    let mut out = sink_cell.lock().expect("sink lock");
-                    let (sink, cursor, funnel) = &mut *out;
-                    while *cursor <= to {
-                        if completed.contains(cursor) {
-                            *cursor += 1;
-                            continue;
-                        }
-                        let Some(record) = buffer.remove(cursor) else {
-                            break;
-                        };
-                        funnel.count_record(&record);
-                        sink(record);
-                        *cursor += 1;
-                    }
-                });
-            }
-        });
+        let mut funnel = CrawlFunnel::default();
+        for rank in (1..=bundle.sites()).filter(|rank| !completed.contains(rank)) {
+            let record = self
+                .replay_observed(bundle, rank, Some((telemetry, 0)))
+                .unwrap_or_else(|e| panic!("replay divergence at rank {rank}: {e}"));
+            funnel.attempted += 1;
+            funnel.count_record(&record);
+            sink(record);
+        }
         funnel
     }
 }
@@ -593,6 +518,27 @@ fn merge_visits(main: &mut PageVisit, extra: PageVisit) {
     };
 }
 
+/// Runs `manifest`'s crawl on the worker pool with `workers` workers
+/// into one scratch JSONL shard, returning its report and records.
+#[cfg(test)]
+fn pool_crawl(manifest: &crate::JobManifest, workers: usize) -> (crate::JobReport, CrawlDataset) {
+    let tag = format!(
+        "seed{}-size{}-workers{workers}",
+        manifest.seed, manifest.size
+    );
+    let path = crate::scratch::ScratchFile::new("permodyssey-pool", &format!("{tag}.jsonl"));
+    let source = crate::CrawlSource::Live(manifest, None);
+    // Small leases, so that every worker gets some of a small crawl.
+    let opts = crate::JobOptions {
+        workers,
+        lease_records: 8,
+        ..crate::JobOptions::default()
+    };
+    let paths = [path.to_path_buf()];
+    let report = crate::crawl_shards(source, &paths, crate::DbFormat::Jsonl, &opts).unwrap();
+    (report, crate::read_jsonl(&path).unwrap())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,17 +561,9 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_crawls_agree() {
-        let pop = small_population();
-        let serial = Crawler::new(CrawlConfig {
-            workers: 1,
-            ..CrawlConfig::default()
-        })
-        .crawl(&pop);
-        let parallel = Crawler::new(CrawlConfig {
-            workers: 6,
-            ..CrawlConfig::default()
-        })
-        .crawl(&pop);
+        let manifest = crate::JobManifest::new(7, 120, 1, crate::DbFormat::Jsonl);
+        let (_, serial) = pool_crawl(&manifest, 1);
+        let (_, parallel) = pool_crawl(&manifest, 6);
         for (a, b) in serial.records.iter().zip(&parallel.records) {
             assert_eq!(a.outcome, b.outcome, "rank {}", a.rank);
             assert_eq!(
@@ -827,23 +765,18 @@ mod tests {
 #[cfg(test)]
 mod streaming_tests {
     use super::*;
-    use webgen::PopulationConfig;
 
     #[test]
     fn streaming_delivers_in_rank_order_and_matches_batch() {
-        let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 90 });
-        let crawler = Crawler::new(CrawlConfig {
-            workers: 4,
-            ..CrawlConfig::default()
-        });
-        let mut streamed: Vec<SiteRecord> = Vec::new();
-        let funnel = crawler.crawl_streaming(&pop, |record| streamed.push(record));
+        let manifest = crate::JobManifest::new(7, 90, 1, crate::DbFormat::Jsonl);
+        let (report, streamed) = pool_crawl(&manifest, 4);
+        let streamed = streamed.records;
         assert_eq!(streamed.len(), 90);
         for (i, r) in streamed.iter().enumerate() {
             assert_eq!(r.rank, i as u64 + 1, "in-order delivery");
         }
-        let batch = crawler.crawl(&pop);
-        assert_eq!(funnel, batch.funnel());
+        let batch = Crawler::new(manifest.crawl_config(4)).crawl(&manifest.population());
+        assert_eq!(report.funnel, batch.funnel());
         for (a, b) in streamed.iter().zip(&batch.records) {
             assert_eq!(a.outcome, b.outcome);
         }
@@ -853,11 +786,8 @@ mod streaming_tests {
     fn streaming_skips_completed_ranks() {
         // Replay is the one stream with a skip set: record a small crawl,
         // then replay it with ranks 1..=25 already done.
-        let pop = WebPopulation::new(PopulationConfig { seed: 7, size: 40 });
-        let config = CrawlConfig {
-            workers: 3,
-            ..CrawlConfig::default()
-        };
+        let pop = WebPopulation::new(webgen::PopulationConfig { seed: 7, size: 40 });
+        let config = CrawlConfig::default();
         let dir =
             std::env::temp_dir().join(format!("permodyssey-replay-skip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -869,9 +799,9 @@ mod streaming_tests {
         recorder.finish().unwrap();
         let bundle = ReplayBundle::load(&dir).unwrap();
         let completed: BTreeSet<u64> = (1..=25).collect();
-        let telemetry = CrawlTelemetry::new(3);
+        let telemetry = CrawlTelemetry::new(1);
         let mut streamed: Vec<u64> = Vec::new();
-        let funnel = Crawler::new(bundle.meta().replay_config(3)).replay_streaming_observed(
+        let funnel = Crawler::new(bundle.meta().replay_config(1)).replay_streaming_observed(
             &bundle,
             &completed,
             &telemetry,

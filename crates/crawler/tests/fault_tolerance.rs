@@ -2,9 +2,11 @@
 //! retry accounting, and checkpoint/resume byte-fidelity.
 
 use std::io::Write as _;
+use std::path::PathBuf;
 
 use crawler::{
-    resume_jsonl, CrawlConfig, Crawler, DbFormat, FaultSpec, ShardWriter, SiteOutcome, SiteRecord,
+    crawl_shards, read_jsonl, resume_jsonl, CrawlConfig, CrawlDataset, CrawlSource, Crawler,
+    DbFormat, FaultSpec, JobManifest, JobOptions, ShardWriter, SiteOutcome, SiteRecord,
 };
 use webgen::{PopulationConfig, WebPopulation};
 
@@ -25,6 +27,26 @@ fn with_quiet_panics<R>(body: impl FnOnce() -> R) -> R {
     result
 }
 
+/// A scratch directory named after the test process, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!(
+            "permodyssey-fault-tolerance-{tag}-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn population() -> WebPopulation {
     WebPopulation::new(PopulationConfig {
         seed: SEED,
@@ -34,7 +56,6 @@ fn population() -> WebPopulation {
 
 fn faulty_config() -> CrawlConfig {
     CrawlConfig {
-        workers: 4,
         faults: FaultSpec {
             seed: 99,
             panic_per_mille: 150,
@@ -46,25 +67,25 @@ fn faulty_config() -> CrawlConfig {
 }
 
 /// Injected panics and transient failures must not lose ranks: the
-/// streaming crawl still delivers every rank, in order, exactly once.
+/// crawl still delivers every rank, in order, exactly once.
 #[test]
 fn injected_faults_do_not_lose_ranks() {
     let pop = population();
     let crawler = Crawler::new(faulty_config());
+    let dataset = with_quiet_panics(|| crawler.crawl(&pop));
+    let funnel = dataset.funnel();
     let mut ranks = Vec::new();
     let mut panicked = 0u64;
     let mut retried = 0u64;
-    let funnel = with_quiet_panics(|| {
-        crawler.crawl_streaming(&pop, |record: SiteRecord| {
-            ranks.push(record.rank);
-            if record.outcome == SiteOutcome::CrawlerError {
-                panicked += 1;
-            }
-            if record.attempts > 1 {
-                retried += 1;
-            }
-        })
-    });
+    for record in &dataset.records {
+        ranks.push(record.rank);
+        if record.outcome == SiteOutcome::CrawlerError {
+            panicked += 1;
+        }
+        if record.attempts > 1 {
+            retried += 1;
+        }
+    }
 
     assert_eq!(ranks, (1..=SIZE).collect::<Vec<u64>>());
     assert_eq!(funnel.attempted, SIZE);
@@ -77,23 +98,31 @@ fn injected_faults_do_not_lose_ranks() {
     assert!(retried > 0, "expected retried visits");
 }
 
+/// Runs `manifest`'s crawl on the worker pool with `workers` workers
+/// and reads the records back.
+fn pool_crawl(manifest: &JobManifest, workers: usize) -> CrawlDataset {
+    let dir = Scratch::new(&format!("pool-{workers}"));
+    let paths = [dir.0.join("crawl.jsonl")];
+    let source = CrawlSource::Live(manifest, None);
+    // Small leases, so that every worker gets some of a small crawl.
+    let opts = JobOptions {
+        workers,
+        lease_records: 8,
+        ..JobOptions::default()
+    };
+    crawl_shards(source, &paths, DbFormat::Jsonl, &opts).unwrap();
+    read_jsonl(&paths[0]).unwrap()
+}
+
 /// The same faulty crawl is deterministic regardless of worker count.
+/// A manifest's faults are keyed by its population seed, so these are
+/// [`faulty_config`]'s rates under that seed.
 #[test]
 fn faulty_crawls_are_deterministic_across_worker_counts() {
-    let pop = population();
-    let (one, many) = with_quiet_panics(|| {
-        let one = Crawler::new(CrawlConfig {
-            workers: 1,
-            ..faulty_config()
-        })
-        .crawl(&pop);
-        let many = Crawler::new(CrawlConfig {
-            workers: 6,
-            ..faulty_config()
-        })
-        .crawl(&pop);
-        (one, many)
-    });
+    let mut manifest = JobManifest::new(SEED, SIZE, 1, DbFormat::Jsonl);
+    manifest.fault_panics_per_mille = faulty_config().faults.panic_per_mille;
+    manifest.fault_transients_per_mille = faulty_config().faults.transient_per_mille;
+    let (one, many) = with_quiet_panics(|| (pool_crawl(&manifest, 1), pool_crawl(&manifest, 6)));
     assert_eq!(one.records.len(), many.records.len());
     for (a, b) in one.records.iter().zip(&many.records) {
         assert_eq!(a.outcome, b.outcome, "rank {}", a.rank);
@@ -147,21 +176,16 @@ fn records_to_jsonl(records: &[SiteRecord]) -> Vec<u8> {
 #[test]
 fn resumed_crawl_is_byte_identical() {
     let pop = population();
-    let crawler = Crawler::new(CrawlConfig {
-        workers: 3,
-        ..CrawlConfig::default()
-    });
+    let crawler = Crawler::new(CrawlConfig::default());
 
     // The uninterrupted reference run.
-    let mut full = Vec::new();
-    crawler.crawl_streaming(&pop, |record| full.push(record));
+    let full = crawler.crawl(&pop).records;
     let reference = records_to_jsonl(&full);
 
     // Simulate a crawl killed mid-append: the first 33 records are on
     // disk, the 34th was torn halfway through its line.
-    let dir = std::env::temp_dir().join("permodyssey-resume-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("interrupted.jsonl");
+    let dir = Scratch::new("resume");
+    let path = dir.0.join("interrupted.jsonl");
     let intact = records_to_jsonl(&full[..33]);
     let torn = records_to_jsonl(&full[33..34]);
     let mut file = std::fs::File::create(&path).unwrap();
@@ -187,5 +211,4 @@ fn resumed_crawl_is_byte_identical() {
         resumed, reference,
         "resumed database differs from uninterrupted run"
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -16,10 +16,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crawler::{
-    job_resume, job_start, read_colsh, read_jsonl, read_status, AnyRecordStream, BundleStat,
-    ColshWriter, ColumnSet, CrawlTelemetry, Crawler, DbFormat, JobError, JobManifest, JobOptions,
-    JobState, ReplayBundle, ShardFollower, ShardFrontier, SiteOutcome, SiteRecord, StreamMode,
-    BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE, BUNDLE_META_FILE,
+    crawl_shards, job_resume, job_start, read_colsh, read_jsonl, read_status, AnyRecordStream,
+    BundleMeta, BundleStat, ColshWriter, ColumnSet, CrawlSource, CrawlTelemetry, Crawler, DbFormat,
+    JobError, JobManifest, JobOptions, JobReport, JobState, ReplayBundle, ShardFollower,
+    ShardFrontier, SiteOutcome, SiteRecord, StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
+    BUNDLE_META_FILE,
 };
 
 const SEED: u64 = 7;
@@ -280,11 +281,24 @@ fn kill_and_resume_round_trip(format: DbFormat, tag: &str) {
     }
 }
 
+/// Records `manifest`'s crawl into a bundle store with a recording job
+/// in `dir`, and loads the store.
+fn recorded_store(manifest: &JobManifest, dir: &Path) -> ReplayBundle {
+    let mut recording = manifest.clone();
+    recording.record_bundle = true;
+    let report = with_quiet_panics(|| job_start(dir, &recording, &options()).unwrap());
+    assert_eq!(report.state, JobState::Complete);
+    ReplayBundle::load(&JobManifest::bundle_dir(dir)).unwrap()
+}
+
 #[test]
 fn uninterrupted_job_matches_hand_striped_crawl() {
     // The engine's output must equal a single-threaded rank-order crawl
     // striped by hand — workers, leases, reordering and the records
-    // handed back to their workers are invisible, at any worker count.
+    // handed back to their workers are invisible, at any worker count,
+    // whether the pool runs a job or replays the job's recording.
+    let recording = temp_dir("handref-recording");
+    let bundle = recorded_store(&manifest(DbFormat::Jsonl), &recording);
     for format in [DbFormat::Jsonl, DbFormat::Colsh] {
         let manifest = manifest(format);
         let dir = temp_dir(&format!("handref-{format:?}"));
@@ -320,22 +334,80 @@ fn uninterrupted_job_matches_hand_striped_crawl() {
         }
         let hand = shard_bytes(&manifest, &dir);
         std::fs::remove_dir_all(&dir).ok();
-        for workers in [1, 2, 4, 8] {
-            let dir = temp_dir(&format!("engine-{format:?}-{workers}"));
-            let opts = JobOptions {
-                workers,
-                ..options()
-            };
-            let report = with_quiet_panics(|| job_start(&dir, &manifest, &opts).unwrap());
-            assert_eq!(report.state, JobState::Complete);
-            assert_eq!(
-                shard_bytes(&manifest, &dir),
-                hand,
-                "{format:?} at {workers} workers: engine output diverges from a hand-striped crawl"
-            );
-            std::fs::remove_dir_all(&dir).ok();
+        type Leg<'a> = &'a dyn Fn(&Path, &JobOptions) -> Result<JobReport, JobError>;
+        let legs: [(&str, Leg); 2] = [
+            ("job", &|dir, opts| job_start(dir, &manifest, opts)),
+            ("replay", &|dir, opts| {
+                let paths = manifest.shard_files(dir);
+                crawl_shards(CrawlSource::Replay(&bundle), &paths, format, opts)
+            }),
+        ];
+        for (leg, run) in legs {
+            for workers in [1, 2, 4, 8] {
+                let dir = temp_dir(&format!("engine-{leg}-{format:?}-{workers}"));
+                let opts = JobOptions {
+                    workers,
+                    ..options()
+                };
+                let report = with_quiet_panics(|| run(&dir, &opts).unwrap());
+                assert_eq!(report.state, JobState::Complete);
+                assert_eq!(
+                    shard_bytes(&manifest, &dir),
+                    hand,
+                    "{leg}, {format:?} at {workers} workers: \
+                     pool output diverges from a hand-striped crawl"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
         }
     }
+    std::fs::remove_dir_all(&recording).ok();
+}
+
+/// A replay reproduces its recording or fails. A store whose metadata
+/// grants more retries than the recording had needs an attempt the store
+/// lacks, and one that grants fewer leaves a recorded attempt unused:
+/// either way the pool stops with an error naming the rank, instead of
+/// retrying the lease and quarantining the rank as a `CrawlerError`.
+#[test]
+fn replay_divergence_fails_naming_the_rank() {
+    let manifest = JobManifest::new(SEED, SIZE, SHARDS, DbFormat::Jsonl);
+    let dir = temp_dir("diverge");
+    recorded_store(&manifest, &dir);
+    let store = JobManifest::bundle_dir(&dir);
+    let recorded = BundleMeta::load(&store).unwrap();
+    for max_retries in [recorded.max_retries + 3, recorded.max_retries - 1] {
+        BundleMeta {
+            max_retries,
+            ..recorded.clone()
+        }
+        .store(&store)
+        .unwrap();
+        let bundle = ReplayBundle::load(&store).unwrap();
+        let out = temp_dir(&format!("diverge-{max_retries}"));
+        let paths = manifest.shard_files(&out);
+        let err = crawl_shards(
+            CrawlSource::Replay(&bundle),
+            &paths,
+            manifest.format,
+            &options(),
+        )
+        .unwrap_err();
+        let JobError::Diverged { rank, .. } = err else {
+            panic!("max_retries {max_retries}: {err}");
+        };
+        assert!(err.to_string().contains(&format!("rank {rank}")), "{err}");
+        // The writer stops at the divergent rank: it wrote a prefix of
+        // the ranks below it, and no record of its own.
+        for path in &paths {
+            for record in read_jsonl(path).unwrap().records {
+                assert!(record.rank < rank, "max_retries {max_retries}: {record:?}");
+                assert!(record.attempts > 0, "quarantined: {record:?}");
+            }
+        }
+        std::fs::remove_dir_all(&out).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -541,8 +613,8 @@ fn dataset_records(manifest: &JobManifest, dir: &Path) -> Vec<String> {
 /// records serialized in rank order.
 fn replay_records(dir: &Path) -> Vec<String> {
     let bundle = ReplayBundle::load(&JobManifest::bundle_dir(dir)).unwrap();
-    let crawler = Crawler::new(bundle.meta().replay_config(2));
-    let telemetry = CrawlTelemetry::new(2);
+    let crawler = Crawler::new(bundle.meta().replay_config(1));
+    let telemetry = CrawlTelemetry::new(1);
     let mut replayed = Vec::new();
     crawler.replay_streaming_observed(
         &bundle,

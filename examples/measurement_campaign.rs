@@ -26,17 +26,25 @@ fn main() {
                 .unwrap_or(8)
         });
 
-    let population = WebPopulation::new(PopulationConfig { seed: 7, size });
+    // The crawl runs on the worker pool straight into the database,
+    // which the analyses then read back.
+    let out_dir = Path::new("target/campaign");
+    std::fs::create_dir_all(out_dir).expect("create output dir");
+    let db = out_dir.join("crawl.jsonl");
+    let manifest = crawler::JobManifest::new(7, size, 1, crawler::DbFormat::Jsonl);
+    let source = crawler::CrawlSource::Live(&manifest, None);
+    let opts = crawler::JobOptions {
+        workers,
+        ..crawler::JobOptions::default()
+    };
     println!("crawling {size} origins with {workers} workers…");
     let started = std::time::Instant::now();
-    let dataset = Crawler::new(CrawlConfig {
-        workers,
-        ..CrawlConfig::default()
-    })
-    .crawl(&population);
+    crawler::crawl_shards(source, std::slice::from_ref(&db), manifest.format, &opts)
+        .expect("crawl the population");
+    let crawl_secs = started.elapsed().as_secs_f64();
+    let dataset = crawler::read_jsonl(&db).expect("read the database");
     println!(
-        "crawl finished in {:.1}s wall clock / {:.1} simulated days",
-        started.elapsed().as_secs_f64(),
+        "crawl finished in {crawl_secs:.1}s wall clock / {:.1} simulated days",
         dataset.total_simulated_ms() as f64 / 86_400_000.0
     );
 
@@ -56,10 +64,7 @@ fn main() {
 
     print!("{report}");
 
-    // Persist the database and the report next to the target dir.
-    let out_dir = Path::new("target/campaign");
-    std::fs::create_dir_all(out_dir).expect("create output dir");
-    crawler::write_jsonl(&dataset, &out_dir.join("crawl.jsonl")).expect("write database");
+    // The report goes next to the database.
     std::fs::write(out_dir.join("report.txt"), &report).expect("write report");
     println!(
         "database: target/campaign/crawl.jsonl ({} records); report: target/campaign/report.txt",

@@ -126,10 +126,13 @@ REC=$(mktemp -d -p "$SCRATCH")
 "$BIN" crawl --size 20000 --seed 7 --record "$REC/bundle" --out "$REC/live.jsonl" 2>/dev/null
 "$BIN" crawl --replay "$REC/bundle" --out "$REC/replayed.jsonl" 2>/dev/null
 cmp "$REC/live.jsonl" "$REC/replayed.jsonl"
+# `crawl` runs one worker pool: one replay worker writes the same bytes.
+"$BIN" crawl --replay "$REC/bundle" --workers 1 --out "$REC/replayed-1.jsonl" 2>/dev/null
+cmp "$REC/live.jsonl" "$REC/replayed-1.jsonl"
 "$BIN" crawl --size 20000 --seed 7 --format columnar --out "$REC/live.colsh" 2>/dev/null
 "$BIN" crawl --replay "$REC/bundle" --format columnar --out "$REC/replayed.colsh" 2>/dev/null
 cmp "$REC/live.colsh" "$REC/replayed.colsh"
-echo "    recorded 20k crawl replays byte-identically in JSONL and .colsh"
+echo "    recorded 20k crawl replays byte-identically in JSONL (1 and 8 workers) and .colsh"
 (cd "$REC" && sha256sum --quiet -c "$GOLDEN/bundle-seed7-20k.sha256")
 echo "    bundle store matches the golden digests"
 # The content-addressed store must actually dedup: ratio >= 1.5 (2.11

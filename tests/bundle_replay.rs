@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crawler::{
-    BundleMeta, BundleRecorder, BundleStat, CrawlConfig, Crawler, ReplayBundle, SiteRecord,
-    StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
+    BundleMeta, BundleRecorder, BundleStat, CrawlConfig, CrawlSource, Crawler, DbFormat,
+    JobOptions, ReplayBundle, SiteRecord, StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
 };
 use proptest::prelude::*;
 use webgen::{PopulationConfig, WebPopulation};
@@ -64,25 +64,29 @@ fn record_crawl(
     let crawler = Crawler::new(config.clone()).with_recorder(Arc::clone(&recorder));
     let population =
         WebPopulation::new(PopulationConfig { seed, size }).with_adversarial(adversarial);
-    let mut live = Vec::new();
-    crawler.crawl_streaming(&population, |record| live.push(record));
+    let live = crawler.crawl(&population).records;
     let recorded = recorder.finish().expect("finish store");
     assert_eq!(recorded, size, "every rank must be captured");
     (dir, live)
 }
 
-/// Replays a store, returning the records in rank order.
+/// Replays a store on the worker pool with `workers` workers, returning
+/// the records in rank order.
 fn replay_crawl(dir: &std::path::Path, workers: usize) -> Vec<SiteRecord> {
     let bundle = ReplayBundle::load(dir).expect("load store");
-    let crawler = Crawler::new(bundle.meta().replay_config(workers));
-    let mut replayed = Vec::new();
-    let telemetry = crawler::CrawlTelemetry::new(workers);
-    crawler.replay_streaming_observed(
-        &bundle,
-        &std::collections::BTreeSet::new(),
-        &telemetry,
-        |record| replayed.push(record),
-    );
+    let out = scratch("replayed");
+    std::fs::create_dir_all(&out).expect("create replay dir");
+    let paths = [out.join("replayed.jsonl")];
+    // One-rank leases, so that every worker gets some of a tiny store.
+    let opts = JobOptions {
+        workers,
+        lease_records: 1,
+        ..JobOptions::default()
+    };
+    crawler::crawl_shards(CrawlSource::Replay(&bundle), &paths, DbFormat::Jsonl, &opts)
+        .expect("replay reproduces the recording");
+    let replayed = crawler::read_jsonl(&paths[0]).expect("read replay").records;
+    std::fs::remove_dir_all(&out).ok();
     replayed
 }
 
@@ -106,7 +110,6 @@ proptest! {
     ) {
         quiet_panics();
         let config = CrawlConfig {
-            workers: 2,
             max_retries,
             faults: crawler::FaultSpec {
                 seed,
@@ -139,8 +142,7 @@ proptest! {
         flip in 1u32..256,
     ) {
         quiet_panics();
-        let config = CrawlConfig { workers: 1, ..CrawlConfig::default() };
-        let (dir, _) = record_crawl("flip", &config, seed, 3, false);
+        let (dir, _) = record_crawl("flip", &CrawlConfig::default(), seed, 3, false);
         let path = dir.join(BUNDLE_BLOBS_FILE);
         let mut bytes = std::fs::read(&path).expect("read blobs");
         let at = ((bytes.len() - 1) as f64 * offset_frac) as usize;
@@ -166,7 +168,6 @@ proptest! {
 fn truncation_at_every_byte_is_loud_or_counted() {
     quiet_panics();
     let config = CrawlConfig {
-        workers: 1,
         faults: crawler::FaultSpec {
             seed: 11,
             panic_per_mille: 150,
@@ -218,11 +219,7 @@ fn truncation_at_every_byte_is_loud_or_counted() {
 /// shared scripts and header templates dedup across the population.
 #[test]
 fn store_is_smaller_than_jsonl_dataset() {
-    let config = CrawlConfig {
-        workers: 2,
-        ..CrawlConfig::default()
-    };
-    let (dir, live) = record_crawl("size", &config, 7, 40, false);
+    let (dir, live) = record_crawl("size", &CrawlConfig::default(), 7, 40, false);
     let jsonl_bytes: u64 = jsonl(&live).iter().map(|l| l.len() as u64 + 1).sum();
     let stat = BundleStat::scan(&dir, StreamMode::Strict).expect("scan store");
     assert!(

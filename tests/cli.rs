@@ -1,6 +1,7 @@
 //! The command-line front end, driven as a user drives it: flag-table
-//! errors, output-format resolution, closed stdout/stderr, and `crawl`
-//! writing the same shard bytes as `crawl-job start`.
+//! errors, output-format resolution, closed stdout/stderr, `crawl` (live
+//! or replayed) writing the same shard bytes as `crawl-job start`, and
+//! a replay that cannot reproduce its recording failing loudly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -52,7 +53,12 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
     let dir = scratch("flags");
     let db = dir.join("crawl.jsonl");
     let out = path(&db);
-    let cases: [(&[&str], &str); 6] = [
+    let store = dir.join("store");
+    let recorded = dir.join("recorded.jsonl");
+    let record = ["crawl", "--size", "20", "--record", path(&store)];
+    assert_success(&run(&[&record[..], &["--out", path(&recorded)]].concat()));
+    let store = path(&store);
+    let cases: [(&[&str], &str); 12] = [
         // Misspelled `--shards`: ignored, the crawl would write one shard.
         (
             &["crawl", "--size", "50", "--shard", "4", "--out", out],
@@ -82,6 +88,48 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
         (
             &["crawl", "--size", "50", "--js-engine", "vm", "--out", out],
             "--js-engine",
+        ),
+        // A bundle store fixes the dataset: each of these was ignored,
+        // and the replay wrote the recording's records.
+        (
+            &["crawl", "--replay", store, "--size", "5", "--out", out],
+            "--size",
+        ),
+        (
+            &["crawl", "--replay", store, "--seed", "99", "--out", out],
+            "--seed",
+        ),
+        (
+            &["crawl", "--replay", store, "--retries", "9", "--out", out],
+            "--retries",
+        ),
+        (
+            &["crawl", "--replay", store, "--adversarial", "--out", out],
+            "--adversarial",
+        ),
+        (
+            &[
+                "crawl",
+                "--replay",
+                store,
+                "--fault-panics",
+                "5",
+                "--out",
+                out,
+            ],
+            "--fault-panics",
+        ),
+        (
+            &[
+                "crawl",
+                "--replay",
+                store,
+                "--fault-transients",
+                "500",
+                "--out",
+                out,
+            ],
+            "--fault-transients",
         ),
     ];
     for (args, flag) in cases {
@@ -193,9 +241,11 @@ fn format_must_agree_with_the_output_extension() {
 fn crawl_writes_the_same_shards_as_crawl_job_start() {
     for (format, ext) in [("jsonl", "jsonl"), ("columnar", "colsh")] {
         let dir = scratch(&format!("same-shards-{ext}"));
+        // Four 256-rank leases: every worker of a 2- or 3-worker run
+        // leases ranks.
         let dataset = [
             "--size",
-            "240",
+            "800",
             "--seed",
             "7",
             "--shards",
@@ -206,25 +256,86 @@ fn crawl_writes_the_same_shards_as_crawl_job_start() {
             "40",
         ];
         let base = dir.join(format!("crawl.{ext}"));
+        let store = dir.join("store");
         let mut crawl = vec!["crawl", "--workers", "3", "--out", path(&base)];
+        crawl.extend(["--record", path(&store)]);
         crawl.extend(dataset);
         assert_success(&run(&crawl));
         let job = dir.join("job");
         let mut start = vec!["crawl-job", "start", "--dir", path(&job), "--workers", "2"];
         start.extend(dataset);
         assert_success(&run(&start));
-        for shard in 0..3 {
-            let name = format!("crawl-{shard:03}.{ext}");
-            let crawled = std::fs::read(dir.join(&name)).unwrap();
-            assert!(!crawled.is_empty(), "{name}");
-            assert_eq!(
-                crawled,
-                std::fs::read(job.join(&name)).unwrap(),
-                "{format}: {name} differs between crawl and crawl-job start"
-            );
+        // The recording replays to the same shards at any worker count.
+        let mut outputs = vec![("crawl --record", dir.clone())];
+        for workers in ["1", "3"] {
+            let replayed = dir.join(format!("replay-{workers}"));
+            std::fs::create_dir_all(&replayed).unwrap();
+            let base = replayed.join(format!("crawl.{ext}"));
+            assert_success(&run(&[
+                "crawl",
+                "--replay",
+                path(&store),
+                "--workers",
+                workers,
+                "--shards",
+                "3",
+                "--format",
+                format,
+                "--out",
+                path(&base),
+            ]));
+            outputs.push(("crawl --replay", replayed));
+        }
+        for (verb, out) in &outputs {
+            for shard in 0..3 {
+                let name = format!("crawl-{shard:03}.{ext}");
+                let crawled = std::fs::read(out.join(&name)).unwrap();
+                assert!(!crawled.is_empty(), "{name}");
+                assert_eq!(
+                    crawled,
+                    std::fs::read(job.join(&name)).unwrap(),
+                    "{format}: {name} differs between {verb} and crawl-job start"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A store whose metadata grants more retries than its recording had asks
+/// for an attempt the store lacks: `crawl --replay` fails with one error
+/// naming the rank, where it used to panic.
+#[test]
+fn replay_divergence_is_an_error_not_a_panic() {
+    let dir = scratch("diverge");
+    let store = dir.join("store");
+    let recorded = dir.join("recorded.jsonl");
+    assert_success(&run(&[
+        "crawl",
+        "--size",
+        "30",
+        "--record",
+        path(&store),
+        "--out",
+        path(&recorded),
+    ]));
+    let meta = crawler::BundleMeta::load(&store).unwrap();
+    let max_retries = meta.max_retries + 3;
+    crawler::BundleMeta {
+        max_retries,
+        ..meta
+    }
+    .store(&store)
+    .unwrap();
+    let replayed = dir.join("replayed.jsonl");
+    let output = run(&["crawl", "--replay", path(&store), "--out", path(&replayed)]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("replay diverged at rank "), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs the CLI with stdout (or, with `stderr`, stderr) connected to a

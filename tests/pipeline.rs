@@ -89,12 +89,23 @@ fn every_analysis_runs_on_one_dataset() {
     }
 }
 
+/// A scratch directory named after the test process, removed on drop.
+struct Scratch(std::path::PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn database_round_trip_preserves_analysis_results() {
     let dataset = small_dataset(7, 300);
-    let dir = std::env::temp_dir().join("permodyssey-integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.jsonl");
+    let dir = Scratch(
+        std::env::temp_dir().join(format!("permodyssey-integration-{}", std::process::id())),
+    );
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join("roundtrip.jsonl");
     crawler::write_jsonl(&dataset, &path).unwrap();
     let loaded = crawler::read_jsonl(&path).unwrap();
     let before = analysis::usage::usage_summary(&dataset);
@@ -102,7 +113,6 @@ fn database_round_trip_preserves_analysis_results() {
     assert_eq!(before.any, after.any);
     assert_eq!(before.dynamic, after.dynamic);
     assert_eq!(before.static_any, after.static_any);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -1,8 +1,48 @@
 //! Robustness: the whole pipeline must hold up across arbitrary seeds,
 //! sizes and configurations — no panics, conserved invariants.
 
+use std::path::{Path, PathBuf};
+
 use permissions_odyssey::prelude::*;
 use permissions_odyssey::{browser, crawler};
+
+/// A scratch directory named after the test process, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("odyssey-robustness-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs `manifest`'s crawl on the worker pool with `workers` workers
+/// into one JSONL shard at `out`, returning the records read back and
+/// the run's report.
+fn pool_crawl(
+    manifest: &crawler::JobManifest,
+    workers: usize,
+    out: &Path,
+) -> (CrawlDataset, crawler::JobReport) {
+    let source = crawler::CrawlSource::Live(manifest, None);
+    // Small leases, so that every worker gets some of a small crawl.
+    let opts = crawler::JobOptions {
+        workers,
+        lease_records: 8,
+        ..crawler::JobOptions::default()
+    };
+    let paths = [out.to_path_buf()];
+    let report = crawler::crawl_shards(source, &paths, crawler::DbFormat::Jsonl, &opts).unwrap();
+    (crawler::read_jsonl(out).unwrap(), report)
+}
 
 #[test]
 fn pipeline_survives_many_seeds() {
@@ -32,13 +72,11 @@ fn pipeline_survives_many_seeds() {
 
 #[test]
 fn tiny_and_single_site_populations_work() {
+    let dir = Scratch::new("tiny");
     for size in [1u64, 2, 3] {
-        let population = WebPopulation::new(PopulationConfig { seed: 9, size });
-        let dataset = Crawler::new(CrawlConfig {
-            workers: 4, // more workers than sites
-            ..CrawlConfig::default()
-        })
-        .crawl(&population);
+        let manifest = crawler::JobManifest::new(9, size, 1, crawler::DbFormat::Jsonl);
+        // More workers than sites.
+        let (dataset, _) = pool_crawl(&manifest, 4, &dir.0.join(format!("{size}.jsonl")));
         assert_eq!(dataset.records.len(), size as usize);
         let _ = analysis::usage::usage_summary(&dataset);
     }
@@ -101,24 +139,16 @@ fn frame_invariants_hold_everywhere() {
 fn adversarial_crawl_degrades_gracefully_and_deterministically() {
     use std::collections::BTreeSet;
 
-    let crawl_once = || {
-        let population = WebPopulation::new(PopulationConfig {
-            seed: 11,
-            size: 300,
-        })
-        .with_adversarial(true);
-        let telemetry = crawler::CrawlTelemetry::new(4);
-        let mut records = Vec::new();
-        let funnel = Crawler::new(CrawlConfig::default()).crawl_streaming_observed(
-            &population,
-            &telemetry,
-            |record| records.push(record),
-        );
-        records.sort_by_key(|r| r.rank);
-        (CrawlDataset { records }, funnel, telemetry.snapshot())
+    let dir = Scratch::new("adversarial");
+    let mut manifest = crawler::JobManifest::new(11, 300, 1, crawler::DbFormat::Jsonl);
+    manifest.adversarial = true;
+    let crawl_once = |path: &Path| {
+        let (dataset, report) = pool_crawl(&manifest, 4, path);
+        (dataset, report.funnel, report.snapshot)
     };
 
-    let (dataset, funnel, snapshot) = crawl_once();
+    let (path_a, path_b) = (dir.0.join("a.jsonl"), dir.0.join("b.jsonl"));
+    let (dataset, funnel, snapshot) = crawl_once(&path_a);
 
     // No content-layer panic escaped into the catch-all.
     assert_eq!(snapshot.panics_caught, 0, "hostile input caused a panic");
@@ -156,21 +186,18 @@ fn adversarial_crawl_degrades_gracefully_and_deterministically() {
 
     // Degradation events serialize: the dataset round-trips to JSONL and
     // same-seed reruns are byte-identical.
-    let dir = std::env::temp_dir().join("odyssey-adversarial-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (path_a, path_b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
-    crawler::write_jsonl(&dataset, &path_a).unwrap();
-    let (rerun, _, _) = crawl_once();
-    crawler::write_jsonl(&rerun, &path_b).unwrap();
+    crawl_once(&path_b);
     let bytes_a = std::fs::read(&path_a).unwrap();
     let bytes_b = std::fs::read(&path_b).unwrap();
     assert_eq!(
         bytes_a, bytes_b,
         "same-seed adversarial crawls must be byte-identical"
     );
+    let rewritten = dir.0.join("rewritten.jsonl");
+    crawler::write_jsonl(&dataset, &rewritten).unwrap();
+    assert_eq!(std::fs::read(&rewritten).unwrap(), bytes_a);
     let reread = crawler::read_jsonl(&path_a).unwrap();
     assert_eq!(reread.records.len(), dataset.records.len());
-    let _ = std::fs::remove_dir_all(&dir);
 
     // With adversarial mode off, the same population is entirely clean:
     // the governor's caps are headroom for calibrated sites, not a tax.
@@ -193,15 +220,13 @@ fn adversarial_crawl_degrades_gracefully_and_deterministically() {
 
 #[test]
 fn worker_counts_never_change_results() {
-    let population = WebPopulation::new(PopulationConfig { seed: 77, size: 60 });
+    let dir = Scratch::new("workers");
+    let manifest = crawler::JobManifest::new(77, 60, 1, crawler::DbFormat::Jsonl);
     let summaries: Vec<String> = [1usize, 3, 7]
         .iter()
         .map(|&workers| {
-            let dataset = Crawler::new(CrawlConfig {
-                workers,
-                ..CrawlConfig::default()
-            })
-            .crawl(&population);
+            let out = dir.0.join(format!("{workers}.jsonl"));
+            let (dataset, _) = pool_crawl(&manifest, workers, &out);
             analysis::report::full_report(
                 &dataset,
                 &analysis::report::ReportConfig {
