@@ -26,7 +26,10 @@
 //! truncating each file at its last valid record boundary, and the
 //! deterministic commit order (manifests strictly in rank order, blobs
 //! in first-reference order) makes the resumed store byte-identical to
-//! an uninterrupted one.
+//! an uninterrupted one. [`BundleRecorder`] commits one site at a time
+//! at its rank cursor and keeps no pending sites: in a crawl its one
+//! caller is the worker pool's writer thread, which already holds sites
+//! in rank order and commits each bundle just before the site's record.
 //!
 //! Every reader makes the same single pass over a store: `blobs.bin`,
 //! then `manifests.bin`, one frame at a time through one reused buffer,
@@ -46,11 +49,12 @@
 //! included — so a replayed crawl reproduces the recorded dataset
 //! exactly, with the page generator never invoked.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Borrow;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use bytes::Bytes;
 use netsim::{Exchange, ExchangeOutcome, FetchError, PostFetchProbe, VisitTape};
@@ -763,7 +767,7 @@ fn pass_store<B>(
 
 // --- recording ------------------------------------------------------------
 
-/// One site's recorded visit, as submitted by the crawler: the raw
+/// One site's recorded visit, as the crawler captured it: the raw
 /// per-attempt tapes before content addressing.
 #[derive(Debug, Clone)]
 pub struct SiteBundle {
@@ -794,22 +798,19 @@ struct RecorderInner {
     manifests: BufWriter<File>,
     /// Digests already durable in `blobs.bin`.
     index: HashMap<[u8; 16], ()>,
-    /// Next rank to commit; ranks below it are already durable.
+    /// Next rank to commit; ranks below it are committed.
     cursor: u64,
-    /// Ranks durable in `manifests.bin` when the store was opened.
-    durable_prefix: u64,
-    /// Out-of-order submissions waiting for the cursor.
-    pending: BTreeMap<u64, SiteBundle>,
 }
 
-/// Append-side of a bundle store. Workers submit completed sites in any
-/// order; the recorder commits them strictly in rank order (manifests
-/// are a rank-contiguous sequence, blobs land in first-reference
-/// order), so the store's bytes are independent of worker count and any
-/// crash leaves a valid prefix of the uninterrupted store.
+/// Append-side of a bundle store. Sites are committed strictly in rank
+/// order (manifests are a rank-contiguous sequence, blobs land in
+/// first-reference order), so the store's bytes are independent of
+/// worker count and any crash leaves a valid prefix of the
+/// uninterrupted store. The worker pool commits from its writer thread,
+/// which already holds records in rank order.
 pub struct BundleRecorder {
     dir: PathBuf,
-    inner: Mutex<RecorderInner>,
+    inner: RefCell<RecorderInner>,
 }
 
 impl BundleRecorder {
@@ -879,74 +880,63 @@ impl BundleRecorder {
         };
         Ok(BundleRecorder {
             dir: dir.to_path_buf(),
-            inner: Mutex::new(RecorderInner {
+            inner: RefCell::new(RecorderInner {
                 blobs: open(BUNDLE_BLOBS_FILE, BLOB_MAGIC, valid[0])?,
                 manifests: open(BUNDLE_MANIFESTS_FILE, MANIFEST_MAGIC, valid[1])?,
                 index,
                 cursor: durable_prefix + 1,
-                durable_prefix,
-                pending: BTreeMap::new(),
             }),
         })
     }
 
-    /// Ranks already durable when the store was opened (a resumed
-    /// recording backfills captures for dataset ranks above this).
-    pub fn durable_prefix(&self) -> u64 {
-        self.inner.lock().expect("recorder lock").durable_prefix
+    /// Ranks committed so far (`1..=committed()`); when the store was
+    /// just opened, the prefix that survived in it.
+    pub fn committed(&self) -> u64 {
+        self.inner.borrow().cursor - 1
     }
 
-    /// Submits one completed site. Sites may arrive in any order;
-    /// commits happen strictly at the rank cursor. Re-submissions of
-    /// already-durable ranks are dropped.
-    pub fn submit(&self, bundle: SiteBundle) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("recorder lock");
+    /// Commits one site, owned or borrowed, at the rank cursor: a rank
+    /// already committed is dropped, and a rank past the cursor is an
+    /// error that leaves the store unchanged. A write error names the
+    /// pack file.
+    pub fn submit(&self, bundle: impl Borrow<SiteBundle>) -> std::io::Result<()> {
+        let bundle = bundle.borrow();
+        let mut inner = self.inner.borrow_mut();
         if bundle.rank < inner.cursor {
             return Ok(());
         }
-        inner.pending.insert(bundle.rank, bundle);
-        while let Some(bundle) = {
-            let next = inner.cursor;
-            inner.pending.remove(&next)
-        } {
-            commit_site(&mut inner, &bundle)?;
-            inner.cursor += 1;
+        if bundle.rank > inner.cursor {
+            return invalid(format!(
+                "bundle store {}: rank {} submitted before rank {}",
+                self.dir.display(),
+                bundle.rank,
+                inner.cursor
+            ));
         }
+        commit_site(&self.dir, &mut inner, bundle)?;
+        inner.cursor += 1;
         Ok(())
     }
 
-    /// Flushes the store and returns the number of durable sites. Errs
-    /// if submissions left a gap (a rank never arrived).
+    /// Flushes the store and returns the number of committed sites.
     pub fn finish(&self) -> std::io::Result<u64> {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        if let Some((&rank, _)) = inner.pending.iter().next() {
-            let cursor = inner.cursor;
-            return invalid(format!(
-                "bundle store {} has a gap: rank {cursor} never arrived \
-                 but rank {rank} is pending",
-                self.dir.display()
-            ));
-        }
-        inner.blobs.flush()?;
-        inner.manifests.flush()?;
-        Ok(inner.cursor - 1)
-    }
-
-    /// Graceful-shutdown checkpoint: flushes every committed frame (the
-    /// durable store is then exactly a prefix of the uninterrupted
-    /// store's bytes) and returns the number of durable sites. Unlike
-    /// [`BundleRecorder::finish`] this tolerates gaps — out-of-order
-    /// submissions still pending stay in memory and are re-captured by
-    /// the resume backfill.
-    pub fn checkpoint(&self) -> std::io::Result<u64> {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        inner.blobs.flush()?;
-        inner.manifests.flush()?;
+        let mut inner = self.inner.borrow_mut();
+        let blobs = writing(&self.dir, BUNDLE_BLOBS_FILE);
+        inner.blobs.flush().map_err(blobs)?;
+        let manifests = writing(&self.dir, BUNDLE_MANIFESTS_FILE);
+        inner.manifests.flush().map_err(manifests)?;
         Ok(inner.cursor - 1)
     }
 }
 
-fn commit_site(inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Result<()> {
+/// Names the store `dir`'s `file` in a write error.
+fn writing(dir: &Path, file: &str) -> impl Fn(std::io::Error) -> std::io::Error {
+    let path = dir.join(file);
+    move |e| crate::db::at("writing", &path, e)
+}
+
+fn commit_site(dir: &Path, inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Result<()> {
+    let blobs = writing(dir, BUNDLE_BLOBS_FILE);
     let mut attempts = Vec::with_capacity(bundle.attempts.len());
     for tape in &bundle.attempts {
         let mut exchanges = Vec::with_capacity(tape.exchanges.len());
@@ -960,8 +950,8 @@ fn commit_site(inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Resul
                     redirects,
                 } => {
                     let header_blob = encode_headers(headers);
-                    let headers = put_blob(inner, &header_blob)?;
-                    let body = put_blob(inner, body)?;
+                    let headers = put_blob(inner, &header_blob).map_err(&blobs)?;
+                    let body = put_blob(inner, body).map_err(&blobs)?;
                     OutcomeRef::Content {
                         status: *status,
                         headers,
@@ -992,8 +982,9 @@ fn commit_site(inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Resul
     };
     // Blobs land (and flush) before the manifest referencing them: a
     // manifest record is the site's commit point.
-    inner.blobs.flush()?;
+    inner.blobs.flush().map_err(&blobs)?;
     write_framed(&mut inner.manifests, &manifest.encode())
+        .map_err(writing(dir, BUNDLE_MANIFESTS_FILE))
 }
 
 fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]> {
@@ -1365,23 +1356,27 @@ mod tests {
                 failure: None,
             }],
         };
-        // Out-of-order submission: rank 2 first.
-        recorder
-            .submit(SiteBundle {
-                rank: 2,
-                origin: "https://b.example/".to_string(),
-                synthesized: false,
-                attempts: vec![tape("https://b.example/")],
-            })
-            .unwrap();
-        recorder
-            .submit(SiteBundle {
-                rank: 1,
-                origin: "https://a.example/".to_string(),
-                synthesized: false,
-                attempts: vec![tape("https://a.example/")],
-            })
-            .unwrap();
+        let site = |rank: u64, origin: &str| SiteBundle {
+            rank,
+            origin: origin.to_string(),
+            synthesized: false,
+            attempts: vec![tape(origin)],
+        };
+        // Sites commit strictly in rank order: rank 2 before rank 1 is an
+        // error that leaves the store unchanged.
+        let packs =
+            || [BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE].map(|f| std::fs::read(dir.join(f)));
+        assert_eq!(recorder.finish().unwrap(), 0);
+        let empty = packs().map(Result::unwrap);
+        let err = recorder.submit(site(2, "https://b.example/")).unwrap_err();
+        let expected = "rank 2 submitted before rank 1";
+        assert!(err.to_string().contains(expected), "{err}");
+        assert_eq!(recorder.finish().unwrap(), 0);
+        assert_eq!(packs().map(Result::unwrap), empty, "the store is unchanged");
+        recorder.submit(site(1, "https://a.example/")).unwrap();
+        recorder.submit(site(2, "https://b.example/")).unwrap();
+        // A rank already committed is dropped.
+        recorder.submit(site(1, "https://a.example/")).unwrap();
         assert_eq!(recorder.finish().unwrap(), 2);
 
         let bundle = ReplayBundle::load(&dir).expect("strict load");
@@ -1486,7 +1481,7 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
         let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
-        assert_eq!(resumed.durable_prefix(), 0, "manifest rolled back");
+        assert_eq!(resumed.committed(), 0, "manifest rolled back");
     }
 
     /// Every reader applies one rule set: on each damage shape a strict
@@ -1578,7 +1573,7 @@ mod tests {
             assert_eq!(stat, load, "{shape}: bundle stat and load disagree");
 
             let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
-            assert_eq!(resumed.durable_prefix(), kept, "{shape}: durable prefix");
+            assert_eq!(resumed.committed(), kept, "{shape}: durable prefix");
             for rank in 1..=5 {
                 resumed.submit(site(rank)).unwrap();
             }

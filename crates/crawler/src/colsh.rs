@@ -1818,8 +1818,9 @@ impl Iterator for ColshStream {
 }
 
 /// Scans a possibly-interrupted `.colsh` database for resumption,
-/// calling `check_rank` on every valid record's rank in file order; its
-/// first error aborts the scan (pass `|_| Ok(())` to accept any ranks).
+/// calling `check` on every valid record (META columns only) in file
+/// order; its first error aborts the scan (pass `|_| Ok(())` to accept
+/// any records).
 ///
 /// Tolerates exactly one kind of damage — a torn tail, the signature of
 /// a writer killed mid-append. Decodes only the META column, but checks
@@ -1832,7 +1833,7 @@ impl Iterator for ColshStream {
 /// (append would mis-index).
 pub fn resume_colsh(
     path: &Path,
-    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+    mut check: impl FnMut(&SiteRecord) -> std::io::Result<()>,
 ) -> std::io::Result<(ResumeState, ColshAppendState)> {
     let mut stream =
         match ColshStream::open_projected(path, StreamMode::Resume, ColumnSet::META_ONLY) {
@@ -1858,7 +1859,7 @@ pub fn resume_colsh(
         ));
     }
     for record in &mut stream {
-        check_rank(record?.rank)?;
+        check(&record?)?;
     }
     let records = stream.file_records;
     let valid_len = stream.valid_len();
@@ -2054,8 +2055,8 @@ mod tests {
         std::fs::write(&path, &bytes[..torn_at]).unwrap();
 
         let mut ranks = Vec::new();
-        let (state, append) = resume_colsh(&path, |rank| {
-            ranks.push(rank);
+        let (state, append) = resume_colsh(&path, |record| {
+            ranks.push(record.rank);
             Ok(())
         })
         .unwrap();

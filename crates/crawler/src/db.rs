@@ -323,8 +323,8 @@ pub struct ResumeState {
 }
 
 /// Scans a possibly-interrupted JSONL database for resumption, calling
-/// `check_rank` on every valid record's rank in file order; its first
-/// error aborts the scan (pass `|_| Ok(())` to accept any ranks).
+/// `check` on every valid record in file order; its first error aborts
+/// the scan (pass `|_| Ok(())` to accept any records).
 ///
 /// Unlike [`read_jsonl`] — which stays strict, for finished datasets —
 /// this tolerates exactly one kind of damage: a torn *final* line, the
@@ -334,9 +334,9 @@ pub struct ResumeState {
 /// line by line — the database is never held in memory.
 pub fn resume_jsonl(
     path: &Path,
-    check_rank: impl FnMut(u64) -> std::io::Result<()>,
+    check: impl FnMut(&SiteRecord) -> std::io::Result<()>,
 ) -> std::io::Result<ResumeState> {
-    resume_jsonl_digested(path, check_rank).map(|(state, _)| state)
+    resume_jsonl_digested(path, check).map(|(state, _)| state)
 }
 
 /// [`resume_jsonl`], also returning the digest of the valid prefix,
@@ -344,13 +344,13 @@ pub fn resume_jsonl(
 /// appending sink's digest.
 pub(crate) fn resume_jsonl_digested(
     path: &Path,
-    mut check_rank: impl FnMut(u64) -> std::io::Result<()>,
+    mut check: impl FnMut(&SiteRecord) -> std::io::Result<()>,
 ) -> std::io::Result<(ResumeState, Digest64)> {
     let mut stream = RecordStream::open(path, StreamMode::Resume)?;
     stream.digest = Some(Digest64::default());
     let mut records = 0u64;
     for record in &mut stream {
-        check_rank(record?.rank)?;
+        check(&record?)?;
         records += 1;
     }
     let state = ResumeState {
@@ -384,13 +384,13 @@ enum Sink {
 
 impl Sink {
     /// Creates `path`, or with `resume` reopens an existing file after
-    /// its valid prefix (torn tail dropped), passing each rank on disk to
-    /// `check_rank`. Returns the sink and its record count.
+    /// its valid prefix (torn tail dropped), passing each record on disk
+    /// to `check`. Returns the sink and its record count.
     fn open(
         path: &Path,
         format: DbFormat,
         resume: bool,
-        check_rank: impl FnMut(u64) -> std::io::Result<()>,
+        check: impl FnMut(&SiteRecord) -> std::io::Result<()>,
     ) -> std::io::Result<(Sink, u64)> {
         Ok(match (format, resume && path.exists()) {
             (DbFormat::Jsonl, false) => {
@@ -401,14 +401,14 @@ impl Sink {
             (DbFormat::Colsh, false) => (Sink::Colsh(ColshWriter::create(path)?), 0),
             (DbFormat::Jsonl, true) => {
                 let (ResumeState { records, valid_len }, digest) =
-                    resume_jsonl_digested(path, check_rank)?;
+                    resume_jsonl_digested(path, check)?;
                 let file = std::fs::OpenOptions::new().append(true).open(path)?;
                 file.set_len(valid_len)?;
                 let out = BufWriter::new(DigestWriter::new(file, digest));
                 (Sink::Jsonl { out, records }, records)
             }
             (DbFormat::Colsh, true) => {
-                let (state, append) = crate::colsh::resume_colsh(path, check_rank)?;
+                let (state, append) = crate::colsh::resume_colsh(path, check)?;
                 let writer = ColshWriter::append(path, state.valid_len, append)?;
                 (Sink::Colsh(writer), state.records)
             }
@@ -432,6 +432,16 @@ impl Sink {
     }
 }
 
+/// What [`ShardWriter::open`] found in the shard files it reopened.
+#[derive(Debug)]
+pub struct ShardScan {
+    /// Each shard's durable record count, in shard order.
+    pub records: Vec<u64>,
+    /// Ranks whose durable record is a quarantine record (`attempts ==
+    /// 0`: the job engine wrote it without a visit), ascending.
+    pub quarantined: Vec<u64>,
+}
+
 /// The one writer of record databases: a set of rank-striped shard
 /// files in either format, where rank *r* lands in shard
 /// `(r - 1) % shards` and a single shard is a plain database file. The
@@ -445,7 +455,7 @@ pub struct ShardWriter {
 }
 
 /// Prefixes an I/O error with what was being done to which file.
-fn at(what: &str, path: &Path, e: std::io::Error) -> std::io::Error {
+pub(crate) fn at(what: &str, path: &Path, e: std::io::Error) -> std::io::Error {
     std::io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
@@ -456,24 +466,28 @@ impl ShardWriter {
     }
 
     /// Opens one shard file per path, in shard order, returning the
-    /// writer and each shard's durable record count. Without `resume`
-    /// every file is created empty. With it, an existing file keeps its
-    /// valid prefix (a torn tail is dropped) and is appended to: shard
-    /// `s` of `S` holds ranks `s+1, s+1+S, …` in order, so the file must
-    /// hold exactly the first `k` of those, which is checked rank by rank
-    /// in the same streaming pass that measures the prefix — recovery
-    /// keeps one integer per shard and nothing per record.
+    /// writer and what the files already hold. Without `resume` every
+    /// file is created empty. With it, an existing file keeps its valid
+    /// prefix (a torn tail is dropped) and is appended to: shard `s` of
+    /// `S` holds ranks `s+1, s+1+S, …` in order, so the file must hold
+    /// exactly the first `k` of those, which is checked rank by rank in
+    /// the same streaming pass that measures the prefix — recovery keeps
+    /// one integer per shard, and the rank of each quarantine record.
     pub fn open(
         paths: &[PathBuf],
         format: DbFormat,
         resume: bool,
-    ) -> std::io::Result<(ShardWriter, Vec<u64>)> {
+    ) -> std::io::Result<(ShardWriter, ShardScan)> {
         let stride = paths.len() as u64;
         let mut shards = Vec::with_capacity(paths.len());
-        let mut counts = Vec::with_capacity(paths.len());
+        let mut scan = ShardScan {
+            records: Vec::with_capacity(paths.len()),
+            quarantined: Vec::new(),
+        };
         for (shard, path) in paths.iter().enumerate() {
             let mut expected = shard as u64 + 1;
-            let stripe = |rank: u64| {
+            let stripe = |record: &SiteRecord| {
+                let rank = record.rank;
                 if rank != expected {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
@@ -483,16 +497,20 @@ impl ShardWriter {
                         ),
                     ));
                 }
+                if record.attempts == 0 {
+                    scan.quarantined.push(rank);
+                }
                 expected += stride;
                 Ok(())
             };
             let (sink, records) =
                 Sink::open(path, format, resume, stripe).map_err(|e| at("opening", path, e))?;
             shards.push((path.clone(), sink));
-            counts.push(records);
+            scan.records.push(records);
         }
+        scan.quarantined.sort_unstable();
         let line = String::new();
-        Ok((ShardWriter { shards, line }, counts))
+        Ok((ShardWriter { shards, line }, scan))
     }
 
     /// Sets the `.colsh` row-group size and dictionary-epoch length
@@ -1063,8 +1081,8 @@ mod tests {
         // Strict reader refuses; resume recovers the intact prefix.
         assert!(read_jsonl(&path).is_err());
         let mut ranks = Vec::new();
-        let state = resume_jsonl(&path, |rank| {
-            ranks.push(rank);
+        let state = resume_jsonl(&path, |record| {
+            ranks.push(record.rank);
             Ok(())
         })
         .unwrap();
@@ -1187,8 +1205,8 @@ mod tests {
             // Small row groups and epochs, so cuts land between groups,
             // inside them, and before an epoch marker.
             let open = |resume| {
-                let (writer, counts) = ShardWriter::open(&paths, format, resume).unwrap();
-                (writer.with_colsh_layout(4, 2), counts)
+                let (writer, scan) = ShardWriter::open(&paths, format, resume).unwrap();
+                (writer.with_colsh_layout(4, 2), scan.records)
             };
             let (mut writer, _) = open(false);
             for record in &dataset.records {

@@ -24,7 +24,11 @@
 //!   large the population is. The writer reorders arrivals into global
 //!   rank order before appending, and failed leases are re-queued at
 //!   the *front* so the rank cursor unstalls quickly and the reorder
-//!   buffer stays bounded by `workers × lease_records + channel`.
+//!   buffer stays bounded by `workers × lease_records + channel`. The
+//!   writer is the run's one commit point: a recording run's workers
+//!   send each site's bundle with its record, and the writer stores the
+//!   bundle just before it appends the record, re-capturing on resume
+//!   any rank the shards hold but the store lost.
 //! * **Supervision.** A lease that panics outside the per-visit
 //!   isolation (or is made to, by the deterministic chaos hooks) is
 //!   retried with the shared capped sim-clock backoff schedule
@@ -36,6 +40,8 @@
 //!   hook) triggers graceful shutdown: workers finish or wind down
 //!   their current lease, the writer drains, sinks checkpoint at a
 //!   clean boundary, and the run exits reporting [`JobState::Stopped`].
+//!   A write error anywhere, the store's included, stops the run with
+//!   an error naming the file and a `failed` status.
 //! * **A health surface.** The writer periodically rewrites
 //!   `status.json` (atomic temp-file rename): outcome counters,
 //!   per-worker throughput, lease-queue depth, writer reorder-buffer
@@ -64,7 +70,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -72,7 +78,7 @@ use webgen::{PopulationConfig, WebPopulation};
 
 use crate::bundle::{BundleMeta, BundleRecorder, ReplayBundle, SiteBundle};
 use crate::colsh::{crc32, Digest64, DEFAULT_DICT_EPOCH_GROUPS, DEFAULT_GROUP_RECORDS};
-use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter, StreamMode};
+use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter};
 use crate::funnel::CrawlFunnel;
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
 use crate::telemetry::{CrawlTelemetry, TelemetrySnapshot};
@@ -686,41 +692,42 @@ pub fn crawl_shards(
     let started = Instant::now();
     let workers = opts.workers.max(1);
     let population;
-    let (crawler, source) = match source {
+    let (crawler, store, source) = match source {
         CrawlSource::Live(manifest, record) => {
             population = manifest.population();
-            let crawler = live_crawler(manifest, workers, record, false)?;
-            (crawler, RankSource::Live(&population))
+            let (crawler, store) = live_crawler(manifest, workers, record, false)?;
+            (crawler, store, RankSource::Live(&population))
         }
         CrawlSource::Replay(bundle) => {
             let crawler = Crawler::new(bundle.meta().replay_config(workers));
-            (crawler, RankSource::Replay(bundle))
+            (crawler, None, RankSource::Replay(bundle))
         }
     };
-    let (sinks, done) = open_shards(paths, format, false, opts)?;
-    run_pool(&crawler, source, started, Some(sinks), &done, opts, None)
+    let (shards, done) = open_shards(paths, format, false, opts)?;
+    let out = Outputs {
+        shards: Some(shards),
+        store,
+    };
+    run_pool(&crawler, source, started, out, &done, opts, None)
 }
 
-/// The crawler for `manifest`'s crawl, recording into the bundle store
-/// at `record` when given: a fresh store, or with `resume` the one
+/// The crawler for `manifest`'s crawl, and the bundle store it records
+/// into at `record` when given: a fresh store, or with `resume` the one
 /// there reopened for appending.
 fn live_crawler(
     manifest: &JobManifest,
     workers: usize,
     record: Option<&Path>,
     resume: bool,
-) -> std::io::Result<Crawler> {
+) -> std::io::Result<(Crawler, Option<BundleRecorder>)> {
     let config = manifest.crawl_config(workers);
-    let Some(dir) = record else {
-        return Ok(Crawler::new(config));
-    };
     let meta = BundleMeta::for_crawl(&config, manifest.seed, manifest.size, manifest.adversarial);
-    let recorder = if resume {
-        BundleRecorder::resume(dir, &meta)
-    } else {
-        BundleRecorder::create(dir, &meta)
-    }?;
-    Ok(Crawler::new(config).with_recorder(Arc::new(recorder)))
+    let open = |dir| match resume {
+        true => BundleRecorder::resume(dir, &meta),
+        false => BundleRecorder::create(dir, &meta),
+    };
+    let store = record.map(open).transpose()?;
+    Ok((Crawler::new(config), store))
 }
 
 /// Opens a run's shard files (see [`ShardWriter::open`]) in its
@@ -731,11 +738,15 @@ fn open_shards(
     resume: bool,
     opts: &JobOptions,
 ) -> std::io::Result<(ShardWriter, HighWater)> {
-    let (sinks, marks) = ShardWriter::open(paths, format, resume)?;
+    let (sinks, scan) = ShardWriter::open(paths, format, resume)?;
     let group = opts.colsh_group_records.unwrap_or(DEFAULT_GROUP_RECORDS);
     let epoch = opts.colsh_dict_epoch_groups;
     let sinks = sinks.with_colsh_layout(group, epoch.unwrap_or(DEFAULT_DICT_EPOCH_GROUPS));
-    Ok((sinks, HighWater { marks }))
+    let done = HighWater {
+        marks: scan.records,
+        quarantined: scan.quarantined,
+    };
+    Ok((sinks, done))
 }
 
 /// One contiguous batch of ranks a worker leases.
@@ -762,9 +773,12 @@ enum LeaseRun {
 }
 
 /// Per-shard high-water marks: the leading `marks[s]` ranks of shard
-/// `s` are durable. O(shards) memory no matter the population size.
+/// `s` are durable. O(shards) memory no matter the population size,
+/// plus one integer per quarantine record among them.
 struct HighWater {
     marks: Vec<u64>,
+    /// Durable ranks whose record is a quarantine record, ascending.
+    quarantined: Vec<u64>,
 }
 
 impl HighWater {
@@ -775,12 +789,17 @@ impl HighWater {
         let marks = (0..stride).map(|s| size.saturating_sub(s).div_ceil(stride));
         HighWater {
             marks: marks.collect(),
+            quarantined: Vec::new(),
         }
     }
 
     fn is_done(&self, rank: u64) -> bool {
         let shards = self.marks.len();
         (rank - 1) / (shards as u64) < self.marks[shard_index(rank, shards)]
+    }
+
+    fn is_quarantined(&self, rank: u64) -> bool {
+        self.quarantined.binary_search(&rank).is_ok()
     }
 
     fn total(&self) -> u64 {
@@ -804,51 +823,10 @@ fn lease_fault_fires(per_mille: u32, seed: u64, rank: u64, attempt: u32) -> bool
     x % 1000 < u64::from(per_mille)
 }
 
-/// Re-captures bundle tapes for dataset-durable ranks the store lost to
-/// a kill (see the resume comment in [`run_job`]). Streams the shard
-/// files — already truncated to their durable prefixes by
-/// [`ShardWriter::open`] — and submits, in rank order, a synthesized bundle
-/// for quarantine records (`attempts == 0`: no visit ever ran) or a
-/// deterministic re-visit's tape for everything else.
-fn backfill_bundle(
-    recorder: &BundleRecorder,
-    crawler: &Crawler,
-    population: &WebPopulation,
-    manifest: &JobManifest,
-    dir: &Path,
-    high_water: &HighWater,
-) -> std::io::Result<()> {
-    let prefix = recorder.durable_prefix();
-    let mut missing: BTreeMap<u64, SiteRecord> = BTreeMap::new();
-    for path in manifest.shard_files(dir) {
-        if !path.exists() {
-            continue;
-        }
-        // Resume mode: a mid-resume `.colsh` shard has already had its
-        // end marker stripped so the writer can append.
-        for record in crate::db::AnyRecordStream::open(&path, StreamMode::Resume)? {
-            let record = record?;
-            if record.rank > prefix && high_water.is_done(record.rank) {
-                missing.insert(record.rank, record);
-            }
-        }
-    }
-    for (rank, record) in missing {
-        if record.attempts == 0 {
-            recorder.submit(SiteBundle::synthesized(rank, record.origin))?;
-        } else {
-            // Submits the re-captured tape through the crawler's own
-            // recorder hook; the record itself is already durable.
-            crawler.visit_observed(population, rank, None);
-        }
-    }
-    Ok(())
-}
-
-/// The job layer around the pool: the bundle store under `dir`, the
-/// resume scan (or the completion record that spares it) and the
-/// backfill. `resume` selects fresh-create vs scan-and-append shard
-/// handling; everything else is identical for start and resume.
+/// The job layer around the pool: the bundle store under `dir`, and the
+/// resume scan or the completion record that spares it. `resume`
+/// selects fresh-create vs scan-and-append shard and store handling;
+/// everything else is identical for start and resume.
 fn run_job(
     dir: &Path,
     manifest: &JobManifest,
@@ -859,53 +837,79 @@ fn run_job(
     let population = manifest.population();
     let bundle_dir = JobManifest::bundle_dir(dir);
     let record = manifest.record_bundle.then_some(bundle_dir.as_path());
-    let crawler = live_crawler(manifest, opts.workers.max(1), record, resume)?;
+    let (crawler, store) = live_crawler(manifest, opts.workers.max(1), record, resume)?;
     // A certified complete job has every rank on disk: no shard is
     // opened, and the pool finds an empty lease queue. Otherwise the
     // decoding scan measures each shard's durable prefix.
     let certified = resume && !manifest.record_bundle && completion_certified(dir, manifest);
-    let (sinks, done) = if certified {
+    let (shards, done) = if certified {
         (None, HighWater::complete(manifest.size, manifest.shards))
     } else {
         let paths = manifest.shard_files(dir);
-        let (sinks, done) = open_shards(&paths, manifest.format, resume, opts)?;
-        (Some(sinks), done)
+        let (shards, done) = open_shards(&paths, manifest.format, resume, opts)?;
+        (Some(shards), done)
     };
-
-    // A resumed recording backfills captures for ranks already durable
-    // in the dataset but not yet in the bundle store (the shard writer
-    // and the recorder flush independently, so a kill can leave either
-    // side ahead). Visits are deterministic, so re-driving them
-    // reproduces the lost tapes exactly; quarantine records (no visit
-    // ever ran) are re-synthesized.
-    if let Some(recorder) = crawler.recorder().filter(|_| resume) {
-        backfill_bundle(recorder, &crawler, &population, manifest, dir, &done)?;
-    }
+    let out = Outputs { shards, store };
     let (source, job) = (RankSource::Live(&population), Some((dir, manifest)));
-    run_pool(&crawler, source, started, sinks, &done, opts, job)
+    run_pool(&crawler, source, started, out, &done, opts, job)
 }
 
 /// Where the pool's workers take each rank's record from.
 #[derive(Clone, Copy)]
 enum RankSource<'a> {
-    /// Visit the population live (recording, if the crawler records).
+    /// Visit the population live (recording, if the run has a store).
     Live(&'a WebPopulation),
     /// Replay a loaded bundle store.
     Replay(&'a ReplayBundle),
 }
 
+/// What the pool's writer commits, rank by rank.
+struct Outputs {
+    /// The shard files (`None` for a certified complete job).
+    shards: Option<ShardWriter>,
+    /// The bundle store of a recording crawl.
+    store: Option<BundleRecorder>,
+}
+
+/// A site's record, with its bundle when the crawl records.
+type Site = (SiteRecord, Option<SiteBundle>);
+
+/// Commits rank `rank`'s bundle to `store` if the store lacks it though
+/// the shards hold its record: a resumed recording can find such ranks,
+/// because the shards and the store flush independently and a kill can
+/// leave either side ahead. Visits are deterministic, so a re-visit
+/// reproduces the lost tapes exactly; a quarantine record (no visit ever
+/// ran) gets its synthesized bundle again.
+fn recapture(
+    store: &BundleRecorder,
+    crawler: &Crawler,
+    population: &WebPopulation,
+    done: &HighWater,
+    rank: u64,
+) -> std::io::Result<()> {
+    if rank <= store.committed() {
+        return Ok(());
+    }
+    if done.is_quarantined(rank) {
+        let origin = population.origin(rank).to_string();
+        return store.submit(SiteBundle::synthesized(rank, origin));
+    }
+    store.submit(crawler.visit_recorded(population, rank, None).1)
+}
+
 /// The one worker pool: `crawler`'s workers lease the ranks of `source`
-/// that `done` does not hold, and the calling thread writes their records
-/// in rank order into `sinks` (`None` for a certified complete job),
-/// handing each back to the worker that built it, and reports to `job`'s
-/// directory if there is one. A failed live lease is retried, then
-/// quarantined; a failed replay lease stops the run with
-/// [`JobError::Diverged`].
+/// that `done` does not hold, and the calling thread is the one commit
+/// point. It writes their sites in rank order into `out` — each bundle
+/// to the store, then its record to the shards — handing both back to
+/// the worker that built them, and reports to `job`'s directory if there
+/// is one. A failed live lease is retried, then quarantined; a failed
+/// replay lease stops the run with [`JobError::Diverged`]. Any failure
+/// leaves a `failed` health surface.
 fn run_pool(
     crawler: &Crawler,
     source: RankSource<'_>,
     started: Instant,
-    mut sinks: Option<ShardWriter>,
+    mut out: Outputs,
     done: &HighWater,
     opts: &JobOptions,
     job: Option<(&Path, &JobManifest)>,
@@ -917,10 +921,15 @@ fn run_pool(
     let workers = crawler.config.workers.max(1);
     let resumed_from = done.total();
     let planned = size - resumed_from;
+    let recording = out.store.is_some();
 
     // The lease queue: contiguous rank batches with at least one
-    // unvisited rank. Fully-durable batches never enter the queue.
-    let lease_records = opts.lease_records.max(1);
+    // unvisited rank. Fully-durable batches never enter the queue. No
+    // lease is longer than an even share of the ranks to visit, so a
+    // crawl smaller than `workers × lease_records` still reaches every
+    // worker.
+    let even_share = planned.div_ceil(workers as u64).max(1);
+    let lease_records = opts.lease_records.clamp(1, even_share);
     let mut queue = VecDeque::new();
     let mut lo = 1u64;
     while lo <= size {
@@ -945,23 +954,21 @@ fn run_pool(
     // The first replay rank that failed, and how.
     let diverged = &Mutex::new(None::<(u64, String)>);
 
-    // Each record travels tagged with the worker that built it.
+    // Each site travels tagged with its rank and the worker that built it.
     let (sender, receiver) =
-        std::sync::mpsc::sync_channel::<(u64, usize, SiteRecord)>(opts.channel_capacity.max(1));
+        std::sync::mpsc::sync_channel::<(u64, usize, Site)>(opts.channel_capacity.max(1));
 
     // Writer-side state, mutated only by the scope's own thread.
-    let mut pending: BTreeMap<u64, (usize, SiteRecord)> = BTreeMap::new();
+    let mut pending: BTreeMap<u64, (usize, Site)> = BTreeMap::new();
     let mut peak_pending = 0u64;
     // The writer's cursor is published for the workers' reorder window:
     // a lease starts only when every rank it holds lies below
     // `cursor + reorder_window`, which bounds the reorder map by the
     // window even while one worker stalls and the others run ahead. The
-    // lease holding the cursor always qualifies, so the cursor starts
-    // past the ranks a resume finds done.
+    // lease holding the cursor always qualifies once the writer has
+    // moved the cursor past the ranks a resume finds done, which it does
+    // before taking any site.
     let mut cursor = 1u64;
-    while cursor <= size && done.is_done(cursor) {
-        cursor += 1;
-    }
     let written_to = &AtomicU64::new(cursor);
     let reorder_window = workers as u64 * lease_records + opts.channel_capacity.max(1) as u64;
     let mut funnel = CrawlFunnel {
@@ -1006,7 +1013,7 @@ fn run_pool(
     };
 
     std::thread::scope(|scope| {
-        // After writing a record the writer hands it back to the worker
+        // After writing a site the writer hands it back to the worker
         // that built it, which frees it between visits: a block freed on
         // the thread that allocated it stays in that thread's allocator
         // cache instead of taking the cross-thread path. The return
@@ -1014,7 +1021,7 @@ fn run_pool(
         let mut give_back = Vec::with_capacity(workers);
         for worker in 0..workers {
             let sender = sender.clone();
-            let (returns, returned) = std::sync::mpsc::channel::<SiteRecord>();
+            let (returns, returned) = std::sync::mpsc::channel::<Site>();
             give_back.push(returns);
             scope.spawn(move || {
                 let free_returned = || returned.try_iter().for_each(drop);
@@ -1029,7 +1036,7 @@ fn run_pool(
                     q.push_front(lease);
                     queue_depth.store(q.len() as u64, Ordering::Relaxed);
                 };
-                let process = |lease: &mut Lease, sender: &SyncSender<(u64, usize, SiteRecord)>| {
+                let process = |lease: &mut Lease, sender: &SyncSender<(u64, usize, Site)>| {
                     while lease.next <= lease.hi {
                         if stop.load(Ordering::Relaxed) {
                             return LeaseRun::Stopped;
@@ -1041,7 +1048,7 @@ fn run_pool(
                         }
                         // The closure reports whether the writer is
                         // gone (`Ok(true)`) or what a replay diverged
-                        // on (`Err`), not the rejected record itself.
+                        // on (`Err`), not the rejected site itself.
                         let attempt =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 if lease_fault_fires(
@@ -1053,15 +1060,20 @@ fn run_pool(
                                     panic!("chaos: injected lease fault at rank {rank}");
                                 }
                                 let observer = Some((telemetry, worker));
-                                let record = match source {
+                                let site = match source {
+                                    RankSource::Live(population) if recording => {
+                                        let (record, bundle) =
+                                            crawler.visit_recorded(population, rank, observer);
+                                        (record, Some(bundle))
+                                    }
                                     RankSource::Live(population) => {
-                                        crawler.visit_observed(population, rank, observer)
+                                        (crawler.visit_observed(population, rank, observer), None)
                                     }
                                     RankSource::Replay(bundle) => {
-                                        crawler.replay_observed(bundle, rank, observer)?
+                                        (crawler.replay_observed(bundle, rank, observer)?, None)
                                     }
                                 };
-                                Ok::<bool, String>(sender.send((rank, worker, record)).is_err())
+                                Ok::<bool, String>(sender.send((rank, worker, site)).is_err())
                             }));
                         // A replay reproduces its recording or fails: it
                         // neither retries a lease nor quarantines a rank.
@@ -1121,7 +1133,8 @@ fn run_pool(
                             if lease.attempts > opts.max_lease_failures {
                                 // Poison lease: quarantine the unvisited
                                 // remainder as structured CrawlerError
-                                // records — a rank is never lost.
+                                // records (with synthesized bundles when
+                                // recording) — a rank is never lost.
                                 leases_quarantined.fetch_add(1, Ordering::Relaxed);
                                 let mut writer_gone = false;
                                 for rank in lease.next..=lease.hi {
@@ -1137,17 +1150,10 @@ fn run_pool(
                                         attempts: 0,
                                     };
                                     telemetry.record_visit(worker, SiteOutcome::CrawlerError, 0, 1);
-                                    if let Some(recorder) = crawler.recorder() {
-                                        if let Err(e) = recorder.submit(SiteBundle::synthesized(
-                                            rank,
-                                            record.origin.clone(),
-                                        )) {
-                                            panic!(
-                                                "bundle store write failed for rank {rank}: {e}"
-                                            );
-                                        }
-                                    }
-                                    if sender.send((rank, worker, record)).is_err() {
+                                    let bundle = recording.then(|| {
+                                        SiteBundle::synthesized(rank, record.origin.clone())
+                                    });
+                                    if sender.send((rank, worker, (record, bundle))).is_err() {
                                         writer_gone = true;
                                         break;
                                     }
@@ -1165,8 +1171,8 @@ fn run_pool(
                         }
                     }
                 }
-                // Out of leases: the writer may still hold records of
-                // this worker, so keep freeing them until it closes the
+                // Out of leases: the writer may still hold sites of this
+                // worker, so keep freeing them until it closes the
                 // return channel.
                 drop(sender);
                 returned.iter().for_each(drop);
@@ -1174,38 +1180,43 @@ fn run_pool(
         }
         drop(sender);
 
-        // The shard writer: reorder into global rank order, append,
-        // checkpoint the health surface.
-        'writer: for (rank, worker, record) in receiver.iter() {
-            pending.insert(rank, (worker, record));
-            peak_pending = peak_pending.max(pending.len() as u64);
+        // The writer: takes each arriving site, then commits every rank
+        // it can from the cursor on — a rank the shards already hold only
+        // to a store that lacks it, any other its bundle, then its record
+        // — and checkpoints the health surface.
+        let mut take = |arrival: Option<(u64, usize, Site)>| -> Result<(), JobError> {
+            if let Some((rank, worker, site)) = arrival {
+                pending.insert(rank, (worker, site));
+                peak_pending = peak_pending.max(pending.len() as u64);
+            }
             while cursor <= size {
                 if done.is_done(cursor) {
+                    if let (Some(store), RankSource::Live(population)) = (&out.store, source) {
+                        recapture(store, crawler, population, done, cursor)?;
+                    }
                     cursor += 1;
                     continue;
                 }
-                let Some((worker, next)) = pending.remove(&cursor) else {
+                let Some((worker, (record, bundle))) = pending.remove(&cursor) else {
                     break;
                 };
-                funnel.count_record(&next);
-                let sinks = sinks
+                funnel.count_record(&record);
+                if let (Some(store), Some(bundle)) = (&out.store, &bundle) {
+                    store.submit(bundle)?;
+                }
+                let shards = out
+                    .shards
                     .as_mut()
                     .expect("a certified job has no rank to write");
-                if let Err(e) = sinks.push(&next) {
-                    writer_error = Some(JobError::Io(e));
-                    stop.store(true, Ordering::Relaxed);
-                    break 'writer;
-                }
+                shards.push(&record)?;
                 // A worker keeps its end open until the writer closes
                 // it; only one that panicked has let go, and then the
-                // record is freed here.
-                let _ = give_back[worker].send(next);
+                // site is freed here.
+                let _ = give_back[worker].send((record, bundle));
                 written += 1;
                 cursor += 1;
                 if opts.abort_after_records == Some(written) {
-                    writer_error = Some(JobError::Aborted { written });
-                    stop.store(true, Ordering::Relaxed);
-                    break 'writer;
+                    return Err(JobError::Aborted { written });
                 }
                 if opts.stop_after_records == Some(written) {
                     stop.store(true, Ordering::Relaxed);
@@ -1217,88 +1228,87 @@ fn run_pool(
                         let _ = writeln!(std::io::stderr(), "{}", snapshot.progress_line(planned));
                     }
                     if let Some((dir, _)) = job {
-                        let status = make_status(
-                            "running",
-                            &snapshot,
-                            written,
-                            pending.len() as u64,
-                            peak_pending,
-                        );
-                        if let Err(e) = write_status(dir, &status) {
-                            writer_error = Some(JobError::Io(e));
-                            stop.store(true, Ordering::Relaxed);
-                            break 'writer;
-                        }
+                        let pending = pending.len() as u64;
+                        let status =
+                            make_status("running", &snapshot, written, pending, peak_pending);
+                        write_status(dir, &status)?;
                     }
                 }
             }
             written_to.store(cursor, Ordering::Relaxed);
+            Ok(())
+        };
+        let wrote = take(None).and_then(|()| receiver.iter().try_for_each(|site| take(Some(site))));
+        if let Err(error) = wrote {
+            writer_error = Some(error);
+            stop.store(true, Ordering::Relaxed);
         }
         // Disconnect the channel so any still-blocked sender unblocks
         // and its worker winds down, close the return channels so the
-        // workers stop waiting for records, then let the scope join them.
+        // workers stop waiting for sites, then let the scope join them.
         drop(receiver);
         drop(give_back);
     });
 
     let snapshot = telemetry.snapshot();
-    let diverged = diverged.lock().expect("divergence slot").take();
-    let failure =
-        writer_error.or(diverged.map(|(rank, detail)| JobError::Diverged { rank, detail }));
-    if let Some(error) = failure {
-        if let Some((dir, _)) = job.filter(|_| !matches!(error, JobError::Aborted { .. })) {
-            // Best-effort: a real failure still updates the health
-            // surface. A chaos abort is a simulated kill and must
-            // leave the directory exactly as a kill would.
-            let pending = pending.len() as u64;
-            let status = make_status("failed", &snapshot, written, pending, peak_pending);
-            let _ = write_status(dir, &status);
-        }
-        return Err(error);
-    }
-
     let stopped = stop.load(Ordering::Relaxed);
-    let durable = match sinks {
-        // Certified: nothing was opened, so there is nothing to close.
-        None => resumed_from,
-        Some(sinks) if stopped => sinks.finish_checkpoint()?,
-        Some(sinks) => {
-            let shards = sinks.finish_sealed()?;
-            if let Some((dir, manifest)) = job.filter(|(_, m)| !m.record_bundle) {
-                let record = CompletionRecord {
-                    manifest: manifest.clone(),
-                    shards: shards.iter().map(ShardSeal::of).collect(),
-                };
-                store_checksummed(&record, dir, COMPLETION_FILE)?;
-            }
-            resumed_from + written
-        }
-    };
-    if let Some(recorder) = crawler.recorder() {
-        // Complete runs must have captured every rank (a gap is a bug);
-        // graceful stops checkpoint whatever prefix is committed and
-        // leave the rest for the resume backfill.
-        if stopped {
-            recorder.checkpoint()
-        } else {
-            recorder.finish()
-        }?;
-    }
     let state = if stopped {
         JobState::Stopped
     } else {
         JobState::Complete
     };
-    if let Some((dir, _)) = job {
-        let label = match state {
-            JobState::Complete => "complete",
-            JobState::Stopped => "stopped",
+    // Closing the outputs: a stopped run checkpoints its shards, a
+    // complete one finishes them and, for a job that records no store,
+    // certifies them; the store is flushed, then the final status lands.
+    let close = |out: Outputs| -> Result<u64, JobError> {
+        let durable = match out.shards {
+            // Certified: nothing was opened, so there is nothing to close.
+            None => resumed_from,
+            Some(shards) if stopped => shards.finish_checkpoint()?,
+            Some(shards) => {
+                let seals = shards.finish_sealed()?;
+                if let Some((dir, manifest)) = job.filter(|(_, m)| !m.record_bundle) {
+                    let record = CompletionRecord {
+                        manifest: manifest.clone(),
+                        shards: seals.iter().map(ShardSeal::of).collect(),
+                    };
+                    store_checksummed(&record, dir, COMPLETION_FILE)?;
+                }
+                resumed_from + written
+            }
         };
-        write_status(
-            dir,
-            &make_status(label, &snapshot, written, 0, peak_pending),
-        )?;
-    }
+        if let Some(store) = &out.store {
+            store.finish()?;
+        }
+        if let Some((dir, _)) = job {
+            let label = match state {
+                JobState::Complete => "complete",
+                JobState::Stopped => "stopped",
+            };
+            write_status(
+                dir,
+                &make_status(label, &snapshot, written, 0, peak_pending),
+            )?;
+        }
+        Ok(durable)
+    };
+    let diverged = diverged.lock().expect("divergence slot").take();
+    let failure =
+        writer_error.or(diverged.map(|(rank, detail)| JobError::Diverged { rank, detail }));
+    let durable = match failure.map_or_else(|| close(out), Err) {
+        Ok(durable) => durable,
+        Err(error) => {
+            if let Some((dir, _)) = job.filter(|_| !matches!(error, JobError::Aborted { .. })) {
+                // Best-effort: a real failure still updates the health
+                // surface. A chaos abort is a simulated kill and must
+                // leave the directory exactly as a kill would.
+                let pending = pending.len() as u64;
+                let status = make_status("failed", &snapshot, written, pending, peak_pending);
+                let _ = write_status(dir, &status);
+            }
+            return Err(error);
+        }
+    };
     Ok(JobReport {
         state,
         funnel,
@@ -1372,6 +1382,7 @@ mod tests {
     fn high_water_marks_match_striping() {
         let hw = HighWater {
             marks: vec![2, 1, 0],
+            quarantined: Vec::new(),
         };
         // Shard 0 holds ranks 1, 4, 7…: first two durable.
         assert!(hw.is_done(1));

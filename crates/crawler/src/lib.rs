@@ -63,7 +63,7 @@ pub use colsh::{
 pub use db::{
     detect_db_format, expand_db_paths, read_jsonl, refuse_mixed_bundle_dir, resume_jsonl,
     shard_path, shard_paths, write_jsonl, AnyRecordStream, DbFormat, RecordStream, ResumeState,
-    ShardWriter, SkipReport, StreamMode, SKIP_REPORT_LINES,
+    ShardScan, ShardWriter, SkipReport, StreamMode, SKIP_REPORT_LINES,
 };
 pub use follow::{ShardFollower, ShardFrontier};
 pub use funnel::CrawlFunnel;

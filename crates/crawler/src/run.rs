@@ -20,17 +20,16 @@
 
 use std::collections::BTreeSet;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use browser::{Browser, BrowserConfig, PageVisit, VisitError, VisitOutcome};
 use netsim::{
-    CachingNetwork, FaultSpec, FaultyNetwork, Network, RecordingNetwork, ReplayNetwork, SimClock,
-    SimNetwork, TapeHandle,
+    CachingNetwork, FaultSpec, FaultyNetwork, Network, RecordingNetwork, ReplayAudit,
+    ReplayNetwork, SimClock, SimNetwork, TapeHandle,
 };
 use serde::{Deserialize, Serialize};
 use webgen::WebPopulation;
 
-use crate::bundle::{BundleRecorder, ReplayBundle, SiteBundle};
+use crate::bundle::{ReplayBundle, SiteBundle};
 use crate::funnel::CrawlFunnel;
 use crate::telemetry::CrawlTelemetry;
 
@@ -164,30 +163,12 @@ struct AttemptOutcome {
 /// The crawler.
 pub struct Crawler {
     pub(crate) config: CrawlConfig,
-    /// When set, every visit's network exchanges are captured into this
-    /// bundle store (see [`crate::bundle`]).
-    recorder: Option<Arc<BundleRecorder>>,
 }
 
 impl Crawler {
     /// Creates a crawler.
     pub fn new(config: CrawlConfig) -> Crawler {
-        Crawler {
-            config,
-            recorder: None,
-        }
-    }
-
-    /// Records every visit's network exchanges into `recorder`'s bundle
-    /// store while crawling normally.
-    pub fn with_recorder(mut self, recorder: Arc<BundleRecorder>) -> Crawler {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The attached bundle recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<BundleRecorder>> {
-        self.recorder.as_ref()
+        Crawler { config }
     }
 
     /// Visits one origin and classifies the result, retrying transient
@@ -207,14 +188,24 @@ impl Crawler {
     ) -> SiteRecord {
         let origin = population.origin(rank);
         let faults = &self.config.faults;
-        let faulty = |attempt: u32| {
+        let Ok(record) = self.visit_loop(rank, &origin, telemetry, |attempt| {
             let network = SimNetwork::new(population);
             Ok::<_, Infallible>(FaultyNetwork::new(network, faults, rank, attempt))
-        };
-        let Some(recorder) = &self.recorder else {
-            let Ok(record) = self.visit_loop(rank, &origin, telemetry, faulty);
-            return record;
-        };
+        });
+        record
+    }
+
+    /// [`visit_observed`](Crawler::visit_observed), also capturing every
+    /// attempt's network exchanges: returns the record and the site's
+    /// bundle for the store (see [`crate::bundle`]).
+    pub(crate) fn visit_recorded(
+        &self,
+        population: &WebPopulation,
+        rank: u64,
+        telemetry: Option<(&CrawlTelemetry, usize)>,
+    ) -> (SiteRecord, SiteBundle) {
+        let origin = population.origin(rank);
+        let faults = &self.config.faults;
         // Tape handles are created out here, outside the attempt's panic
         // isolation, so exchanges recorded before an injected crash
         // survive the unwind.
@@ -222,7 +213,8 @@ impl Crawler {
         let Ok(record) = self.visit_loop(rank, &origin, telemetry, |attempt| {
             let handle = TapeHandle::new();
             handles.push(handle.clone());
-            faulty(attempt).map(|network| RecordingNetwork::new(network, handle))
+            let network = FaultyNetwork::new(SimNetwork::new(population), faults, rank, attempt);
+            Ok::<_, Infallible>(RecordingNetwork::new(network, handle))
         });
         let bundle = SiteBundle {
             rank,
@@ -230,10 +222,7 @@ impl Crawler {
             synthesized: false,
             attempts: handles.iter().map(TapeHandle::take).collect(),
         };
-        if let Err(e) = recorder.submit(bundle) {
-            panic!("bundle store write failed for rank {rank}: {e}");
-        }
-        record
+        (record, bundle)
     }
 
     /// Replays one recorded origin: the same retry loop and
@@ -247,8 +236,9 @@ impl Crawler {
     }
 
     /// [`replay_one`](Crawler::replay_one) with telemetry reporting. A
-    /// replay that needs an attempt the store lacks, or leaves one
-    /// unused, is not the recorded visit: it returns what diverged.
+    /// replay that strays from its tape inside an attempt, needs an
+    /// attempt the store lacks, or leaves recorded exchanges or attempts
+    /// unused is not the recorded visit: it returns what diverged.
     pub(crate) fn replay_observed(
         &self,
         bundle: &ReplayBundle,
@@ -256,7 +246,7 @@ impl Crawler {
         telemetry: Option<(&CrawlTelemetry, usize)>,
     ) -> Result<SiteRecord, String> {
         let Some(manifest) = bundle.manifest(rank) else {
-            panic!("replay divergence: the bundle store has no manifest for rank {rank}");
+            return Err("the bundle store has no manifest for this rank".to_string());
         };
         if manifest.synthesized {
             // The recording job quarantined this rank without visiting:
@@ -275,12 +265,19 @@ impl Crawler {
             return Ok(record);
         }
         let origin = weburl::Url::parse(&manifest.origin)
-            .unwrap_or_else(|e| panic!("recorded origin {:?} unparseable: {e:?}", manifest.origin));
+            .map_err(|e| format!("recorded origin {:?} unparseable: {e:?}", manifest.origin))?;
+        // Each attempt reports to its own audit, kept out here like a
+        // recording's tape handles; the loop asks for the next attempt
+        // only once the previous one has ended, so it is judged then.
+        let mut audit = ReplayAudit::new();
         let record = self.visit_loop(rank, &origin, telemetry, |attempt| {
+            audit.verdict()?;
             let tape = bundle.tape(rank, attempt as usize);
-            tape.map(ReplayNetwork::new)
-                .ok_or_else(|| format!("no recorded attempt {attempt}"))
+            let tape = tape.ok_or_else(|| format!("no recorded attempt {attempt}"))?;
+            audit = ReplayAudit::new();
+            Ok::<_, String>(ReplayNetwork::new(tape).audited(&audit))
         })?;
+        audit.verdict()?;
         let recorded = manifest.attempts.len();
         match record.attempts as usize {
             replayed if replayed == recorded => Ok(record),
@@ -792,10 +789,12 @@ mod streaming_tests {
             std::env::temp_dir().join(format!("permodyssey-replay-skip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let meta = crate::bundle::BundleMeta::for_crawl(&config, 7, 40, false);
-        let recorder = Arc::new(BundleRecorder::create(&dir, &meta).unwrap());
-        Crawler::new(config)
-            .with_recorder(Arc::clone(&recorder))
-            .crawl(&pop);
+        let recorder = crate::bundle::BundleRecorder::create(&dir, &meta).unwrap();
+        let crawler = Crawler::new(config);
+        for rank in 1..=40 {
+            let (_, bundle) = crawler.visit_recorded(&pop, rank, None);
+            recorder.submit(bundle).unwrap();
+        }
         recorder.finish().unwrap();
         let bundle = ReplayBundle::load(&dir).unwrap();
         let completed: BTreeSet<u64> = (1..=25).collect();

@@ -198,9 +198,9 @@ fn resumed_crawl_is_byte_identical() {
     let state = resume_jsonl(&path, |_| Ok(())).unwrap();
     assert_eq!(state.valid_len, intact.len() as u64);
     assert_eq!(state.records, 33);
-    let (mut writer, durable) =
+    let (mut writer, scan) =
         ShardWriter::open(std::slice::from_ref(&path), DbFormat::Jsonl, true).unwrap();
-    assert_eq!(durable, vec![33]);
+    assert_eq!(scan.records, vec![33]);
     for rank in 34..=SIZE {
         writer.push(&crawler.visit_one(&pop, rank)).unwrap();
     }

@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use crawler::{
     crawl_shards, job_resume, job_start, read_colsh, read_jsonl, read_status, AnyRecordStream,
-    BundleMeta, BundleStat, ColshWriter, ColumnSet, CrawlSource, CrawlTelemetry, Crawler, DbFormat,
-    JobError, JobManifest, JobOptions, JobReport, JobState, ReplayBundle, ShardFollower,
-    ShardFrontier, SiteOutcome, SiteRecord, StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
-    BUNDLE_META_FILE,
+    BundleMeta, BundleRecorder, BundleStat, ColshWriter, ColumnSet, CrawlSource, CrawlTelemetry,
+    Crawler, DbFormat, JobError, JobManifest, JobOptions, JobReport, JobState, ReplayBundle,
+    ShardFollower, ShardFrontier, SiteBundle, SiteOutcome, SiteRecord, StreamMode,
+    BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE, BUNDLE_META_FILE,
 };
 
 const SEED: u64 = 7;
@@ -364,27 +364,68 @@ fn uninterrupted_job_matches_hand_striped_crawl() {
     std::fs::remove_dir_all(&recording).ok();
 }
 
+/// Copies the store at `from` to `to` with one byte of rank 1's first
+/// recorded URL changed: a store that passes every store rule, but whose
+/// tape no longer matches the visit it claims to record.
+fn misrecord_first_url(from: &Path, to: &Path) {
+    let bundle = ReplayBundle::load(from).unwrap();
+    let recorder = BundleRecorder::create(to, bundle.meta()).unwrap();
+    for rank in 1..=bundle.sites() {
+        let manifest = bundle.manifest(rank).unwrap();
+        let tapes = 0..manifest.attempts.len();
+        let mut attempts: Vec<_> = tapes.map(|a| bundle.tape(rank, a).unwrap()).collect();
+        if rank == 1 {
+            let url = &mut attempts[0].exchanges[0].url;
+            let mut bytes = std::mem::take(url).into_bytes();
+            *bytes.last_mut().unwrap() ^= 0x01;
+            *url = String::from_utf8(bytes).unwrap();
+        }
+        let origin = manifest.origin.clone();
+        let synthesized = manifest.synthesized;
+        recorder
+            .submit(SiteBundle {
+                rank,
+                origin,
+                synthesized,
+                attempts,
+            })
+            .unwrap();
+    }
+    recorder.finish().unwrap();
+}
+
 /// A replay reproduces its recording or fails. A store whose metadata
 /// grants more retries than the recording had needs an attempt the store
-/// lacks, and one that grants fewer leaves a recorded attempt unused:
-/// either way the pool stops with an error naming the rank, instead of
-/// retrying the lease and quarantining the rank as a `CrawlerError`.
+/// lacks, one that grants fewer leaves a recorded attempt unused, and a
+/// tape recorded for another URL strays inside the first attempt: each
+/// time the pool stops with an error naming the rank, instead of
+/// retrying the lease, quarantining the rank or recording a crash.
 #[test]
 fn replay_divergence_fails_naming_the_rank() {
     let manifest = JobManifest::new(SEED, SIZE, SHARDS, DbFormat::Jsonl);
     let dir = temp_dir("diverge");
     recorded_store(&manifest, &dir);
     let store = JobManifest::bundle_dir(&dir);
+    let misrecorded = dir.join("misrecorded");
+    misrecord_first_url(&store, &misrecorded);
     let recorded = BundleMeta::load(&store).unwrap();
-    for max_retries in [recorded.max_retries + 3, recorded.max_retries - 1] {
-        BundleMeta {
-            max_retries,
-            ..recorded.clone()
+    // (case, store, max_retries written into its metadata)
+    let cases = [
+        ("more-retries", &store, Some(recorded.max_retries + 3)),
+        ("fewer-retries", &store, Some(recorded.max_retries - 1)),
+        ("misrecorded-url", &misrecorded, None),
+    ];
+    for (name, store, max_retries) in cases {
+        if let Some(max_retries) = max_retries {
+            BundleMeta {
+                max_retries,
+                ..recorded.clone()
+            }
+            .store(store)
+            .unwrap();
         }
-        .store(&store)
-        .unwrap();
-        let bundle = ReplayBundle::load(&store).unwrap();
-        let out = temp_dir(&format!("diverge-{max_retries}"));
+        let bundle = ReplayBundle::load(store).unwrap();
+        let out = temp_dir(&format!("diverge-{name}"));
         let paths = manifest.shard_files(&out);
         let err = crawl_shards(
             CrawlSource::Replay(&bundle),
@@ -394,14 +435,17 @@ fn replay_divergence_fails_naming_the_rank() {
         )
         .unwrap_err();
         let JobError::Diverged { rank, .. } = err else {
-            panic!("max_retries {max_retries}: {err}");
+            panic!("{name}: {err}");
         };
         assert!(err.to_string().contains(&format!("rank {rank}")), "{err}");
+        if max_retries.is_none() {
+            assert_eq!(rank, 1, "{name}: {err}");
+        }
         // The writer stops at the divergent rank: it wrote a prefix of
         // the ranks below it, and no record of its own.
         for path in &paths {
             for record in read_jsonl(path).unwrap().records {
-                assert!(record.rank < rank, "max_retries {max_retries}: {record:?}");
+                assert!(record.rank < rank, "{name}: {record:?}");
                 assert!(record.attempts > 0, "quarantined: {record:?}");
             }
         }
@@ -773,6 +817,22 @@ fn reorder_buffer_stays_within_its_window() {
         "reorder map peaked at {} records, window {window}",
         report.peak_writer_pending
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crawl smaller than `workers × lease_records` still spreads over the
+/// workers: no lease is longer than an even share of the ranks to visit.
+#[test]
+fn a_small_crawl_reaches_more_than_one_worker() {
+    let manifest = JobManifest::new(11, 250, 1, DbFormat::Jsonl);
+    let dir = temp_dir("small-crawl");
+    let paths = manifest.shard_files(&dir);
+    let opts = JobOptions::default();
+    assert_eq!(opts.workers, 8);
+    let source = CrawlSource::Live(&manifest, None);
+    let report = crawl_shards(source, &paths, manifest.format, &opts).unwrap();
+    let visits = &report.snapshot.worker_visits;
+    assert!(visits.iter().filter(|&&v| v > 0).count() > 1, "{visits:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,7 +12,6 @@
 //! shows up as a divergence naming the scenario that found it.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use browser::Browser;
 use crawler::{BundleMeta, BundleRecorder, CrawlConfig, ReplayBundle, SiteBundle};
@@ -66,7 +65,7 @@ pub fn replay_scenarios(
     // The store's provenance header: scenario sessions are not crawls,
     // so the config is the default and the seed doubles as the variant.
     let meta = BundleMeta::for_crawl(&CrawlConfig::default(), variant_seed, count, false);
-    let recorder = Arc::new(BundleRecorder::create(dir, &meta)?);
+    let recorder = BundleRecorder::create(dir, &meta)?;
     let mut live = Vec::with_capacity(count as usize);
     for index in 0..count {
         let scenario = normalize(&Scenario::generate(index, variant_seed));

@@ -34,8 +34,8 @@ pub use fault::{FaultSpec, FaultyNetwork};
 pub use network::{ContentProvider, Network, ProviderResult, SimNetwork};
 pub use response::{HeaderText, Response, SiteBehavior};
 pub use tape::{
-    Exchange, ExchangeOutcome, PostFetchProbe, RecordingNetwork, ReplayNetwork, TapeHandle,
-    VisitTape,
+    Exchange, ExchangeOutcome, PostFetchProbe, RecordingNetwork, ReplayAudit, ReplayNetwork,
+    TapeHandle, VisitTape,
 };
 
 #[cfg(test)]

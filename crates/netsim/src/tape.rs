@@ -170,12 +170,48 @@ impl<N: Network> Network for RecordingNetwork<N> {
 /// recorded tape: same responses, same clock advances, same errors and
 /// injected panics — with no content provider at all.
 ///
-/// Replay consumes the tape in call order and panics loudly on any
-/// divergence (a fetch the recording never made, or in a different
-/// order), because a drifting replay would silently fabricate data.
+/// Replay consumes the tape in call order. Any divergence (a fetch the
+/// recording never made, or in a different order) panics loudly,
+/// because a drifting replay would silently fabricate data — unless the
+/// network is [`audited`](ReplayNetwork::audited), which reports it
+/// instead.
 pub struct ReplayNetwork {
     exchanges: VecDeque<Exchange>,
     probes: RefCell<VecDeque<PostFetchProbe>>,
+    audit: Option<ReplayAudit>,
+}
+
+/// The caller's side of an [audited](ReplayNetwork::audited) replay.
+/// Kept outside the attempt like a [`TapeHandle`], it learns the first
+/// divergence and how much of the tape went unconsumed, even when the
+/// attempt unwinds.
+#[derive(Clone, Default)]
+pub struct ReplayAudit(Rc<RefCell<Audit>>);
+
+#[derive(Default)]
+struct Audit {
+    /// The first divergence, if any.
+    divergence: Option<String>,
+    /// Exchanges and probes left on the tape when the network dropped.
+    unconsumed: usize,
+}
+
+impl ReplayAudit {
+    /// An audit no replay has reported to yet.
+    pub fn new() -> ReplayAudit {
+        ReplayAudit::default()
+    }
+
+    /// `Ok` when the audited replay followed its tape to the end, else
+    /// what diverged. Read it once the network is dropped.
+    pub fn verdict(&self) -> Result<(), String> {
+        let audit = self.0.borrow();
+        match (&audit.divergence, audit.unconsumed) {
+            (Some(divergence), _) => Err(divergence.clone()),
+            (None, 0) => Ok(()),
+            (None, left) => Err(format!("{left} tape entries left unconsumed")),
+        }
+    }
 }
 
 impl ReplayNetwork {
@@ -184,12 +220,40 @@ impl ReplayNetwork {
         ReplayNetwork {
             exchanges: tape.exchanges.into(),
             probes: RefCell::new(tape.probes.into()),
+            audit: None,
         }
+    }
+
+    /// Reports divergence to `audit` instead of panicking: the first one
+    /// is kept there, and every diverging fetch or probe fails with
+    /// [`FetchError::CrawlerCrash`], so the attempt ends without a panic
+    /// for the caller to tell apart from a recorded crash. Dropping the
+    /// network reports what it left unconsumed.
+    pub fn audited(mut self, audit: &ReplayAudit) -> ReplayNetwork {
+        self.audit = Some(audit.clone());
+        self
     }
 
     /// Exchanges not yet consumed (0 after a faithful replay).
     pub fn remaining(&self) -> usize {
         self.exchanges.len() + self.probes.borrow().len()
+    }
+
+    /// A divergence from the tape: reported to the audit, or a panic.
+    fn diverge(&self, what: String) -> FetchError {
+        let Some(audit) = &self.audit else {
+            panic!("replay divergence: {what}");
+        };
+        audit.0.borrow_mut().divergence.get_or_insert(what);
+        FetchError::CrawlerCrash
+    }
+}
+
+impl Drop for ReplayNetwork {
+    fn drop(&mut self) {
+        if let Some(audit) = &self.audit {
+            audit.0.borrow_mut().unconsumed = self.remaining();
+        }
     }
 }
 
@@ -197,13 +261,16 @@ impl Network for ReplayNetwork {
     fn fetch(&mut self, url: &Url, clock: &mut SimClock) -> Result<Response, FetchError> {
         let requested = url.as_str();
         let Some(exchange) = self.exchanges.pop_front() else {
-            panic!("replay divergence: fetch of {requested} past the end of the tape");
+            let what = format!("fetch of {requested} past the end of the tape");
+            return Err(self.diverge(what));
         };
-        assert_eq!(
-            exchange.url, requested,
-            "replay divergence: tape recorded a fetch of {} here",
-            exchange.url
-        );
+        if exchange.url != requested {
+            let what = format!(
+                "fetch of {requested} where the tape recorded a fetch of {}",
+                exchange.url
+            );
+            return Err(self.diverge(what));
+        }
         clock.advance(exchange.advance_ms);
         match exchange.outcome {
             ExchangeOutcome::Content {
@@ -212,18 +279,22 @@ impl Network for ReplayNetwork {
                 body,
                 final_url,
                 redirects,
-            } => Ok(Response {
-                status,
-                headers: headers
-                    .into_iter()
-                    .map(|(name, value)| (name.into(), value.into()))
-                    .collect(),
-                body,
-                final_url: Url::parse(&final_url).unwrap_or_else(|e| {
-                    panic!("replay divergence: recorded final URL {final_url:?} unparseable: {e:?}")
+            } => match Url::parse(&final_url) {
+                Ok(final_url) => Ok(Response {
+                    status,
+                    headers: headers
+                        .into_iter()
+                        .map(|(name, value)| (name.into(), value.into()))
+                        .collect(),
+                    body,
+                    final_url,
+                    redirects,
                 }),
-                redirects,
-            }),
+                Err(e) => {
+                    let what = format!("recorded final URL {final_url:?} unparseable: {e:?}");
+                    Err(self.diverge(what))
+                }
+            },
             ExchangeOutcome::Error(err) => Err(err),
             // Reproduce the recorded crash (same `String` payload shape
             // as `panic!` with format arguments).
@@ -233,15 +304,17 @@ impl Network for ReplayNetwork {
 
     fn post_fetch_failure(&self, url: &Url) -> Option<FetchError> {
         let requested = url.as_str();
-        let Some(probe) = self.probes.borrow_mut().pop_front() else {
-            panic!("replay divergence: post-fetch probe of {requested} past the end of the tape");
-        };
-        assert_eq!(
-            probe.url, requested,
-            "replay divergence: tape recorded a probe of {} here",
-            probe.url
-        );
-        probe.failure
+        let probe = self.probes.borrow_mut().pop_front();
+        match probe {
+            Some(probe) if probe.url == requested => probe.failure,
+            Some(probe) => Some(self.diverge(format!(
+                "probe of {requested} where the tape recorded a probe of {}",
+                probe.url
+            ))),
+            None => Some(self.diverge(format!(
+                "post-fetch probe of {requested} past the end of the tape"
+            ))),
+        }
     }
 }
 
@@ -381,5 +454,41 @@ mod tests {
         }));
         std::panic::set_hook(prev);
         assert!(result.is_err(), "URL mismatch must panic");
+    }
+
+    #[test]
+    fn audited_replay_reports_divergence_instead_of_panicking() {
+        let tape = TapeHandle::new();
+        let mut clock = SimClock::new();
+        let mut recorder = RecordingNetwork::new(SimNetwork::new(TwoSites), tape.clone());
+        let (ok, gone) = (url("https://ok.example/"), url("https://gone.example/"));
+        recorder.fetch(&ok, &mut clock).unwrap();
+        recorder.fetch(&gone, &mut clock).unwrap_err();
+        let recorded = tape.take();
+        let replay = |audit: &ReplayAudit| ReplayNetwork::new(recorded.clone()).audited(audit);
+
+        // A faithful replay passes the audit.
+        let audit = ReplayAudit::new();
+        let mut network = replay(&audit);
+        network.fetch(&ok, &mut clock).unwrap();
+        network.fetch(&gone, &mut clock).unwrap_err();
+        drop(network);
+        assert_eq!(audit.verdict(), Ok(()));
+
+        // A fetch the tape did not record fails, and the audit names it.
+        let audit = ReplayAudit::new();
+        let mut network = replay(&audit);
+        let other = url("https://other.example/");
+        let err = network.fetch(&other, &mut clock).unwrap_err();
+        assert_eq!(err, FetchError::CrawlerCrash);
+        drop(network);
+        let verdict = audit.verdict().unwrap_err();
+        assert!(verdict.contains("https://other.example/"), "{verdict}");
+
+        // A replay that ends early leaves the rest of its tape unused.
+        let audit = ReplayAudit::new();
+        drop(replay(&audit));
+        let verdict = audit.verdict().unwrap_err();
+        assert_eq!(verdict, "2 tape entries left unconsumed");
     }
 }

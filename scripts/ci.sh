@@ -215,6 +215,15 @@ echo "==> job engine: CLI crash gate for a recording job (kill, shred, resume, r
 # pass a strict `bundle stat`, and replay to the same shards.
 "$BIN" crawl-job start --dir "$JOB/rec-ref" --record --size 20000 --seed 7 --shards 3 \
     --fault-transients 40 2>/dev/null
+# The store does not depend on the worker count either: one worker
+# records the same store files and shards as the default eight.
+"$BIN" crawl-job start --dir "$JOB/rec-one" --record --size 20000 --seed 7 --shards 3 \
+    --fault-transients 40 --workers 1 2>/dev/null
+for f in bundle/bundle.json bundle/blobs.bin bundle/manifests.bin \
+    crawl-000.jsonl crawl-001.jsonl crawl-002.jsonl; do
+    cmp "$JOB/rec-ref/$f" "$JOB/rec-one/$f"
+done
+rm -rf "$JOB/rec-one"
 if "$BIN" crawl-job start --dir "$JOB/rec-chaos" --record --size 20000 --seed 7 --shards 3 \
     --fault-transients 40 --chaos-abort 7300 2>/dev/null; then
     echo "chaos-abort recording run unexpectedly succeeded" >&2
@@ -236,6 +245,7 @@ for i in 0 1 2; do
     cmp "$JOB/rec-ref/crawl-00$i.jsonl" "$JOB/rec-replay/crawl-00$i.jsonl"
 done
 rm -rf "$JOB/rec-ref" "$JOB/rec-chaos" "$JOB/rec-replay"
+echo "    a 1-worker recording job writes the 8-worker reference's store and shards"
 echo "    a killed, shredded recording job resumes to the reference shards and store"
 echo "    the resumed store passes a strict bundle stat and replays to the same shards"
 

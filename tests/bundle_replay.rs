@@ -12,14 +12,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crawler::{
-    BundleMeta, BundleRecorder, BundleStat, CrawlConfig, CrawlSource, Crawler, DbFormat,
-    JobOptions, ReplayBundle, SiteRecord, StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
+    BundleMeta, BundleStat, CrawlSource, DbFormat, JobManifest, JobOptions, ReplayBundle,
+    SiteRecord, StreamMode, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE,
 };
 use proptest::prelude::*;
-use webgen::{PopulationConfig, WebPopulation};
 
 /// A unique scratch directory per call — proptest cases run on several
 /// threads inside one process.
@@ -49,24 +47,28 @@ fn jsonl(records: &[SiteRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Records a crawl of `size` origins into a fresh store, returning the
-/// store directory and the live records in rank order.
-fn record_crawl(
-    tag: &str,
-    config: &CrawlConfig,
-    seed: u64,
-    size: u64,
-    adversarial: bool,
-) -> (PathBuf, Vec<SiteRecord>) {
+/// A fault-free crawl of `size` origins of the `seed` population.
+fn crawl_of(seed: u64, size: u64) -> JobManifest {
+    JobManifest::new(seed, size, 1, DbFormat::Jsonl)
+}
+
+/// Records `manifest`'s crawl into a fresh store the way `crawl
+/// --record` does, on the worker pool, returning the store directory and
+/// the live records in rank order.
+fn record_crawl(tag: &str, manifest: &JobManifest) -> (PathBuf, Vec<SiteRecord>) {
     let dir = scratch(tag);
-    let meta = BundleMeta::for_crawl(config, seed, size, adversarial);
-    let recorder = Arc::new(BundleRecorder::create(&dir, &meta).expect("create store"));
-    let crawler = Crawler::new(config.clone()).with_recorder(Arc::clone(&recorder));
-    let population =
-        WebPopulation::new(PopulationConfig { seed, size }).with_adversarial(adversarial);
-    let live = crawler.crawl(&population).records;
-    let recorded = recorder.finish().expect("finish store");
-    assert_eq!(recorded, size, "every rank must be captured");
+    let out = scratch("live");
+    std::fs::create_dir_all(&out).expect("create live dir");
+    let paths = [out.join("live.jsonl")];
+    let opts = JobOptions {
+        workers: 2,
+        ..JobOptions::default()
+    };
+    let source = CrawlSource::Live(manifest, Some(&dir));
+    let report = crawler::crawl_shards(source, &paths, DbFormat::Jsonl, &opts).expect("record");
+    assert_eq!(report.written, manifest.size, "every rank must be captured");
+    let live = crawler::read_jsonl(&paths[0]).expect("read live").records;
+    std::fs::remove_dir_all(&out).ok();
     (dir, live)
 }
 
@@ -109,17 +111,12 @@ proptest! {
         interp_tag in prop::bool::ANY,
     ) {
         quiet_panics();
-        let config = CrawlConfig {
-            max_retries,
-            faults: crawler::FaultSpec {
-                seed,
-                panic_per_mille,
-                transient_per_mille,
-                transient_failures: 2,
-            },
-            ..CrawlConfig::default()
-        };
-        let (dir, live) = record_crawl("rt", &config, seed, size, adversarial);
+        let mut manifest = crawl_of(seed, size);
+        manifest.adversarial = adversarial;
+        manifest.max_retries = max_retries;
+        manifest.fault_panics_per_mille = panic_per_mille;
+        manifest.fault_transients_per_mille = transient_per_mille;
+        let (dir, live) = record_crawl("rt", &manifest);
         if interp_tag {
             let meta = BundleMeta::load(&dir).expect("load metadata");
             prop_assert_eq!(meta.js_engine, browser::ExecEngine::Vm);
@@ -142,7 +139,7 @@ proptest! {
         flip in 1u32..256,
     ) {
         quiet_panics();
-        let (dir, _) = record_crawl("flip", &CrawlConfig::default(), seed, 3, false);
+        let (dir, _) = record_crawl("flip", &crawl_of(seed, 3));
         let path = dir.join(BUNDLE_BLOBS_FILE);
         let mut bytes = std::fs::read(&path).expect("read blobs");
         let at = ((bytes.len() - 1) as f64 * offset_frac) as usize;
@@ -167,16 +164,10 @@ proptest! {
 #[test]
 fn truncation_at_every_byte_is_loud_or_counted() {
     quiet_panics();
-    let config = CrawlConfig {
-        faults: crawler::FaultSpec {
-            seed: 11,
-            panic_per_mille: 150,
-            transient_per_mille: 200,
-            transient_failures: 2,
-        },
-        ..CrawlConfig::default()
-    };
-    let (dir, live) = record_crawl("trunc", &config, 11, 4, false);
+    let mut manifest = crawl_of(11, 4);
+    manifest.fault_panics_per_mille = 150;
+    manifest.fault_transients_per_mille = 200;
+    let (dir, live) = record_crawl("trunc", &manifest);
     let live_jsonl = jsonl(&live);
     for file in [BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE] {
         let path = dir.join(file);
@@ -219,7 +210,7 @@ fn truncation_at_every_byte_is_loud_or_counted() {
 /// shared scripts and header templates dedup across the population.
 #[test]
 fn store_is_smaller_than_jsonl_dataset() {
-    let (dir, live) = record_crawl("size", &CrawlConfig::default(), 7, 40, false);
+    let (dir, live) = record_crawl("size", &crawl_of(7, 40));
     let jsonl_bytes: u64 = jsonl(&live).iter().map(|l| l.len() as u64 + 1).sum();
     let stat = BundleStat::scan(&dir, StreamMode::Strict).expect("scan store");
     assert!(

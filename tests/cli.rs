@@ -302,9 +302,41 @@ fn crawl_writes_the_same_shards_as_crawl_job_start() {
     }
 }
 
+/// Copies the store at `from` to `to` with one byte of rank 1's first
+/// recorded URL changed: a store that passes every store rule, but whose
+/// tape no longer matches the visit it claims to record.
+fn misrecord_first_url(from: &Path, to: &Path) {
+    let bundle = crawler::ReplayBundle::load(from).unwrap();
+    let recorder = crawler::BundleRecorder::create(to, bundle.meta()).unwrap();
+    for rank in 1..=bundle.sites() {
+        let manifest = bundle.manifest(rank).unwrap();
+        let tapes = 0..manifest.attempts.len();
+        let mut attempts: Vec<_> = tapes.map(|a| bundle.tape(rank, a).unwrap()).collect();
+        if rank == 1 {
+            let url = &mut attempts[0].exchanges[0].url;
+            let mut bytes = std::mem::take(url).into_bytes();
+            *bytes.last_mut().unwrap() ^= 0x01;
+            *url = String::from_utf8(bytes).unwrap();
+        }
+        let origin = manifest.origin.clone();
+        let synthesized = manifest.synthesized;
+        recorder
+            .submit(crawler::SiteBundle {
+                rank,
+                origin,
+                synthesized,
+                attempts,
+            })
+            .unwrap();
+    }
+    recorder.finish().unwrap();
+}
+
 /// A store whose metadata grants more retries than its recording had asks
-/// for an attempt the store lacks: `crawl --replay` fails with one error
-/// naming the rank, where it used to panic.
+/// for an attempt the store lacks, and a store whose rank-1 tape was
+/// recorded for another URL strays inside the first attempt: either way
+/// `crawl --replay` fails with one error naming the rank, where it used
+/// to panic or to record a crawler crash.
 #[test]
 fn replay_divergence_is_an_error_not_a_panic() {
     let dir = scratch("diverge");
@@ -319,6 +351,11 @@ fn replay_divergence_is_an_error_not_a_panic() {
         "--out",
         path(&recorded),
     ]));
+    // A store whose tape for rank 1 was recorded for another URL: the
+    // replay strays inside its first attempt.
+    let misrecorded = dir.join("misrecorded");
+    misrecord_first_url(&store, &misrecorded);
+    // A store whose metadata grants more retries than the recording had.
     let meta = crawler::BundleMeta::load(&store).unwrap();
     let max_retries = meta.max_retries + 3;
     crawler::BundleMeta {
@@ -327,14 +364,52 @@ fn replay_divergence_is_an_error_not_a_panic() {
     }
     .store(&store)
     .unwrap();
-    let replayed = dir.join("replayed.jsonl");
-    let output = run(&["crawl", "--replay", path(&store), "--out", path(&replayed)]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
-    assert!(errors[0].contains("replay diverged at rank "), "{stderr}");
+    for (store, rank) in [(&store, "rank "), (&misrecorded, "rank 1:")] {
+        let replayed = dir.join("replayed.jsonl");
+        let output = run(&["crawl", "--replay", path(store), "--out", path(&replayed)]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        let diverged = format!("replay diverged at {rank}");
+        assert!(errors[0].contains(&diverged), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A recording job whose store cannot grow stops at the first failed
+/// write with one error naming the store file, and its health surface
+/// says `failed`, at one worker and at eight. The file-size limit and
+/// the ignored SIGXFSZ apply to the CLI's own process only.
+#[test]
+fn a_store_write_error_fails_a_recording_job_cleanly() {
+    let dir = scratch("store-full");
+    for workers in ["1", "8"] {
+        let job = dir.join(format!("job-{workers}"));
+        #[rustfmt::skip]
+        let args = [
+            "crawl-job", "start", "--dir", path(&job), "--record", "--size", "3000",
+            "--seed", "7", "--format", "columnar", "--shards", "4", "--workers", workers,
+        ];
+        let output = Command::new("sh")
+            .args(["-c", "trap '' XFSZ; ulimit -f 600; exec \"$0\" \"$@\"", BIN])
+            .args(args)
+            .output()
+            .expect("spawn the CLI under a file-size limit");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{workers} workers: {stderr}");
+        assert!(!stderr.contains("panicked"), "{workers} workers: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{workers} workers: {stderr}");
+        let store = job.join("bundle");
+        assert!(
+            errors[0].contains(path(&store)),
+            "{workers} workers: {stderr}"
+        );
+        let status = crawler::read_status(&job).unwrap();
+        assert_eq!(status.state, "failed", "{workers} workers: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
