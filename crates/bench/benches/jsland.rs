@@ -4,7 +4,8 @@
 //! Both engines charge identical step counts (the lockstep differential
 //! pins that down), so steps/sec is a fair cross-engine unit: it is the
 //! same work, timed. The record pass writes `BENCH_jsland.json` with the
-//! headline speedup and the VM's inline-cache hit rate.
+//! headline speedup, the slowest and fastest of its timed rounds, the
+//! VM's inline-cache hit rate and the host's CPU count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -104,21 +105,41 @@ fn steps_per_sec(once: fn(&str) -> u64, src: &str, iters: u32) -> f64 {
     steps as f64 * iters as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Headline record: interp vs VM steps/sec per workload plus the VM's
-/// inline-cache hit rate, written to `BENCH_jsland.json`.
+/// Timed rounds per workload; each round times both engines back to
+/// back, so host drift moves a round's pair together.
+const ROUNDS: usize = 3;
+
+/// The slowest and fastest of `values`.
+fn spread(values: &[f64]) -> (f64, f64) {
+    values.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &v| {
+        (lo.min(v), hi.max(v))
+    })
+}
+
+/// Headline record: interp vs VM steps/sec per workload (the best
+/// round, with the slowest and fastest beside it) plus the VM's
+/// inline-cache hit rate, written to `BENCH_jsland.json` with the
+/// host's CPU count.
 fn record_engines(_c: &mut Criterion) {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entries = Vec::new();
     for (name, src, iters) in [
         ("hot_loop", hot_loop(), 400u32),
         ("page_mix", page_mix(), 2000),
     ] {
         let steps = interp_once(&src);
-        let interp = (0..3)
-            .map(|_| steps_per_sec(interp_once, &src, iters))
-            .fold(0.0f64, f64::max);
-        let vm = (0..3)
-            .map(|_| steps_per_sec(vm_once, &src, iters))
-            .fold(0.0f64, f64::max);
+        let rounds: Vec<(f64, f64)> = (0..ROUNDS)
+            .map(|_| {
+                (
+                    steps_per_sec(interp_once, &src, iters),
+                    steps_per_sec(vm_once, &src, iters),
+                )
+            })
+            .collect();
+        let (slow_interp, interp) = spread(&rounds.iter().map(|r| r.0).collect::<Vec<_>>());
+        let (slow_vm, vm) = spread(&rounds.iter().map(|r| r.1).collect::<Vec<_>>());
+        let speedups: Vec<f64> = rounds.iter().map(|(i, v)| v / i).collect();
+        let (low_speedup, high_speedup) = spread(&speedups);
         let (hits, misses) = {
             let mut pool = StepPool::limited(BUDGET);
             let mut hooks = RecordingHooks::default();
@@ -131,18 +152,28 @@ fn record_engines(_c: &mut Criterion) {
         let speedup = vm / interp;
         println!(
             "jsland {name}: {steps} steps/run, interp {interp:.0} steps/s, \
-             vm {vm:.0} steps/s ({speedup:.2}x), IC {hits}/{} hits ({:.1}%)",
+             vm {vm:.0} steps/s ({speedup:.2}x, rounds {low_speedup:.2}-{high_speedup:.2}x), \
+             IC {hits}/{} hits ({:.1}%)",
             hits + misses,
             hit_rate * 100.0,
         );
         entries.push(format!(
-            "  {{\n    \"workload\": \"{name}\",\n    \"steps_per_run\": {steps},\n    \
-             \"interp_steps_per_sec\": {interp:.0},\n    \"vm_steps_per_sec\": {vm:.0},\n    \
-             \"vm_speedup\": {speedup:.2},\n    \"ic_hits\": {hits},\n    \
-             \"ic_misses\": {misses},\n    \"ic_hit_rate\": {hit_rate:.4}\n  }}"
+            "    {{\n      \"workload\": \"{name}\",\n      \"steps_per_run\": {steps},\n      \
+             \"interp_steps_per_sec\": {interp:.0},\n      \
+             \"interp_steps_per_sec_range\": [{slow_interp:.0}, {interp:.0}],\n      \
+             \"vm_steps_per_sec\": {vm:.0},\n      \
+             \"vm_steps_per_sec_range\": [{slow_vm:.0}, {vm:.0}],\n      \
+             \"vm_speedup\": {speedup:.2},\n      \
+             \"vm_speedup_range\": [{low_speedup:.2}, {high_speedup:.2}],\n      \
+             \"ic_hits\": {hits},\n      \"ic_misses\": {misses},\n      \
+             \"ic_hit_rate\": {hit_rate:.4}\n    }}"
         ));
     }
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
+    let json = format!(
+        "{{\n  \"host_cpus\": {host_cpus},\n  \"rounds\": {ROUNDS},\n  \
+         \"workloads\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    );
     let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_jsland.json");
     std::fs::write(&out, &json).expect("write BENCH_jsland.json");
 }

@@ -140,7 +140,6 @@ mod table {
         ("--status-every N", "records between status.json rewrites (default 1000)"),
         ("--max-rss-mb M", "fail if peak RSS exceeds M MiB"),
         ("--chaos-abort N", "test hook: abort unflushed after N records"),
-        ("--dict-epoch N", ".colsh dictionary epoch in row groups (0 = none)"),
     ];
     const TABLES: &[Flag] = &[
         ("--table NAME", "table to render (default all; see TABLES)"),
@@ -512,7 +511,6 @@ fn run_job(args: &Args, manifest: Option<JobManifest>) -> Result<(), String> {
         lease_records: args.num("--lease", defaults.lease_records)?,
         status_every: args.num("--status-every", defaults.status_every)?,
         stop_file: args.value("--stop-file").map(PathBuf::from),
-        colsh_dict_epoch_groups: args.parsed("--dict-epoch")?,
         abort_after_records: args.parsed("--chaos-abort")?,
         progress: true,
         ..defaults
@@ -830,6 +828,14 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
     // A directory mixing a bundle store with record shards is refused
     // loudly rather than silently re-encoding only the shard half.
     crawler::refuse_mixed_bundle_dir(&input).map_err(|e| e.to_string())?;
+    // Creating the output truncates it, so an output that is the input
+    // would be emptied before its first record is read.
+    if same_file(&input, &out) {
+        return Err(format!(
+            "convert: --out {} is the --in file; write to a new file",
+            out.display()
+        ));
+    }
     let group: usize = args.num("--group", crawler::DEFAULT_GROUP_RECORDS)?;
     if group == 0 {
         return Err("--group must be at least 1".to_string());
@@ -853,6 +859,15 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         out.display()
     );
     Ok(())
+}
+
+/// Whether `a` and `b` name one existing file once `.`, `..` and
+/// symlinks are resolved. A path that does not exist yet is no file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
 }
 
 fn cmd_lint(args: &Args) -> Result<(), String> {

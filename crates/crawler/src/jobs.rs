@@ -361,8 +361,8 @@ pub(crate) fn completion_certified(dir: &Path, manifest: &JobManifest) -> bool {
 }
 
 /// Run-time knobs (never persisted — changing them between resumes
-/// cannot change the dataset bytes) plus the deterministic chaos hooks
-/// the crash harness drives.
+/// cannot change the dataset bytes) plus deterministic test hooks; the
+/// two `.colsh` layout hooks change bytes, so a resume must repeat them.
 #[derive(Debug, Clone)]
 pub struct JobOptions {
     /// Parallel visit workers.
@@ -382,12 +382,12 @@ pub struct JobOptions {
     pub max_lease_failures: u32,
     /// Print progress lines to stderr.
     pub progress: bool,
-    /// `.colsh` row-group size override (tests exercise group
-    /// boundaries on small datasets; `None` = the format default).
+    /// Test hook: `.colsh` row-group size (`None` = the format default;
+    /// tests reach group boundaries on small datasets). Changes bytes.
     pub colsh_group_records: Option<usize>,
-    /// `.colsh` dictionary-epoch length override, in row groups
-    /// (`None` = [`crate::colsh::DEFAULT_DICT_EPOCH_GROUPS`]; `Some(0)`
-    /// disables epochs, restoring the unbounded pre-epoch dictionary).
+    /// Test hook: `.colsh` dictionary-epoch length in row groups (`None`
+    /// = [`crate::colsh::DEFAULT_DICT_EPOCH_GROUPS`], `Some(0)` = none).
+    /// Changes where the `.colsh` epoch markers land.
     pub colsh_dict_epoch_groups: Option<u64>,
     /// Chaos hook: per-mille of (rank, lease-attempt) pairs whose lease
     /// processing panics *outside* the per-visit isolation, exercising

@@ -247,16 +247,25 @@ fn kill_and_resume_round_trip(format: DbFormat, tag: &str) {
         );
         truncate_shards(&manifest, &dir, &mut rng);
 
-        // Odd rounds die a second time mid-resume before recovering.
+        // Odd rounds resume with other run-time knobs, which must not
+        // change the bytes, and die a second time mid-resume before
+        // recovering.
+        let mut resume_opts = options();
         if round % 2 == 1 {
-            let mut again = options();
+            resume_opts = JobOptions {
+                workers: 2,
+                lease_records: 5,
+                channel_capacity: 3,
+                ..options()
+            };
+            let mut again = resume_opts.clone();
             again.abort_after_records = Some(11);
             let err = with_quiet_panics(|| job_resume(&dir, &again).unwrap_err());
             assert!(matches!(err, JobError::Aborted { written: 11 }), "{err}");
             truncate_shards(&manifest, &dir, &mut rng);
         }
 
-        let report = with_quiet_panics(|| job_resume(&dir, &options()).unwrap());
+        let report = with_quiet_panics(|| job_resume(&dir, &resume_opts).unwrap());
         assert_eq!(report.state, JobState::Complete);
         assert_eq!(report.durable, SIZE);
         assert_eq!(

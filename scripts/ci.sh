@@ -101,6 +101,29 @@ for table in funnel census completeness t3 t4 t5 t6 summary t7 t8 directives \
     done
 done
 echo "    every table renders byte-identically from columnar at 1 and 4 workers"
+# The selective read: `--table funnel` folds outcome columns only, so a
+# `.colsh` read seeks past the frame columns that a JSONL read must parse.
+# Both timings come from this run, so their ratio survives host drift:
+# best of three whole-process runs each, 15-20x measured
+# (EXPERIMENTS.md), and JSONL must be at least 4x slower.
+best_funnel_ns() {
+    local best="" t0 t1
+    for _ in 1 2 3; do
+        t0=$(date +%s%N)
+        "$BIN" analyze --db "$1" --table funnel --workers 1 >/dev/null 2>&1
+        t1=$(date +%s%N)
+        if [ -z "$best" ] || [ $((t1 - t0)) -lt "$best" ]; then best=$((t1 - t0)); fi
+    done
+    echo "$best"
+}
+jsonl_ns=$(best_funnel_ns "$COL/crawl.jsonl")
+colsh_ns=$(best_funnel_ns "$COL/crawl.colsh")
+funnel_ms="JSONL $((jsonl_ns / 1000000)) ms, .colsh $((colsh_ns / 1000000)) ms"
+if [ "$jsonl_ns" -lt $((4 * colsh_ns)) ]; then
+    echo "selective funnel read ($funnel_ms) fell below the 4x floor" >&2
+    exit 1
+fi
+echo "    selective funnel read: $funnel_ms (floor 4x)"
 # Every gate above compares two paths of one build; the committed digests
 # also catch a fold change that moves all of them at once. The 5k-site
 # adversarial crawl's hostile headers and `allow` values drive the

@@ -1,7 +1,8 @@
 //! The command-line front end, driven as a user drives it: flag-table
-//! errors, output-format resolution, closed stdout/stderr, `crawl` (live
-//! or replayed) writing the same shard bytes as `crawl-job start`, and
-//! a replay that cannot reproduce its recording failing loudly.
+//! errors, output-format resolution, `convert` refusing to overwrite its
+//! input, closed stdout/stderr, `crawl` (live or replayed) writing the
+//! same shard bytes as `crawl-job start`, and a replay that cannot
+//! reproduce its recording failing loudly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -137,20 +138,29 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
     }
     assert!(!db.exists(), "a rejected command line writes nothing");
     let job = dir.join("job");
-    assert_one_error(
-        &run(&[
-            "crawl-job",
-            "start",
-            "--dir",
-            path(&job),
-            "--size",
-            "50",
-            "--js-engine",
-            "interp",
-        ]),
-        &["crawl-job start", "--js-engine"],
-    );
-    assert!(!job.exists(), "a rejected job start creates nothing");
+    let job_dir = path(&job);
+    #[rustfmt::skip]
+    let job_cases: [(&[&str], &str, &str); 3] = [
+        (
+            &["crawl-job", "start", "--dir", job_dir, "--size", "50", "--js-engine", "interp"],
+            "crawl-job start", "--js-engine",
+        ),
+        // Where `.colsh` epoch markers land was a job knob that `job.json`
+        // does not record, so a resume without it changed the shard bytes.
+        (
+            &["crawl-job", "start", "--dir", job_dir, "--size", "50", "--format", "columnar",
+              "--dict-epoch", "2"],
+            "crawl-job start", "--dict-epoch",
+        ),
+        (
+            &["crawl-job", "resume", "--dir", job_dir, "--dict-epoch", "2"],
+            "crawl-job resume", "--dict-epoch",
+        ),
+    ];
+    for (args, verb, flag) in job_cases {
+        assert_one_error(&run(args), &[verb, flag]);
+    }
+    assert!(!job.exists(), "a rejected job command creates nothing");
     assert_one_error(
         &run(&["analyze", "--tabel", "t10"]),
         &["analyze", "--tabel"],
@@ -233,6 +243,36 @@ fn format_must_agree_with_the_output_extension() {
             "{}",
             file.display()
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `convert` creates its output before it reads a record, so an output
+/// that is the input — under its own name, another spelling of it or a
+/// symlink to it — is refused before anything is truncated.
+#[test]
+fn convert_refuses_to_overwrite_its_input() {
+    let dir = scratch("convert-self");
+    let convert = |args: &[&str]| {
+        Command::new(BIN)
+            .current_dir(&dir)
+            .arg("convert")
+            .args(args)
+            .output()
+            .expect("spawn the CLI")
+    };
+    for (format, file) in [("jsonl", "db.jsonl"), ("columnar", "db.colsh")] {
+        let db = dir.join(file);
+        #[rustfmt::skip]
+        assert_success(&run(&["crawl", "--size", "20", "--format", format, "--out", path(&db)]));
+        let bytes = std::fs::read(&db).unwrap();
+        let link = format!("link-{file}");
+        std::os::unix::fs::symlink(file, dir.join(&link)).unwrap();
+        let dotted = format!("./{file}");
+        for out in [file, dotted.as_str(), link.as_str()] {
+            assert_one_error(&convert(&["--in", file, "--out", out]), &["convert", out]);
+            assert_eq!(std::fs::read(&db).unwrap(), bytes, "{format}: --out {out}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
