@@ -406,6 +406,22 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     }
     // Without --replay the manifest is the crawl; with it, the layout.
     let manifest = job_manifest(args, format)?;
+    let shard_files = crawler::shard_paths(&out, manifest.shards);
+    // A shard written over one of the store's files would destroy the
+    // recording, or the packs the replay reads; refuse it before any
+    // file is created.
+    if let Some(store) = record.or(replay.map(Path::new)) {
+        let store_files = crawler::BUNDLE_STORE_FILES.map(|file| store.join(file));
+        for shard in &shard_files {
+            if let Some(file) = store_files.iter().find(|file| same_file(shard, file)) {
+                return Err(format!(
+                    "crawl: --out {} would overwrite the bundle store file {}",
+                    shard.display(),
+                    file.display()
+                ));
+            }
+        }
+    }
     let bundle = replay.map(|dir| ReplayBundle::load(Path::new(dir)));
     let bundle = bundle.transpose().map_err(|e| e.to_string())?;
     let (source, doing) = match &bundle {
@@ -438,7 +454,6 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
         progress: true,
         ..defaults
     };
-    let shard_files = crawler::shard_paths(&out, manifest.shards);
     let report =
         crawler::crawl_shards(source, &shard_files, format, &opts).map_err(|e| e.to_string())?;
     note!("{}", report.render());
@@ -454,6 +469,9 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
             last.display()
         ),
         _ => note!("database written to {}", out.display()),
+    }
+    if let Some(peak) = peak_rss_mb() {
+        note!("peak rss: {peak} MiB");
     }
     Ok(())
 }
@@ -861,12 +879,31 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether `a` and `b` name one existing file once `.`, `..` and
-/// symlinks are resolved. A path that does not exist yet is no file.
+/// Whether `a` and `b` name one file. Two existing files are one when
+/// they share a device and inode on Unix (so a hard link is its target),
+/// elsewhere when their canonical paths match. Otherwise both paths are
+/// resolved as far as they exist (see [`resolved`]) and compared.
 fn same_file(a: &Path, b: &Path) -> bool {
-    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => false,
+    #[cfg(unix)]
+    if let (Ok(a), Ok(b)) = (std::fs::metadata(a), std::fs::metadata(b)) {
+        use std::os::unix::fs::MetadataExt;
+        return (a.dev(), a.ino()) == (b.dev(), b.ino());
+    }
+    resolved(a) == resolved(b)
+}
+
+/// `path` with `.`, `..` and symlinks resolved in its longest existing
+/// prefix, and the components after that prefix appended as written.
+fn resolved(path: &Path) -> PathBuf {
+    if let Ok(real) = std::fs::canonicalize(path) {
+        return real;
+    }
+    match (path.parent(), path.file_name()) {
+        (Some(parent), Some(name)) if parent.as_os_str().is_empty() => {
+            resolved(Path::new(".")).join(name)
+        }
+        (Some(parent), Some(name)) => resolved(parent).join(name),
+        _ => path.to_path_buf(),
     }
 }
 

@@ -39,15 +39,18 @@
 //! [`StreamMode`] alone decides what a broken frame or rule does:
 //! `Strict` errs naming the file and byte offset, `Lenient` skips the
 //! record and counts it once, `Resume` cuts the pack there. The readers
-//! differ only in what they keep: [`ReplayBundle::load`] the blobs and
-//! manifests, [`BundleStat::scan`] blob sizes and counts, and
-//! [`BundleRecorder::resume`] the digest index and each pack's valid
-//! length.
+//! differ only in what they keep: [`ReplayBundle::load`] an index of
+//! frame offsets plus the blobs several sites share, [`BundleStat::scan`]
+//! blob sizes and counts, and [`BundleRecorder::resume`] the digest index
+//! and each pack's valid length.
 //!
 //! [`ReplayBundle`] serves every visit byte-for-byte through
 //! [`netsim::ReplayNetwork`] — original timing, faults and crashes
 //! included — so a replayed crawl reproduces the recorded dataset
-//! exactly, with the page generator never invoked.
+//! exactly, with the page generator never invoked. A visit reads its
+//! manifest and blobs from the packs through a `BundleReader`, which
+//! checks every frame again, so replay memory grows with the number of
+//! unique blobs, not with the store's bytes.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -55,6 +58,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use bytes::Bytes;
 use netsim::{Exchange, ExchangeOutcome, FetchError, PostFetchProbe, VisitTape};
@@ -77,12 +81,14 @@ pub const MANIFEST_MAGIC: [u8; 8] = *b"PBNDLM1\n";
 /// Bundle format version recorded in [`BundleMeta`].
 pub const BUNDLE_VERSION: u32 = 1;
 
+/// The three files of a bundle store.
+pub const BUNDLE_STORE_FILES: [&str; 3] =
+    [BUNDLE_META_FILE, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE];
+
 /// Whether `dir` looks like (or contains) a bundle store: any of the
 /// three store files present.
 pub fn is_bundle_store(dir: &Path) -> bool {
-    [BUNDLE_META_FILE, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE]
-        .iter()
-        .any(|f| dir.join(f).exists())
+    BUNDLE_STORE_FILES.iter().any(|f| dir.join(f).exists())
 }
 
 /// 128-bit FNV-1a over `bytes`. Not cryptographic — the store hashes
@@ -686,6 +692,20 @@ fn pass_pack(
     Ok((report, pack.at))
 }
 
+/// Splits the payload of the blob frame at byte `at` into its stored
+/// digest and its content, which must hash to that digest.
+fn blob_payload(payload: &[u8], at: u64) -> Result<(&[u8; 16], &[u8]), String> {
+    let Some((digest, content)) = payload.split_first_chunk::<16>() else {
+        return Err(format!("blob record at byte {at} shorter than its digest"));
+    };
+    if digest128(content) != *digest {
+        return Err(format!(
+            "blob at byte {at} does not hash to its stored digest"
+        ));
+    }
+    Ok((digest, content))
+}
+
 /// What one [`pass_store`] accepted, and where each pack's valid prefix
 /// ends.
 struct StorePass<B> {
@@ -705,27 +725,20 @@ struct StorePass<B> {
 /// - The n-th manifest frame decodes, carries rank n, and names only
 ///   blobs this pass accepted.
 ///
-/// `keep_blob` turns an accepted blob's content into what the caller
-/// keeps of it; `keep_manifest` receives each accepted manifest together
-/// with the blobs kept so far.
+/// `keep_blob` turns an accepted blob's content and frame offset into
+/// what the caller keeps of it; `keep_manifest` receives each accepted
+/// manifest and its frame offset, together with the blobs kept so far.
 fn pass_store<B>(
     dir: &Path,
     mode: StreamMode,
-    mut keep_blob: impl FnMut(&[u8]) -> B,
-    mut keep_manifest: impl FnMut(SiteManifest, &HashMap<[u8; 16], B>),
+    mut keep_blob: impl FnMut(&[u8], u64) -> B,
+    mut keep_manifest: impl FnMut(SiteManifest, u64, &mut HashMap<[u8; 16], B>),
 ) -> std::io::Result<StorePass<B>> {
     let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
     let mut blobs = HashMap::new();
     let (blob_skips, blobs_valid) = pass_pack(&blobs_path, BLOB_MAGIC, mode, |payload, at, _| {
-        let Some((digest, content)) = payload.split_first_chunk::<16>() else {
-            return Err(format!("blob record at byte {at} shorter than its digest"));
-        };
-        if digest128(content) != *digest {
-            return Err(format!(
-                "blob at byte {at} does not hash to its stored digest"
-            ));
-        }
-        blobs.insert(*digest, keep_blob(content));
+        let (digest, content) = blob_payload(payload, at)?;
+        blobs.insert(*digest, keep_blob(content, at));
         Ok(())
     })?;
     let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
@@ -752,7 +765,7 @@ fn pass_store<B>(
                     blobs_path.display()
                 ));
             }
-            keep_manifest(manifest, &blobs);
+            keep_manifest(manifest, at, &mut blobs);
             Ok(())
         },
     )?;
@@ -848,7 +861,12 @@ impl BundleRecorder {
             ));
         }
         let mut durable_prefix = 0u64;
-        let pass = pass_store(dir, StreamMode::Resume, |_| (), |_, _| durable_prefix += 1)?;
+        let pass = pass_store(
+            dir,
+            StreamMode::Resume,
+            |_, _| (),
+            |_, _, _| durable_prefix += 1,
+        )?;
         let valid = [pass.blobs_valid, pass.manifests_valid];
         BundleRecorder::append(dir, valid, pass.blobs, durable_prefix)
     }
@@ -1000,13 +1018,59 @@ fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]
 
 // --- replay ---------------------------------------------------------------
 
-/// A fully loaded bundle store, ready to serve visits.
-#[derive(Debug)]
+/// Bytes a pack reader reads ahead. A rank-order replay reads both packs
+/// forward, so one read call serves every frame the window holds.
+const READ_WINDOW: usize = 64 * 1024;
+
+/// How many sites name a blob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Naming {
+    None,
+    One,
+    /// More than one: the replay keeps the blob in memory.
+    Shared,
+}
+
+/// Where a blob's frame lies in `blobs.bin`.
+#[derive(Debug, Clone, Copy)]
+struct BlobEntry {
+    /// Byte offset of the frame.
+    at: u64,
+    /// Payload length: the digest, then the content.
+    len: u32,
+    naming: Naming,
+}
+
+/// A bundle store indexed for replay. [`ReplayBundle::load`] makes the
+/// strict pass and keeps where each manifest and blob frame lies, plus
+/// the content of the blobs more than one site names; a visit reads the
+/// rest through a `BundleReader`.
 pub struct ReplayBundle {
+    dir: PathBuf,
     meta: BundleMeta,
-    blobs: HashMap<[u8; 16], Bytes>,
-    /// Rank r at index r − 1: the store rules admit ranks 1..=n only.
-    manifests: Vec<SiteManifest>,
+    blobs: HashMap<[u8; 16], BlobEntry>,
+    /// The content of every blob named by more than one site.
+    shared: HashMap<[u8; 16], Bytes>,
+    /// Rank r's manifest frame offset at index r − 1: the store rules
+    /// admit ranks 1..=n only, in rank order.
+    manifests: Vec<u64>,
+    /// Where the last manifest frame ends.
+    manifests_end: u64,
+    /// The reader of [`manifest`](ReplayBundle::manifest),
+    /// [`tape`](ReplayBundle::tape), `Crawler::replay_one` and
+    /// `Crawler::replay_streaming_observed`.
+    reader: Mutex<BundleReader>,
+}
+
+impl std::fmt::Debug for ReplayBundle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplayBundle")
+            .field("dir", &self.dir)
+            .field("sites", &self.sites())
+            .field("blobs", &self.blobs.len())
+            .field("shared", &self.shared.len())
+            .finish()
+    }
 }
 
 impl ReplayBundle {
@@ -1016,16 +1080,57 @@ impl ReplayBundle {
     pub fn load(dir: &Path) -> std::io::Result<ReplayBundle> {
         let meta = BundleMeta::load(dir)?;
         let mut manifests = Vec::new();
+        let mut named = Vec::new();
         let pass = pass_store(
             dir,
             StreamMode::Strict,
-            Bytes::copy_from_slice,
-            |manifest, _| manifests.push(manifest),
+            |content, at| BlobEntry {
+                at,
+                len: (16 + content.len()) as u32,
+                naming: Naming::None,
+            },
+            |manifest, at, blobs| {
+                manifests.push(at);
+                // A blob one site names twice is still that site's own.
+                named.clear();
+                named.extend(manifest.blob_refs().copied());
+                named.sort_unstable();
+                named.dedup();
+                for digest in &named {
+                    // The pass admits a manifest only once every blob it
+                    // names is in `blobs`.
+                    let entry = blobs.get_mut(digest).expect("an accepted blob");
+                    entry.naming = match entry.naming {
+                        Naming::None => Naming::One,
+                        _ => Naming::Shared,
+                    };
+                }
+            },
         )?;
+        // Shared blobs are read once, in file order.
+        let mut reader = BundleReader::open(dir)?;
+        let mut shared: Vec<_> = pass
+            .blobs
+            .iter()
+            .filter(|(_, entry)| entry.naming == Naming::Shared)
+            .map(|(digest, entry)| (entry.at, *digest))
+            .collect();
+        shared.sort_unstable();
+        let shared = shared
+            .into_iter()
+            .map(|(_, digest)| {
+                let content = reader.blob(&digest, &pass.blobs[&digest])?;
+                Ok((digest, Bytes::copy_from_slice(content)))
+            })
+            .collect::<std::io::Result<_>>()?;
         Ok(ReplayBundle {
+            dir: dir.to_path_buf(),
             meta,
             blobs: pass.blobs,
+            shared,
             manifests,
+            manifests_end: pass.manifests_valid,
+            reader: Mutex::new(reader),
         })
     }
 
@@ -1039,19 +1144,59 @@ impl ReplayBundle {
         self.manifests.len() as u64
     }
 
-    /// One site's manifest, if recorded.
-    pub fn manifest(&self, rank: u64) -> Option<&SiteManifest> {
-        self.manifests
-            .get(usize::try_from(rank.checked_sub(1)?).ok()?)
+    /// A reader of its own on the store's packs, for one worker.
+    pub(crate) fn reader(&self) -> std::io::Result<BundleReader> {
+        BundleReader::open(&self.dir)
     }
 
-    /// Rebuilds the raw visit tape for one attempt of one rank.
-    pub fn tape(&self, rank: u64, attempt: usize) -> Option<VisitTape> {
-        let manifest = self.manifest(rank)?;
-        let attempt = manifest.attempts.get(attempt)?;
-        let mut tape = VisitTape::default();
-        for exchange in &attempt.exchanges {
-            let outcome = match &exchange.outcome {
+    /// Runs `f` with the bundle's own reader.
+    pub(crate) fn with_reader<T>(&self, f: impl FnOnce(&mut BundleReader) -> T) -> T {
+        f(&mut self.reader.lock().expect("bundle reader"))
+    }
+
+    /// Reads one site's manifest through `reader`: `None` for a rank the
+    /// store does not hold. An error names the file and the byte offset
+    /// where the pack no longer matches what [`load`](ReplayBundle::load)
+    /// accepted.
+    pub(crate) fn read_manifest(
+        &self,
+        reader: &mut BundleReader,
+        rank: u64,
+    ) -> std::io::Result<Option<SiteManifest>> {
+        let Some(index) = rank.checked_sub(1).and_then(|i| usize::try_from(i).ok()) else {
+            return Ok(None);
+        };
+        let Some(&at) = self.manifests.get(index) else {
+            return Ok(None);
+        };
+        // Manifest frames lie back to back, so each ends where the next
+        // begins.
+        let end = self.manifests.get(index + 1).copied();
+        let len = end.unwrap_or(self.manifests_end) - at - 8;
+        let payload = reader.manifests.frame(at, len as u32)?;
+        let pack = &reader.manifests;
+        let manifest = SiteManifest::decode(&pack.window[payload])
+            .map_err(|e| pack.error(format!("bad site manifest at byte {at}: {e}")))?;
+        if manifest.rank != rank {
+            let found = manifest.rank;
+            let detail =
+                format!("manifest at byte {at} has rank {found} where {rank} was expected");
+            return Err(pack.error(detail));
+        }
+        Ok(Some(manifest))
+    }
+
+    /// Rebuilds one recorded attempt's raw visit tape, moving its strings
+    /// in and reading each blob that only this site names through
+    /// `reader`.
+    pub(crate) fn read_tape(
+        &self,
+        reader: &mut BundleReader,
+        attempt: AttemptRef,
+    ) -> std::io::Result<VisitTape> {
+        let mut exchanges = Vec::with_capacity(attempt.exchanges.len());
+        for exchange in attempt.exchanges {
+            let outcome = match exchange.outcome {
                 OutcomeRef::Content {
                     status,
                     headers,
@@ -1059,27 +1204,222 @@ impl ReplayBundle {
                     final_url,
                     redirects,
                 } => {
-                    let headers = decode_headers(&self.blobs[headers])
-                        .expect("strict load validated header blobs");
+                    let (at, blob) = self.blob(reader, &headers)?;
+                    let headers = decode_headers(blob.content()).map_err(|e| {
+                        reader
+                            .blobs
+                            .error(format!("bad header template at byte {at}: {e}"))
+                    })?;
                     ExchangeOutcome::Content {
-                        status: *status,
+                        status,
                         headers,
-                        body: self.blobs[body].clone(),
-                        final_url: final_url.clone(),
-                        redirects: *redirects,
+                        body: self.blob(reader, &body)?.1.into_bytes(),
+                        final_url,
+                        redirects,
                     }
                 }
-                OutcomeRef::Error(err) => ExchangeOutcome::Error(*err),
-                OutcomeRef::Panic(message) => ExchangeOutcome::Panic(message.clone()),
+                OutcomeRef::Error(err) => ExchangeOutcome::Error(err),
+                OutcomeRef::Panic(message) => ExchangeOutcome::Panic(message),
             };
-            tape.exchanges.push(Exchange {
-                url: exchange.url.clone(),
+            exchanges.push(Exchange {
+                url: exchange.url,
                 advance_ms: exchange.advance_ms,
                 outcome,
             });
         }
-        tape.probes = attempt.probes.clone();
-        Some(tape)
+        Ok(VisitTape {
+            exchanges,
+            probes: attempt.probes,
+        })
+    }
+
+    /// Blob `digest`'s frame offset and content: a shared blob from
+    /// memory, any other read through `reader`.
+    fn blob<'a>(
+        &'a self,
+        reader: &'a mut BundleReader,
+        digest: &[u8; 16],
+    ) -> std::io::Result<(u64, Blob<'a>)> {
+        let Some(entry) = self.blobs.get(digest) else {
+            let detail = "a manifest names a blob the store did not hold when it was loaded";
+            return Err(reader.blobs.error(detail.to_string()));
+        };
+        let content = match entry.naming {
+            Naming::Shared => Blob::Shared(&self.shared[digest]),
+            _ => Blob::Read(reader.blob(digest, entry)?),
+        };
+        Ok((entry.at, content))
+    }
+
+    /// One site's manifest, if recorded, read through the bundle's own
+    /// reader.
+    ///
+    /// # Panics
+    ///
+    /// If the store no longer reads as it did when loaded.
+    pub fn manifest(&self, rank: u64) -> Option<SiteManifest> {
+        self.with_reader(|reader| self.read_manifest(reader, rank))
+            .unwrap_or_else(|e| panic!("reading the manifest of rank {rank}: {e}"))
+    }
+
+    /// Rebuilds the raw visit tape for one attempt of one rank, read
+    /// through the bundle's own reader.
+    ///
+    /// # Panics
+    ///
+    /// If the store no longer reads as it did when loaded.
+    pub fn tape(&self, rank: u64, attempt: usize) -> Option<VisitTape> {
+        let tape = self.with_reader(|reader| {
+            let Some(manifest) = self.read_manifest(reader, rank)? else {
+                return Ok(None);
+            };
+            let Some(attempt) = manifest.attempts.into_iter().nth(attempt) else {
+                return Ok(None);
+            };
+            self.read_tape(reader, attempt).map(Some)
+        });
+        tape.unwrap_or_else(|e| panic!("reading the tape of rank {rank}: {e}"))
+    }
+}
+
+/// A blob's content, where [`ReplayBundle::blob`] found it.
+enum Blob<'a> {
+    /// In memory: more than one site names it.
+    Shared(&'a Bytes),
+    /// In a reader's window.
+    Read(&'a [u8]),
+}
+
+impl Blob<'_> {
+    fn content(&self) -> &[u8] {
+        match self {
+            Blob::Shared(bytes) => bytes,
+            Blob::Read(content) => content,
+        }
+    }
+
+    /// The content as a body: a shared blob's buffer is shared again.
+    fn into_bytes(self) -> Bytes {
+        match self {
+            Blob::Shared(bytes) => bytes.clone(),
+            Blob::Read(content) => Bytes::copy_from_slice(content),
+        }
+    }
+}
+
+/// A replay's own read handles on a store's two packs. Every frame it
+/// reads is checked again: its length against the index, its CRC, and
+/// for a blob the digest its content hashes to. So a store that changed
+/// after [`ReplayBundle::load`] fails, naming the file and byte offset.
+pub(crate) struct BundleReader {
+    blobs: PackWindow,
+    manifests: PackWindow,
+}
+
+impl BundleReader {
+    fn open(dir: &Path) -> std::io::Result<BundleReader> {
+        Ok(BundleReader {
+            blobs: PackWindow::open(dir.join(BUNDLE_BLOBS_FILE))?,
+            manifests: PackWindow::open(dir.join(BUNDLE_MANIFESTS_FILE))?,
+        })
+    }
+
+    /// The content of blob `digest`, read from its frame at `entry`.
+    fn blob(&mut self, digest: &[u8; 16], entry: &BlobEntry) -> std::io::Result<&[u8]> {
+        let at = entry.at;
+        let payload = self.blobs.frame(at, entry.len)?;
+        let pack = &self.blobs;
+        let (stored, content) =
+            blob_payload(&pack.window[payload], at).map_err(|e| pack.error(e))?;
+        if stored != digest {
+            return Err(pack.error(format!("blob at byte {at} is not the one the index names")));
+        }
+        Ok(content)
+    }
+}
+
+/// One read handle on a pack file, and the window of it read last.
+struct PackWindow {
+    path: PathBuf,
+    file: File,
+    /// Bytes read from file offset `start` on, of which the first
+    /// `filled` are valid. The handle's position is `start + filled`.
+    window: Vec<u8>,
+    start: u64,
+    filled: usize,
+}
+
+impl PackWindow {
+    fn open(path: PathBuf) -> std::io::Result<PackWindow> {
+        let file = File::open(&path).map_err(|e| crate::db::at("opening", &path, e))?;
+        Ok(PackWindow {
+            path,
+            file,
+            window: Vec::new(),
+            start: 0,
+            filled: 0,
+        })
+    }
+
+    /// An `InvalidData` error naming the pack.
+    fn error(&self, detail: String) -> std::io::Error {
+        let message = format!("{}: {detail}", self.path.display());
+        std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+    }
+
+    /// Where the window holds the payload of the frame at byte `at`,
+    /// which the index says is `len` bytes long: read through the
+    /// window, then checked against that length and its CRC.
+    fn frame(&mut self, at: u64, len: u32) -> std::io::Result<std::ops::Range<usize>> {
+        let size = 8 + len as usize;
+        let end = self.start + self.filled as u64;
+        if at < self.start || at + size as u64 > end {
+            self.fill(at, size)?;
+        }
+        let from = (at - self.start) as usize;
+        let frame = &self.window[from..from + size];
+        let [stored_len, crc] = [&frame[..4], &frame[4..8]]
+            .map(|field| u32::from_le_bytes(field.try_into().expect("4-byte field")));
+        if stored_len != len {
+            return Err(self.error(format!(
+                "frame at byte {at} holds {stored_len} bytes, not the {len} it held at load"
+            )));
+        }
+        if crc32(&frame[8..]) != crc {
+            return Err(self.error(format!("checksum mismatch at byte {at}")));
+        }
+        Ok(from + 8..from + size)
+    }
+
+    /// Refills the window from byte `at` with at least `size` bytes. The
+    /// window's bytes from `at` on move to its front, and reading goes on
+    /// from the handle's position; only a frame outside the window (or a
+    /// window that holds nothing) seeks.
+    fn fill(&mut self, at: u64, size: usize) -> std::io::Result<()> {
+        let capacity = size.max(READ_WINDOW);
+        if self.window.len() < capacity {
+            self.window.resize(capacity, 0);
+        }
+        let end = self.start + self.filled as u64;
+        if self.filled > 0 && (self.start..=end).contains(&at) {
+            let from = (at - self.start) as usize;
+            self.window.copy_within(from..self.filled, 0);
+            self.filled -= from;
+        } else {
+            self.filled = 0;
+            let seek = self.file.seek(SeekFrom::Start(at));
+            seek.map_err(|e| crate::db::at("reading", &self.path, e))?;
+        }
+        self.start = at;
+        while self.filled < size {
+            match self.file.read(&mut self.window[self.filled..capacity]) {
+                Ok(0) => return Err(self.error(format!("torn record at byte {at}"))),
+                Ok(read) => self.filled += read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(crate::db::at("reading", &self.path, e)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1121,8 +1461,8 @@ impl BundleStat {
         let pass = pass_store(
             dir,
             mode,
-            |content| content.len() as u64,
-            |manifest, sizes| {
+            |content, _| content.len() as u64,
+            |manifest, _, sizes| {
                 stat.sites += 1;
                 stat.synthesized += manifest.synthesized as u64;
                 stat.attempts += manifest.attempts.len() as u64;
@@ -1138,7 +1478,7 @@ impl BundleStat {
         stat.stored_bytes = pass.blobs.values().sum();
         stat.blob_skips = pass.blob_skips;
         stat.manifest_skips = pass.manifest_skips;
-        for file in [BUNDLE_META_FILE, BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE] {
+        for file in BUNDLE_STORE_FILES {
             if let Ok(meta) = std::fs::metadata(dir.join(file)) {
                 stat.store_file_bytes += meta.len();
             }
@@ -1261,7 +1601,8 @@ mod tests {
     }
 
     /// Rank `rank`'s visit: a page whose header template and body are
-    /// its own, then a script every site shares.
+    /// its own, then a script every site shares. The browser replays it
+    /// exactly: it fetches the page, probes it, then fetches the script.
     fn site(rank: u64) -> SiteBundle {
         let url = format!("https://site-{rank}.example/");
         let exchange = |url: &str, headers: Vec<(String, String)>, body: String| Exchange {
@@ -1289,14 +1630,18 @@ mod tests {
             synthesized: false,
             attempts: vec![VisitTape {
                 exchanges: vec![
-                    exchange(&url, page_headers, format!("<html>{rank}</html>")),
+                    exchange(
+                        &url,
+                        page_headers,
+                        format!("<html>{rank}<script src=\"https://cdn.example/t.js\"></script>"),
+                    ),
                     exchange(
                         "https://cdn.example/t.js",
                         script_headers,
                         "track();".into(),
                     ),
                 ],
-                probes: Vec::new(),
+                probes: vec![PostFetchProbe { url, failure: None }],
             }],
         }
     }
@@ -1587,6 +1932,59 @@ mod tests {
                     "{shape}"
                 );
             }
+        }
+    }
+
+    /// A store that changes after it was loaded fails its replay loudly.
+    /// Whether a byte of rank 3's page frame flips or `blobs.bin` is cut
+    /// inside that frame, replaying rank 3 errs naming `blobs.bin` and
+    /// the frame's byte offset, and a pool replay stops with the read
+    /// error instead of panicking.
+    #[test]
+    fn a_store_changed_after_load_fails_its_replay() {
+        type Damage = fn(&mut Vec<u8>, std::ops::Range<usize>);
+        let damages: [(&str, Damage); 2] = [
+            ("flipped-page-byte", |pack, page| pack[page.end - 1] ^= 0x01),
+            ("truncated-blobs", |pack, page| {
+                pack.truncate(page.start + 10)
+            }),
+        ];
+        for (damage, edit) in damages {
+            let dir = scratch(damage);
+            record_sites(&dir, 5);
+            let bundle = ReplayBundle::load(&dir).unwrap();
+            let crawler = crate::Crawler::new(bundle.meta().replay_config(2));
+            for rank in 1..=5 {
+                let mut reader = bundle.reader().unwrap();
+                let replayed = crawler.replay_observed(&bundle, &mut reader, rank, None);
+                replayed.unwrap_or_else(|e| panic!("rank {rank} replays before the damage: {e}"));
+            }
+            let page = frames(&std::fs::read(dir.join(BUNDLE_BLOBS_FILE)).unwrap())[7].clone();
+            let at = format!("byte {}", page.start);
+            edit_pack(&dir, BUNDLE_BLOBS_FILE, |pack| edit(pack, page));
+            let blobs = dir.join(BUNDLE_BLOBS_FILE).display().to_string();
+
+            let mut reader = bundle.reader().unwrap();
+            let err = crawler
+                .replay_observed(&bundle, &mut reader, 3, None)
+                .unwrap_err();
+            let message = err.to_string();
+            assert!(matches!(err, crate::JobError::Io(_)), "{damage}: {message}");
+            assert!(message.contains(&blobs), "{damage}: {message}");
+            assert!(message.contains(&at), "{damage}: {message}");
+
+            let out = scratch(&format!("{damage}.jsonl"));
+            let opts = crate::JobOptions {
+                workers: 2,
+                ..crate::JobOptions::default()
+            };
+            let paths = [out.to_path_buf()];
+            let source = crate::CrawlSource::Replay(&bundle);
+            let err = crate::crawl_shards(source, &paths, crate::DbFormat::Jsonl, &opts)
+                .expect_err("a pool replay of a changed store fails");
+            let message = err.to_string();
+            assert!(matches!(err, crate::JobError::Io(_)), "{damage}: {message}");
+            assert!(message.contains(&blobs), "{damage}: {message}");
         }
     }
 }

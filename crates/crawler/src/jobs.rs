@@ -766,8 +766,9 @@ const PANICKED: &str = "panicked outside the per-visit isolation";
 enum LeaseRun {
     Done,
     Failed,
-    /// A replay reached a rank its store cannot reproduce.
-    Diverged(String),
+    /// A replay reached a rank its store cannot reproduce or read back:
+    /// the run stops with this error.
+    Fatal(JobError),
     Stopped,
     WriterGone,
 }
@@ -902,8 +903,10 @@ fn recapture(
 /// point. It writes their sites in rank order into `out` — each bundle
 /// to the store, then its record to the shards — handing both back to
 /// the worker that built them, and reports to `job`'s directory if there
-/// is one. A failed live lease is retried, then quarantined; a failed
-/// replay lease stops the run with [`JobError::Diverged`]. Any failure
+/// is one. Each replay worker reads the store through a reader of its
+/// own. A failed live lease is retried, then quarantined; a failed
+/// replay lease stops the run with [`JobError::Diverged`], or with the
+/// read error of a store that no longer reads as it loaded. Any failure
 /// leaves a `failed` health surface.
 fn run_pool(
     crawler: &Crawler,
@@ -951,8 +954,15 @@ fn run_pool(
     let leases_retried = &AtomicU64::new(0);
     let leases_quarantined = &AtomicU64::new(0);
     let lease_backoff_ms = &AtomicU64::new(0);
-    // The first replay rank that failed, and how.
-    let diverged = &Mutex::new(None::<(u64, String)>);
+    // How the first failed replay lease failed.
+    let fatal = &Mutex::new(None::<JobError>);
+    // One reader per replay worker, opened before any worker starts.
+    let mut readers = (0..workers)
+        .map(|_| match source {
+            RankSource::Replay(bundle) => bundle.reader().map(Some),
+            RankSource::Live(_) => Ok(None),
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
 
     // Each site travels tagged with its rank and the worker that built it.
     let (sender, receiver) =
@@ -1019,7 +1029,7 @@ fn run_pool(
         // cache instead of taking the cross-thread path. The return
         // channels are unbounded, so the writer never blocks on one.
         let mut give_back = Vec::with_capacity(workers);
-        for worker in 0..workers {
+        for (worker, mut reader) in readers.drain(..).enumerate() {
             let sender = sender.clone();
             let (returns, returned) = std::sync::mpsc::channel::<Site>();
             give_back.push(returns);
@@ -1036,7 +1046,7 @@ fn run_pool(
                     q.push_front(lease);
                     queue_depth.store(q.len() as u64, Ordering::Relaxed);
                 };
-                let process = |lease: &mut Lease, sender: &SyncSender<(u64, usize, Site)>| {
+                let mut process = |lease: &mut Lease, sender: &SyncSender<(u64, usize, Site)>| {
                     while lease.next <= lease.hi {
                         if stop.load(Ordering::Relaxed) {
                             return LeaseRun::Stopped;
@@ -1047,8 +1057,8 @@ fn run_pool(
                             continue;
                         }
                         // The closure reports whether the writer is
-                        // gone (`Ok(true)`) or what a replay diverged
-                        // on (`Err`), not the rejected site itself.
+                        // gone (`Ok(true)`) or why a replay failed
+                        // (`Err`), not the rejected site itself.
                         let attempt =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 if lease_fault_fires(
@@ -1070,18 +1080,24 @@ fn run_pool(
                                         (crawler.visit_observed(population, rank, observer), None)
                                     }
                                     RankSource::Replay(bundle) => {
-                                        (crawler.replay_observed(bundle, rank, observer)?, None)
+                                        let reader = reader.as_mut().expect("a replay reader");
+                                        let record = crawler
+                                            .replay_observed(bundle, reader, rank, observer)?;
+                                        (record, None)
                                     }
                                 };
-                                Ok::<bool, String>(sender.send((rank, worker, site)).is_err())
+                                Ok::<bool, JobError>(sender.send((rank, worker, site)).is_err())
                             }));
                         // A replay reproduces its recording or fails: it
                         // neither retries a lease nor quarantines a rank.
                         let replay = matches!(source, RankSource::Replay(_));
                         match attempt {
-                            Err(_) if replay => return LeaseRun::Diverged(PANICKED.to_string()),
+                            Err(_) if replay => {
+                                let detail = PANICKED.to_string();
+                                return LeaseRun::Fatal(JobError::Diverged { rank, detail });
+                            }
                             Err(_) => return LeaseRun::Failed,
-                            Ok(Err(detail)) => return LeaseRun::Diverged(detail),
+                            Ok(Err(error)) => return LeaseRun::Fatal(error),
                             Ok(Ok(true)) => return LeaseRun::WriterGone,
                             Ok(Ok(false)) => {
                                 lease.next += 1;
@@ -1111,9 +1127,8 @@ fn run_pool(
                     match process(&mut lease, &sender) {
                         LeaseRun::Done => {}
                         LeaseRun::Stopped | LeaseRun::WriterGone => break,
-                        LeaseRun::Diverged(detail) => {
-                            let mut first = diverged.lock().expect("divergence slot");
-                            first.get_or_insert((lease.next, detail));
+                        LeaseRun::Fatal(error) => {
+                            fatal.lock().expect("failure slot").get_or_insert(error);
                             stop.store(true, Ordering::Relaxed);
                             break;
                         }
@@ -1292,9 +1307,8 @@ fn run_pool(
         }
         Ok(durable)
     };
-    let diverged = diverged.lock().expect("divergence slot").take();
-    let failure =
-        writer_error.or(diverged.map(|(rank, detail)| JobError::Diverged { rank, detail }));
+    let fatal = fatal.lock().expect("failure slot").take();
+    let failure = writer_error.or(fatal);
     let durable = match failure.map_or_else(|| close(out), Err) {
         Ok(durable) => durable,
         Err(error) => {

@@ -54,7 +54,7 @@ mod telemetry;
 pub use bundle::{
     digest128, is_bundle_store, AttemptRef, BundleMeta, BundleRecorder, BundleStat, ExchangeRef,
     OutcomeRef, ReplayBundle, SiteBundle, SiteManifest, BLOB_MAGIC, BUNDLE_BLOBS_FILE,
-    BUNDLE_MANIFESTS_FILE, BUNDLE_META_FILE, BUNDLE_VERSION, MANIFEST_MAGIC,
+    BUNDLE_MANIFESTS_FILE, BUNDLE_META_FILE, BUNDLE_STORE_FILES, BUNDLE_VERSION, MANIFEST_MAGIC,
 };
 pub use colsh::{
     read_colsh, resume_colsh, write_colsh, ColshAppendState, ColshStream, ColshWriter, ColumnSet,

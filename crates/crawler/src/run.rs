@@ -29,8 +29,9 @@ use netsim::{
 use serde::{Deserialize, Serialize};
 use webgen::WebPopulation;
 
-use crate::bundle::{ReplayBundle, SiteBundle};
+use crate::bundle::{BundleReader, ReplayBundle, SiteBundle};
 use crate::funnel::CrawlFunnel;
+use crate::jobs::JobError;
 use crate::telemetry::CrawlTelemetry;
 
 /// Crawl configuration.
@@ -231,29 +232,36 @@ impl Crawler {
     /// generator is never consulted. Panics where the store cannot
     /// reproduce the recorded visit.
     pub fn replay_one(&self, bundle: &ReplayBundle, rank: u64) -> SiteRecord {
-        self.replay_observed(bundle, rank, None)
-            .unwrap_or_else(|e| panic!("replay divergence at rank {rank}: {e}"))
+        bundle
+            .with_reader(|reader| self.replay_observed(bundle, reader, rank, None))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`replay_one`](Crawler::replay_one) with telemetry reporting. A
-    /// replay that strays from its tape inside an attempt, needs an
-    /// attempt the store lacks, or leaves recorded exchanges or attempts
-    /// unused is not the recorded visit: it returns what diverged.
+    /// [`replay_one`](Crawler::replay_one) through `reader`, with
+    /// telemetry reporting. A replay that strays from its tape inside an
+    /// attempt, needs an attempt the store lacks, or leaves recorded
+    /// exchanges or attempts unused is not the recorded visit: it fails
+    /// with [`JobError::Diverged`]. A store that no longer reads as it
+    /// loaded fails with the read error.
     pub(crate) fn replay_observed(
         &self,
         bundle: &ReplayBundle,
+        reader: &mut BundleReader,
         rank: u64,
         telemetry: Option<(&CrawlTelemetry, usize)>,
-    ) -> Result<SiteRecord, String> {
-        let Some(manifest) = bundle.manifest(rank) else {
-            return Err("the bundle store has no manifest for this rank".to_string());
+    ) -> Result<SiteRecord, JobError> {
+        let diverged = |detail: String| JobError::Diverged { rank, detail };
+        let Some(manifest) = bundle.read_manifest(reader, rank)? else {
+            return Err(diverged(
+                "the bundle store has no manifest for this rank".into(),
+            ));
         };
         if manifest.synthesized {
             // The recording job quarantined this rank without visiting:
             // reproduce the synthesized record it wrote.
             let record = SiteRecord {
                 rank,
-                origin: manifest.origin.clone(),
+                origin: manifest.origin,
                 outcome: SiteOutcome::CrawlerError,
                 visit: None,
                 elapsed_ms: 0,
@@ -264,24 +272,33 @@ impl Crawler {
             }
             return Ok(record);
         }
-        let origin = weburl::Url::parse(&manifest.origin)
-            .map_err(|e| format!("recorded origin {:?} unparseable: {e:?}", manifest.origin))?;
+        let origin = weburl::Url::parse(&manifest.origin).map_err(|e| {
+            diverged(format!(
+                "recorded origin {:?} unparseable: {e:?}",
+                manifest.origin
+            ))
+        })?;
+        let recorded = manifest.attempts.len();
+        let mut attempts = manifest.attempts.into_iter();
         // Each attempt reports to its own audit, kept out here like a
         // recording's tape handles; the loop asks for the next attempt
         // only once the previous one has ended, so it is judged then.
         let mut audit = ReplayAudit::new();
         let record = self.visit_loop(rank, &origin, telemetry, |attempt| {
-            audit.verdict()?;
-            let tape = bundle.tape(rank, attempt as usize);
-            let tape = tape.ok_or_else(|| format!("no recorded attempt {attempt}"))?;
+            audit.verdict().map_err(diverged)?;
+            let Some(next) = attempts.next() else {
+                return Err(diverged(format!("no recorded attempt {attempt}")));
+            };
+            let tape = bundle.read_tape(reader, next)?;
             audit = ReplayAudit::new();
-            Ok::<_, String>(ReplayNetwork::new(tape).audited(&audit))
+            Ok(ReplayNetwork::new(tape).audited(&audit))
         })?;
-        audit.verdict()?;
-        let recorded = manifest.attempts.len();
+        audit.verdict().map_err(diverged)?;
         match record.attempts as usize {
             replayed if replayed == recorded => Ok(record),
-            replayed => Err(format!("{replayed} of {recorded} attempts replayed")),
+            replayed => Err(diverged(format!(
+                "{replayed} of {recorded} attempts replayed"
+            ))),
         }
     }
 
@@ -436,9 +453,11 @@ impl Crawler {
     {
         let mut funnel = CrawlFunnel::default();
         for rank in (1..=bundle.sites()).filter(|rank| !completed.contains(rank)) {
-            let record = self
-                .replay_observed(bundle, rank, Some((telemetry, 0)))
-                .unwrap_or_else(|e| panic!("replay divergence at rank {rank}: {e}"));
+            let record = bundle
+                .with_reader(|reader| {
+                    self.replay_observed(bundle, reader, rank, Some((telemetry, 0)))
+                })
+                .unwrap_or_else(|e| panic!("{e}"));
             funnel.attempted += 1;
             funnel.count_record(&record);
             sink(record);

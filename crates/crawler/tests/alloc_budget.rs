@@ -8,7 +8,10 @@
 //!   170 allocations per visit on average;
 //! * in `job_start`, the shard writer (the calling thread) frees at most
 //!   half a block more per record than it allocates: each record goes
-//!   back to the worker that built it, which frees it there.
+//!   back to the worker that built it, which frees it there;
+//! * a `ReplayBundle` loaded from seed 7's 2,000-site store holds at most
+//!   256 heap bytes per site: an index of frame offsets and the blobs
+//!   several sites share, never the manifests or the other blobs.
 //!
 //! Counts are kept per thread, so the other tests running in this binary
 //! cannot disturb them, and they repeat exactly from run to run.
@@ -17,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use crawler::{job_start, CrawlConfig, Crawler, DbFormat, JobManifest, JobOptions};
+use crawler::{job_start, CrawlConfig, Crawler, DbFormat, JobManifest, JobOptions, ReplayBundle};
 use webgen::{PopulationConfig, WebPopulation};
 
 struct Counting;
@@ -27,13 +30,17 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Live blocks this thread created minus blocks it freed.
     static NET_BLOCKS: Cell<i64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed, growth by
+    /// `realloc` included.
+    static NET_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_allocation(new_block: bool) {
+fn count_allocation(new_block: bool, bytes: i64) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
     if new_block {
         NET_BLOCKS.with(|n| n.set(n.get() + 1));
     }
+    NET_BYTES.with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments;
@@ -41,22 +48,23 @@ fn count_allocation(new_block: bool) {
 // so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation(true);
+        count_allocation(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation(true);
+        count_allocation(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation(false);
+        count_allocation(false, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         NET_BLOCKS.with(|n| n.set(n.get() - 1));
+        NET_BYTES.with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -128,4 +136,21 @@ fn the_shard_writer_frees_no_record_built_by_a_worker() {
             );
         }
     }
+}
+
+#[test]
+fn a_loaded_replay_bundle_holds_at_most_256_bytes_per_site() {
+    let dir = JobDir::new("replay-load");
+    let mut manifest = JobManifest::new(SEED, RANKS, 1, DbFormat::Jsonl);
+    manifest.record_bundle = true;
+    job_start(&dir.0, &manifest, &JobOptions::default()).expect("recording job runs");
+    let before = NET_BYTES.with(Cell::get);
+    let bundle = ReplayBundle::load(&JobManifest::bundle_dir(&dir.0)).expect("store loads");
+    let held = NET_BYTES.with(Cell::get) - before;
+    assert_eq!(bundle.sites(), RANKS);
+    let per_site = held as f64 / RANKS as f64;
+    assert!(
+        per_site <= 256.0,
+        "the loaded store holds {per_site:.0} heap bytes per site"
+    );
 }

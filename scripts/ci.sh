@@ -146,9 +146,22 @@ echo "    sharded columnar analyze output is byte-identical"
 echo "==> record/replay bundle gate (20k sites, generator never invoked)"
 BIN=target/release/permissions-odyssey
 REC=$(mktemp -d -p "$SCRATCH")
-"$BIN" crawl --size 20000 --seed 7 --record "$REC/bundle" --out "$REC/live.jsonl" 2>/dev/null
-"$BIN" crawl --replay "$REC/bundle" --out "$REC/replayed.jsonl" 2>/dev/null
+"$BIN" crawl --size 20000 --seed 7 --record "$REC/bundle" --out "$REC/live.jsonl" \
+    2>"$REC/record.log"
+"$BIN" crawl --replay "$REC/bundle" --out "$REC/replayed.jsonl" 2>"$REC/replay.log"
 cmp "$REC/live.jsonl" "$REC/replayed.jsonl"
+# Replay reads its store instead of loading it, so the default 8-worker
+# replay peaks at most 8 MiB above the recording crawl that built the
+# store (about 22 and 26 MiB measured; EXPERIMENTS.md).
+peak_mb() { sed -n 's/^peak rss: \([0-9]*\) MiB$/\1/p' "$1"; }
+record_mb=$(peak_mb "$REC/record.log")
+replay_mb=$(peak_mb "$REC/replay.log")
+if [ -z "$record_mb" ] || [ -z "$replay_mb" ] || [ "$replay_mb" -gt $((record_mb + 8)) ]; then
+    echo "crawl --replay peaked at ${replay_mb:-?} MiB, more than 8 MiB above" \
+        "the recording's ${record_mb:-?} MiB" >&2
+    exit 1
+fi
+echo "    replay peak rss ${replay_mb} MiB, recording ${record_mb} MiB (allowance +8 MiB)"
 # `crawl` runs one worker pool: one replay worker writes the same bytes.
 "$BIN" crawl --replay "$REC/bundle" --workers 1 --out "$REC/replayed-1.jsonl" 2>/dev/null
 cmp "$REC/live.jsonl" "$REC/replayed-1.jsonl"

@@ -1,8 +1,9 @@
 //! The command-line front end, driven as a user drives it: flag-table
 //! errors, output-format resolution, `convert` refusing to overwrite its
-//! input, closed stdout/stderr, `crawl` (live or replayed) writing the
-//! same shard bytes as `crawl-job start`, and a replay that cannot
-//! reproduce its recording failing loudly.
+//! input and `crawl` refusing to write shards over its bundle store,
+//! closed stdout/stderr, `crawl` (live or replayed) writing the same
+//! shard bytes as `crawl-job start`, and a replay that cannot reproduce
+//! its recording failing loudly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -248,8 +249,9 @@ fn format_must_agree_with_the_output_extension() {
 }
 
 /// `convert` creates its output before it reads a record, so an output
-/// that is the input — under its own name, another spelling of it or a
-/// symlink to it — is refused before anything is truncated.
+/// that is the input — under its own name, another spelling of it, a
+/// symlink or a hard link to it — is refused before anything is
+/// truncated.
 #[test]
 fn convert_refuses_to_overwrite_its_input() {
     let dir = scratch("convert-self");
@@ -268,11 +270,54 @@ fn convert_refuses_to_overwrite_its_input() {
         let bytes = std::fs::read(&db).unwrap();
         let link = format!("link-{file}");
         std::os::unix::fs::symlink(file, dir.join(&link)).unwrap();
+        let hard = format!("hard-{file}");
+        std::fs::hard_link(&db, dir.join(&hard)).unwrap();
         let dotted = format!("./{file}");
-        for out in [file, dotted.as_str(), link.as_str()] {
+        for out in [file, dotted.as_str(), link.as_str(), hard.as_str()] {
             assert_one_error(&convert(&["--in", file, "--out", out]), &["convert", out]);
             assert_eq!(std::fs::read(&db).unwrap(), bytes, "{format}: --out {out}");
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A recording creates its store before its shards, and a replay reads
+/// its store while it writes shards, so a shard that is one of the
+/// store's files — named directly, spelled another way or through a hard
+/// link — is refused before any file is created, and the store keeps its
+/// bytes. A recording's store need not exist yet.
+#[test]
+fn crawl_refuses_to_write_shards_over_its_bundle_store() {
+    let dir = scratch("store-shards");
+    let store = dir.join("store");
+    let recorded = dir.join("recorded.jsonl");
+    assert_success(&run(&[
+        "crawl",
+        "--size",
+        "30",
+        "--record",
+        path(&store),
+        "--out",
+        path(&recorded),
+    ]));
+    let files = crawler::BUNDLE_STORE_FILES;
+    let snapshot = || files.map(|file| std::fs::read(store.join(file)).unwrap());
+    let stored = snapshot();
+    for file in files {
+        let hard = dir.join(format!("hard-{file}"));
+        std::fs::hard_link(store.join(file), &hard).unwrap();
+        let dotted = store.join(".").join(file);
+        for out in [store.join(file), dotted, hard] {
+            let replay = run(&["crawl", "--replay", path(&store), "--out", path(&out)]);
+            assert_one_error(&replay, &["crawl", file]);
+            assert_eq!(snapshot(), stored, "crawl --replay --out {}", out.display());
+        }
+        let fresh = dir.join(format!("fresh-{file}"));
+        let out = fresh.join(file);
+        #[rustfmt::skip]
+        let record = run(&["crawl", "--size", "30", "--record", path(&fresh), "--out", path(&out)]);
+        assert_one_error(&record, &["crawl", file]);
+        assert!(!fresh.exists(), "crawl --record --out {}", out.display());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
