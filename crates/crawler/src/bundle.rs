@@ -31,18 +31,13 @@
 //! caller is the worker pool's writer thread, which already holds sites
 //! in rank order and commits each bundle just before the site's record.
 //!
-//! Every reader makes the same single pass over a store: `blobs.bin`,
-//! then `manifests.bin`, one frame at a time through one reused buffer,
-//! under one rule set. A blob payload is a 16-byte digest followed by
-//! content that hashes to it; the n-th manifest decodes, carries rank n,
-//! and names only blobs the pass has already accepted. The
-//! [`StreamMode`] alone decides what a broken frame or rule does:
-//! `Strict` errs naming the file and byte offset, `Lenient` skips the
-//! record and counts it once, `Resume` cuts the pack there. The readers
-//! differ only in what they keep: [`ReplayBundle::load`] an index of
-//! frame offsets plus the blobs several sites share, [`BundleStat::scan`]
-//! blob sizes and counts, and [`BundleRecorder::resume`] the digest index
-//! and each pack's valid length.
+//! Every reader makes the same single pass over a store (`pass_store`):
+//! `bundle.json`, `blobs.bin`, then `manifests.bin`, under one rule set,
+//! with damage mapped by [`StreamMode::recover`]. The readers differ
+//! only in what they keep: [`ReplayBundle::load`] an index of frame
+//! offsets plus the blobs several sites share, [`BundleStat::scan`] blob
+//! sizes and counts, and [`BundleRecorder::resume`] the digest index and
+//! each pack's valid length.
 //!
 //! [`ReplayBundle`] serves every visit byte-for-byte through
 //! [`netsim::ReplayNetwork`] — original timing, faults and crashes
@@ -55,8 +50,8 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -64,9 +59,11 @@ use bytes::Bytes;
 use netsim::{Exchange, ExchangeOutcome, FetchError, PostFetchProbe, VisitTape};
 use serde::{Deserialize, Serialize};
 
-use crate::colsh::crc32;
-use crate::db::{SkipReport, StreamMode};
 use crate::run::CrawlConfig;
+use crate::storage::{
+    check_frame, load_checksummed, reopen_at, store_checksummed, write_frame, Checksummed, Damage,
+    Fault, Frame, FrameReader, Recovery, SkipReport, StreamMode,
+};
 
 /// Store metadata file (JSON + checksum trailer).
 pub const BUNDLE_META_FILE: &str = "bundle.json";
@@ -183,41 +180,22 @@ impl BundleMeta {
     /// Atomically writes the metadata into `dir` (temp file + rename),
     /// with the same checksum-trailer idiom as `job.json`.
     pub fn store(&self, dir: &Path) -> std::io::Result<()> {
-        crate::jobs::store_checksummed(self, dir, BUNDLE_META_FILE)
+        store_checksummed(self, dir, BUNDLE_META_FILE)
     }
 
-    /// Loads and verifies the metadata from `dir`; a torn or corrupt
-    /// file is a loud error naming the path.
+    /// Loads and verifies the metadata from `dir`; a missing, torn or
+    /// corrupt file is a loud error naming the path.
     pub fn load(dir: &Path) -> std::io::Result<BundleMeta> {
-        let path = dir.join(BUNDLE_META_FILE);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!(
-                    "no readable bundle metadata at {}: {e}; `crawl --record` creates one",
-                    path.display()
-                ),
-            )
-        })?;
-        let torn = |detail: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "bundle metadata {} is torn or corrupt ({detail}); \
-                     re-record the bundle to regenerate it",
-                    path.display()
-                ),
-            )
+        let file = Checksummed {
+            name: BUNDLE_META_FILE,
+            what: "bundle metadata",
+            creator: "`crawl --record`",
+            repair: "re-record the bundle to regenerate it",
         };
-        let meta: BundleMeta =
-            crate::jobs::parse_checksummed(&text).map_err(|detail| torn(&detail))?;
-        if meta.version != BUNDLE_VERSION {
-            return Err(torn(&format!(
-                "unsupported bundle version {}",
-                meta.version
-            )));
-        }
-        Ok(meta)
+        load_checksummed(dir, &file, |meta: &BundleMeta| match meta.version {
+            BUNDLE_VERSION => Ok(()),
+            version => Err(format!("unsupported bundle version {version}")),
+        })
     }
 }
 
@@ -564,96 +542,14 @@ fn decode_headers(bytes: &[u8]) -> Result<Vec<(String, String)>, String> {
 
 // --- framed pack files ----------------------------------------------------
 
-fn write_framed(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(&crc32(payload).to_le_bytes())?;
-    writer.write_all(payload)
-}
-
-/// What [`PackReader::next_frame`] found at its offset.
-enum Frame {
-    /// A whole frame whose payload matches its checksum.
-    Intact,
-    /// A whole frame whose payload fails its checksum.
-    Corrupt,
-    /// A frame header or payload that runs past the end of the file.
-    Torn,
-    /// The end of the file.
-    End,
-}
-
-/// Reads one pack file's `[len u32][crc32 u32][payload]` frames in order
-/// through one reused payload buffer, never the whole file.
-struct PackReader {
-    file: BufReader<File>,
-    /// File length when opened: a frame that runs past it is torn, and
-    /// no length read from the file allocates more than it.
-    len: u64,
-    /// Byte offset of the next frame.
-    at: u64,
-    /// The payload of the last whole frame read.
-    payload: Vec<u8>,
-}
-
-impl PackReader {
-    /// Opens `path` past its magic; `None` when the file does not start
-    /// with `magic`, a missing file included.
-    fn open(path: &Path, magic: [u8; 8]) -> std::io::Result<Option<PackReader>> {
-        let file = match File::open(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            file => file?,
-        };
-        let len = file.metadata()?.len();
-        if len < 8 {
-            return Ok(None);
-        }
-        let mut file = BufReader::new(file);
-        let mut head = [0u8; 8];
-        file.read_exact(&mut head)?;
-        if head != magic {
-            return Ok(None);
-        }
-        Ok(Some(PackReader {
-            file,
-            len,
-            at: 8,
-            payload: Vec::new(),
-        }))
-    }
-
-    fn next_frame(&mut self) -> std::io::Result<Frame> {
-        let left = self.len - self.at;
-        if left == 0 {
-            return Ok(Frame::End);
-        }
-        if left < 8 {
-            return Ok(Frame::Torn);
-        }
-        let mut header = [0u8; 8];
-        self.file.read_exact(&mut header)?;
-        let [len, crc] = [&header[..4], &header[4..]]
-            .map(|field| u32::from_le_bytes(field.try_into().expect("4-byte field")));
-        if left - 8 < u64::from(len) {
-            return Ok(Frame::Torn);
-        }
-        self.payload.resize(len as usize, 0);
-        self.file.read_exact(&mut self.payload)?;
-        self.at += 8 + u64::from(len);
-        Ok(if crc32(&self.payload) == crc {
-            Frame::Intact
-        } else {
-            Frame::Corrupt
-        })
-    }
-}
-
 /// Streams one pack, handing each intact payload to `rule` with its byte
-/// offset and 1-based frame number. `mode` alone decides what a broken
-/// frame or a failed rule does: `Strict` errs naming the file and byte
-/// offset; `Lenient` skips the record and counts it once, except that a
-/// torn tail ends the pack and is flagged; `Resume` ends the pack at that
-/// record. Returns the skips and the length of the pack's valid prefix,
-/// which is where a resumed append starts.
+/// offset and 1-based frame number. Damage goes through the one mapping
+/// ([`StreamMode::recover`]): a frame or a magic that runs short is
+/// torn, and a frame that fails its checksum or `rule` can be stepped
+/// over, since pack frames carry no state for later ones. Every error
+/// names the file. In `Resume` any damage cuts the pack there. Returns
+/// the skips and the length of the pack's valid prefix, which is where
+/// a resumed append starts.
 fn pass_pack(
     path: &Path,
     magic: [u8; 8],
@@ -661,35 +557,44 @@ fn pass_pack(
     mut rule: impl FnMut(&[u8], u64, u64) -> Result<(), String>,
 ) -> std::io::Result<(SkipReport, u64)> {
     let mut report = SkipReport::default();
-    let Some(mut pack) = PackReader::open(path, magic)? else {
-        if mode == StreamMode::Strict {
-            return invalid(format!("{}: missing or wrong pack magic", path.display()));
-        }
-        report.torn_tail = true;
-        return Ok((report, 0));
+    let fault = |damage, detail: &str| Fault::new(damage, format!("{}: {detail}", path.display()));
+    let mut pack = match FrameReader::open(path, false) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        pack => Some(pack?),
     };
-    for number in 1.. {
-        let at = pack.at;
-        let (failure, torn) = match pack.next_frame()? {
-            Frame::End => break,
-            Frame::Torn => (format!("torn record at byte {at}"), true),
-            Frame::Corrupt => (format!("checksum mismatch at byte {at}"), false),
-            Frame::Intact => match rule(&pack.payload, at, number) {
-                Ok(()) => continue,
-                Err(failure) => (failure, false),
-            },
-        };
-        match mode {
-            StreamMode::Strict => return invalid(format!("{}: {failure}", path.display())),
-            StreamMode::Lenient if !torn => report.record(number),
-            StreamMode::Lenient => {
-                report.torn_tail = true;
-                return Ok((report, at));
-            }
-            StreamMode::Resume => return Ok((report, at)),
+    if let Some(reader) = &mut pack {
+        let mut head = [0u8; 8];
+        if !reader.head(&mut head)? || head != magic {
+            pack = None;
         }
     }
-    Ok((report, pack.at))
+    let Some(mut pack) = pack else {
+        let missing = fault(Damage::Torn, "missing or wrong pack magic");
+        mode.recover(missing, true, &mut report, 1, 1)?;
+        return Ok((report, 0));
+    };
+    let mut payload = Vec::new();
+    for number in 1.. {
+        let (at, failure) = match pack.next(Some(&mut payload))? {
+            Frame::End => break,
+            Frame::Torn { at } => (
+                at,
+                fault(Damage::Torn, &format!("torn record at byte {at}")),
+            ),
+            Frame::Corrupt { at, .. } => {
+                let detail = format!("checksum mismatch at byte {at}");
+                (at, fault(Damage::Skippable, &detail))
+            }
+            Frame::Intact { at, .. } => match rule(&payload, at, number) {
+                Ok(()) => continue,
+                Err(failure) => (at, fault(Damage::Skippable, &failure)),
+            },
+        };
+        if mode.recover(failure, true, &mut report, number, 1)? == Recovery::Cut {
+            return Ok((report, at));
+        }
+    }
+    Ok((report, pack.at()))
 }
 
 /// Splits the payload of the blob frame at byte `at` into its stored
@@ -709,6 +614,8 @@ fn blob_payload(payload: &[u8], at: u64) -> Result<(&[u8; 16], &[u8]), String> {
 /// What one [`pass_store`] accepted, and where each pack's valid prefix
 /// ends.
 struct StorePass<B> {
+    /// The store's `bundle.json`.
+    meta: BundleMeta,
     /// Every accepted blob by digest, as the caller kept it.
     blobs: HashMap<[u8; 16], B>,
     blob_skips: SkipReport,
@@ -717,7 +624,8 @@ struct StorePass<B> {
     manifests_valid: u64,
 }
 
-/// The one pass every store reader makes: `blobs.bin`, then
+/// The one pass every store reader makes: `bundle.json` through the
+/// checksummed-file load, in every mode, then `blobs.bin` and
 /// `manifests.bin`, each streamed once under one rule set.
 ///
 /// - A blob payload is at least 16 bytes, and its content hashes to the
@@ -734,6 +642,7 @@ fn pass_store<B>(
     mut keep_blob: impl FnMut(&[u8], u64) -> B,
     mut keep_manifest: impl FnMut(SiteManifest, u64, &mut HashMap<[u8; 16], B>),
 ) -> std::io::Result<StorePass<B>> {
+    let meta = BundleMeta::load(dir)?;
     let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
     let mut blobs = HashMap::new();
     let (blob_skips, blobs_valid) = pass_pack(&blobs_path, BLOB_MAGIC, mode, |payload, at, _| {
@@ -770,6 +679,7 @@ fn pass_store<B>(
         },
     )?;
     Ok(StorePass {
+        meta,
         blobs,
         blob_skips,
         manifest_skips,
@@ -852,14 +762,6 @@ impl BundleRecorder {
         if !is_bundle_store(dir) {
             return BundleRecorder::create(dir, meta);
         }
-        let stored = BundleMeta::load(dir)?;
-        if &stored != meta {
-            return invalid(format!(
-                "bundle store {} was recorded under different crawl parameters; \
-                 refusing to mix recordings",
-                dir.display()
-            ));
-        }
         let mut durable_prefix = 0u64;
         let pass = pass_store(
             dir,
@@ -867,6 +769,13 @@ impl BundleRecorder {
             |_, _| (),
             |_, _, _| durable_prefix += 1,
         )?;
+        if &pass.meta != meta {
+            return invalid(format!(
+                "bundle store {} was recorded under different crawl parameters; \
+                 refusing to mix recordings",
+                dir.display()
+            ));
+        }
         let valid = [pass.blobs_valid, pass.manifests_valid];
         BundleRecorder::append(dir, valid, pass.blobs, durable_prefix)
     }
@@ -881,18 +790,9 @@ impl BundleRecorder {
         durable_prefix: u64,
     ) -> std::io::Result<BundleRecorder> {
         let open = |file: &str, magic: [u8; 8], valid: u64| -> std::io::Result<BufWriter<File>> {
-            let path = dir.join(file);
-            let mut file = OpenOptions::new()
-                .create(true)
-                .truncate(false)
-                .write(true)
-                .open(path)?;
+            let mut file = reopen_at(&dir.join(file), valid, None)?;
             if valid == 0 {
-                file.set_len(0)?;
                 file.write_all(&magic)?;
-            } else {
-                file.set_len(valid)?;
-                file.seek(SeekFrom::End(0))?;
             }
             Ok(BufWriter::new(file))
         };
@@ -1001,7 +901,7 @@ fn commit_site(dir: &Path, inner: &mut RecorderInner, bundle: &SiteBundle) -> st
     // Blobs land (and flush) before the manifest referencing them: a
     // manifest record is the site's commit point.
     inner.blobs.flush().map_err(&blobs)?;
-    write_framed(&mut inner.manifests, &manifest.encode())
+    write_frame(&mut inner.manifests, None, &manifest.encode())
         .map_err(writing(dir, BUNDLE_MANIFESTS_FILE))
 }
 
@@ -1011,7 +911,7 @@ fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]
         let mut payload = Vec::with_capacity(16 + bytes.len());
         payload.extend_from_slice(&digest);
         payload.extend_from_slice(bytes);
-        write_framed(&mut inner.blobs, &payload)?;
+        write_frame(&mut inner.blobs, None, &payload)?;
     }
     Ok(digest)
 }
@@ -1078,7 +978,6 @@ impl ReplayBundle {
     /// tail, rank gap, dangling blob reference — is a loud error naming
     /// the file.
     pub fn load(dir: &Path) -> std::io::Result<ReplayBundle> {
-        let meta = BundleMeta::load(dir)?;
         let mut manifests = Vec::new();
         let mut named = Vec::new();
         let pass = pass_store(
@@ -1125,7 +1024,7 @@ impl ReplayBundle {
             .collect::<std::io::Result<_>>()?;
         Ok(ReplayBundle {
             dir: dir.to_path_buf(),
-            meta,
+            meta: pass.meta,
             blobs: pass.blobs,
             shared,
             manifests,
@@ -1377,17 +1276,7 @@ impl PackWindow {
             self.fill(at, size)?;
         }
         let from = (at - self.start) as usize;
-        let frame = &self.window[from..from + size];
-        let [stored_len, crc] = [&frame[..4], &frame[4..8]]
-            .map(|field| u32::from_le_bytes(field.try_into().expect("4-byte field")));
-        if stored_len != len {
-            return Err(self.error(format!(
-                "frame at byte {at} holds {stored_len} bytes, not the {len} it held at load"
-            )));
-        }
-        if crc32(&frame[8..]) != crc {
-            return Err(self.error(format!("checksum mismatch at byte {at}")));
-        }
+        check_frame(&self.window[from..from + size], at, len).map_err(|e| self.error(e))?;
         Ok(from + 8..from + size)
     }
 
@@ -1499,6 +1388,8 @@ impl BundleStat {
 mod tests {
     use super::*;
     use crate::scratch::ScratchFile;
+    use crate::storage::crc32;
+    use std::fs::OpenOptions;
 
     fn sample_manifest() -> SiteManifest {
         SiteManifest {
@@ -1833,76 +1724,104 @@ mod tests {
     /// `bundle stat` fails exactly when a replay load does, with the same
     /// message, and a resume keeps the prefix before the damage and,
     /// once every rank is submitted again, finishes a store that loads.
+    /// A corrupt or missing `bundle.json` fails all three.
     #[test]
     fn readers_agree_on_every_damage_shape() {
-        type Damage = fn(&mut Vec<u8>);
-        // (shape, damaged pack, damage, ranks a resume keeps)
-        let shapes: [(&str, &str, Damage, u64); 8] = [
-            ("intact", BUNDLE_MANIFESTS_FILE, |_| {}, 5),
+        type Damage = fn(&Path);
+        // (shape, damage, ranks a resume keeps: `None` if it fails)
+        let shapes: [(&str, Damage, Option<u64>); 10] = [
+            ("intact", |_| {}, Some(5)),
             (
                 "rank-gap",
-                BUNDLE_MANIFESTS_FILE,
-                |pack| drop(pack.drain(frames(pack)[2].clone())),
-                2,
+                |dir| {
+                    edit_pack(dir, BUNDLE_MANIFESTS_FILE, |pack| {
+                        drop(pack.drain(frames(pack)[2].clone()))
+                    })
+                },
+                Some(2),
             ),
             (
                 // Rank 2's page changes and its CRC is recomputed.
                 "digest-mismatch",
-                BUNDLE_BLOBS_FILE,
-                |pack| {
-                    let frame = frames(pack)[5].clone();
-                    pack[frame.end - 1] ^= 0xFF;
-                    let crc = crc32(&pack[frame.start + 8..frame.end]);
-                    pack[frame.start + 4..frame.start + 8].copy_from_slice(&crc.to_le_bytes());
+                |dir| {
+                    edit_pack(dir, BUNDLE_BLOBS_FILE, |pack| {
+                        let frame = frames(pack)[5].clone();
+                        pack[frame.end - 1] ^= 0xFF;
+                        let crc = crc32(&pack[frame.start + 8..frame.end]);
+                        pack[frame.start + 4..frame.start + 8].copy_from_slice(&crc.to_le_bytes());
+                    })
                 },
-                1,
+                Some(1),
             ),
             (
                 // A CRC-valid 10-byte record after the first blob.
                 "short-blob-record",
-                BUNDLE_BLOBS_FILE,
-                |pack| {
-                    let at = frames(pack)[0].end;
-                    let mut short = Vec::new();
-                    write_framed(&mut short, &[0u8; 10]).unwrap();
-                    pack.splice(at..at, short);
+                |dir| {
+                    edit_pack(dir, BUNDLE_BLOBS_FILE, |pack| {
+                        let at = frames(pack)[0].end;
+                        let mut short = Vec::new();
+                        write_frame(&mut short, None, &[0u8; 10]).unwrap();
+                        pack.splice(at..at, short);
+                    })
                 },
-                0,
+                Some(0),
             ),
             (
                 // Rank 3's page headers leave blobs.bin.
                 "missing-blob",
-                BUNDLE_BLOBS_FILE,
-                |pack| drop(pack.drain(frames(pack)[6].clone())),
-                2,
+                |dir| {
+                    edit_pack(dir, BUNDLE_BLOBS_FILE, |pack| {
+                        drop(pack.drain(frames(pack)[6].clone()))
+                    })
+                },
+                Some(2),
             ),
             (
                 "torn-blobs-tail",
-                BUNDLE_BLOBS_FILE,
-                |pack| pack.truncate(pack.len() - 3),
-                4,
+                |dir| edit_pack(dir, BUNDLE_BLOBS_FILE, |pack| pack.truncate(pack.len() - 3)),
+                Some(4),
             ),
             (
                 "torn-manifests-tail",
-                BUNDLE_MANIFESTS_FILE,
-                |pack| pack.truncate(pack.len() - 3),
-                4,
+                |dir| {
+                    edit_pack(dir, BUNDLE_MANIFESTS_FILE, |pack| {
+                        pack.truncate(pack.len() - 3)
+                    })
+                },
+                Some(4),
             ),
             (
                 // The last byte of rank 3's page.
                 "flipped-byte",
-                BUNDLE_BLOBS_FILE,
-                |pack| {
-                    let end = frames(pack)[7].end;
-                    pack[end - 1] ^= 0x01;
+                |dir| {
+                    edit_pack(dir, BUNDLE_BLOBS_FILE, |pack| {
+                        let end = frames(pack)[7].end;
+                        pack[end - 1] ^= 0x01;
+                    })
                 },
-                2,
+                Some(2),
+            ),
+            (
+                // The seed edited without updating the CRC trailer.
+                "corrupt-bundle-json",
+                |dir| {
+                    let path = dir.join(BUNDLE_META_FILE);
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert!(text.contains("\"seed\":7"), "{text}");
+                    std::fs::write(&path, text.replace("\"seed\":7", "\"seed\":8")).unwrap();
+                },
+                None,
+            ),
+            (
+                "missing-bundle-json",
+                |dir| std::fs::remove_file(dir.join(BUNDLE_META_FILE)).unwrap(),
+                None,
             ),
         ];
-        for (shape, file, damage, kept) in shapes {
+        for (shape, damage, kept) in shapes {
             let dir = scratch(shape);
             let meta = record_sites(&dir, 5);
-            edit_pack(&dir, file, damage);
+            damage(&dir);
 
             let load = ReplayBundle::load(&dir)
                 .map(|_| ())
@@ -1917,7 +1836,15 @@ mod tests {
             );
             assert_eq!(stat, load, "{shape}: bundle stat and load disagree");
 
-            let resumed = BundleRecorder::resume(&dir, &meta).unwrap();
+            let resumed = BundleRecorder::resume(&dir, &meta);
+            let Some(kept) = kept else {
+                let err = load.unwrap_err();
+                assert!(err.contains(BUNDLE_META_FILE), "{shape}: {err}");
+                let resumed = resumed.map(|_| ()).map_err(|e| e.to_string());
+                assert!(resumed.is_err(), "{shape}: resume accepted the store");
+                continue;
+            };
+            let resumed = resumed.unwrap();
             assert_eq!(resumed.committed(), kept, "{shape}: durable prefix");
             for rank in 1..=5 {
                 resumed.submit(site(rank)).unwrap();

@@ -34,18 +34,15 @@
 //! the dictionary per epoch; files written before the marker existed
 //! simply never reset.
 //!
-//! The reader mirrors [`RecordStream`]'s three modes: **Strict** (any
-//! damage, including a missing END marker, is a loud error), **Lenient**
-//! (a corrupt column block skips the whole group, counted per record),
-//! and **Resume** (a torn tail — the signature of a crawl killed
-//! mid-append — ends the stream cleanly and `valid_len` marks the end of
-//! the last complete group, excluding END so an append overwrites it).
-//!
-//! [`RecordStream`]: crate::RecordStream
+//! The reader maps damage through the one rule of [`crate::storage`]:
+//! a bad column block can be stepped over (its group is skipped and
+//! counted), a torn tail ends the stream, and anything else is an
+//! error naming the block's byte offset. `valid_len` marks the end of
+//! the last complete group, excluding END so an append overwrites it.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use browser::{
@@ -54,8 +51,12 @@ use browser::{
 };
 use registry::{all_permissions, FeatureToken, Permission};
 
-use crate::db::{ResumeState, SkipReport, StreamMode};
+use crate::db::ResumeState;
 use crate::run::{CrawlDataset, SiteOutcome, SiteRecord};
+use crate::storage::{
+    reopen_at, write_frame, Damage, Digest64, DigestWriter, Fault, Frame, FrameReader, Recovery,
+    SkipReport, StreamMode,
+};
 
 /// File magic: the first eight bytes of every `.colsh` database.
 pub const COLSH_MAGIC: [u8; 8] = *b"PCOLSH1\n";
@@ -161,200 +162,6 @@ impl std::ops::BitOr for ColumnSet {
     type Output = ColumnSet;
     fn bitor(self, rhs: ColumnSet) -> ColumnSet {
         self.union(rhs)
-    }
-}
-
-// --- CRC32 (IEEE 802.3, reflected) ---------------------------------------
-
-/// Slice-by-8 lookup tables: `t[0]` is the classic byte-at-a-time
-/// table, `t[k][i]` advances the CRC of byte `i` through `k` more zero
-/// bytes, letting the hot loop fold eight input bytes per iteration.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xFF) as usize];
-    }
-    !c
-}
-
-// --- shard digest ---------------------------------------------------------
-
-const DIGEST_P1: u64 = 0x9e37_79b1_85eb_ca87;
-const DIGEST_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-
-/// One multiply-rotate round. For a fixed word it is a bijection of the
-/// state, so two inputs of one length that differ in a single word can
-/// never meet again: any one changed byte changes the digest.
-fn digest_round(state: u64, word: u64) -> u64 {
-    (state ^ word.wrapping_mul(DIGEST_P2))
-        .rotate_left(31)
-        .wrapping_mul(DIGEST_P1)
-}
-
-/// A streaming 64-bit digest of a byte sequence, eight bytes per round:
-/// what a job's completion record holds for each shard. Any split of
-/// the input into [`Digest64::update`] calls gives the same value, so
-/// the shard sinks fold it over exactly the bytes they write, and a
-/// resume seeds it from the prefix it keeps. Not cryptographic: it
-/// catches accidental change, and anyone who can edit a shard can edit
-/// the record too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Digest64 {
-    state: u64,
-    len: u64,
-    /// The bytes of a word not yet complete (`len % 8` of them), then
-    /// zeros — so equal digests compare equal.
-    tail: [u8; 8],
-}
-
-impl Default for Digest64 {
-    fn default() -> Digest64 {
-        Digest64 {
-            state: DIGEST_P1,
-            len: 0,
-            tail: [0; 8],
-        }
-    }
-}
-
-impl Digest64 {
-    /// Folds `bytes` in after everything folded so far.
-    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
-        let fill = (self.len % 8) as usize;
-        self.len += bytes.len() as u64;
-        if fill > 0 {
-            let take = bytes.len().min(8 - fill);
-            self.tail[fill..fill + take].copy_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if fill + take < 8 {
-                return;
-            }
-            self.state = digest_round(self.state, u64::from_le_bytes(self.tail));
-        }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            self.state = digest_round(self.state, word);
-        }
-        let rest = words.remainder();
-        self.tail = [0; 8];
-        self.tail[..rest.len()].copy_from_slice(rest);
-    }
-
-    /// Folds in everything `reader` yields, through one fixed 64 KiB
-    /// buffer, and returns how many bytes that was.
-    pub(crate) fn update_from(&mut self, mut reader: impl Read) -> std::io::Result<u64> {
-        let mut buf = vec![0u8; 1 << 16];
-        let mut read = 0u64;
-        loop {
-            match reader.read(&mut buf) {
-                Ok(0) => return Ok(read),
-                Ok(n) => {
-                    self.update(&buf[..n]);
-                    read += n as u64;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Bytes folded so far.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// The digest of everything folded so far: the zero-padded partial
-    /// word, then the length (which tells the padding apart from real
-    /// zero bytes), then an avalanche so every input bit reaches every
-    /// output bit.
-    pub(crate) fn value(&self) -> u64 {
-        let mut h = self.state;
-        if !self.len.is_multiple_of(8) {
-            h = digest_round(h, u64::from_le_bytes(self.tail));
-        }
-        h = digest_round(h, self.len);
-        h ^= h >> 33;
-        h = h.wrapping_mul(DIGEST_P2);
-        h ^ (h >> 29)
-    }
-}
-
-/// A writer that folds every byte it passes on into a [`Digest64`]:
-/// beneath a `BufWriter`, it sees exactly the bytes that reach the file.
-pub(crate) struct DigestWriter<W> {
-    inner: W,
-    digest: Digest64,
-}
-
-impl<W> DigestWriter<W> {
-    /// Wraps `inner`, whose destination already holds the bytes
-    /// `digest` folded.
-    pub(crate) fn new(inner: W, digest: Digest64) -> DigestWriter<W> {
-        DigestWriter { inner, digest }
-    }
-
-    /// The digest of every byte written so far, seed included.
-    pub(crate) fn digest(&self) -> Digest64 {
-        self.digest
-    }
-}
-
-impl<W: Write> Write for DigestWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.digest.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -530,123 +337,58 @@ impl ReaderDict {
 
 // --- enum ordinals --------------------------------------------------------
 
-fn site_outcome_ord(o: SiteOutcome) -> u8 {
-    match o {
-        SiteOutcome::Success => 0,
-        SiteOutcome::Unreachable => 1,
-        SiteOutcome::LoadTimeout => 2,
-        SiteOutcome::Ephemeral => 3,
-        SiteOutcome::CrawlerError => 4,
-        SiteOutcome::Excluded => 5,
-    }
+// Each enum's on-disk ordinal is its index in its table.
+const SITE_OUTCOMES: [SiteOutcome; 6] = [
+    SiteOutcome::Success,
+    SiteOutcome::Unreachable,
+    SiteOutcome::LoadTimeout,
+    SiteOutcome::Ephemeral,
+    SiteOutcome::CrawlerError,
+    SiteOutcome::Excluded,
+];
+const VISIT_OUTCOMES: [VisitOutcome; 4] = [
+    VisitOutcome::Success,
+    VisitOutcome::EphemeralContext,
+    VisitOutcome::PageTimeout,
+    VisitOutcome::CrawlerCrash,
+];
+const INVOCATION_KINDS: [InvocationKind; 3] = [
+    InvocationKind::Invocation,
+    InvocationKind::StatusQuery,
+    InvocationKind::General,
+];
+const SCRIPT_OUTCOMES: [ScriptOutcome; 7] = [
+    ScriptOutcome::Ok,
+    ScriptOutcome::ParseError,
+    ScriptOutcome::BudgetExceeded,
+    ScriptOutcome::PoolExhausted,
+    ScriptOutcome::FetchFailed,
+    ScriptOutcome::BytesCapped,
+    ScriptOutcome::CompileError,
+];
+const DEGRADATION_KINDS: [DegradationKind; 12] = [
+    DegradationKind::ScriptParseError,
+    DegradationKind::ScriptBudgetExceeded,
+    DegradationKind::ScriptPoolExhausted,
+    DegradationKind::ScriptFetchFailed,
+    DegradationKind::ScriptBytesCapped,
+    DegradationKind::DocumentBytesCapped,
+    DegradationKind::FetchCapReached,
+    DegradationKind::RedirectHopsExceeded,
+    DegradationKind::FrameCapReached,
+    DegradationKind::FrameDepthTruncated,
+    DegradationKind::HeaderBytesCapped,
+    DegradationKind::ScriptCompileError,
+];
+
+fn ord<T: PartialEq>(table: &[T], value: T) -> u8 {
+    let ord = table.iter().position(|v| *v == value);
+    ord.expect("every variant has an ordinal") as u8
 }
 
-fn site_outcome(b: u8) -> std::io::Result<SiteOutcome> {
-    Ok(match b {
-        0 => SiteOutcome::Success,
-        1 => SiteOutcome::Unreachable,
-        2 => SiteOutcome::LoadTimeout,
-        3 => SiteOutcome::Ephemeral,
-        4 => SiteOutcome::CrawlerError,
-        5 => SiteOutcome::Excluded,
-        _ => return Err(bad(format!("bad site outcome ordinal {b}"))),
-    })
-}
-
-fn visit_outcome_ord(o: VisitOutcome) -> u8 {
-    match o {
-        VisitOutcome::Success => 0,
-        VisitOutcome::EphemeralContext => 1,
-        VisitOutcome::PageTimeout => 2,
-        VisitOutcome::CrawlerCrash => 3,
-    }
-}
-
-fn visit_outcome(b: u8) -> std::io::Result<VisitOutcome> {
-    Ok(match b {
-        0 => VisitOutcome::Success,
-        1 => VisitOutcome::EphemeralContext,
-        2 => VisitOutcome::PageTimeout,
-        3 => VisitOutcome::CrawlerCrash,
-        _ => return Err(bad(format!("bad visit outcome ordinal {b}"))),
-    })
-}
-
-fn invocation_kind_ord(k: InvocationKind) -> u8 {
-    match k {
-        InvocationKind::Invocation => 0,
-        InvocationKind::StatusQuery => 1,
-        InvocationKind::General => 2,
-    }
-}
-
-fn invocation_kind(b: u8) -> std::io::Result<InvocationKind> {
-    Ok(match b {
-        0 => InvocationKind::Invocation,
-        1 => InvocationKind::StatusQuery,
-        2 => InvocationKind::General,
-        _ => return Err(bad(format!("bad invocation kind ordinal {b}"))),
-    })
-}
-
-fn script_outcome_ord(o: ScriptOutcome) -> u8 {
-    match o {
-        ScriptOutcome::Ok => 0,
-        ScriptOutcome::ParseError => 1,
-        ScriptOutcome::BudgetExceeded => 2,
-        ScriptOutcome::PoolExhausted => 3,
-        ScriptOutcome::FetchFailed => 4,
-        ScriptOutcome::BytesCapped => 5,
-        ScriptOutcome::CompileError => 6,
-    }
-}
-
-fn script_outcome(b: u8) -> std::io::Result<ScriptOutcome> {
-    Ok(match b {
-        0 => ScriptOutcome::Ok,
-        1 => ScriptOutcome::ParseError,
-        2 => ScriptOutcome::BudgetExceeded,
-        3 => ScriptOutcome::PoolExhausted,
-        4 => ScriptOutcome::FetchFailed,
-        5 => ScriptOutcome::BytesCapped,
-        6 => ScriptOutcome::CompileError,
-        _ => return Err(bad(format!("bad script outcome ordinal {b}"))),
-    })
-}
-
-fn degradation_kind_ord(k: DegradationKind) -> u8 {
-    match k {
-        DegradationKind::ScriptParseError => 0,
-        DegradationKind::ScriptBudgetExceeded => 1,
-        DegradationKind::ScriptPoolExhausted => 2,
-        DegradationKind::ScriptFetchFailed => 3,
-        DegradationKind::ScriptBytesCapped => 4,
-        DegradationKind::DocumentBytesCapped => 5,
-        DegradationKind::FetchCapReached => 6,
-        DegradationKind::RedirectHopsExceeded => 7,
-        DegradationKind::FrameCapReached => 8,
-        DegradationKind::FrameDepthTruncated => 9,
-        DegradationKind::HeaderBytesCapped => 10,
-        DegradationKind::ScriptCompileError => 11,
-    }
-}
-
-fn degradation_kind(b: u8) -> std::io::Result<DegradationKind> {
-    Ok(match b {
-        0 => DegradationKind::ScriptParseError,
-        1 => DegradationKind::ScriptBudgetExceeded,
-        2 => DegradationKind::ScriptPoolExhausted,
-        3 => DegradationKind::ScriptFetchFailed,
-        4 => DegradationKind::ScriptBytesCapped,
-        5 => DegradationKind::DocumentBytesCapped,
-        6 => DegradationKind::FetchCapReached,
-        7 => DegradationKind::RedirectHopsExceeded,
-        8 => DegradationKind::FrameCapReached,
-        9 => DegradationKind::FrameDepthTruncated,
-        10 => DegradationKind::HeaderBytesCapped,
-        11 => DegradationKind::ScriptCompileError,
-        _ => return Err(bad(format!("bad degradation kind ordinal {b}"))),
-    })
+fn from_ord<T: Copy>(table: &[T], b: u8, what: &str) -> std::io::Result<T> {
+    let value = table.get(usize::from(b)).copied();
+    value.ok_or_else(|| bad(format!("bad {what} ordinal {b}")))
 }
 
 // --- writer ---------------------------------------------------------------
@@ -704,7 +446,7 @@ pub struct ColshWriter {
     out: BufWriter<DigestWriter<File>>,
     dict: WriterDict,
     perm_index: HashMap<Permission, u32>,
-    cols: [Vec<u8>; 9],
+    cols: [Vec<u8>; COLUMNS],
     group_records: usize,
     in_group: usize,
     total: u64,
@@ -726,13 +468,6 @@ fn perm_index() -> HashMap<Permission, u32> {
         .collect()
 }
 
-fn write_block(out: &mut impl Write, id: u8, payload: &[u8]) -> std::io::Result<()> {
-    out.write_all(&[id])?;
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&crc32(payload).to_le_bytes())?;
-    out.write_all(payload)
-}
-
 impl ColshWriter {
     /// Creates a new database with the default row-group size.
     pub fn create(path: &Path) -> std::io::Result<ColshWriter> {
@@ -743,56 +478,36 @@ impl ColshWriter {
     /// `group_records` pushes (mostly for tests exercising group
     /// boundaries; must be nonzero).
     pub fn create_grouped(path: &Path, group_records: usize) -> std::io::Result<ColshWriter> {
-        assert!(group_records > 0, "row group size must be nonzero");
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(DigestWriter::new(file, Digest64::default()));
-        out.write_all(&COLSH_MAGIC)?;
-        out.write_all(&COLSH_VERSION.to_le_bytes())?;
-        let mut fdict = Vec::new();
-        wv(&mut fdict, all_permissions().len() as u64);
-        for p in all_permissions() {
-            let token = p.token();
-            wv(&mut fdict, token.len() as u64);
-            fdict.extend_from_slice(token.as_bytes());
-        }
-        write_block(&mut out, BLOCK_FDICT, &fdict)?;
-        Ok(ColshWriter {
-            out,
-            dict: WriterDict::default(),
-            perm_index: perm_index(),
-            cols: Default::default(),
-            group_records,
-            in_group: 0,
-            total: 0,
-            dict_epoch_groups: DEFAULT_DICT_EPOCH_GROUPS,
-            groups_in_epoch: 0,
-            epoch_pending: false,
-        })
+        let writer = ColshWriter::append(path, 0, ColshAppendState::default())?;
+        Ok(writer.with_group_records(group_records))
     }
 
     /// Reopens an interrupted database for appending: truncates to the
     /// valid prefix [`resume_colsh`] measured (discarding any torn tail
     /// and the old END marker), restores the dictionary state so new
     /// groups continue the id sequence, and seeds the file digest with
-    /// one sequential read of the kept prefix.
+    /// one sequential read of the kept prefix. An empty prefix (a new
+    /// file, or a tear inside the header) starts over at the magic.
     pub fn append(
         path: &Path,
         valid_len: u64,
         state: ColshAppendState,
     ) -> std::io::Result<ColshWriter> {
-        if valid_len == 0 {
-            // Nothing usable on disk (tear inside the header): start
-            // over, rewriting the magic and feature dictionary.
-            return ColshWriter::create(path);
-        }
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
         let mut digest = Digest64::default();
-        if digest.update_from(&mut file)? != valid_len {
-            return Err(unexpected_eof());
+        let file = reopen_at(path, valid_len, Some(&mut digest))?;
+        let mut out = BufWriter::new(DigestWriter::new(file, digest));
+        if valid_len == 0 {
+            out.write_all(&COLSH_MAGIC)?;
+            out.write_all(&COLSH_VERSION.to_le_bytes())?;
+            let mut fdict = Vec::new();
+            wv(&mut fdict, all_permissions().len() as u64);
+            for p in all_permissions() {
+                let token = p.token();
+                wv(&mut fdict, token.len() as u64);
+                fdict.extend_from_slice(token.as_bytes());
+            }
+            write_frame(&mut out, Some(BLOCK_FDICT), &fdict)?;
         }
-        file.seek(SeekFrom::Start(valid_len))?;
-        let out = BufWriter::new(DigestWriter::new(file, digest));
         let mut dict = WriterDict {
             ids: HashMap::with_capacity(state.dict.len()),
             len: state.dict.len(),
@@ -885,7 +600,7 @@ impl ColshWriter {
     fn encode_record(&mut self, r: &SiteRecord) {
         wv(&mut self.cols[C_META], r.rank);
         self.w_str(C_META, &r.origin);
-        self.cols[C_META].push(site_outcome_ord(r.outcome));
+        self.cols[C_META].push(ord(&SITE_OUTCOMES, r.outcome));
         wv(&mut self.cols[C_META], r.elapsed_ms);
         wv(&mut self.cols[C_META], u64::from(r.attempts));
         let Some(visit) = &r.visit else {
@@ -894,7 +609,7 @@ impl ColshWriter {
         };
         self.cols[C_META].push(1);
         self.w_str(C_META, &visit.requested_url);
-        self.cols[C_META].push(visit_outcome_ord(visit.outcome));
+        self.cols[C_META].push(ord(&VISIT_OUTCOMES, visit.outcome));
         wv(&mut self.cols[C_META], visit.elapsed_ms);
         wv(&mut self.cols[C_META], u64::from(visit.schema_version));
         wv(&mut self.cols[C_META], visit.frames.len() as u64);
@@ -955,7 +670,7 @@ impl ColshWriter {
             wv(&mut self.cols[C_INVOCATIONS], f.invocations.len() as u64);
             for inv in &f.invocations {
                 self.w_str(C_INVOCATIONS, &inv.api_path);
-                self.cols[C_INVOCATIONS].push(invocation_kind_ord(inv.kind));
+                self.cols[C_INVOCATIONS].push(ord(&INVOCATION_KINDS, inv.kind));
                 wv(&mut self.cols[C_INVOCATIONS], inv.permissions.len() as u64);
                 for &p in &inv.permissions {
                     self.w_perm(C_INVOCATIONS, p);
@@ -971,7 +686,7 @@ impl ColshWriter {
             for s in &f.scripts {
                 self.w_opt_str(C_SCRIPTS, s.url.as_deref());
                 self.w_str(C_SCRIPTS, &s.source);
-                self.cols[C_SCRIPTS].push(script_outcome_ord(s.outcome));
+                self.cols[C_SCRIPTS].push(ord(&SCRIPT_OUTCOMES, s.outcome));
             }
 
             wv(&mut self.cols[C_FEATURES], f.allowed_features.len() as u64);
@@ -994,7 +709,7 @@ impl ColshWriter {
         );
         for d in &visit.degradations {
             wv(&mut self.cols[C_DEGRADATIONS], d.frame_id as u64);
-            self.cols[C_DEGRADATIONS].push(degradation_kind_ord(d.kind));
+            self.cols[C_DEGRADATIONS].push(ord(&DEGRADATION_KINDS, d.kind));
             self.w_opt_str(C_DEGRADATIONS, d.detail.as_deref());
         }
     }
@@ -1004,23 +719,23 @@ impl ColshWriter {
             return Ok(());
         }
         if self.epoch_pending {
-            write_block(&mut self.out, BLOCK_EPOCH, &[])?;
+            write_frame(&mut self.out, Some(BLOCK_EPOCH), &[])?;
             self.epoch_pending = false;
             self.groups_in_epoch = 0;
         }
         self.groups_in_epoch += 1;
         let mut group = Vec::new();
         wv(&mut group, self.in_group as u64);
-        write_block(&mut self.out, BLOCK_GROUP, &group)?;
+        write_frame(&mut self.out, Some(BLOCK_GROUP), &group)?;
         let mut delta = Vec::new();
         wv(&mut delta, self.dict.pending.len() as u64);
         for s in self.dict.pending.drain(..) {
             wv(&mut delta, s.len() as u64);
             delta.extend_from_slice(s.as_bytes());
         }
-        write_block(&mut self.out, BLOCK_DICT, &delta)?;
+        write_frame(&mut self.out, Some(BLOCK_DICT), &delta)?;
         for (k, col) in self.cols.iter_mut().enumerate() {
-            write_block(&mut self.out, BLOCK_COLUMN_BASE + k as u8, col)?;
+            write_frame(&mut self.out, Some(BLOCK_COLUMN_BASE + k as u8), col)?;
             col.clear();
         }
         self.in_group = 0;
@@ -1038,7 +753,7 @@ impl ColshWriter {
         self.flush_group()?;
         let mut end = Vec::new();
         wv(&mut end, self.total);
-        write_block(&mut self.out, BLOCK_END, &end)?;
+        write_frame(&mut self.out, Some(BLOCK_END), &end)?;
         self.out.flush()?;
         Ok(self.out.get_ref().digest())
     }
@@ -1057,7 +772,7 @@ impl ColshWriter {
         let durable = self.total - self.in_group as u64;
         let mut end = Vec::new();
         wv(&mut end, durable);
-        write_block(&mut self.out, BLOCK_END, &end)?;
+        write_frame(&mut self.out, Some(BLOCK_END), &end)?;
         self.out.flush()?;
         Ok(durable)
     }
@@ -1072,18 +787,22 @@ pub fn write_colsh(dataset: &CrawlDataset, path: &Path) -> std::io::Result<()> {
 
 /// Streaming `.colsh` reader: yields [`SiteRecord`]s group by group,
 /// materializing only the columns in its [`ColumnSet`] projection and
-/// seeking past the rest. Mirrors [`crate::RecordStream`]'s Strict /
-/// Lenient / Resume behaviour at row-group granularity.
+/// passing over the rest unread. Damage goes through the one mapping,
+/// [`StreamMode::recover`], at row-group granularity.
 pub struct ColshStream {
-    reader: BufReader<File>,
+    frames: FrameReader,
     mode: StreamMode,
     columns: ColumnSet,
-    file_len: u64,
-    offset: u64,
+    /// End of the last fully loaded row group; `0` until the header and
+    /// feature dictionary have been read whole.
     valid_len: u64,
     dict: ReaderDict,
     perms: Vec<Permission>,
-    cols: [ColBuf; 9],
+    cols: [ColBuf; COLUMNS],
+    /// Payload of the last GROUP or END block.
+    block: Vec<u8>,
+    /// Byte offset of the loaded group's GROUP block, for decode errors.
+    group_at: u64,
     /// Records left to decode in the loaded group.
     remaining: u64,
     /// Records passed over so far (decoded + skipped) — the 1-based
@@ -1101,7 +820,7 @@ pub struct ColshStream {
     /// re-emitting the marker expects.
     epoch_pending: bool,
     /// Read and checksum the column blocks the projection leaves out
-    /// instead of seeking past them (the job-resume scan, which must not
+    /// instead of passing over them (the job-resume scan, which must not
     /// certify bytes it never checked).
     verify_skipped: bool,
     skip: SkipReport,
@@ -1110,20 +829,53 @@ pub struct ColshStream {
 
 /// What one attempt to load the next row group produced.
 enum GroupLoad {
-    /// A group is buffered and ready to decode. `delta` is the raw
-    /// dictionary-delta payload, committed only once the whole group
-    /// loaded (so a torn group never pollutes the dictionary).
-    Ready { count: u64, delta: Vec<u8> },
-    /// The group's framing was intact but an enabled column block failed
-    /// its checksum; the group was consumed and its dictionary delta is
-    /// still valid.
-    Corrupt { count: u64, delta: Vec<u8> },
+    /// A group is buffered. `delta` is the raw dictionary-delta payload
+    /// from the DICT block at `dict_at`, committed only once the whole
+    /// group loaded (so a torn group never pollutes the dictionary).
+    /// `corrupt` is the offset of the first enabled column block that
+    /// failed its checksum: the group's framing is intact, so its count
+    /// and dictionary delta still hold.
+    Group {
+        count: u64,
+        delta: Vec<u8>,
+        dict_at: u64,
+        corrupt: Option<u64>,
+    },
     /// A valid END marker carrying the writer's total record count.
     End { count: u64 },
     /// A dictionary-epoch marker: the next group starts a fresh epoch.
     Epoch,
     /// Clean end of file with no END marker.
     Eof,
+}
+
+/// A damaged block: torn when it runs past the end of the file, and
+/// otherwise breaking, since a block outside a column's payload holds
+/// what later groups read (a count, a dictionary delta, the framing).
+fn block_fault(frame: Frame, what: &str) -> Fault {
+    match frame {
+        Frame::Corrupt { at, .. } => Fault::new(
+            Damage::Breaking,
+            format!("{what} checksum mismatch at byte {at}"),
+        ),
+        Frame::Torn { at } => Fault::new(Damage::Torn, format!("torn {what} at byte {at}")),
+        Frame::Intact { tag, at } => Fault::new(
+            Damage::Breaking,
+            format!("unexpected block id {tag:#x} at byte {at}, expected {what}"),
+        ),
+        Frame::End => Fault::new(Damage::Torn, format!("missing {what} at end of file")),
+    }
+}
+
+/// Decodes a block payload's leading varint, or names the block.
+fn block_varint(payload: &[u8], at: u64) -> Result<u64, Fault> {
+    let mut cursor = ColBuf {
+        buf: payload.to_vec(),
+        pos: 0,
+    };
+    cursor
+        .varint()
+        .map_err(|e| Fault::new(Damage::Breaking, format!("{e} in block at byte {at}")))
 }
 
 impl ColshStream {
@@ -1133,23 +885,24 @@ impl ColshStream {
     }
 
     /// Opens a database materializing only `columns` (plus META, always).
+    /// A header torn short reads as a torn tail: a strict open fails, a
+    /// lenient or resuming stream ends before its first record, with
+    /// [`valid_len`](ColshStream::valid_len) 0.
     pub fn open_projected(
         path: &Path,
         mode: StreamMode,
         columns: ColumnSet,
     ) -> std::io::Result<ColshStream> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
         let mut stream = ColshStream {
-            reader: BufReader::new(file),
+            frames: FrameReader::open(path, true)?,
             mode,
             columns: columns.normalized(),
-            file_len,
-            offset: 0,
             valid_len: 0,
             dict: ReaderDict::default(),
             perms: Vec::new(),
             cols: Default::default(),
+            block: Vec::new(),
+            group_at: 0,
             remaining: 0,
             file_records: 0,
             valid_records: 0,
@@ -1187,24 +940,26 @@ impl ColshStream {
 
     /// Re-arms an exhausted stream against a file that may have grown
     /// since: re-stats the length, seeks back to the end of the last
-    /// complete row group, and clears the terminal state so iteration
-    /// resumes with only newly appended groups. Dictionary state built
-    /// from the valid prefix is kept — appended groups extend it (the
-    /// live-follow contract: the writer only ever appends past, or
-    /// byte-identically rewrites up to, the frontier we stopped at).
+    /// complete row group (or reads the header again, if it was torn),
+    /// and clears the terminal state so iteration resumes with only
+    /// newly appended groups. Dictionary state built from the valid
+    /// prefix is kept — appended groups extend it (the live-follow
+    /// contract: the writer only ever appends past, or byte-identically
+    /// rewrites up to, the frontier we stopped at).
     ///
     /// Must only be called once the stream has returned `None` (a
     /// partially decoded group would otherwise be re-read).
     pub fn refresh(&mut self) -> std::io::Result<()> {
-        self.file_len = self.reader.get_ref().metadata()?.len();
-        self.reader.seek(SeekFrom::Start(self.valid_len))?;
-        self.offset = self.valid_len;
+        self.frames.rewind(self.valid_len)?;
         self.file_records = self.valid_records;
         self.remaining = 0;
         self.epoch_pending = false;
         self.done = false;
         for col in &mut self.cols {
             col.reset();
+        }
+        if self.valid_len == 0 {
+            self.read_header()?;
         }
         Ok(())
     }
@@ -1214,208 +969,118 @@ impl ColshStream {
         &self.perms
     }
 
-    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        self.reader.read_exact(buf)?;
-        self.offset += buf.len() as u64;
+    /// Reads the magic, the version and the feature dictionary, mapping
+    /// damage through the stream mode: a torn header ends the stream.
+    fn read_header(&mut self) -> std::io::Result<()> {
+        if let Err(fault) = self.try_read_header()? {
+            self.done = true;
+            self.mode.recover(fault, false, &mut self.skip, 1, 0)?;
+        }
         Ok(())
     }
 
-    fn read_header(&mut self) -> std::io::Result<()> {
+    fn try_read_header(&mut self) -> std::io::Result<Result<(), Fault>> {
+        let torn = |at: u64| Fault::new(Damage::Torn, format!("torn header at byte {at}"));
         let mut magic = [0u8; 8];
-        self.read_exact(&mut magic)?;
+        if !self.frames.head(&mut magic)? {
+            return Ok(Err(torn(0)));
+        }
         if magic != COLSH_MAGIC {
             return Err(bad("not a columnar (.colsh) database"));
         }
         let mut version = [0u8; 4];
-        self.read_exact(&mut version)?;
+        if !self.frames.head(&mut version)? {
+            return Ok(Err(torn(8)));
+        }
         let version = u32::from_le_bytes(version);
         if version != COLSH_VERSION {
             return Err(bad(format!(
                 "unsupported columnar format version {version} (reader supports {COLSH_VERSION})"
             )));
         }
-        let (id, payload) = self
-            .read_block()?
-            .ok_or_else(|| bad("missing feature dictionary"))?;
-        if id != BLOCK_FDICT {
-            return Err(bad("expected feature dictionary block"));
-        }
+        let at = match self.frames.next(Some(&mut self.block))? {
+            Frame::Intact {
+                tag: BLOCK_FDICT,
+                at,
+            } => at,
+            frame => return Ok(Err(block_fault(frame, "feature dictionary"))),
+        };
         let mut cursor = ColBuf {
-            buf: payload,
+            buf: std::mem::take(&mut self.block),
             pos: 0,
         };
-        let n = cursor.varint()? as usize;
-        let mut perms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let token = cursor.inline_str()?;
-            let perm = Permission::from_token(&token)
-                .ok_or_else(|| bad(format!("unknown feature token `{token}` in dictionary")))?;
-            perms.push(perm);
-        }
+        let perms = (|| {
+            let n = cursor.varint()? as usize;
+            let mut perms = Vec::with_capacity(n);
+            for _ in 0..n {
+                let token = cursor.inline_str()?;
+                let perm = Permission::from_token(&token)
+                    .ok_or_else(|| bad(format!("unknown feature token `{token}` in dictionary")))?;
+                perms.push(perm);
+            }
+            Ok::<_, std::io::Error>(perms)
+        })()
+        .map_err(|e| bad(format!("{e} in feature dictionary at byte {at}")))?;
         self.perms = perms;
-        self.valid_len = self.offset;
-        Ok(())
+        self.valid_len = self.frames.at();
+        Ok(Ok(()))
     }
 
-    /// Reads one block header + payload, verifying length bounds and the
-    /// checksum. `Ok(None)` is clean EOF at a block boundary.
-    fn read_block(&mut self) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-        let Some((id, len)) = self.read_block_frame()? else {
-            return Ok(None);
+    /// Attempts to load the next row group. The outer error is an I/O
+    /// failure; the inner one, damage for the stream mode to map.
+    fn try_load_group(&mut self) -> std::io::Result<Result<GroupLoad, Fault>> {
+        let (id, at) = match self.frames.next(Some(&mut self.block))? {
+            Frame::End => return Ok(Ok(GroupLoad::Eof)),
+            Frame::Intact { tag, at } => (tag, at),
+            frame => return Ok(Err(block_fault(frame, "block"))),
         };
-        let mut crc = [0u8; 4];
-        self.read_exact(&mut crc)?;
-        let expected = u32::from_le_bytes(crc);
-        let mut payload = Vec::with_capacity(len);
-        let read = (&mut self.reader)
-            .take(len as u64)
-            .read_to_end(&mut payload)?;
-        self.offset += read as u64;
-        if read != len {
-            return Err(unexpected_eof());
-        }
-        if crc32(&payload) != expected {
-            return Err(bad("block checksum mismatch"));
-        }
-        Ok(Some((id, payload)))
-    }
-
-    /// Reads a block id + length, bounds-checking the length against the
-    /// bytes actually left in the file (a corrupt length must not read
-    /// as a clean skip or a giant allocation).
-    fn read_block_frame(&mut self) -> std::io::Result<Option<(u8, usize)>> {
-        let mut id = [0u8; 1];
-        match self.reader.read(&mut id)? {
-            0 => return Ok(None),
-            _ => self.offset += 1,
-        }
-        let mut len = [0u8; 4];
-        self.read_exact(&mut len)?;
-        let len = u32::from_le_bytes(len) as u64;
-        // 4 bytes of CRC still precede the payload. A length pointing
-        // past EOF means the payload bytes are simply not there — the
-        // tear signature, classified as such (and never allocated).
-        if len > self.file_len.saturating_sub(self.offset).saturating_sub(4) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "block length exceeds file size",
-            ));
-        }
-        Ok(Some((id[0], len as usize)))
-    }
-
-    /// Attempts to load the next row group with strict semantics; the
-    /// caller maps failures through the stream mode.
-    fn try_load_group(&mut self) -> std::io::Result<GroupLoad> {
-        let Some((id, payload)) = self.read_block()? else {
-            return Ok(GroupLoad::Eof);
-        };
-        match id {
-            BLOCK_END => {
-                let mut cursor = ColBuf {
-                    buf: payload,
-                    pos: 0,
-                };
-                let count = cursor.varint()?;
-                Ok(GroupLoad::End { count })
+        let count = match id {
+            BLOCK_EPOCH => return Ok(Ok(GroupLoad::Epoch)),
+            BLOCK_END | BLOCK_GROUP => match block_varint(&self.block, at) {
+                Ok(count) if id == BLOCK_END => return Ok(Ok(GroupLoad::End { count })),
+                Ok(count) => count,
+                Err(fault) => return Ok(Err(fault)),
+            },
+            other => {
+                let detail = format!("unexpected block id {other:#x} at byte {at}");
+                return Ok(Err(Fault::new(Damage::Breaking, detail)));
             }
-            BLOCK_EPOCH => Ok(GroupLoad::Epoch),
-            BLOCK_GROUP => {
-                let mut cursor = ColBuf {
-                    buf: payload,
-                    pos: 0,
-                };
-                let count = cursor.varint()?;
-                let (id, delta) = self.read_block()?.ok_or_else(unexpected_eof)?;
-                if id != BLOCK_DICT {
-                    return Err(bad("expected dictionary delta block"));
+        };
+        self.group_at = at;
+        let mut delta = Vec::new();
+        let dict_at = match self.frames.next(Some(&mut delta))? {
+            Frame::Intact {
+                tag: BLOCK_DICT,
+                at,
+            } => at,
+            frame => return Ok(Err(block_fault(frame, "dictionary delta block"))),
+        };
+        let mut corrupt = None;
+        for (k, col) in self.cols.iter_mut().enumerate() {
+            let expected = BLOCK_COLUMN_BASE + k as u8;
+            let reads = self.columns.reads_column(k);
+            col.pos = 0;
+            let payload = (reads || self.verify_skipped).then_some(&mut col.buf);
+            match self.frames.next(payload)? {
+                Frame::Intact { tag, .. } if tag == expected => {}
+                Frame::Corrupt { tag, at } if tag == expected => {
+                    corrupt = corrupt.or(Some(at));
                 }
-                let mut corrupt = false;
-                for k in 0..COLUMNS {
-                    let expected_id = BLOCK_COLUMN_BASE + k as u8;
-                    if self.columns.reads_column(k) {
-                        match self.read_column_block(expected_id, k) {
-                            Ok(()) => {}
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::InvalidData
-                                    && e.to_string().contains("checksum") =>
-                            {
-                                corrupt = true;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    } else {
-                        self.skip_column_block(expected_id, k)?;
-                    }
-                }
-                if corrupt {
-                    Ok(GroupLoad::Corrupt { count, delta })
-                } else {
-                    Ok(GroupLoad::Ready { count, delta })
+                frame => {
+                    let what = format!("column block {expected:#x}");
+                    return Ok(Err(block_fault(frame, &what)));
                 }
             }
-            other => Err(bad(format!("unexpected block id {other:#x}"))),
+            if !reads {
+                col.reset();
+            }
         }
-    }
-
-    /// Reads an enabled column block into its buffer (checksum
-    /// verified); a checksum failure is reported but the payload bytes
-    /// are consumed, so group framing survives.
-    fn read_column_block(&mut self, expected_id: u8, k: usize) -> std::io::Result<()> {
-        let len = self.column_block_frame(expected_id)?;
-        self.read_column_payload(k, len)
-    }
-
-    /// Reads a column block's frame, returning its payload length.
-    fn column_block_frame(&mut self, expected_id: u8) -> std::io::Result<usize> {
-        let Some((id, len)) = self.read_block_frame()? else {
-            return Err(unexpected_eof());
-        };
-        if id != expected_id {
-            return Err(bad(format!(
-                "expected column block {expected_id:#x}, found {id:#x}"
-            )));
-        }
-        Ok(len)
-    }
-
-    /// Reads a framed column block's checksum and payload into column
-    /// `k`'s buffer and checks the payload against it.
-    fn read_column_payload(&mut self, k: usize, len: usize) -> std::io::Result<()> {
-        let mut crc = [0u8; 4];
-        self.read_exact(&mut crc)?;
-        let expected = u32::from_le_bytes(crc);
-        self.cols[k].reset();
-        let mut buf = std::mem::take(&mut self.cols[k].buf);
-        // `take + read_to_end` appends exactly `len` bytes without the
-        // memset a `resize(len, 0)` would pay on every block.
-        let read = (&mut self.reader).take(len as u64).read_to_end(&mut buf);
-        self.cols[k].buf = buf;
-        let read = read?;
-        self.offset += read as u64;
-        if read != len {
-            return Err(unexpected_eof());
-        }
-        if crc32(&self.cols[k].buf) != expected {
-            return Err(bad("column block checksum mismatch"));
-        }
-        Ok(())
-    }
-
-    /// Passes over an unprojected column block without decoding it.
-    /// Projected reads seek past the payload unread — the point of
-    /// projection; a verifying stream reads it and fails on a checksum
-    /// mismatch.
-    fn skip_column_block(&mut self, expected_id: u8, k: usize) -> std::io::Result<()> {
-        let len = self.column_block_frame(expected_id)?;
-        if self.verify_skipped {
-            self.read_column_payload(k, len)?;
-        } else {
-            self.reader.seek_relative(len as i64 + 4)?;
-            self.offset += len as u64 + 4;
-        }
-        self.cols[k].reset();
-        Ok(())
+        Ok(Ok(GroupLoad::Group {
+            count,
+            delta,
+            dict_at,
+            corrupt,
+        }))
     }
 
     /// Applies a deferred dictionary-epoch reset now that the epoch's
@@ -1428,55 +1093,63 @@ impl ColshStream {
         }
     }
 
+    /// Maps damage through the stream mode, ending the stream unless the
+    /// damaged unit (`count` records from the next one on) is skipped.
+    fn recover(&mut self, fault: Fault, count: u64) -> std::io::Result<Recovery> {
+        let first = self.file_records + 1;
+        let recovery = self
+            .mode
+            .recover(fault, false, &mut self.skip, first, count);
+        if !matches!(recovery, Ok(Recovery::Skip)) {
+            self.done = true;
+        }
+        recovery
+    }
+
     /// Advances to the next decodable group. `Ok(true)` means records
-    /// are ready; `Ok(false)` means the stream ended (cleanly or via a
-    /// mode-tolerated failure).
+    /// are ready; `Ok(false)` means the stream ended (cleanly or cut at
+    /// damage its mode tolerates).
     fn advance_group(&mut self) -> std::io::Result<bool> {
         loop {
-            let start_record = self.file_records + 1;
-            match self.try_load_group() {
-                Ok(GroupLoad::Ready { count, delta }) => {
+            let load = match self.try_load_group()? {
+                Ok(load) => load,
+                Err(fault) => {
+                    self.recover(fault, 0)?;
+                    return Ok(false);
+                }
+            };
+            match load {
+                GroupLoad::Group {
+                    count,
+                    delta,
+                    dict_at,
+                    corrupt,
+                } => {
+                    if let Some(at) = corrupt {
+                        // A bad column block: the framing, the count and
+                        // the dictionary delta survive, so a lenient read
+                        // steps over the group and later groups resolve
+                        // their dictionary ids as written.
+                        let detail = format!("column block checksum mismatch at byte {at}");
+                        self.recover(Fault::new(Damage::Skippable, detail), count)?;
+                    }
                     self.commit_epoch_boundary();
                     if let Err(e) = self.dict.ingest(delta) {
-                        self.done = true;
-                        if self.mode == StreamMode::Lenient {
-                            self.skip.record(start_record);
-                            return Ok(false);
-                        }
-                        return Err(e);
+                        let detail = format!("{e} in dictionary delta at byte {dict_at}");
+                        self.recover(Fault::new(Damage::Breaking, detail), count)?;
                     }
                     self.groups_in_epoch += 1;
-                    self.remaining = count;
-                    self.valid_len = self.offset;
-                    self.valid_records = self.file_records + count;
-                    if count > 0 {
+                    match corrupt {
+                        Some(_) => self.file_records += count,
+                        None => self.remaining = count,
+                    }
+                    self.valid_len = self.frames.at();
+                    self.valid_records = self.file_records + self.remaining;
+                    if self.remaining > 0 {
                         return Ok(true);
                     }
                 }
-                Ok(GroupLoad::Corrupt { count, delta }) => match self.mode {
-                    StreamMode::Strict | StreamMode::Resume => {
-                        self.done = true;
-                        return Err(bad("column block checksum mismatch"));
-                    }
-                    StreamMode::Lenient => {
-                        // Framing is intact: drop the group, keep its
-                        // dictionary delta (later groups reference it),
-                        // and keep streaming.
-                        self.commit_epoch_boundary();
-                        if self.dict.ingest(delta).is_err() {
-                            self.done = true;
-                            self.skip.record(start_record);
-                            return Ok(false);
-                        }
-                        self.groups_in_epoch += 1;
-                        self.skip.record(start_record);
-                        self.skip.skipped += count.saturating_sub(1);
-                        self.file_records += count;
-                        self.valid_len = self.offset;
-                        self.valid_records = self.file_records;
-                    }
-                },
-                Ok(GroupLoad::Epoch) => {
+                GroupLoad::Epoch => {
                     // Deferred: the reset applies when this epoch's
                     // first group commits. The marker itself never
                     // advances `valid_len` — if the group after it is
@@ -1484,8 +1157,10 @@ impl ColshStream {
                     // and the appending writer re-emits it.
                     self.epoch_pending = true;
                 }
-                Ok(GroupLoad::End { count }) => {
+                GroupLoad::End { count } => {
                     self.done = true;
+                    // Only a strict read certifies a finished file; the
+                    // others stop at END whatever it claims.
                     if self.mode == StreamMode::Strict {
                         if count != self.file_records {
                             return Err(bad(format!(
@@ -1493,48 +1168,19 @@ impl ColshStream {
                                 self.file_records
                             )));
                         }
-                        if self.offset != self.file_len {
+                        if self.frames.next(None)? != Frame::End {
                             return Err(bad("trailing data after end marker"));
                         }
                     }
                     return Ok(false);
                 }
-                Ok(GroupLoad::Eof) => {
-                    self.done = true;
-                    match self.mode {
-                        StreamMode::Strict => {
-                            return Err(bad("truncated database: missing end marker"))
-                        }
-                        StreamMode::Lenient => {
-                            // Clean EOF at a block boundary with no END
-                            // marker: the signature of a live file still
-                            // being appended, not of data loss. Flag it
-                            // without inventing a corrupt-skip.
-                            self.skip.torn_tail = true;
-                            return Ok(false);
-                        }
-                        StreamMode::Resume => return Ok(false),
-                    }
-                }
-                Err(e) => {
-                    self.done = true;
-                    let torn = e.kind() == std::io::ErrorKind::UnexpectedEof;
-                    match self.mode {
-                        StreamMode::Strict => return Err(e),
-                        StreamMode::Resume if torn => return Ok(false),
-                        StreamMode::Resume => return Err(e),
-                        StreamMode::Lenient if torn => {
-                            // A block clipped by EOF is a torn tail —
-                            // live-append in progress or a mid-write
-                            // kill — distinct from mid-file corruption.
-                            self.skip.torn_tail = true;
-                            return Ok(false);
-                        }
-                        StreamMode::Lenient => {
-                            self.skip.record(start_record);
-                            return Ok(false);
-                        }
-                    }
+                GroupLoad::Eof => {
+                    // Clean EOF at a block boundary with no END marker:
+                    // the signature of a live file still being appended.
+                    let at = self.frames.at();
+                    let detail = format!("truncated database: missing end marker at byte {at}");
+                    self.recover(Fault::new(Damage::Torn, detail), 0)?;
+                    return Ok(false);
                 }
             }
         }
@@ -1557,7 +1203,7 @@ impl ColshStream {
         let meta = &mut cols[C_META];
         let rank = meta.varint()?;
         let origin = meta.str(dict)?;
-        let outcome = site_outcome(meta.u8()?)?;
+        let outcome = from_ord(&SITE_OUTCOMES, meta.u8()?, "site outcome")?;
         let elapsed_ms = meta.varint()?;
         let attempts = meta.varint()? as u32;
         let has_visit = meta.u8()?;
@@ -1572,7 +1218,7 @@ impl ColshStream {
             });
         }
         let requested_url = meta.str(dict)?;
-        let visit_outcome = visit_outcome(meta.u8()?)?;
+        let visit_outcome = from_ord(&VISIT_OUTCOMES, meta.u8()?, "visit outcome")?;
         let visit_elapsed = meta.varint()?;
         let schema_version = meta.varint()? as u32;
         let frame_count = meta.varint()? as usize;
@@ -1644,7 +1290,7 @@ impl ColshStream {
                     invocations.reserve(n);
                     for _ in 0..n {
                         let api_path = iv.str(dict)?;
-                        let kind = invocation_kind(iv.u8()?)?;
+                        let kind = from_ord(&INVOCATION_KINDS, iv.u8()?, "invocation kind")?;
                         let np = iv.varint()? as usize;
                         let mut permissions = Vec::with_capacity(np);
                         for _ in 0..np {
@@ -1672,7 +1318,7 @@ impl ColshStream {
                     for _ in 0..n {
                         let url = sc.opt_str(dict)?;
                         let source = sc.str(dict)?;
-                        let outcome = script_outcome(sc.u8()?)?;
+                        let outcome = from_ord(&SCRIPT_OUTCOMES, sc.u8()?, "script outcome")?;
                         scripts.push(ScriptRecord {
                             url,
                             source,
@@ -1737,7 +1383,7 @@ impl ColshStream {
             degradations.reserve(n);
             for _ in 0..n {
                 let frame_id = dg.varint()? as usize;
-                let kind = degradation_kind(dg.u8()?)?;
+                let kind = from_ord(&DEGRADATION_KINDS, dg.u8()?, "degradation kind")?;
                 let detail = dg.opt_str(dict)?;
                 degradations.push(DegradationEvent {
                     frame_id,
@@ -1783,30 +1429,21 @@ impl ColshStream {
                     self.file_records += 1;
                     return Some(Ok(record));
                 }
-                Err(e) => match self.mode {
-                    StreamMode::Strict | StreamMode::Resume => {
-                        self.done = true;
+                Err(e) => {
+                    // A decode error desynchronizes the group's cursors:
+                    // a lenient read drops the rest of the group, counted.
+                    let at = self.group_at;
+                    let detail = format!("{e} in the row group at byte {at}");
+                    let rest = self.remaining;
+                    if let Err(e) = self.recover(Fault::new(Damage::Skippable, detail), rest) {
                         return Some(Err(e));
                     }
-                    StreamMode::Lenient => {
-                        // A decode error desynchronizes the group's
-                        // cursors: drop the rest of the group, counted.
-                        self.skip.record(self.file_records + 1);
-                        self.skip.skipped += self.remaining.saturating_sub(1);
-                        self.file_records += self.remaining;
-                        self.remaining = 0;
-                    }
-                },
+                    self.file_records += rest;
+                    self.remaining = 0;
+                }
             }
         }
     }
-}
-
-fn unexpected_eof() -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::UnexpectedEof,
-        "unexpected end of columnar database",
-    )
 }
 
 impl Iterator for ColshStream {
@@ -1823,9 +1460,10 @@ impl Iterator for ColshStream {
 /// any records).
 ///
 /// Tolerates exactly one kind of damage — a torn tail, the signature of
-/// a writer killed mid-append. Decodes only the META column, but checks
-/// every column block's checksum, so a damaged block fails the scan
-/// instead of being appended to. Returns the
+/// a writer killed mid-append, a torn header included (the valid prefix
+/// is then empty and the caller rewrites the file). Decodes only the
+/// META column, but checks every column block's checksum, so a damaged
+/// block fails the scan instead of being appended to. Returns the
 /// record count + valid byte prefix, and the [`ColshAppendState`]
 /// (dictionary + record count) an appending [`ColshWriter`] needs so
 /// the resumed file is byte-identical to an uninterrupted write. Errors
@@ -1835,22 +1473,14 @@ pub fn resume_colsh(
     path: &Path,
     mut check: impl FnMut(&SiteRecord) -> std::io::Result<()>,
 ) -> std::io::Result<(ResumeState, ColshAppendState)> {
-    let mut stream =
-        match ColshStream::open_projected(path, StreamMode::Resume, ColumnSet::META_ONLY) {
-            Ok(stream) => stream,
-            // A tear inside the header or feature dictionary: nothing on
-            // disk is usable. Report an empty prefix so the caller rewrites
-            // the file from scratch (mirrors JSONL resume on a torn first
-            // line).
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                let empty = ResumeState {
-                    records: 0,
-                    valid_len: 0,
-                };
-                return Ok((empty, ColshAppendState::default()));
-            }
-            Err(e) => return Err(e),
+    let mut stream = ColshStream::open_projected(path, StreamMode::Resume, ColumnSet::META_ONLY)?;
+    if stream.valid_len == 0 {
+        let empty = ResumeState {
+            records: 0,
+            valid_len: 0,
         };
+        return Ok((empty, ColshAppendState::default()));
+    }
     stream.verify_skipped = true;
     if stream.feature_dictionary() != all_permissions() {
         return Err(bad(
@@ -1887,6 +1517,7 @@ mod tests {
     use super::*;
     use crate::run::{CrawlConfig, Crawler};
     use crate::scratch::ScratchFile;
+    use crate::storage::{crc32, CRC32_TABLES};
     use proptest::prelude::*;
     use webgen::{PopulationConfig, WebPopulation};
 

@@ -7,16 +7,9 @@
 //! [`RecordStream`] is the single reader every consumer shares: it
 //! iterates [`SiteRecord`]s straight off the file without materializing
 //! the dataset, so analysis memory stays independent of database size.
-//! Three flavors cover the three consumers:
-//!
-//! * **Strict** — corruption anywhere is a loud error (finished
-//!   datasets are machine-written).
-//! * **Lenient** — corrupt lines are skipped and counted, with the
-//!   first few 1-based line numbers retained so `analyze --lenient`
-//!   damage is localizable.
-//! * **Resume** — tolerates exactly one kind of damage, a torn *final*
-//!   line (the signature of a job killed mid-append), and tracks the
-//!   byte length of the valid prefix for truncate-and-append.
+//! A line that fails to parse is damage for [`StreamMode::recover`]: a
+//! failed final line is torn, any earlier one can be skipped, and a
+//! strict error names the 1-based line.
 //!
 //! [`ShardWriter`] is the single writer, in either format: large crawls
 //! shard the database (`crawl --shards N` writes `crawl-000.jsonl` …
@@ -29,62 +22,11 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::colsh::{ColshWriter, Digest64, DigestWriter};
+use crate::colsh::ColshWriter;
 use crate::run::{CrawlDataset, SiteRecord};
-
-/// How a [`RecordStream`] treats lines that fail to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// Any corrupt line is an error.
-    Strict,
-    /// Corrupt lines are skipped and counted (see [`SkipReport`]).
-    Lenient,
-    /// A torn final line ends the stream cleanly; earlier corruption is
-    /// an error. Tracks the valid byte prefix for resumption.
-    Resume,
-}
-
-/// How many skipped line numbers a [`SkipReport`] retains verbatim.
-pub const SKIP_REPORT_LINES: usize = 5;
-
-/// What a lenient read skipped: total count plus the first few 1-based
-/// line numbers (consistent with the strict reader's error numbering),
-/// so damage can be localized without re-reading the file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SkipReport {
-    /// Corrupt lines skipped.
-    pub skipped: u64,
-    /// 1-based line numbers of the first [`SKIP_REPORT_LINES`] skips.
-    pub lines: Vec<u64>,
-    /// The stream ended at a torn tail — the signature of a file still
-    /// being appended (or killed mid-append), *not* mid-file corruption.
-    /// Torn tails are flagged here instead of inflating `skipped`, so
-    /// analyzing a running job doesn't misreport live shards as damaged.
-    pub torn_tail: bool,
-}
-
-impl SkipReport {
-    pub(crate) fn record(&mut self, line_no: u64) {
-        self.skipped += 1;
-        if self.lines.len() < SKIP_REPORT_LINES {
-            self.lines.push(line_no);
-        }
-    }
-
-    /// Human-readable location summary, e.g. `lines 2, 4 (+3 more)`.
-    pub fn describe(&self) -> String {
-        if self.lines.is_empty() {
-            return String::new();
-        }
-        let listed: Vec<String> = self.lines.iter().map(u64::to_string).collect();
-        let more = self.skipped - self.lines.len() as u64;
-        if more > 0 {
-            format!("lines {} (+{more} more)", listed.join(", "))
-        } else {
-            format!("lines {}", listed.join(", "))
-        }
-    }
-}
+use crate::storage::{
+    reopen_at, Damage, Digest64, DigestWriter, Fault, FrameReader, Recovery, SkipReport, StreamMode,
+};
 
 /// Streaming JSONL reader: yields [`SiteRecord`]s one line at a time
 /// without ever holding the dataset in memory.
@@ -161,13 +103,6 @@ impl RecordStream {
         }
     }
 
-    fn corrupt(&self, detail: impl std::fmt::Display) -> std::io::Error {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("line {}: {detail}", self.line_no),
-        )
-    }
-
     fn next_record(&mut self) -> Option<std::io::Result<SiteRecord>> {
         loop {
             if self.done {
@@ -220,57 +155,36 @@ impl RecordStream {
                     self.accept_line();
                     return Some(Ok(record));
                 }
-                Err(e) => match self.failed_line(terminated, &e.to_string()) {
-                    Some(err) => return Some(Err(err)),
-                    None => continue,
+                Err(e) => match self.damaged_line(terminated, &e) {
+                    Ok(Recovery::Skip) => continue,
+                    Ok(Recovery::Cut) => {
+                        self.done = true;
+                        return None;
+                    }
+                    Err(e) => {
+                        self.done = true;
+                        return Some(Err(e));
+                    }
                 },
             }
         }
     }
 
-    /// Handles a corrupt line per the stream mode. Returns `Some(error)`
-    /// to surface, `None` to keep streaming (the line was skipped or the
-    /// stream ended cleanly).
-    fn failed_line(&mut self, terminated: bool, detail: &str) -> Option<std::io::Error> {
-        match self.mode {
-            StreamMode::Strict => {
-                self.done = true;
-                Some(self.corrupt(detail))
-            }
-            StreamMode::Lenient => {
-                // A torn *final* line — unterminated, or terminated but
-                // with nothing after it — is the live-append / mid-write
-                // kill signature, not mid-file damage: flag it without
-                // counting a corrupt skip (same test Resume applies).
-                let at_eof = matches!(self.reader.fill_buf(), Ok(rest) if rest.is_empty());
-                if !terminated || at_eof {
-                    self.skip.torn_tail = true;
-                    self.done = true;
-                } else {
-                    self.skip.record(self.line_no);
-                }
-                None
-            }
-            StreamMode::Resume => {
-                let at_eof = match self.reader.fill_buf() {
-                    Ok(rest) => rest.is_empty(),
-                    Err(e) => {
-                        self.done = true;
-                        return Some(e);
-                    }
-                };
-                if !terminated || at_eof {
-                    // Terminated but invalid final line — a torn write
-                    // that happened to end at a newline-containing buffer
-                    // boundary. Tolerate it like the unterminated case.
-                    self.done = true;
-                    None
-                } else {
-                    self.done = true;
-                    Some(self.corrupt(detail))
-                }
-            }
-        }
+    /// Maps a line that failed to parse through the stream mode. A failed
+    /// final line is torn, whether or not its newline made it to disk.
+    fn damaged_line(
+        &mut self,
+        terminated: bool,
+        e: &serde_json::Error,
+    ) -> std::io::Result<Recovery> {
+        let at_eof = self.reader.fill_buf()?.is_empty();
+        let damage = match !terminated || at_eof {
+            true => Damage::Torn,
+            false => Damage::Skippable,
+        };
+        let fault = Fault::new(damage, format!("line {}: {e}", self.line_no));
+        self.mode
+            .recover(fault, false, &mut self.skip, self.line_no, 1)
     }
 }
 
@@ -402,8 +316,7 @@ impl Sink {
             (DbFormat::Jsonl, true) => {
                 let (ResumeState { records, valid_len }, digest) =
                     resume_jsonl_digested(path, check)?;
-                let file = std::fs::OpenOptions::new().append(true).open(path)?;
-                file.set_len(valid_len)?;
+                let file = reopen_at(path, valid_len, None)?;
                 let out = BufWriter::new(DigestWriter::new(file, digest));
                 (Sink::Jsonl { out, records }, records)
             }
@@ -796,20 +709,12 @@ impl DbFormat {
 /// does not start with the `.colsh` magic is treated as JSONL (whose
 /// own parser reports corruption with line numbers).
 pub fn detect_db_format(path: &Path) -> std::io::Result<DbFormat> {
-    let mut file = File::open(path)?;
     let mut magic = [0u8; 8];
-    let mut read = 0;
-    while read < magic.len() {
-        match std::io::Read::read(&mut file, &mut magic[read..])? {
-            0 => break,
-            n => read += n,
-        }
-    }
-    if read == magic.len() && magic == crate::colsh::COLSH_MAGIC {
-        Ok(DbFormat::Colsh)
-    } else {
-        Ok(DbFormat::Jsonl)
-    }
+    let sniffed = FrameReader::open(path, true)?.head(&mut magic)?;
+    Ok(match sniffed && magic == crate::colsh::COLSH_MAGIC {
+        true => DbFormat::Colsh,
+        false => DbFormat::Jsonl,
+    })
 }
 
 /// A [`RecordStream`]-shaped reader over either database format,
@@ -933,6 +838,7 @@ mod tests {
     use super::*;
     use crate::run::{CrawlConfig, Crawler};
     use crate::scratch::ScratchFile;
+    use crate::storage::SKIP_REPORT_LINES;
     use webgen::{PopulationConfig, WebPopulation};
 
     #[test]
@@ -1040,7 +946,7 @@ mod tests {
     fn skip_report_caps_listed_lines() {
         let mut report = SkipReport::default();
         for line in 1..=8 {
-            report.record(line);
+            report.record(line, 1);
         }
         assert_eq!(report.skipped, 8);
         assert_eq!(report.lines.len(), SKIP_REPORT_LINES);

@@ -21,8 +21,9 @@
 use std::path::{Path, PathBuf};
 
 use crate::colsh::ColumnSet;
-use crate::db::{detect_db_format, AnyRecordStream, DbFormat, StreamMode};
+use crate::db::{detect_db_format, AnyRecordStream, DbFormat};
 use crate::run::SiteRecord;
+use crate::storage::StreamMode;
 
 /// One shard's consistent read frontier: everything up to `bytes` is
 /// durable, complete, and has been yielded to the caller.
@@ -96,8 +97,8 @@ impl ShardFollower {
     }
 
     /// Attempts the first open. `Ok(None)` means "not readable yet":
-    /// the file is absent, its magic does not yet match the declared
-    /// format, or its header is still partially written.
+    /// the file is absent, or its magic does not yet match the declared
+    /// format.
     fn try_open(&self) -> std::io::Result<Option<AnyRecordStream>> {
         match detect_db_format(&self.path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -108,16 +109,11 @@ impl ShardFollower {
         // Open as the declared format: sniffing again could see the
         // header of a shard truncated or rewritten since the check above
         // and cache a JSONL reader over a `.colsh` file.
+        // A `.colsh` header still partly written reads as a torn tail: the
+        // stream holds nothing yet, and each refresh reads the header again.
         match AnyRecordStream::open_as(&self.path, self.format, StreamMode::Resume, self.columns) {
             Ok(stream) => Ok(Some(stream)),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::NotFound | std::io::ErrorKind::UnexpectedEof
-                ) =>
-            {
-                Ok(None)
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
     }

@@ -77,10 +77,11 @@ use serde::{Deserialize, Serialize};
 use webgen::{PopulationConfig, WebPopulation};
 
 use crate::bundle::{BundleMeta, BundleRecorder, ReplayBundle, SiteBundle};
-use crate::colsh::{crc32, Digest64, DEFAULT_DICT_EPOCH_GROUPS, DEFAULT_GROUP_RECORDS};
+use crate::colsh::{DEFAULT_DICT_EPOCH_GROUPS, DEFAULT_GROUP_RECORDS};
 use crate::db::{shard_index, shard_paths, DbFormat, ShardWriter};
 use crate::funnel::CrawlFunnel;
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
+use crate::storage::{load_checksummed, replace, store_checksummed, Checksummed, Digest64};
 use crate::telemetry::{CrawlTelemetry, TelemetrySnapshot};
 
 /// Manifest schema version.
@@ -183,38 +184,22 @@ impl JobManifest {
     /// [`JobManifest::store`] from the original `start` parameters, and
     /// the shard data is untouched either way.
     pub fn load(dir: &Path) -> std::io::Result<JobManifest> {
-        let path = JobManifest::path(dir);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!(
-                    "no readable job manifest at {}: {e}; `crawl-job start` creates one",
-                    path.display()
-                ),
-            )
-        })?;
-        let torn = |detail: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "job manifest {} is torn or corrupt ({detail}); \
-                     rewrite it with the original `crawl-job start` parameters \
+        let file = Checksummed {
+            name: MANIFEST_FILE,
+            what: "job manifest",
+            creator: "`crawl-job start`",
+            repair: "rewrite it with the original `crawl-job start` parameters \
                      — the shard data itself is unaffected",
-                    path.display()
-                ),
-            )
         };
-        let manifest: JobManifest = parse_checksummed(&text).map_err(|detail| torn(&detail))?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(torn(&format!(
-                "unsupported manifest version {}",
-                manifest.version
-            )));
-        }
-        if manifest.shards == 0 || manifest.size == 0 {
-            return Err(torn("zero shards or size"));
-        }
-        Ok(manifest)
+        load_checksummed(dir, &file, |manifest: &JobManifest| {
+            if manifest.version != MANIFEST_VERSION {
+                return Err(format!("unsupported manifest version {}", manifest.version));
+            }
+            if manifest.shards == 0 || manifest.size == 0 {
+                return Err("zero shards or size".to_string());
+            }
+            Ok(())
+        })
     }
 
     /// The population this job crawls.
@@ -249,41 +234,6 @@ impl JobManifest {
     }
 }
 
-/// Atomically writes `value` into `dir/name` as one JSON line plus a
-/// `crc32:` trailer (temp file + rename, so a kill never leaves a torn
-/// file behind) — the format of `job.json`, `complete.json` and a
-/// bundle store's `bundle.json`.
-pub(crate) fn store_checksummed<T: Serialize>(
-    value: &T,
-    dir: &Path,
-    name: &str,
-) -> std::io::Result<()> {
-    let mut text = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::other(format!("encoding {name}: {e}")))?;
-    text.push('\n');
-    let crc = crc32(text.as_bytes());
-    text.push_str(&format!("crc32:{crc:08x}\n"));
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, dir.join(name))
-}
-
-/// Verifies and decodes what [`store_checksummed`] wrote; the error says
-/// what is torn (missing trailer, bad checksum, unparseable JSON).
-pub(crate) fn parse_checksummed<T: Deserialize>(text: &str) -> Result<T, String> {
-    let Some((body, trailer)) = text.split_once('\n').and_then(|(body, rest)| {
-        let trailer = rest.strip_suffix('\n').unwrap_or(rest);
-        trailer.strip_prefix("crc32:").map(|t| (body, t))
-    }) else {
-        return Err("missing checksum trailer".to_string());
-    };
-    let expected = u32::from_str_radix(trailer, 16).map_err(|_| "bad checksum".to_string())?;
-    if crc32(format!("{body}\n").as_bytes()) != expected {
-        return Err("checksum mismatch".to_string());
-    }
-    serde_json::from_str(body).map_err(|e| format!("unparseable: {e}"))
-}
-
 /// What a complete run wrote, persisted as `complete.json` (JSON line
 /// plus `crc32:` trailer, temp-file rename) once its shards are flushed
 /// and before the final `status.json`.
@@ -305,6 +255,14 @@ struct CompletionRecord {
     /// Each shard file's length and digest, in shard order.
     shards: Vec<ShardSeal>,
 }
+
+/// The completion record as a checksummed file.
+const COMPLETION: Checksummed<'static> = Checksummed {
+    name: COMPLETION_FILE,
+    what: "completion record",
+    creator: "a complete run",
+    repair: "resume the job to rewrite it",
+};
 
 /// One shard file as a complete run left it.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -344,10 +302,7 @@ impl ShardSeal {
 /// plain `false`: the resume then runs the decoding scan, which repairs
 /// or reports exactly what it would have without a record.
 pub(crate) fn completion_certified(dir: &Path, manifest: &JobManifest) -> bool {
-    let Ok(text) = std::fs::read_to_string(dir.join(COMPLETION_FILE)) else {
-        return false;
-    };
-    let Ok(record) = parse_checksummed::<CompletionRecord>(&text) else {
+    let Ok(record) = load_checksummed::<CompletionRecord>(dir, &COMPLETION, |_| Ok(())) else {
         return false;
     };
     let paths = manifest.shard_files(dir);
@@ -625,9 +580,7 @@ fn write_status(dir: &Path, status: &JobStatus) -> std::io::Result<()> {
     let mut text = serde_json::to_string(status)
         .map_err(|e| std::io::Error::other(format!("encoding status: {e}")))?;
     text.push('\n');
-    let tmp = dir.join(format!("{STATUS_FILE}.tmp"));
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, dir.join(STATUS_FILE))
+    replace(dir, STATUS_FILE, text.as_bytes())
 }
 
 /// Starts a fresh job in `dir`: writes the manifest and runs until
@@ -1240,7 +1193,8 @@ fn run_pool(
                     let snapshot = telemetry.snapshot();
                     if opts.progress {
                         // A closed stderr must not stop the crawl.
-                        let _ = writeln!(std::io::stderr(), "{}", snapshot.progress_line(planned));
+                        let line = snapshot.progress_line(written, funnel.succeeded, planned);
+                        let _ = writeln!(std::io::stderr(), "{line}");
                     }
                     if let Some((dir, _)) = job {
                         let pending = pending.len() as u64;
@@ -1721,8 +1675,8 @@ mod tests {
                 std::fs::write(&path, format!("{body}crc32:00000000\n")).unwrap();
             }),
             ("record of another manifest", |dir, _| {
-                let text = std::fs::read_to_string(dir.join(COMPLETION_FILE)).unwrap();
-                let mut record: CompletionRecord = parse_checksummed(&text).unwrap();
+                let load = load_checksummed::<CompletionRecord>(dir, &COMPLETION, |_| Ok(()));
+                let mut record = load.unwrap();
                 record.manifest.seed += 1;
                 store_checksummed(&record, dir, COMPLETION_FILE).unwrap();
             }),

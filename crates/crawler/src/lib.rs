@@ -49,6 +49,7 @@ mod follow;
 mod funnel;
 mod jobs;
 mod run;
+mod storage;
 mod telemetry;
 
 pub use bundle::{
@@ -63,7 +64,7 @@ pub use colsh::{
 pub use db::{
     detect_db_format, expand_db_paths, read_jsonl, refuse_mixed_bundle_dir, resume_jsonl,
     shard_path, shard_paths, write_jsonl, AnyRecordStream, DbFormat, RecordStream, ResumeState,
-    ShardScan, ShardWriter, SkipReport, StreamMode, SKIP_REPORT_LINES,
+    ShardScan, ShardWriter,
 };
 pub use follow::{ShardFollower, ShardFrontier};
 pub use funnel::CrawlFunnel;
@@ -74,6 +75,7 @@ pub use jobs::{
 };
 pub use netsim::FaultSpec;
 pub use run::{CrawlConfig, CrawlDataset, Crawler, SiteOutcome, SiteRecord};
+pub use storage::{SkipReport, StreamMode, SKIP_REPORT_LINES};
 pub use telemetry::{CrawlTelemetry, TelemetrySnapshot, LATENCY_BOUNDS_MS};
 
 #[cfg(test)]

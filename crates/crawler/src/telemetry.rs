@@ -176,16 +176,18 @@ impl TelemetrySnapshot {
         self.outcomes.iter().sum()
     }
 
-    /// One-line progress summary, for periodic printing. `attempted` is
-    /// the number of visits planned for this run; an empty plan renders
-    /// as 100% done rather than dividing by zero.
-    pub fn progress_line(&self, attempted: u64) -> String {
+    /// One-line progress summary, for periodic printing: `written` of
+    /// the `attempted` records planned for this run are written, `ok` of
+    /// them successes. Retries and panics count the visits so far. An
+    /// empty plan renders as 100% done rather than dividing by zero.
+    pub fn progress_line(&self, written: u64, ok: u64, attempted: u64) -> String {
+        let percent = match attempted {
+            0 => 100.0,
+            _ => 100.0 * written as f64 / attempted as f64,
+        };
         format!(
-            "crawled {}/{attempted} [{:.1}%] (ok {}, failed {}, retries {}, panics {})",
-            self.completed(),
-            self.percent_done(attempted),
-            self.outcomes[0],
-            self.completed() - self.outcomes[0],
+            "crawled {written}/{attempted} [{percent:.1}%] (ok {ok}, failed {}, retries {}, panics {})",
+            written - ok,
             self.retries,
             self.panics_caught,
         )
@@ -320,7 +322,7 @@ mod tests {
         let t = CrawlTelemetry::new(1);
         t.record_visit(0, SiteOutcome::Success, 1, 1);
         t.record_visit(0, SiteOutcome::LoadTimeout, 1, 2);
-        let line = t.snapshot().progress_line(10);
+        let line = t.snapshot().progress_line(2, 1, 10);
         assert!(line.contains("2/10"), "{line}");
         assert!(line.contains("[20.0%]"), "{line}");
         assert!(line.contains("ok 1"), "{line}");
@@ -339,7 +341,7 @@ mod tests {
         assert_eq!(empty.rate_per_sec(f64::NAN), 0.0);
         assert_eq!(empty.eta_secs(0, 0.0), 0.0);
         assert_eq!(empty.eta_secs(10, 0.0), f64::INFINITY);
-        let line = empty.progress_line(0);
+        let line = empty.progress_line(0, 0, 0);
         assert!(line.contains("0/0"), "{line}");
         assert!(line.contains("[100.0%]"), "{line}");
         assert!(!line.contains("NaN"), "{line}");

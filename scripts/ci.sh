@@ -307,8 +307,14 @@ echo "==> job engine: bounded-memory soak smoke (100k origins, RSS ceiling)"
 "$BIN" crawl-job start --dir "$JOB/soak" --size 100000 --shards 4 \
     --status-every 20000 --max-rss-mb 192 2>/dev/null
 grep -q '"state":"complete"' "$JOB/soak/status.json"
-rm -rf "$JOB"
 echo "    100k-origin job stayed under the 192 MiB peak-RSS ceiling"
+# The same soak through the .colsh writer, whose row groups and
+# dictionary epochs hold more per shard than JSONL's line buffer.
+"$BIN" crawl-job start --dir "$JOB/soak-colsh" --size 100000 --shards 8 \
+    --format columnar --status-every 20000 --max-rss-mb 112 2>/dev/null
+grep -q '"state":"complete"' "$JOB/soak-colsh/status.json"
+rm -rf "$JOB"
+echo "    100k-origin 8-shard .colsh job stayed under the 112 MiB peak-RSS ceiling"
 
 echo "==> difftest: spec-oracle differential gate (>=10k seeded scenarios)"
 cargo test -q --release -p difftest

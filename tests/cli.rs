@@ -579,3 +579,40 @@ fn closed_stderr_does_not_stop_a_crawl() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Progress lines report the records written when they print: for
+/// `crawl` and `crawl-job start` alike, the counts rise strictly in
+/// steps of `status_every` and end at the whole crawl.
+#[test]
+fn progress_lines_count_records_written() {
+    let dir = scratch("progress");
+    let db = dir.join("crawl.jsonl");
+    let job = dir.join("job");
+    let crawl = ["crawl", "--size", "300", "--seed", "7", "--out", path(&db)];
+    let start = [
+        "crawl-job",
+        "start",
+        "--dir",
+        path(&job),
+        "--size",
+        "300",
+        "--seed",
+        "7",
+        "--status-every",
+        "30",
+    ];
+    for args in [&crawl[..], &start[..]] {
+        let output = run(args);
+        assert_success(&output);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let counts: Vec<u64> = stderr
+            .lines()
+            .filter_map(|line| line.strip_prefix("crawled "))
+            .map(|rest| rest.split('/').next().unwrap().parse().unwrap())
+            .collect();
+        let expected: Vec<u64> = (1..=10).map(|step| step * 30).collect();
+        assert_eq!(counts, expected, "{args:?}: {stderr}");
+        assert!(stderr.contains("crawled 300/300 "), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -166,9 +166,13 @@ fn nth_payload_offset(bytes: &[u8], id: u8, n: usize) -> usize {
     panic!("block id {id:#x} occurrence {n} not found");
 }
 
-/// A flipped payload byte trips the block checksum: strict errors and
-/// names the checksum, lenient drops exactly that row group and counts
-/// its records.
+/// Damage to a row group is loud or counted, never silent. A flipped
+/// column payload byte trips that block's checksum: strict errors naming
+/// the checksum and the block's byte offset, lenient drops exactly that
+/// row group and counts its records. Damage a lenient read cannot step
+/// over — a flipped dictionary-delta byte (later groups would resolve
+/// shifted ids) or an overwritten GROUP block id (the group's record
+/// count is lost) — is an error naming the block's offset in both modes.
 #[test]
 fn corrupt_payload_byte_trips_block_checksum() {
     let records: Vec<SiteRecord> = (1..=30)
@@ -183,31 +187,50 @@ fn corrupt_payload_byte_trips_block_checksum() {
         .collect();
     let path = scratch("corrupt");
     encode(&path, &records, 10, 0);
-    let mut bytes = std::fs::read(&path).expect("read file");
+    let clean = std::fs::read(&path).expect("read file");
 
-    // Flip a byte in the second group's META column payload (id 0x10).
-    let off = nth_payload_offset(&bytes, 0x10, 1);
-    bytes[off] ^= 0xFF;
-    std::fs::write(&path, &bytes).expect("write corrupted file");
+    // Each input damages one block of the second group: (input, block
+    // id, whether its id byte is overwritten rather than a payload byte
+    // flipped, whether a lenient read steps over it).
+    let inputs = [
+        ("META payload byte", 0x10, false, true),
+        ("DICT payload byte", 0x02, false, false),
+        ("GROUP block id", 0x01, true, false),
+    ];
+    for (input, id, overwrite_id, skippable) in inputs {
+        let mut bytes = clean.clone();
+        let payload = nth_payload_offset(&bytes, id, 1);
+        let block = payload - 9;
+        if overwrite_id {
+            bytes[block] = 0x7F;
+        } else {
+            bytes[payload] ^= 0xFF;
+        }
+        std::fs::write(&path, &bytes).expect("write corrupted file");
 
-    let strict: std::io::Result<Vec<SiteRecord>> = ColshStream::open(&path, StreamMode::Strict)
-        .expect("open strict")
-        .collect();
-    let err = strict.expect_err("strict accepts corrupt payload");
-    assert!(
-        err.to_string().contains("checksum"),
-        "strict error names the checksum: {err}"
-    );
+        let strict: std::io::Result<Vec<SiteRecord>> = ColshStream::open(&path, StreamMode::Strict)
+            .expect("open strict")
+            .collect();
+        let err = strict.expect_err("strict accepts a damaged group");
+        let at = format!("at byte {block}");
+        assert!(err.to_string().contains(&at), "{input}: {err}");
+        if !overwrite_id {
+            assert!(err.to_string().contains("checksum"), "{input}: {err}");
+        }
 
-    let mut lenient = ColshStream::open(&path, StreamMode::Lenient).expect("open lenient");
-    let survivors: Vec<SiteRecord> = lenient
-        .by_ref()
-        .collect::<std::io::Result<_>>()
-        .expect("lenient never errors");
-    assert_eq!(survivors.len(), 20, "two intact groups survive");
-    let ranks: Vec<u64> = survivors.iter().map(|r| r.rank).collect();
-    let expected: Vec<u64> = (1..=10).chain(21..=30).collect();
-    assert_eq!(ranks, expected, "the corrupt middle group is dropped whole");
-    let skip = lenient.into_skip_report();
-    assert_eq!(skip.skipped, 10, "skips are counted in records");
+        let mut lenient = ColshStream::open(&path, StreamMode::Lenient).expect("open lenient");
+        let read: std::io::Result<Vec<SiteRecord>> = lenient.by_ref().collect();
+        if !skippable {
+            let err = read.expect_err("lenient steps over damage that breaks later groups");
+            assert!(err.to_string().contains(&at), "{input}: {err}");
+            continue;
+        }
+        let survivors = read.expect("lenient skips a bad column block");
+        assert_eq!(survivors.len(), 20, "two intact groups survive");
+        let ranks: Vec<u64> = survivors.iter().map(|r| r.rank).collect();
+        let expected: Vec<u64> = (1..=10).chain(21..=30).collect();
+        assert_eq!(ranks, expected, "the corrupt middle group is dropped whole");
+        let skip = lenient.into_skip_report();
+        assert_eq!(skip.skipped, 10, "skips are counted in records");
+    }
 }
