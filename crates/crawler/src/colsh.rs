@@ -40,10 +40,12 @@
 //! error naming the block's byte offset. `valid_len` marks the end of
 //! the last complete group, excluding END so an append overwrites it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fs::File;
+use std::hash::BuildHasher;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 use browser::{
     DegradationEvent, DegradationKind, FrameRecord, IframeAttrs, InvocationKind, InvocationRecord,
@@ -273,8 +275,8 @@ impl ColBuf {
 /// group costs one varint walk — no per-string allocation, and no
 /// UTF-8 validation for strings a projected read never references.
 /// Entry bytes are already checksum-verified with their block; UTF-8 is
-/// checked when an entry is used (and once for everything by
-/// [`ReaderDict::materialize`] on the resume path).
+/// checked when an entry is used (and once for everything when a resume
+/// copies the entries into the writer's arena).
 #[derive(Default)]
 struct ReaderDict {
     arena: Vec<Vec<u8>>,
@@ -324,14 +326,6 @@ impl ReaderDict {
         let (seg, start, len) = (entry.seg as usize, entry.start as usize, entry.len as usize);
         let bytes = &self.arena[seg][start..start + len];
         std::str::from_utf8(bytes).map_err(|_| bad("dictionary string is not UTF-8"))
-    }
-
-    /// Materializes every entry — what an appending writer needs to
-    /// rebuild its intern table.
-    fn materialize(&self) -> std::io::Result<Vec<String>> {
-        (0..self.entries.len())
-            .map(|i| self.get(i).map(str::to_owned))
-            .collect()
     }
 }
 
@@ -393,43 +387,182 @@ fn from_ord<T: Copy>(table: &[T], b: u8, what: &str) -> std::io::Result<T> {
 
 // --- writer ---------------------------------------------------------------
 
+/// The bits of an id-table slot that hold `id + 1`; the bits above them
+/// hold the top of the entry's hash.
+const SLOT_ID_MASK: u32 = (1 << 23) - 1;
+const _: () = assert!(DICT_MAX_ENTRIES <= SLOT_ID_MASK as usize);
+
+/// Word-at-a-time multiplicative hash of a dictionary string. Only the
+/// id table uses it: ids are assigned in first-use order, so no hash
+/// value reaches the file. Its key is random per process, as strings
+/// come from crawled pages and input databases: no fixed set of them
+/// collides in every run.
+fn dict_hash(bytes: &[u8]) -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    let key = *KEY.get_or_init(|| RandomState::new().hash_one(0u64));
+    let fold = |h: u64, word: u64| {
+        let m = u128::from(h ^ word) * 0x9e37_79b9_7f4a_7c15;
+        (m >> 64) as u64 ^ m as u64
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut h = key ^ bytes.len() as u64;
+    for word in &mut words {
+        h = fold(
+            h,
+            u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")),
+        );
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    fold(h, u64::from_le_bytes(tail))
+}
+
 /// The incremental string dictionary: ids in first-use order, one delta
-/// block of newly-seen strings per row group.
+/// block of newly-seen strings per row group. Entries lie back to back
+/// in one byte arena in id order, so interning a string allocates
+/// nothing of its own and the current group's new entries are the
+/// arena's tail. An open-addressed table of ids finds an entry by hash.
 #[derive(Default)]
 struct WriterDict {
-    ids: HashMap<String, u32>,
-    len: usize,
-    /// Entries first used in the current group, in id order.
-    pending: Vec<String>,
+    /// Every entry's bytes, in id order.
+    bytes: Vec<u8>,
+    /// Where entry `id` ends in `bytes`; it starts where `id - 1` ends.
+    /// `u64`, as an epoch may hold `DICT_MAX_ENTRIES × DICT_MAX_STR`
+    /// bytes (16 GiB).
+    ends: Vec<u64>,
+    /// Linear-probing slots, a power of two of them and at most three
+    /// quarters full: `0` is empty, otherwise `id + 1` under
+    /// `SLOT_ID_MASK` and the top bits of the entry's hash above it, so a
+    /// probe compares bytes only when those bits match.
+    slots: Vec<u32>,
+    /// The first id of the current row group.
+    group_start: usize,
 }
 
 impl WriterDict {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn entry(&self, id: usize) -> &[u8] {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.bytes[start as usize..self.ends[id] as usize]
+    }
+
+    /// The top bits of `hash`, placed where a slot keeps them.
+    fn tag(hash: u64) -> u32 {
+        (hash >> 32) as u32 & !SLOT_ID_MASK
+    }
+
     /// The id for `s`, interning it if new; `None` if `s` is ineligible
     /// (too long, or the dictionary is full) and must go inline.
     fn intern(&mut self, s: &str) -> Option<u32> {
-        if let Some(&id) = self.ids.get(s) {
-            return Some(id);
-        }
-        if s.len() > DICT_MAX_STR || self.len >= DICT_MAX_ENTRIES {
+        if s.len() > DICT_MAX_STR {
             return None;
         }
-        let id = self.len as u32;
-        self.len += 1;
-        self.ids.insert(s.to_string(), id);
-        self.pending.push(s.to_string());
-        Some(id)
+        self.reserve_slots(self.len() + 1);
+        let hash = dict_hash(s.as_bytes());
+        let tag = Self::tag(hash);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => break,
+                slot if slot & !SLOT_ID_MASK == tag => {
+                    let id = (slot & SLOT_ID_MASK) as usize - 1;
+                    if self.entry(id) == s.as_bytes() {
+                        return Some(id as u32);
+                    }
+                }
+                _ => {}
+            }
+            i = (i + 1) & mask;
+        }
+        if self.len() >= DICT_MAX_ENTRIES {
+            return None;
+        }
+        self.slots[i] = tag | (self.len() as u32 + 1);
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.ends.push(self.bytes.len() as u64);
+        Some(self.len() as u32 - 1)
+    }
+
+    /// Grows the id table to hold `entries` at most three quarters full,
+    /// rehashing every entry from the arena.
+    fn reserve_slots(&mut self, entries: usize) {
+        if entries * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let mut cap = self.slots.len().max(64);
+        while entries * 4 > cap * 3 {
+            cap *= 2;
+        }
+        self.slots = vec![0; cap];
+        for id in 0..self.len() {
+            let hash = dict_hash(self.entry(id));
+            let mut i = hash as usize & (cap - 1);
+            while self.slots[i] != 0 {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = Self::tag(hash) | (id as u32 + 1);
+        }
+    }
+
+    /// Writes the current group's new entries as a DICT delta payload
+    /// into `out` and starts the next group.
+    fn take_delta(&mut self, out: &mut Vec<u8>) {
+        let new = self.group_start..self.len();
+        wv(out, new.len() as u64);
+        for id in new {
+            let s = self.entry(id);
+            wv(out, s.len() as u64);
+            out.extend_from_slice(s);
+        }
+        self.group_start = self.len();
+    }
+
+    /// Starts a new epoch with no entries, keeping the memory for it.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.slots.fill(0);
+        self.group_start = 0;
+    }
+
+    /// The dictionary a resumed writer continues: the reader's entries
+    /// copied once into the arena (each checked as UTF-8, as a decode
+    /// would), with the table sized for them. The arena and its offsets
+    /// start at twice the restored size, what the first append past an
+    /// exact fit would grow them to, so the restored bytes are never
+    /// copied again (an exact fit made a 1M-origin 8-shard resume peak
+    /// 38 MiB higher).
+    fn restore(reader: &ReaderDict) -> std::io::Result<WriterDict> {
+        let n = reader.entries.len();
+        let bytes: usize = reader.entries.iter().map(|e| e.len as usize).sum();
+        let mut dict = WriterDict {
+            bytes: Vec::with_capacity(2 * bytes),
+            ends: Vec::with_capacity(2 * n),
+            slots: Vec::new(),
+            group_start: n,
+        };
+        for id in 0..n {
+            dict.bytes.extend_from_slice(reader.get(id)?.as_bytes());
+            dict.ends.push(dict.bytes.len() as u64);
+        }
+        dict.reserve_slots(n);
+        Ok(dict)
     }
 }
 
 /// Dictionary state carried from [`resume_colsh`] into
 /// [`ColshWriter::append`], so appended groups assign exactly the ids an
 /// uninterrupted crawl would have.
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct ColshAppendState {
-    /// Every *current-epoch* dictionary entry in the valid prefix, in id
-    /// order (entries from earlier epochs are unreferenced by appended
-    /// groups and need not be carried).
-    pub dict: Vec<String>,
+    /// The writer's dictionary holding every *current-epoch* entry in
+    /// the valid prefix, in id order (entries from earlier epochs are
+    /// unreferenced by appended groups and need not be carried).
+    dict: WriterDict,
     /// Records already on disk in the valid prefix.
     pub records: u64,
     /// Row groups flushed since the last dictionary epoch boundary, so
@@ -445,7 +578,9 @@ pub struct ColshAppendState {
 pub struct ColshWriter {
     out: BufWriter<DigestWriter<File>>,
     dict: WriterDict,
-    perm_index: HashMap<Permission, u32>,
+    /// The payload of a group's GROUP and DICT blocks, kept across
+    /// groups.
+    delta: Vec<u8>,
     cols: [Vec<u8>; COLUMNS],
     group_records: usize,
     in_group: usize,
@@ -458,14 +593,6 @@ pub struct ColshWriter {
     /// before it. Set at push time (the dictionary resets before the
     /// first record of the new epoch is encoded).
     epoch_pending: bool,
-}
-
-fn perm_index() -> HashMap<Permission, u32> {
-    all_permissions()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u32))
-        .collect()
 }
 
 impl ColshWriter {
@@ -508,18 +635,10 @@ impl ColshWriter {
             }
             write_frame(&mut out, Some(BLOCK_FDICT), &fdict)?;
         }
-        let mut dict = WriterDict {
-            ids: HashMap::with_capacity(state.dict.len()),
-            len: state.dict.len(),
-            pending: Vec::new(),
-        };
-        for (i, s) in state.dict.into_iter().enumerate() {
-            dict.ids.insert(s, i as u32);
-        }
         Ok(ColshWriter {
             out,
-            dict,
-            perm_index: perm_index(),
+            dict: state.dict,
+            delta: Vec::new(),
             cols: Default::default(),
             group_records: DEFAULT_GROUP_RECORDS,
             in_group: 0,
@@ -570,9 +689,11 @@ impl ColshWriter {
         }
     }
 
+    /// A permission's FDICT index is its discriminant: the registry
+    /// asserts `all_permissions()[i] as usize == i`, and FDICT lists the
+    /// tokens in that order.
     fn w_perm(&mut self, col: usize, p: Permission) {
-        let idx = self.perm_index[&p];
-        wv(&mut self.cols[col], u64::from(idx));
+        wv(&mut self.cols[col], p as u64);
     }
 
     /// Appends one record to the current row group, flushing the group
@@ -585,7 +706,7 @@ impl ColshWriter {
             && self.in_group == 0
             && self.groups_in_epoch >= self.dict_epoch_groups
         {
-            self.dict = WriterDict::default();
+            self.dict.clear();
             self.epoch_pending = true;
         }
         self.encode_record(record);
@@ -724,16 +845,12 @@ impl ColshWriter {
             self.groups_in_epoch = 0;
         }
         self.groups_in_epoch += 1;
-        let mut group = Vec::new();
-        wv(&mut group, self.in_group as u64);
-        write_frame(&mut self.out, Some(BLOCK_GROUP), &group)?;
-        let mut delta = Vec::new();
-        wv(&mut delta, self.dict.pending.len() as u64);
-        for s in self.dict.pending.drain(..) {
-            wv(&mut delta, s.len() as u64);
-            delta.extend_from_slice(s.as_bytes());
-        }
-        write_frame(&mut self.out, Some(BLOCK_DICT), &delta)?;
+        self.delta.clear();
+        wv(&mut self.delta, self.in_group as u64);
+        write_frame(&mut self.out, Some(BLOCK_GROUP), &self.delta)?;
+        self.delta.clear();
+        self.dict.take_delta(&mut self.delta);
+        write_frame(&mut self.out, Some(BLOCK_DICT), &self.delta)?;
         for (k, col) in self.cols.iter_mut().enumerate() {
             write_frame(&mut self.out, Some(BLOCK_COLUMN_BASE + k as u8), col)?;
             col.clear();
@@ -1496,7 +1613,7 @@ pub fn resume_colsh(
     Ok((
         ResumeState { records, valid_len },
         ColshAppendState {
-            dict: stream.dict.materialize()?,
+            dict: WriterDict::restore(&stream.dict)?,
             records,
             groups_in_epoch: stream.groups_in_epoch,
         },
@@ -1663,47 +1780,80 @@ mod tests {
 
     #[test]
     fn resume_recovers_valid_prefix_and_append_matches_uninterrupted() {
-        let ds = dataset(30);
-        let path = scratch("resume.colsh");
-        let full = scratch("resume-full.colsh");
+        // The larger crawl restores more than 1,024 dictionary entries,
+        // so the resumed writer's id table must be sized for them.
+        for (size, min_restored) in [(30, 0), (300, 1025)] {
+            let ds = dataset(size);
+            let path = scratch("resume.colsh");
+            let full = scratch("resume-full.colsh");
 
-        // The uninterrupted reference, grouped small so the tear lands
-        // between groups.
-        let mut w = ColshWriter::create_grouped(&full, 10).unwrap();
-        for r in &ds.records {
-            w.push(r).unwrap();
+            // The uninterrupted reference, grouped small so the tear
+            // lands between groups.
+            let mut w = ColshWriter::create_grouped(&full, 10).unwrap();
+            for r in &ds.records {
+                w.push(r).unwrap();
+            }
+            w.finish().unwrap();
+
+            // Tear the same file three quarters of the way in.
+            std::fs::copy(&full, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let torn_at = bytes.len() * 3 / 4;
+            std::fs::write(&path, &bytes[..torn_at]).unwrap();
+
+            let mut ranks = Vec::new();
+            let (state, append) = resume_colsh(&path, |record| {
+                ranks.push(record.rank);
+                Ok(())
+            })
+            .unwrap();
+            assert!(state.valid_len <= torn_at as u64);
+            assert_eq!(append.records, state.records);
+            assert_eq!(ranks, (1..=state.records).collect::<Vec<u64>>());
+            let restored = append.dict.len();
+            assert!(restored >= min_restored, "{size}: restored {restored}");
+
+            // Append the missing records; the result must be
+            // byte-identical to the uninterrupted file.
+            let mut w = ColshWriter::append(&path, state.valid_len, append).unwrap();
+            w.group_records = 10;
+            for r in &ds.records[state.records as usize..] {
+                w.push(r).unwrap();
+            }
+            w.finish().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{size} records");
         }
-        w.finish().unwrap();
+    }
 
-        // Write 20 records (2 groups), then tear mid-third-group.
-        let mut w = ColshWriter::create_grouped(&path, 10).unwrap();
-        for r in &ds.records {
-            w.push(r).unwrap();
+    #[test]
+    fn writer_dictionary_assigns_ids_in_first_use_order() {
+        let mut dict = WriterDict::default();
+        // A permutation of 5,000 distinct strings, the empty one first:
+        // enough to grow the id table several times.
+        let words: Vec<String> = std::iter::once(String::new())
+            .chain((1..5000).map(|i| format!("s{}", i * 7919 % 5000)))
+            .collect();
+        for (id, word) in words.iter().enumerate() {
+            assert_eq!(dict.intern(word), Some(id as u32), "{word}");
         }
-        w.finish().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let torn_at = bytes.len() * 3 / 4;
-        std::fs::write(&path, &bytes[..torn_at]).unwrap();
-
-        let mut ranks = Vec::new();
-        let (state, append) = resume_colsh(&path, |record| {
-            ranks.push(record.rank);
-            Ok(())
-        })
-        .unwrap();
-        assert!(state.valid_len <= torn_at as u64);
-        assert_eq!(append.records, state.records);
-        assert_eq!(ranks, (1..=state.records).collect::<Vec<u64>>());
-
-        // Append the missing records; the result must be byte-identical
-        // to the uninterrupted file.
-        let mut w = ColshWriter::append(&path, state.valid_len, append).unwrap();
-        w.group_records = 10;
-        for r in &ds.records[state.records as usize..] {
-            w.push(r).unwrap();
+        for (id, word) in words.iter().enumerate() {
+            assert_eq!(dict.intern(word), Some(id as u32), "{word} again");
         }
-        w.finish().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&full).unwrap());
+        let longest = "x".repeat(DICT_MAX_STR);
+        assert_eq!(dict.intern(&format!("{longest}x")), None);
+        assert_eq!(dict.intern(&longest), Some(5000));
+        assert_eq!(dict.len(), 5001);
+        // The group's delta lists all 5,001 entries (varint 0x89 0x27),
+        // the empty one first (length 0); the next group's lists none.
+        let mut delta = Vec::new();
+        dict.take_delta(&mut delta);
+        assert_eq!(delta[..3], [0x89, 0x27, 0]);
+        delta.clear();
+        dict.take_delta(&mut delta);
+        assert_eq!(delta, [0]);
+        // A new epoch starts empty.
+        dict.clear();
+        assert_eq!(dict.intern("s1"), Some(0));
     }
 
     #[test]
@@ -1785,7 +1935,7 @@ mod tests {
             let mut peak = 0usize;
             for r in &ds.records {
                 w.push(r).unwrap();
-                peak = peak.max(w.dict.len);
+                peak = peak.max(w.dict.len());
             }
             w.finish().unwrap();
             peak

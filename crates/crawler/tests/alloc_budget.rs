@@ -11,7 +11,10 @@
 //!   back to the worker that built it, which frees it there;
 //! * a `ReplayBundle` loaded from seed 7's 2,000-site store holds at most
 //!   256 heap bytes per site: an index of frame offsets and the blobs
-//!   several sites share, never the manifests or the other blobs.
+//!   several sites share, never the manifests or the other blobs;
+//! * a `ColshWriter` fed seed 7's first 2,000 crawl records makes fewer
+//!   than 0.1 allocations per new dictionary entry: entries go into one
+//!   byte arena, never into a string of their own.
 //!
 //! Counts are kept per thread, so the other tests running in this binary
 //! cannot disturb them, and they repeat exactly from run to run.
@@ -20,7 +23,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use crawler::{job_start, CrawlConfig, Crawler, DbFormat, JobManifest, JobOptions, ReplayBundle};
+use crawler::{
+    job_start, ColshWriter, CrawlConfig, Crawler, DbFormat, JobManifest, JobOptions, ReplayBundle,
+};
 use webgen::{PopulationConfig, WebPopulation};
 
 struct Counting;
@@ -152,5 +157,57 @@ fn a_loaded_replay_bundle_holds_at_most_256_bytes_per_site() {
     assert!(
         per_site <= 256.0,
         "the loaded store holds {per_site:.0} heap bytes per site"
+    );
+}
+
+/// New dictionary entries in a `.colsh` file: the leading varint of each
+/// DICT block (id `0x02`), walking the `[id][len u32][crc u32][payload]`
+/// framing after the 12-byte header.
+fn dictionary_entries(bytes: &[u8]) -> u64 {
+    let mut at = 12;
+    let mut entries = 0;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        if bytes[at] == 0x02 {
+            let (mut value, mut shift) = (0u64, 0);
+            for &b in &bytes[at + 9..] {
+                value |= u64::from(b & 0x7F) << shift;
+                shift += 7;
+                if b & 0x80 == 0 {
+                    break;
+                }
+            }
+            entries += value;
+        }
+        at += 9 + len;
+    }
+    entries
+}
+
+#[test]
+fn the_colsh_writer_allocates_under_a_tenth_per_dictionary_entry() {
+    let population = WebPopulation::new(PopulationConfig {
+        seed: SEED,
+        size: RANKS,
+    });
+    let records = Crawler::new(CrawlConfig::default())
+        .crawl(&population)
+        .records;
+    let dir = JobDir::new("colsh-dict");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join("crawl.colsh");
+    let mut writer = ColshWriter::create(&path).expect("create");
+    let before = ALLOCATIONS.with(Cell::get);
+    for record in &records {
+        writer.push(record).expect("push");
+    }
+    writer.finish().expect("finish");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let entries = dictionary_entries(&std::fs::read(&path).unwrap());
+    assert!(entries > RANKS, "{entries} dictionary entries");
+    let per_entry = allocations as f64 / entries as f64;
+    assert!(
+        per_entry < 0.1,
+        "{allocations} allocations for {entries} new dictionary entries"
     );
 }
