@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 use crawler::CrawlDataset;
 use policy::allowlist::AllowlistMember;
-use policy::header::DeclaredPolicy;
 use registry::Permission;
 use serde::{Deserialize, Serialize};
 
@@ -569,12 +568,6 @@ impl MisconfigStats {
         ]);
         t
     }
-}
-
-/// Re-export used by the tools crate: a parsed policy for a frame, the
-/// way the browser applied it.
-pub fn effective_top_policy(header: &str) -> Option<DeclaredPolicy> {
-    policy::parse_permissions_policy(header).ok()
 }
 
 #[cfg(test)]

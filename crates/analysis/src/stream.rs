@@ -538,7 +538,7 @@ where
 }
 
 /// Live analysis over a set of possibly-still-growing shard files:
-/// one resident [`ShardFollower`] + [`TableSet`] pair per shard, so
+/// one resident [`crawler::ShardFollower`] + [`TableSet`] pair per shard, so
 /// each [`LiveAnalysis::tick`] folds only the records appended since
 /// the last one, and each [`LiveAnalysis::snapshot`] is byte-identical
 /// to a from-scratch analysis over the same frontier.

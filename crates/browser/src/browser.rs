@@ -6,8 +6,8 @@ use std::marker::PhantomData;
 use jsland::{Engine, RunError, ScriptEngine, ScriptSource, StepPool};
 use netsim::{FetchError, Network, Response, SimClock};
 use policy::engine::{DocumentPolicy, FramingContext, LocalSchemeBehavior, PolicyEngine};
-use policy::header::{parse_permissions_policy, DeclaredPolicy};
-use policy::{feature_policy, parse_allow_attribute, Csp};
+use policy::header::DeclaredPolicy;
+use policy::{effective_declared, parse_allow_attribute, Csp};
 use weburl::{Origin, Url};
 
 use crate::hooks::BrowserHooks;
@@ -535,13 +535,6 @@ impl<N: Network, E: Engine> Browser<N, E> {
             }
         }
 
-        let allowed_features = doc
-            .policy
-            .allowed_features()
-            .into_iter()
-            .map(registry::FeatureToken)
-            .collect();
-
         let url = doc.url.as_ref().map(Url::to_string);
         // The site from the URL text just made: the same answer as
         // `Url::site`, without building a `Site`.
@@ -564,7 +557,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             csp_header: doc.csp_header.clone(),
             invocations: hooks.invocations,
             scripts,
-            allowed_features,
+            allowed_features: doc.policy.allowed_features(),
         });
 
         // Load child frames, gated by the document's CSP frame policy.
@@ -860,11 +853,7 @@ impl<N: Network, E: Engine> Browser<N, E> {
             csp_header: None,
             invocations: vec![],
             scripts: vec![],
-            allowed_features: policy
-                .allowed_features()
-                .into_iter()
-                .map(registry::FeatureToken)
-                .collect(),
+            allowed_features: policy.allowed_features(),
         });
     }
 }
@@ -945,18 +934,4 @@ fn derive_prompts(frames: &[FrameRecord]) -> Vec<PromptRecord> {
         }
     }
     prompts
-}
-
-/// Chromium's header precedence (§2.2.6): a syntactically valid
-/// `Permissions-Policy` header wins; an invalid one is dropped entirely;
-/// `Feature-Policy` applies only when no `Permissions-Policy` header is
-/// present.
-fn effective_declared(pp: Option<&str>, fp: Option<&str>) -> DeclaredPolicy {
-    if let Some(pp) = pp {
-        return parse_permissions_policy(pp).unwrap_or_default();
-    }
-    if let Some(fp) = fp {
-        return feature_policy::parse_feature_policy(fp);
-    }
-    DeclaredPolicy::default()
 }

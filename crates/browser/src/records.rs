@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use registry::{FeatureToken, Permission};
+use registry::{Permission, PermissionSet};
 
 /// How a permission-related API invocation relates to the permission
 /// system (mirrors `registry::apis::ApiKind`, plus resolution results).
@@ -172,10 +172,10 @@ pub struct FrameRecord {
     pub invocations: Vec<InvocationRecord>,
     /// Scripts loaded by this frame (for the static analysis).
     pub scripts: Vec<ScriptRecord>,
-    /// Policy-controlled features enabled for this document's own origin.
-    /// Serialized as spec tokens; held as typed [`FeatureToken`]s so the
-    /// closed vocabulary decodes without a `String` per entry.
-    pub allowed_features: Vec<FeatureToken>,
+    /// Policy-controlled features enabled for this document's own origin,
+    /// as the policy engine computed them. Serialized as the members'
+    /// spec tokens in registry order.
+    pub allowed_features: PermissionSet,
 }
 
 impl FrameRecord {

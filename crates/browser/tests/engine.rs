@@ -260,7 +260,7 @@ fn widget_receives_delegated_but_unused_permissions() {
         .find(|f| f.site.as_deref() == Some("widget.example"))
         .unwrap();
     // Delegated camera reaches the widget...
-    assert!(chat.allowed_features.iter().any(|f| f == "camera"));
+    assert!(chat.allowed_features.contains(Permission::Camera));
     // ...but the widget never calls any permission API: the §5 risk.
     assert!(chat.invocations.is_empty());
 }
@@ -274,7 +274,7 @@ fn local_scheme_attack_reproduces_in_engine() {
         .iter()
         .find(|f| f.site.as_deref() == Some("attacker.example"))
         .expect("attacker frame loaded through the data: document");
-    assert!(attacker.allowed_features.iter().any(|f| f == "camera"));
+    assert!(attacker.allowed_features.contains(Permission::Camera));
     let gum = &attacker.invocations[0];
     assert!(!gum.policy_blocked, "hijack succeeds under FreshPolicy");
 
@@ -292,7 +292,7 @@ fn local_scheme_attack_reproduces_in_engine() {
         .iter()
         .find(|f| f.site.as_deref() == Some("attacker.example"))
         .unwrap();
-    assert!(!attacker.allowed_features.iter().any(|f| f == "camera"));
+    assert!(!attacker.allowed_features.contains(Permission::Camera));
     assert!(attacker.invocations[0].policy_blocked);
 }
 

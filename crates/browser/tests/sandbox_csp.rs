@@ -3,6 +3,7 @@
 
 use browser::{Browser, BrowserConfig};
 use netsim::{ContentProvider, ProviderResult, Response, SimClock, SimNetwork, SiteBehavior};
+use registry::Permission;
 use weburl::Url;
 
 struct Web(&'static str);
@@ -79,7 +80,7 @@ fn sandbox_without_allow_same_origin_gives_opaque_origin() {
     let frame = v.embedded_frames().next().unwrap();
     assert_eq!(frame.origin, "null");
     // Opaque origin: self-default features are gone even same-host.
-    assert!(!frame.allowed_features.iter().any(|f| f == "camera"));
+    assert!(!frame.allowed_features.contains(Permission::Camera));
 }
 
 #[test]

@@ -287,6 +287,17 @@ impl Args {
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         Ok(self.parsed(name)?.unwrap_or(default))
     }
+
+    /// A per-mille rate: at most 1000, and 0 when not given.
+    fn per_mille(&self, name: &str) -> Result<u32, String> {
+        match self.num(name, 0)? {
+            rate @ 0..=1000 => Ok(rate),
+            rate => Err(format!(
+                "{}: {name} {rate} is over 1000 per mille",
+                self.command.name
+            )),
+        }
+    }
 }
 
 /// The usage text: a synopsis rendered from [`COMMANDS`], then prose.
@@ -380,8 +391,8 @@ fn job_manifest(args: &Args, format: DbFormat) -> Result<JobManifest, String> {
     let mut manifest = JobManifest::new(args.num("--seed", 7)?, size, shards, format);
     manifest.adversarial = args.switch("--adversarial");
     manifest.max_retries = args.num("--retries", manifest.max_retries)?;
-    manifest.fault_panics_per_mille = args.num("--fault-panics", 0)?;
-    manifest.fault_transients_per_mille = args.num("--fault-transients", 0)?;
+    manifest.fault_panics_per_mille = args.per_mille("--fault-panics")?;
+    manifest.fault_transients_per_mille = args.per_mille("--fault-transients")?;
     Ok(manifest)
 }
 
@@ -523,13 +534,20 @@ fn run_job(args: &Args, manifest: Option<JobManifest>) -> Result<(), String> {
     if manifest.fault_panics_per_mille > 0 {
         quiet_injected_panics();
     }
+    let abort_after_records = args.parsed("--chaos-abort")?;
+    if abort_after_records == Some(0) {
+        return Err(format!(
+            "{}: --chaos-abort must be at least 1",
+            args.command.name
+        ));
+    }
     let defaults = crawler::JobOptions::default();
     let opts = crawler::JobOptions {
         workers: args.num("--workers", defaults.workers)?,
         lease_records: args.num("--lease", defaults.lease_records)?,
         status_every: args.num("--status-every", defaults.status_every)?,
         stop_file: args.value("--stop-file").map(PathBuf::from),
-        abort_after_records: args.parsed("--chaos-abort")?,
+        abort_after_records,
         progress: true,
         ..defaults
     };

@@ -51,7 +51,7 @@ use browser::{
     DegradationEvent, DegradationKind, FrameRecord, IframeAttrs, InvocationKind, InvocationRecord,
     PageVisit, PromptRecord, ScriptOutcome, ScriptRecord, VisitOutcome,
 };
-use registry::{all_permissions, FeatureToken, Permission};
+use registry::{all_permissions, Permission, PermissionSet};
 
 use crate::db::ResumeState;
 use crate::run::{CrawlDataset, SiteOutcome, SiteRecord};
@@ -811,8 +811,8 @@ impl ColshWriter {
             }
 
             wv(&mut self.cols[C_FEATURES], f.allowed_features.len() as u64);
-            for t in &f.allowed_features {
-                self.w_perm(C_FEATURES, t.0);
+            for p in f.allowed_features {
+                self.w_perm(C_FEATURES, p);
             }
         }
 
@@ -904,8 +904,8 @@ pub fn write_colsh(dataset: &CrawlDataset, path: &Path) -> std::io::Result<()> {
 
 /// Streaming `.colsh` reader: yields [`SiteRecord`]s group by group,
 /// materializing only the columns in its [`ColumnSet`] projection and
-/// passing over the rest unread. Damage goes through the one mapping,
-/// [`StreamMode::recover`], at row-group granularity.
+/// passing over the rest unread. Damage goes through the one mapping of
+/// [`StreamMode`]'s `recover`, at row-group granularity.
 pub struct ColshStream {
     frames: FrameReader,
     mode: StreamMode,
@@ -1444,13 +1444,16 @@ impl ColshStream {
                     }
                 }
 
-                let mut allowed_features = Vec::new();
+                let mut allowed_features = PermissionSet::EMPTY;
                 if columns.contains(ColumnSet::FEATURES) {
                     let ft = &mut cols[C_FEATURES];
-                    let n = ft.varint()? as usize;
-                    allowed_features.reserve(n);
-                    for _ in 0..n {
-                        allowed_features.push(FeatureToken(Self::rd_perm(ft, perms)?));
+                    for _ in 0..ft.varint()? {
+                        let p = Self::rd_perm(ft, perms)?;
+                        if !allowed_features.push_ordered(p) {
+                            return Err(bad(format!(
+                                "feature token `{p}` repeated or out of registry order"
+                            )));
+                        }
                     }
                 }
 
@@ -1888,6 +1891,39 @@ mod tests {
         let report = stream.into_skip_report();
         assert_eq!(report.skipped, 10);
         assert_eq!(report.lines, vec![11]);
+    }
+
+    /// A FEATURES block that names a permission twice, under a valid CRC,
+    /// is a decode error naming its row group's offset, not a set that
+    /// silently re-encodes shorter.
+    #[test]
+    fn a_repeated_allowed_feature_is_a_decode_error() {
+        let ds = dataset(10);
+        let path = scratch("repeated-feature.colsh");
+        write_colsh(&ds, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let group_at = find_nth_column_payload(&bytes, BLOCK_GROUP, 1) - 9;
+        let features = BLOCK_COLUMN_BASE + C_FEATURES as u8;
+        let payload = find_nth_column_payload(&bytes, features, 1);
+        let len = u32::from_le_bytes(bytes[payload - 8..payload - 4].try_into().unwrap());
+        // The first frame's list: a one-byte count, then one-byte FDICT
+        // indices. Its second entry becomes a copy of its first.
+        assert!((2..0x80).contains(&bytes[payload]), "{}", bytes[payload]);
+        bytes[payload + 2] = bytes[payload + 1];
+        let crc = crc32(&bytes[payload..payload + len as usize]);
+        bytes[payload - 4..payload].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = ColshStream::open(&path, StreamMode::Strict)
+            .unwrap()
+            .find_map(|r| r.err())
+            .expect("strict read errors")
+            .to_string();
+        assert!(err.contains("repeated or out of registry order"), "{err}");
+        assert!(
+            err.contains(&format!("row group at byte {group_at}")),
+            "{err}"
+        );
     }
 
     #[test]

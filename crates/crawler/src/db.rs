@@ -615,7 +615,7 @@ pub fn refuse_mixed_bundle_dir(dir: &Path) -> std::io::Result<()> {
 /// * anything else — the single file.
 ///
 /// Directory and pattern expansion refuse a base file coexisting with
-/// its own shards (see [`check_base_shard_conflict`]).
+/// its own shards (see `check_base_shard_conflict`).
 pub fn expand_db_paths(arg: &str) -> std::io::Result<Vec<PathBuf>> {
     let path = Path::new(arg);
     let not_found = |what: &str| {

@@ -707,7 +707,7 @@ mod tests {
                 csp_header: None,
                 invocations: Vec::new(),
                 scripts: Vec::new(),
-                allowed_features: Vec::new(),
+                allowed_features: registry::PermissionSet::EMPTY,
             }
         }
         fn visit(frames: Vec<browser::FrameRecord>) -> PageVisit {

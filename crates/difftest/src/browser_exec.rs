@@ -23,6 +23,7 @@ use crate::oracle::process::{self, OracleDoc, OracleFraming, OracleLocalPolicy};
 use crate::oracle::semantics;
 use crate::scenario::{FrameKind, FrameSpec, Scenario, ORIGINS};
 use policy::engine::LocalSchemeBehavior;
+use registry::Permission;
 
 /// A disagreement between a browser-loaded frame and the oracle.
 #[derive(Debug, Clone)]
@@ -261,13 +262,10 @@ fn compare_frame(
             detail: format!("origin: browser={} oracle={oracle_origin}", record.origin),
         });
     }
-    let browser_features: Vec<&str> = record.allowed_features.iter().map(|f| f.token()).collect();
-    let oracle_features: Vec<&str> = oracle
-        .doc
-        .allowed_features()
-        .into_iter()
-        .map(|f| f.token())
-        .collect();
+    // Compared as lists, so a repeated or misordered oracle answer still
+    // diverges from the set's registry-order members.
+    let browser_features: Vec<Permission> = record.allowed_features.iter().collect();
+    let oracle_features = oracle.doc.allowed_features();
     if browser_features != oracle_features {
         out.push(BrowserDivergence {
             doc_path: path.to_string(),

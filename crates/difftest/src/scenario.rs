@@ -16,7 +16,7 @@
 
 use policy::engine::{DocumentPolicy, FramingContext, LocalSchemeBehavior, PolicyEngine};
 use policy::header::DeclaredPolicy;
-use policy::{parse_allow_attribute, parse_permissions_policy};
+use policy::parse_allow_attribute;
 use registry::Permission;
 use weburl::{Origin, Url};
 
@@ -440,7 +440,7 @@ impl Executor {
 
         let (engine_declared, oracle_declared) = match &declared_pair {
             Some((pp, fp)) => (
-                engine_effective_declared(pp.as_deref(), fp.as_deref()),
+                policy::effective_declared(pp.as_deref(), fp.as_deref()),
                 semantics::effective_declared(pp.as_deref(), fp.as_deref()),
             ),
             None => (DeclaredPolicy::default(), Default::default()),
@@ -479,18 +479,6 @@ impl Executor {
     }
 }
 
-/// The engine-side header precedence, identical to
-/// `browser::effective_declared` (which is private to that crate).
-fn engine_effective_declared(pp: Option<&str>, fp: Option<&str>) -> DeclaredPolicy {
-    if let Some(pp) = pp {
-        return parse_permissions_policy(pp).unwrap_or_default();
-    }
-    if let Some(fp) = fp {
-        return policy::feature_policy::parse_feature_policy(fp);
-    }
-    DeclaredPolicy::default()
-}
-
 /// Executes `scenario` through engine and oracle in lockstep and returns
 /// every decision disagreement.
 pub fn divergences(scenario: &Scenario) -> Vec<Divergence> {
@@ -506,7 +494,7 @@ pub fn divergences(scenario: &Scenario) -> Vec<Divergence> {
     let top_origin = origin_at(scenario.top_origin_idx);
     let engine_top = exec.engine.document_for_top_level(
         top_origin.clone(),
-        engine_effective_declared(scenario.pp.as_deref(), scenario.fp.as_deref()),
+        policy::effective_declared(scenario.pp.as_deref(), scenario.fp.as_deref()),
     );
     let oracle_top = OracleDoc::top_level(
         top_origin.clone(),
@@ -549,7 +537,7 @@ pub fn divergences(scenario: &Scenario) -> Vec<Divergence> {
         }
         // The aggregate view must agree too (allowed_features drives the
         // crawler's per-frame records).
-        let engine_features: Vec<Permission> = pair.engine.allowed_features();
+        let engine_features: Vec<Permission> = pair.engine.allowed_features().iter().collect();
         let oracle_features: Vec<Permission> = pair.oracle.allowed_features();
         if engine_features != oracle_features {
             for feature in registry::policy_controlled_permissions() {

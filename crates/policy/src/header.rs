@@ -218,6 +218,18 @@ pub fn parse_permissions_policy(value: &str) -> Result<DeclaredPolicy, HeaderPar
     Ok(DeclaredPolicy { directives })
 }
 
+/// The policy a document's response headers declare, by Chromium's
+/// header precedence (§2.2.6): a syntactically valid `Permissions-Policy`
+/// header wins; an invalid one is dropped entirely; `Feature-Policy`
+/// applies only when no `Permissions-Policy` header is present.
+pub fn effective_declared(pp: Option<&str>, fp: Option<&str>) -> DeclaredPolicy {
+    if let Some(pp) = pp {
+        return parse_permissions_policy(pp).unwrap_or_default();
+    }
+    fp.map(crate::feature_policy::parse_feature_policy)
+        .unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,5 +72,5 @@ pub use allow_attr::{parse_allow_attribute, AllowAttribute, Delegation, Delegati
 pub use allowlist::{Allowlist, AllowlistMember};
 pub use csp::Csp;
 pub use engine::{DocumentPolicy, FramingContext, LocalSchemeBehavior, PolicyEngine};
-pub use header::{parse_permissions_policy, DeclaredPolicy, HeaderParseError};
+pub use header::{effective_declared, parse_permissions_policy, DeclaredPolicy, HeaderParseError};
 pub use validate::{validate_header, HeaderIssue, HeaderReport};

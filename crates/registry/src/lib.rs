@@ -42,7 +42,7 @@ pub mod set;
 pub mod support;
 
 pub use info::{Category, DefaultAllowlist, PermissionInfo};
-pub use permission::{FeatureToken, Permission};
+pub use permission::Permission;
 pub use set::PermissionSet;
 
 /// All permissions known to the registry, in declaration order: entry

@@ -256,9 +256,7 @@ impl Permission {
     ///
     /// Exact (lowercase) tokens — the only form this codebase ever
     /// writes — resolve through a single `match`; mixed-case input
-    /// falls back to a case-insensitive scan. Neither path allocates,
-    /// which matters because decoding a crawl record calls this once
-    /// per `allowed_features` entry.
+    /// falls back to a case-insensitive scan. Neither path allocates.
     pub fn from_token(token: &str) -> Option<Permission> {
         if let Some(p) = Permission::from_token_exact(token.as_bytes()) {
             return Some(p);
@@ -275,7 +273,7 @@ impl Permission {
     /// The inverse of [`Permission::token`] as one `match` (the
     /// compiler turns it into a length-bucketed comparison chain).
     /// Round-trip consistency with `token()` is enforced by test.
-    fn from_token_exact(token: &[u8]) -> Option<Permission> {
+    pub(crate) fn from_token_exact(token: &[u8]) -> Option<Permission> {
         Some(match token {
             b"accelerometer" => Permission::Accelerometer,
             b"ambient-light-sensor" => Permission::AmbientLightSensor,
@@ -367,92 +365,6 @@ impl std::str::FromStr for Permission {
     }
 }
 
-/// A [`Permission`] recorded in its spec-token form.
-///
-/// [`Permission`]'s own serde impls use the Rust variant name (the
-/// form the crawl schema uses for `permissions` lists); this wrapper
-/// serializes as the spec token (`"picture-in-picture"`), the form
-/// headers, `allow` attributes and the `allowed_features` record field
-/// use. Because the vocabulary is closed, decoding resolves the token
-/// with [`Permission::from_token`] directly off the parser's borrowed
-/// string — no per-entry `String` — which is where the bulk of a
-/// frame record's decode allocations used to come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FeatureToken(pub Permission);
-
-impl FeatureToken {
-    /// The spec token this wrapper serializes as.
-    pub fn token(&self) -> &'static str {
-        self.0.token()
-    }
-}
-
-impl PartialEq<str> for FeatureToken {
-    fn eq(&self, other: &str) -> bool {
-        self.token() == other
-    }
-}
-
-impl fmt::Display for FeatureToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-impl Serialize for FeatureToken {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.token().to_string())
-    }
-
-    #[inline]
-    fn write_json(&self, out: &mut String) {
-        // Tokens are lowercase ASCII letters and dashes: nothing to
-        // escape, so the quoted form is the token verbatim.
-        out.push('"');
-        out.push_str(self.token());
-        out.push('"');
-    }
-}
-
-fn unknown_token(s: &str) -> serde::de::Error {
-    serde::de::Error::new(format!("unknown feature token `{s}`"))
-}
-
-impl Deserialize for FeatureToken {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::de::Error::expected("feature token string", value))?;
-        Permission::from_token(s)
-            .map(FeatureToken)
-            .ok_or_else(|| unknown_token(s))
-    }
-
-    #[inline]
-    fn read_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::de::Error> {
-        // Tokens are ASCII, so a byte-for-byte match needs no UTF-8
-        // validation; only the unknown-token path (about to show the
-        // text in an error) validates, with the same message the
-        // validating read would have produced.
-        match p.read_str_raw_kind("feature token string")? {
-            serde::de::RawStr::Bytes(b) => match Permission::from_token_exact(b) {
-                Some(p) => Ok(FeatureToken(p)),
-                None => {
-                    let s = std::str::from_utf8(b).map_err(|e| {
-                        serde::de::Error::new(format!("invalid UTF-8 in string: {e}"))
-                    })?;
-                    Permission::from_token(s)
-                        .map(FeatureToken)
-                        .ok_or_else(|| unknown_token(s))
-                }
-            },
-            serde::de::RawStr::Text(s) => Permission::from_token(&s)
-                .map(FeatureToken)
-                .ok_or_else(|| unknown_token(&s)),
-        }
-    }
-}
-
 /// Error returned when parsing an unknown permission token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownPermission(pub String);
@@ -484,20 +396,6 @@ mod tests {
             assert_eq!(Permission::from_token_exact(p.token().as_bytes()), Some(p));
             assert_eq!(Permission::from_token(p.token()), Some(p));
         }
-    }
-
-    #[test]
-    fn feature_token_serializes_as_spec_token() {
-        let t = FeatureToken(Permission::PictureInPicture);
-        let mut json = String::new();
-        t.write_json(&mut json);
-        assert_eq!(json, "\"picture-in-picture\"");
-        let mut p = serde::de::Parser::new(json.as_bytes());
-        assert_eq!(FeatureToken::read_json(&mut p).unwrap(), t);
-        assert_eq!(FeatureToken::from_value(&t.to_value()).unwrap(), t);
-        let mut bad = serde::de::Parser::new(b"\"bogus\"");
-        assert!(FeatureToken::read_json(&mut bad).is_err());
-        assert!(t == *"picture-in-picture");
     }
 
     #[test]

@@ -3,6 +3,9 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
 
+use serde::de::{Error, Parser, RawStr};
+use serde::{Deserialize, Serialize, Value};
+
 use crate::permission::{Permission, ALL};
 
 // Every discriminant must fit the set and index its own registry entry,
@@ -81,6 +84,93 @@ impl PermissionSet {
     #[inline]
     pub fn iter(self) -> Iter {
         Iter(self.0 & REGISTRY_BITS)
+    }
+
+    /// Adds `permission` as the next entry of a list in registry order:
+    /// `false`, with the set unchanged, when a member at or past it is
+    /// already in the set (a repeat, or an entry out of order). Every
+    /// decoder of a stored set reads its members this way, so a decoded
+    /// set re-encodes to the bytes it came from.
+    #[inline]
+    pub fn push_ordered(&mut self, permission: Permission) -> bool {
+        let fits = self.0 >> permission as u32 == 0;
+        if fits {
+            self.insert(permission);
+        }
+        fits
+    }
+
+    /// Adds the member a decoded spec token names: the one strict rule of
+    /// both JSON decode paths.
+    #[inline]
+    fn push_token(&mut self, token: RawStr<'_>) -> Result<(), Error> {
+        match Permission::from_token_exact(token.bytes()) {
+            Some(p) if self.push_ordered(p) => Ok(()),
+            named => Err(token_error(named, token)),
+        }
+    }
+}
+
+/// Why a decoded token cannot join the set: it names no permission, or
+/// one at or before a member already read.
+#[cold]
+fn token_error(named: Option<Permission>, token: RawStr<'_>) -> Error {
+    match named {
+        Some(p) => Error::new(format!(
+            "feature token `{p}` repeated or out of registry order"
+        )),
+        // Only a miss, about to be shown, owes the UTF-8 check.
+        None => token.validate().err().unwrap_or_else(|| {
+            let text = String::from_utf8_lossy(token.bytes());
+            Error::new(format!("unknown feature token `{text}`"))
+        }),
+    }
+}
+
+/// A set is recorded as the array of its members' spec tokens, in
+/// registry order (`["camera","fullscreen"]`).
+impl Serialize for PermissionSet {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(|p| Value::Str(p.token().into())).collect())
+    }
+
+    #[inline]
+    fn write_json(&self, out: &mut String) {
+        // Tokens are lowercase ASCII letters, digits and dashes: nothing
+        // to escape, so the quoted form is the token verbatim.
+        out.push('[');
+        for (i, p) in self.iter().enumerate() {
+            out.push_str(if i == 0 { "\"" } else { ",\"" });
+            out.push_str(p.token());
+            out.push('"');
+        }
+        out.push(']');
+    }
+}
+
+/// Reads strictly: each entry must be a token exactly as
+/// [`Permission::token`] writes it, in registry order, without repeats.
+impl Deserialize for PermissionSet {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let items = value
+            .as_array()
+            .ok_or_else(|| Error::expected("array", value))?;
+        let mut set = PermissionSet::EMPTY;
+        for item in items {
+            let token = item
+                .as_str()
+                .ok_or_else(|| Error::expected("feature token string", item))?;
+            set.push_token(RawStr::Text(token.into()))?;
+        }
+        Ok(set)
+    }
+
+    #[inline]
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        p.expect_kind("array", "array")?;
+        let mut set = PermissionSet::EMPTY;
+        p.read_seq(|p| set.push_token(p.read_str_raw_kind("feature token string")?))?;
+        Ok(set)
     }
 }
 
@@ -229,5 +319,62 @@ mod tests {
             other & PermissionSet::of(Permission::Geolocation),
             PermissionSet::EMPTY.with(Permission::Geolocation)
         );
+    }
+
+    fn read(json: &str) -> Result<PermissionSet, String> {
+        let streaming = PermissionSet::read_json(&mut Parser::new(json.as_bytes()));
+        let tree = Parser::new(json.as_bytes())
+            .parse_value()
+            .map_err(|e| e.to_string());
+        let tree = tree.and_then(|v| PermissionSet::from_value(&v).map_err(|e| e.to_string()));
+        assert_eq!(streaming.clone().map_err(|e| e.to_string()), tree, "{json}");
+        tree
+    }
+
+    #[test]
+    fn json_is_the_spec_tokens_in_registry_order() {
+        let set = PermissionSet::EMPTY
+            .with(Permission::PictureInPicture)
+            .with(Permission::Camera);
+        let mut json = String::new();
+        set.write_json(&mut json);
+        assert_eq!(json, r#"["camera","picture-in-picture"]"#);
+        let mut via_value = String::new();
+        serde::ser::write_value(&mut via_value, &set.to_value());
+        assert_eq!(via_value, json);
+        assert_eq!(read(&json), Ok(set));
+        assert_eq!(read(" [ ] "), Ok(PermissionSet::EMPTY));
+        let all: PermissionSet = ALL.iter().collect();
+        json.clear();
+        all.write_json(&mut json);
+        assert_eq!(read(&json), Ok(all));
+    }
+
+    #[test]
+    fn json_decode_is_strict_and_names_the_token() {
+        let order = "feature token `camera` repeated or out of registry order";
+        for (json, error) in [
+            (r#"["bogus"]"#, "unknown feature token `bogus`"),
+            (r#"["CAMERA"]"#, "unknown feature token `CAMERA`"),
+            (r#"["camera","camera"]"#, order),
+            (r#"["geolocation","camera"]"#, order),
+            (r#"["\u0063amera","camera"]"#, order),
+            (r#"[7]"#, "expected feature token string, found number"),
+            (r#""camera""#, "expected array, found string"),
+        ] {
+            assert_eq!(read(json), Err(error.to_string()), "{json}");
+        }
+        let escaped = PermissionSet::of(Permission::Camera);
+        assert_eq!(read(r#"["\u0063amera"]"#), Ok(escaped));
+    }
+
+    #[test]
+    fn push_ordered_takes_only_members_past_the_last() {
+        let mut set = PermissionSet::EMPTY;
+        assert!(set.push_ordered(Permission::Camera));
+        assert!(!set.push_ordered(Permission::Camera));
+        assert!(!set.push_ordered(Permission::Battery));
+        assert!(set.push_ordered(Permission::ChUaWow64));
+        assert_eq!(set.len(), 2);
     }
 }

@@ -48,7 +48,6 @@ fn main() {
                 hijackable = frame
                     .allowed_features
                     .iter()
-                    .map(|token| token.0)
                     .filter(|p| p.info().powerful)
                     .collect();
             }

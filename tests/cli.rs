@@ -60,7 +60,7 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
     let record = ["crawl", "--size", "20", "--record", path(&store)];
     assert_success(&run(&[&record[..], &["--out", path(&recorded)]].concat()));
     let store = path(&store);
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 14] = [
         // Misspelled `--shards`: ignored, the crawl would write one shard.
         (
             &["crawl", "--size", "50", "--shard", "4", "--out", out],
@@ -133,6 +133,32 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
             ],
             "--fault-transients",
         ),
+        // Rates above 1000 per mille acted as 1000, and the manifest
+        // recorded the number given.
+        (
+            &[
+                "crawl",
+                "--size",
+                "40",
+                "--fault-panics",
+                "5000",
+                "--out",
+                out,
+            ],
+            "--fault-panics",
+        ),
+        (
+            &[
+                "crawl",
+                "--size",
+                "40",
+                "--fault-transients",
+                "5000",
+                "--out",
+                out,
+            ],
+            "--fault-transients",
+        ),
     ];
     for (args, flag) in cases {
         assert_one_error(&run(args), &["crawl", flag]);
@@ -141,7 +167,7 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
     let job = dir.join("job");
     let job_dir = path(&job);
     #[rustfmt::skip]
-    let job_cases: [(&[&str], &str, &str); 3] = [
+    let job_cases: [(&[&str], &str, &str); 4] = [
         (
             &["crawl-job", "start", "--dir", job_dir, "--size", "50", "--js-engine", "interp"],
             "crawl-job start", "--js-engine",
@@ -156,6 +182,11 @@ fn unknown_repeated_and_valueless_flags_are_loud() {
         (
             &["crawl-job", "resume", "--dir", job_dir, "--dict-epoch", "2"],
             "crawl-job resume", "--dict-epoch",
+        ),
+        // An abort after 0 records never fired: the job ran to completion.
+        (
+            &["crawl-job", "start", "--dir", job_dir, "--size", "300", "--chaos-abort", "0"],
+            "crawl-job start", "--chaos-abort",
         ),
     ];
     for (args, verb, flag) in job_cases {

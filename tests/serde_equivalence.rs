@@ -86,26 +86,37 @@ fn corrupt_input_errors_match_across_paths() {
     }
 }
 
-/// Unknown feature tokens are rejected with the same message either way.
+/// Unknown, repeated and out-of-order feature tokens are rejected with
+/// the same message either way, naming the token: a decoded set must
+/// re-encode to the bytes it came from.
 #[test]
 fn unknown_feature_token_errors_match() {
-    let json = valid_line().replace(
-        "\"outcome\":\"Unreachable\",\"visit\":null",
-        "\"outcome\":\"Success\",\"visit\":{\"requested_url\":\"u\",\"frames\":[{\
-         \"frame_id\":0,\"parent\":null,\"depth\":0,\"url\":null,\"origin\":\"o\",\"site\":null,\
-         \"is_top_level\":true,\"is_local_document\":false,\"iframe_attrs\":null,\
-         \"permissions_policy_header\":null,\"feature_policy_header\":null,\"csp_header\":null,\
-         \"invocations\":[],\"scripts\":[],\"allowed_features\":[\"not-a-feature\"]}],\
-         \"outcome\":\"Success\",\"elapsed_ms\":1}",
-    );
-    let streaming = serde_json::from_str::<SiteRecord>(&json).expect_err("streaming rejects");
-    let via_value =
-        serde_json::from_str_via_value::<SiteRecord>(&json).expect_err("value-tree rejects");
-    assert_eq!(streaming.to_string(), via_value.to_string());
-    assert!(
-        streaming.to_string().contains("not-a-feature"),
-        "diagnostic names the offending token: {streaming}"
-    );
+    for (features, token) in [
+        (r#"["not-a-feature"]"#, "not-a-feature"),
+        (r#"["camera","camera"]"#, "camera"),
+        (r#"["geolocation","camera"]"#, "camera"),
+    ] {
+        let json = valid_line().replace(
+            "\"outcome\":\"Unreachable\",\"visit\":null",
+            &format!(
+                "\"outcome\":\"Success\",\"visit\":{{\"requested_url\":\"u\",\"frames\":[{{\
+                 \"frame_id\":0,\"parent\":null,\"depth\":0,\"url\":null,\"origin\":\"o\",\
+                 \"site\":null,\"is_top_level\":true,\"is_local_document\":false,\
+                 \"iframe_attrs\":null,\"permissions_policy_header\":null,\
+                 \"feature_policy_header\":null,\"csp_header\":null,\"invocations\":[],\
+                 \"scripts\":[],\"allowed_features\":{features}}}],\
+                 \"outcome\":\"Success\",\"elapsed_ms\":1}}"
+            ),
+        );
+        let streaming = serde_json::from_str::<SiteRecord>(&json).expect_err("streaming rejects");
+        let via_value =
+            serde_json::from_str_via_value::<SiteRecord>(&json).expect_err("value-tree rejects");
+        assert_eq!(streaming.to_string(), via_value.to_string(), "{features}");
+        assert!(
+            streaming.to_string().contains(&format!("`{token}`")),
+            "diagnostic names the offending token: {streaming}"
+        );
+    }
 }
 
 /// Strict streams fail on the first corrupt line and name its 1-based

@@ -89,17 +89,17 @@ fn header_precedence_is_chromium_like() {
         let v = b
             .visit(&Url::parse("https://example.org/").unwrap(), &mut clock)
             .unwrap();
-        v.top_frame().unwrap().allowed_features.clone()
+        v.top_frame().unwrap().allowed_features
     };
 
     // Valid PP wins: camera off, geolocation (FP says none) stays on.
     let features = check("camera=()");
-    assert!(!features.iter().any(|f| f == "camera"));
-    assert!(features.iter().any(|f| f == "geolocation"));
+    assert!(!features.contains(Permission::Camera));
+    assert!(features.contains(Permission::Geolocation));
 
     // Broken PP: dropped entirely, defaults apply (camera on).
     let features = check("camera 'none'");
-    assert!(features.iter().any(|f| f == "camera"));
+    assert!(features.contains(Permission::Camera));
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn wildcard_delegation_survives_redirects_end_to_end() {
         v.frames
             .iter()
             .find(|f| f.site.as_deref() == Some("hijacked.example"))
-            .map(|f| f.allowed_features.iter().any(|x| x == "camera"))
+            .map(|f| f.allowed_features.contains(Permission::Camera))
             .unwrap()
     };
 
@@ -339,8 +339,7 @@ fn feature_policy_applies_only_without_permissions_policy() {
         v.top_frame()
             .unwrap()
             .allowed_features
-            .iter()
-            .any(|f| f == "camera")
+            .contains(Permission::Camera)
     };
 
     // Valid PP beats a contradicting FP, in both directions.

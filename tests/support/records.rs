@@ -12,7 +12,7 @@ use browser::{
 };
 use crawler::{SiteOutcome, SiteRecord};
 use proptest::prelude::*;
-use registry::{all_permissions, FeatureToken, Permission};
+use registry::{all_permissions, Permission, PermissionSet};
 
 /// Strings that stress the encoder/decoder: plain ASCII, the full
 /// printable range (quotes, backslashes), JSON escapes, multibyte text,
@@ -112,7 +112,8 @@ pub fn arb_frame() -> impl Strategy<Value = FrameRecord> {
             prop::option::of(wild_string()),
             prop::collection::vec(arb_invocation(), 0..3),
             prop::collection::vec(arb_script(), 0..3),
-            prop::collection::vec(arb_permission().prop_map(FeatureToken), 0..5),
+            prop::collection::vec(arb_permission(), 0..5)
+                .prop_map(|members| members.into_iter().collect::<PermissionSet>()),
         ),
     )
         .prop_map(
